@@ -507,7 +507,7 @@ let run_serve () =
   let module Server = Tep_server.Server in
   let module Client = Tep_client.Client in
   let module Message = Tep_wire.Message in
-  let make_service ?io_mode ?max_connections seed =
+  let make_service ?max_connections seed =
     let env = Scenario.make_env ~seed () in
     (* like every other experiment, the participant key honours the
        configured rsa_bits (Scenario.participant would pin 1024) *)
@@ -521,7 +521,7 @@ let run_serve () =
       (Database.create_table db ~name:"t1" (Schema.all_int [ "a"; "b" ]));
     let engine = Engine.create ~directory:env.Scenario.directory db in
     let server =
-      Server.create ?io_mode ?max_connections
+      Server.create ?max_connections
         ~drbg:(Tep_crypto.Drbg.create ~seed:(seed ^ "-srv"))
         ~participants:[ ("alice", alice) ]
         engine
@@ -715,24 +715,16 @@ let run_serve () =
             (point, ops_per_batch server)))
       sweep
   in
-  (* real Unix-domain socket, once per I/O mode: the event-loop
-     reactor (the provdbd default) and the thread-per-connection
-     fallback.  Same workload either way, so the pair is a direct A/B.
-     This is where the old 2-clients-slower-than-1 convoy anomaly
-     (EXPERIMENTS.md) shows up under "threaded" and disappears under
-     "event": a threaded follower blocks in the batcher's condition
-     wait and nobody reads its socket, so its pipelined window
-     stalls; the reactor keeps reading while workers batch. *)
-  (* The daemon the sweep models is a separate process, so the socket
-     points fork the server into a child: under OCaml 5 systhreads all
-     share their domain's runtime lock, and an in-process server would
-     serialize against the very client threads that are loading it
-     (which taxes the reactor's extra wakeup hops far more than the
-     thread-per-connection path — the A/B would measure the bench
-     harness, not the server).  The child also gives /proc-exact
-     thread censuses for the scaling phase below. *)
-  let with_forked_server ?max_connections ~io_mode seed body =
-    let _, alice, server = make_service ?max_connections ~io_mode seed in
+  (* real Unix-domain socket.  The daemon the sweep models is a
+     separate process, so the socket points fork the server into a
+     child: under OCaml 5 systhreads all share their domain's runtime
+     lock, and an in-process server would serialize against the very
+     client threads that are loading it (taxing the reactor's wakeup
+     hops — the sweep would measure the bench harness, not the
+     server).  The child also gives /proc-exact thread censuses for
+     the scaling phase below. *)
+  let with_forked_server ?max_connections seed body =
+    let _, alice, server = make_service ?max_connections seed in
     let path = Filename.temp_file "tep_serve_bench" ".sock" in
     Sys.remove path;
     flush stdout;
@@ -772,53 +764,29 @@ let run_serve () =
     Client.close control;
     float_of_int h.Client.h_ops /. float_of_int (max 1 h.Client.h_batches)
   in
-  let socket_points_for ~io_mode ~tag =
+  let socket_points =
     List.map
       (fun clients ->
         median_trials (fun () ->
-            with_forked_server ~io_mode
-              (Printf.sprintf "%s-sock-%s-%d" cfg.Experiments.seed tag clients)
+            with_forked_server
+              (Printf.sprintf "%s-sock-%d" cfg.Experiments.seed clients)
               (fun ~alice ~path ~pid:_ ->
                 let point =
-                  run_point ~quiet:true
-                    (Printf.sprintf "unix-socket[%s]" tag)
-                    clients alice
+                  run_point ~quiet:true "unix-socket" clients alice
                     (fun ci ->
                       Client.connect_unix
                         ~drbg:
                           (Tep_crypto.Drbg.create
-                             ~seed:
-                               (Printf.sprintf "scli-%s-%d-%d" tag clients ci))
+                             ~seed:(Printf.sprintf "scli-%d-%d" clients ci))
                         path)
                 in
                 let opb =
                   remote_ops_per_batch ~alice ~path
-                    ~seed:(Printf.sprintf "sctl-%s-%d" tag clients)
+                    ~seed:(Printf.sprintf "sctl-%d" clients)
                 in
                 (point, opb))))
       sweep
   in
-  let socket_event_points =
-    (* the provdbd default worker count; more workers than this just
-       queue up as group-commit followers without adding throughput *)
-    socket_points_for ~io_mode:(Server.Event { workers = 4 }) ~tag:"event"
-  in
-  let socket_threaded_points =
-    socket_points_for ~io_mode:Server.Threaded ~tag:"threaded"
-  in
-  (match
-     ( List.find_opt (fun ((_, c, _, _, _, _), _) -> c = 8) socket_event_points,
-       List.find_opt
-         (fun ((_, c, _, _, _, _), _) -> c = 8)
-         socket_threaded_points )
-   with
-  | Some ((_, _, _, ev, _, _), _), Some ((_, _, _, th, _, _), _) ->
-      Printf.printf
-        "8-client unix-socket: event %.0f req/s vs threaded %.0f req/s \
-         (%+.0f%%)\n"
-        ev th
-        ((ev -. th) /. th *. 100.)
-  | _ -> ());
   (* -- connection scaling: mostly-idle fleets + 8 active clients ---- *)
   (* The server runs in a forked child so (a) its fd table stays dense
      and small while the parent hoards the idle fleet's fds, and (b)
@@ -852,7 +820,6 @@ let run_serve () =
   in
   let run_scaling idle_count =
     with_forked_server
-      ~io_mode:(Server.Event { workers = 4 })
       ~max_connections:(idle_count + scaling_active + 8)
       (Printf.sprintf "%s-scale-%d" cfg.Experiments.seed idle_count)
       (fun ~alice ~path ~pid ->
@@ -1073,31 +1040,21 @@ let run_serve () =
        tamper_detected
        (identical_clean && identical_tampered));
   Buffer.add_string buf "  \"sweep\": [\n";
-  let points =
-    List.map (fun p -> ("n/a", p)) loopback_points
-    @ List.map (fun p -> ("event", p)) socket_event_points
-    @ List.map (fun p -> ("threaded", p)) socket_threaded_points
-  in
+  let points = loopback_points @ socket_points in
   List.iteri
-    (fun i (mode, ((name, clients, seconds, rps, p50, p95), opb)) ->
-      let base =
-        match String.index_opt name '[' with
-        | Some j -> String.sub name 0 j
-        | None -> name
-      in
+    (fun i ((name, clients, seconds, rps, p50, p95), opb) ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    { \"transport\": \"%s\", \"io_mode\": \"%s\", \"clients\": \
-            %d, \"shards\": 1, \"seconds\": %.6f, \"requests_per_s\": %.1f, \
-            \"p50_ms\": %.3f, \"p95_ms\": %.3f, \"ops_per_batch\": %.2f }%s\n"
-           (json_escape base) mode clients seconds rps p50 p95 opb
+           "    { \"transport\": \"%s\", \"clients\": %d, \"shards\": 1, \
+            \"seconds\": %.6f, \"requests_per_s\": %.1f, \"p50_ms\": %.3f, \
+            \"p95_ms\": %.3f, \"ops_per_batch\": %.2f }%s\n"
+           (json_escape name) clients seconds rps p50 p95 opb
            (if i = List.length points - 1 then "" else ",")))
     points;
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf
     (Printf.sprintf
        "  \"connection_scaling\": {\n\
-       \    \"io_mode\": \"event\",\n\
        \    \"active_clients\": %d,\n\
        \    \"points\": [\n"
        scaling_active);

@@ -25,7 +25,7 @@ open Cmdliner
 open Workspace
 module Server = Tep_server.Server
 
-let run dir socket port shards_flag event_loop io_threads idle_timeout =
+let run dir socket port shards_flag io_threads idle_timeout =
   match load dir with
   | Error f ->
       report_failure f;
@@ -48,14 +48,10 @@ let run dir socket port shards_flag event_loop io_threads idle_timeout =
         List.tl (Array.to_list ws.shards)
         |> List.map (fun s -> (s.s_engine, Some (ckpt_dir s.s_dir, s.s_wal)))
       in
-      let io_mode =
-        if event_loop then Server.Event { workers = io_threads }
-        else Server.Threaded
-      in
       let server =
         Server.create ~pool:(pool ())
           ~checkpoint:(ckpt_dir ws.shards.(0).s_dir, ws.wal)
-          ~shards:extra ?coord:ws.coord ~io_mode ~idle_timeout
+          ~shards:extra ?coord:ws.coord ~io_workers:io_threads ~idle_timeout
           ~participants:ws.participants ws.engine
       in
       let stop = Atomic.make false in
@@ -133,22 +129,13 @@ let () =
                 on-disk layout from `provdb init --shards` is \
                 authoritative; a mismatch is an error)")
   in
-  let event_loop =
-    Arg.(value & opt bool true
-         & info [ "event-loop" ] ~docv:"BOOL"
-             ~doc:
-               "Serve connections from the readiness-driven event loop \
-                (one reactor + a worker pool per listening socket; the \
-                default).  $(b,--event-loop=false) falls back to the \
-                legacy thread-per-connection path.")
-  in
   let io_threads =
     Arg.(value & opt int 4
          & info [ "io-threads" ] ~docv:"N"
              ~doc:
-               "Protocol worker threads per event loop (engine dispatch, \
-                signing and proofs run here, never on the reactor). \
-                Ignored with $(b,--event-loop=false).")
+               "Protocol worker threads per listening socket (engine \
+                dispatch, signing and proofs run here, never on the \
+                event loop's reactor thread).")
   in
   let idle_timeout =
     Arg.(value & opt float 300.
@@ -175,5 +162,4 @@ let () =
     (Cmd.eval'
        (Cmd.v info
           Term.(
-            const run $ dir $ socket $ port $ shards $ event_loop $ io_threads
-            $ idle_timeout)))
+            const run $ dir $ socket $ port $ shards $ io_threads $ idle_timeout)))

@@ -513,9 +513,7 @@ let breaker_admit b =
              ((until -. now) *. 1000.))
 
 let is_write = function
-  | Message.Submit _ | Message.Submit_idem _ | Message.Checkpoint
-  | Message.Checkpoint_idem _ ->
-      true
+  | Message.Submit_idem _ | Message.Checkpoint_idem _ -> true
   | _ -> false
 
 (* ------------------------------------------------------------------ *)

@@ -276,8 +276,7 @@ let worker_loop t =
       Mutex.unlock t.lock;
       let data = String.concat "" chunks in
       (* Protocol exceptions (including injected Fault.Crash) kill the
-         connection, never the worker — parity with the legacy
-         per-connection handler thread. *)
+         connection, never the worker. *)
       let out, crashed =
         match c.handler.h_feed data with
         | out -> (out, false)

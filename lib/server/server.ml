@@ -2,7 +2,7 @@
 
    The protocol logic lives entirely in a [conn] state machine whose
    single entry point is {!feed}: bytes in, response bytes out.  The
-   Unix-domain and TCP accept loops pump sockets through it; the
+   {!Evloop} reactor pumps Unix-domain and TCP sockets through it; the
    client library's loopback transport calls it directly — so the
    in-process test path exercises exactly the frames, codecs and
    session sealing that cross a real socket.
@@ -31,7 +31,7 @@
      instead of per op.  Every client still receives its own per-op
      response; a WAL failure mid-batch fails that whole batch
      atomically (recovery replays to the last commit marker).
-   - Checkpoint takes the write lock directly.
+   - Checkpoint takes every shard's write lock directly.
 
    Sharding: the service can own several engines, each a shard of the
    provenance forest with its own WAL, checkpoint directory, rwlock
@@ -88,6 +88,13 @@ let () = Fault.register read_site
    tests observe that readers are not serialised. *)
 let verify_site = "server.dispatch.verify"
 let () = Fault.register verify_site
+
+(* Hit by a cross-shard commit right after it releases the shards'
+   write locks; arming it with [Fault.Delay] holds the commit in that
+   window, which is how the tests check that a concurrent Prove already
+   sees the commit's root and proof-epoch marks. *)
+let cross_committed_site = "server.cross.committed"
+let () = Fault.register cross_committed_site
 
 (* ------------------------------------------------------------------ *)
 (* Group-commit batcher                                                *)
@@ -219,24 +226,6 @@ and proof_entry = {
   mutable pe_last : int; (* s_proof_tick at last use *)
 }
 
-(* How the socket loops run: [Event] (default) is the readiness-driven
-   reactor in {!Evloop} — one I/O thread plus a small worker pool per
-   serve loop, connections held in non-blocking mode; [Threaded] is
-   the legacy thread-per-connection fallback, kept until parity is
-   proven everywhere.  [TEP_EVLOOP=0] flips the default to [Threaded];
-   [TEP_EVLOOP_WORKERS] sizes the default pool. *)
-type io_mode = Threaded | Event of { workers : int }
-
-let default_io_workers () =
-  match Sys.getenv_opt "TEP_EVLOOP_WORKERS" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 4)
-  | None -> 4
-
-let default_io_mode () =
-  match Sys.getenv_opt "TEP_EVLOOP" with
-  | Some ("0" | "off" | "no" | "false") -> Threaded
-  | _ -> Event { workers = default_io_workers () }
-
 type t = {
   shards : shard array; (* at least one; index = shard id *)
   coord : Tep_store.Wal.t option;
@@ -249,8 +238,9 @@ type t = {
   pool : Tep_parallel.Pool.t option;
   drbg : Tep_crypto.Drbg.t;
   drbg_lock : Mutex.t;
-      (** handshakes run on per-connection threads; DRBG state is not
-          thread-safe, and interleaved generates could repeat nonces *)
+      (** handshakes run on the event loop's worker threads; DRBG state
+          is not thread-safe, and interleaved generates could repeat
+          nonces *)
   max_payload : int;
   request_timeout : float;
   max_connections : int;
@@ -258,7 +248,7 @@ type t = {
   dedup : dedup;
   admission : admission;
   draining : bool Atomic.t; (* drain begun: shed all new writes *)
-  io_mode : io_mode;
+  io_workers : int; (* protocol worker threads per serve loop *)
   idle_timeout : float; (* reap quiet connections after this long *)
   reaped : int Atomic.t; (* idle-timeout reaps, reported in Ping *)
   idle_mutex : Mutex.t;
@@ -319,10 +309,7 @@ let create ?(max_payload = Frame.default_max_payload) ?(request_timeout = 30.)
     ?(max_connections = 64) ?(max_queue_ops = 512)
     ?(max_session_inflight = 64) ?(retry_after_ms = 25)
     ?(dedup_capacity = 1024) ?drbg ?pool ?checkpoint ?(shards = []) ?coord
-    ?io_mode ?(idle_timeout = 300.) ~participants engine =
-  let io_mode =
-    match io_mode with Some m -> m | None -> default_io_mode ()
-  in
+    ?(io_workers = 4) ?(idle_timeout = 300.) ~participants engine =
   let drbg =
     match drbg with Some d -> d | None -> Tep_crypto.Drbg.create_system ()
   in
@@ -358,7 +345,7 @@ let create ?(max_payload = Frame.default_max_payload) ?(request_timeout = 30.)
       };
     admission = { max_queue_ops; max_session_inflight; retry_after_ms };
     draining = Atomic.make false;
-    io_mode;
+    io_workers;
     idle_timeout;
     reaped = Atomic.make 0;
     idle_mutex = Mutex.create ();
@@ -421,8 +408,8 @@ let reaped_connections t = Atomic.get t.reaped
 (* Serve-loop wakeups                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Each running serve loop registers a waker (a wakeup-pipe write or a
-   ctl-pipe write); [wake] nudges them all.  Callers flip their stop
+(* Each running serve loop registers a waker (its reactor's
+   wakeup-pipe write); [wake] nudges them all.  Callers flip their stop
    atomic (or [begin_drain]) first, then wake — the loops re-check the
    flag on every wakeup, so shutdown latency is a syscall, not a poll
    interval. *)
@@ -621,7 +608,7 @@ type conn = {
   inbox : Buffer.t; (* unconsumed input; compacted once per frame *)
   mutable need : int; (* skip parse attempts below this many bytes *)
   mutable phase : phase;
-  mutable pending : (int * string option * Message.op) list;
+  mutable pending : (int * string * Message.op) list;
       (* consecutive pipelined Submits (cid, rid, op), newest first,
          awaiting a flush into the batcher as one job *)
 }
@@ -703,6 +690,25 @@ let apply_op engine participant (op : Message.op) : submit_result =
       | Ok oid -> R_oid oid
       | Error e -> R_err e)
 
+(* The wire answer for one op of a commit that emitted [records]
+   provenance records. *)
+let response_of_result ~records = function
+  | R_err e -> error_resp Message.Bad_request e
+  | R_row row -> Message.Submitted { row = Some row; oid = None; records }
+  | R_oid oid -> Message.Submitted { row = None; oid = Some oid; records }
+  | R_unit -> Message.Submitted { row = None; oid = None; records }
+  | R_pending ->
+      (* unreachable: a commit fills every slot before it answers *)
+      error_resp Message.Failed "commit left the operation pending"
+
+(* A commit changed this shard's tree: only this shard's cached root
+   and cached proofs go stale.  Callers hold the shard's write lock,
+   so any reader admitted after the commit sees both marks (cheap
+   atomics; see s_root_dirty for why not the root lock). *)
+let mark_committed (s : shard) =
+  Atomic.set s.s_root_dirty true;
+  Atomic.incr s.s_proof_epoch
+
 (* Execute one drained queue under the write lock.  Jobs are grouped
    by participant ({!Engine.complex_op} signs a batch as one identity);
    within a group, ops run in arrival order inside a single complex
@@ -770,11 +776,7 @@ let run_batch (shard : shard) (jobs : submit_job list) =
           in
           match outcome with
           | Ok ((), m) ->
-              (* The commit changed this shard's tree: only this
-                 shard's cached root goes stale (cheap atomic; see
-                 s_root_dirty for why not the root lock). *)
-              Atomic.set shard.s_root_dirty true;
-              Atomic.incr shard.s_proof_epoch;
+              mark_committed shard;
               (* Signing-time counters: taken under b_mutex while this
                  leader still holds the write lock; the only lock order
                  anywhere is rwlock → b_mutex, so no cycle. *)
@@ -886,23 +888,7 @@ let submit_to_shard t (shard : shard) participant (ops : Message.op array) :
           match job.j_failed with
           | Some (F_wal e) -> error_resp Message.Wal_failed e
           | Some (F_failed e) -> error_resp Message.Failed e
-          | None -> (
-          match job.j_results.(i) with
-          | R_err e -> error_resp Message.Bad_request e
-          | R_row row ->
-              Message.Submitted
-                { row = Some row; oid = None; records = job.j_records }
-          | R_oid oid ->
-              Message.Submitted
-                { row = None; oid = Some oid; records = job.j_records }
-          | R_unit ->
-              Message.Submitted
-                { row = None; oid = None; records = job.j_records }
-              | R_pending ->
-                  (* unreachable: the leader fills every slot before
-                     marking the job done *)
-                  error_resp Message.Failed
-                    "batch left the operation pending"))
+          | None -> response_of_result ~records:job.j_records job.j_results.(i))
     end
   end
 
@@ -959,6 +945,15 @@ let shard_of_op t (op : Message.op) : (int, string) result =
 (* ------------------------------------------------------------------ *)
 (* Cross-shard submits (two-phase commit)                              *)
 (* ------------------------------------------------------------------ *)
+
+(* Run [f] under the write locks of shards [ks], given in ascending
+   index order — the one order every multi-lock path uses, so the lock
+   graph stays acyclic. *)
+let rec with_writes t ks f =
+  match ks with
+  | [] -> f ()
+  | k :: rest ->
+      Rwlock.with_write t.shards.(k).s_rwlock (fun () -> with_writes t rest f)
 
 (* A job whose ops span shards commits atomically under the 2PC marker
    protocol: the coordinator lock serialises these transactions, the
@@ -1022,27 +1017,28 @@ let submit_cross t participant (ops : Message.op array)
               b.b_ops <- b.b_ops + Array.length slots;
               Mutex.unlock b.b_mutex)
             groups;
-          let rec with_writes gs f =
-            match gs with
-            | [] -> f ()
-            | (k, _) :: rest ->
-                Rwlock.with_write t.shards.(k).s_rwlock (fun () ->
-                    with_writes rest f)
-          in
           let txid = fresh_txid t in
           let records = Array.make (Array.length t.shards) 0 in
+          (* Mark every participant before its write lock is released,
+             whatever the commit's outcome: a Prove admitted after the
+             unlock must never pair a stale cached root with a proof of
+             the new tree.  After an abort this costs one rehash. *)
+          let commit () =
+            Fun.protect
+              ~finally:(fun () ->
+                List.iter (fun (k, _) -> mark_committed t.shards.(k)) groups)
+              (fun () -> Shards.commit_cross ~coord ~txid parts)
+          in
           match
-            with_writes groups (fun () ->
-                Shards.commit_cross ~coord ~txid parts)
+            let r = with_writes t (List.map fst groups) commit in
+            Fault.hit cross_committed_site;
+            r
           with
           | Ok (committed, warnings) ->
               List.iter
                 (fun (k, m) ->
-                  let s = t.shards.(k) in
-                  Atomic.set s.s_root_dirty true;
-                  Atomic.incr s.s_proof_epoch;
                   records.(k) <- m.Engine.records_emitted;
-                  let b = s.s_batcher in
+                  let b = t.shards.(k).s_batcher in
                   Mutex.lock b.b_mutex;
                   b.b_sign_wall_s <- b.b_sign_wall_s +. m.Engine.sign_s;
                   b.b_sign_cpu_s <- b.b_sign_cpu_s +. m.Engine.sign_cpu_s;
@@ -1059,29 +1055,7 @@ let submit_cross t participant (ops : Message.op array)
                   Array.iter
                     (fun i ->
                       responses.(i) <-
-                        Some
-                          (match results.(i) with
-                          | R_err e -> error_resp Message.Bad_request e
-                          | R_row row ->
-                              Message.Submitted
-                                {
-                                  row = Some row;
-                                  oid = None;
-                                  records = records.(k);
-                                }
-                          | R_oid oid ->
-                              Message.Submitted
-                                {
-                                  row = None;
-                                  oid = Some oid;
-                                  records = records.(k);
-                                }
-                          | R_unit ->
-                              Message.Submitted
-                                { row = None; oid = None; records = records.(k) }
-                          | R_pending ->
-                              error_resp Message.Failed
-                                "transaction left the operation pending"))
+                        Some (response_of_result ~records:records.(k) results.(i)))
                     slots)
                 groups
           | Error e ->
@@ -1333,21 +1307,18 @@ let serve_proof (s : shard) ~epoch oid =
 (* Read-side requests run concurrently with each other: nothing here
    may mutate any engine.  Each shard's audit checkpoint and root
    cache are the read-side mutables; each sits behind its own
-   per-shard mutex. *)
-let dispatch_read t participant (req : Message.request) =
+   per-shard mutex.  Per-shard read locks are taken as close to each
+   shard access as possible. *)
+let dispatch t participant (req : Message.request) =
   let algo = Engine.algo (engine t) in
   let directory = directory t in
   match req with
   | Message.Hello _ | Message.Auth _ ->
       error_resp Message.Bad_request "already authenticated"
-  | Message.Submit _ | Message.Submit_idem _ | Message.Checkpoint
-  | Message.Checkpoint_idem _ ->
-      (* routed to the write side by [dispatch_locked] *)
+  | Message.Submit_idem _ | Message.Checkpoint_idem _ ->
+      (* answered by [handle_sealed] through the dedup table *)
       error_resp Message.Failed "write request on the read path"
-  | Message.Ping ->
-      (* normally answered before dispatch (see [handle_sealed]); kept
-         here so the direct API path answers it too *)
-      pong t
+  | Message.Ping -> pong t
   | Message.Query (Some oid) ->
       with_owning_shard t oid (fun s ->
           match Engine.deliver s.s_engine oid with
@@ -1657,13 +1628,12 @@ let dispatch_read t participant (req : Message.request) =
         Message.Audit_sample_resp { report = rep; sampled; population }
       end
 
-(* Checkpoint every shard under all write locks (taken in ascending
-   index order, the global multi-lock order).  With every shard
+(* Checkpoint every shard under all write locks.  With every shard
    write-locked no 2PC can be mid-flight, so once each shard's WAL is
    checkpointed — prepared transactions upgraded to Commit markers or
    rolled into the snapshot — the coordinator's decision log carries
    no live information and is truncated too. *)
-let dispatch_checkpoint t =
+let checkpoint t =
   let checkpoint_one (s : shard) =
     match s.s_checkpoint with
     | None -> Error "checkpointing not configured"
@@ -1680,41 +1650,24 @@ let dispatch_checkpoint t =
       | Error e ->
           Error (Printf.sprintf "shard %d: %s" k e)
   in
-  match go 0 [] with
-  | Error e -> error_resp Message.Failed e
-  | Ok results -> (
-      (match t.coord with
-      | Some coord ->
-          ignore
-            (Tep_store.Wal.truncate coord
-               ~upto:(Tep_store.Wal.last_seq coord))
-      | None -> ());
-      match results with
-      | (generation, lsn) :: _ -> Message.Checkpointed { generation; lsn }
-      | [] -> error_resp Message.Failed "no shards")
-
-let rec with_all_writes t k f =
-  if k >= Array.length t.shards then f ()
+  if Atomic.get t.draining then
+    error_resp Message.Shutting_down "server is draining"
   else
-    Rwlock.with_write t.shards.(k).s_rwlock (fun () ->
-        with_all_writes t (k + 1) f)
-
-let dispatch_locked t participant (req : Message.request) =
-  match req with
-  | Message.Submit op | Message.Submit_idem { op; _ } ->
-      (submit_ops t participant [| op |]).(0)
-  | Message.Checkpoint | Message.Checkpoint_idem _ ->
-      if Atomic.get t.draining then
-        error_resp Message.Shutting_down "server is draining"
-      else
-        with_all_writes t 0 (fun () ->
-            try dispatch_checkpoint t
-            with e -> error_resp Message.Failed (Printexc.to_string e))
-  | _ -> (
-      (* per-shard read locks are taken inside [dispatch_read], as
-         close to each shard access as possible *)
-      try dispatch_read t participant req
-      with e -> error_resp Message.Failed (Printexc.to_string e))
+    with_writes t (List.init (shard_count t) Fun.id) (fun () ->
+        try
+          match go 0 [] with
+          | Error e -> error_resp Message.Failed e
+          | Ok results -> (
+              (match t.coord with
+              | Some coord ->
+                  ignore
+                    (Tep_store.Wal.truncate coord
+                       ~upto:(Tep_store.Wal.last_seq coord))
+              | None -> ());
+              match results with
+              | (generation, lsn) :: _ -> Message.Checkpointed { generation; lsn }
+              | [] -> error_resp Message.Failed "no shards")
+        with e -> error_resp Message.Failed (Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* Handshake                                                           *)
@@ -1802,22 +1755,17 @@ let flush_pending c out =
       let plan =
         Array.mapi
           (fun i (_, rid, _) ->
-            match rid with
-            | None ->
-                fresh_rev := i :: !fresh_rev;
-                `Run
-            | Some r -> (
-                match Hashtbl.find_opt local r with
-                | Some j ->
-                    note_dedup_hit t;
-                    `Alias j
-                | None -> (
-                    match dedup_claim t r with
-                    | `Hit resp -> `Hit resp
-                    | `Run ->
-                        Hashtbl.replace local r i;
-                        fresh_rev := i :: !fresh_rev;
-                        `Run)))
+            match Hashtbl.find_opt local rid with
+            | Some j ->
+                note_dedup_hit t;
+                `Alias j
+            | None -> (
+                match dedup_claim t rid with
+                | `Hit resp -> `Hit resp
+                | `Run ->
+                    Hashtbl.replace local rid i;
+                    fresh_rev := i :: !fresh_rev;
+                    `Run))
           ps
       in
       let fresh = Array.of_list (List.rev !fresh_rev) in
@@ -1842,11 +1790,8 @@ let flush_pending c out =
         (fun k slot ->
           Hashtbl.replace resp_of_slot slot resps.(k);
           let _, rid, _ = ps.(slot) in
-          Option.iter
-            (fun r ->
-              dedup_resolve t r
-                (if dedup_cacheable resps.(k) then Some resps.(k) else None))
-            rid)
+          dedup_resolve t rid
+            (if dedup_cacheable resps.(k) then Some resps.(k) else None))
         fresh;
       Array.iteri
         (fun i (cid, _, _) ->
@@ -1874,8 +1819,8 @@ let buffer_submit c out ~cid ~rid op =
   else c.pending <- (cid, rid, op) :: c.pending
 
 (* Established-phase sealed traffic: open the seal, split off the
-   correlation id, then either defer (Submit — grouped with adjacent
-   pipelined submits) or flush-and-dispatch. *)
+   correlation id, then either defer (Submit_idem — grouped with
+   adjacent pipelined submits) or flush-and-dispatch. *)
 let handle_sealed c out s payload =
   match
     Session.open_keyed s.keyed ~dir:Session.To_server ~seq:s.recv_seq payload
@@ -1896,21 +1841,15 @@ let handle_sealed c out s payload =
               flush_pending c out;
               Buffer.add_string out
                 (kill ~cid c (error_resp Message.Bad_request "malformed request"))
-          | Some (Message.Submit op) -> buffer_submit c out ~cid ~rid:None op
           | Some (Message.Submit_idem { rid; op }) ->
-              buffer_submit c out ~cid ~rid:(Some rid) op
-          | Some Message.Ping ->
-              flush_pending c out;
-              Buffer.add_string out (frame_response ~cid c (pong c.server))
+              buffer_submit c out ~cid ~rid op
           | Some (Message.Checkpoint_idem { rid }) ->
               flush_pending c out;
               let resp =
                 match dedup_claim c.server rid with
                 | `Hit resp -> resp
                 | `Run ->
-                    let resp =
-                      dispatch_locked c.server s.participant Message.Checkpoint
-                    in
+                    let resp = checkpoint c.server in
                     dedup_resolve c.server rid
                       (if dedup_cacheable resp then Some resp else None);
                     resp
@@ -1918,7 +1857,10 @@ let handle_sealed c out s payload =
               Buffer.add_string out (frame_response ~cid c resp)
           | Some req ->
               flush_pending c out;
-              let resp = dispatch_locked c.server s.participant req in
+              let resp =
+                try dispatch c.server s.participant req
+                with e -> error_resp Message.Failed (Printexc.to_string e)
+              in
               Buffer.add_string out (frame_response ~cid c resp)))
 
 let handle_frame c out (kind : Frame.kind) payload =
@@ -1956,7 +1898,7 @@ let handle_frame c out (kind : Frame.kind) payload =
   | Established s, Sealed -> handle_sealed c out s payload
 
 (* Bytes in, response bytes out.  This is the single protocol entry
-   point shared by the socket loops and the loopback transport.
+   point shared by the event loop and the loopback transport.
 
    Input accumulates in a Buffer (amortised O(1) per chunk); the
    parser only materialises the buffered bytes once a frame could be
@@ -1968,8 +1910,7 @@ let handle_frame c out (kind : Frame.kind) payload =
    Submits parsed in this pass are deferred on [c.pending] and flushed
    as one batcher job — either when a non-submit request interleaves
    (responses stay in request order) or when the parsed input runs
-   out.  A blocking client (one request per chunk) therefore behaves
-   exactly as before: its single submit flushes immediately. *)
+   out, so a blocking client's single submit flushes immediately. *)
 let feed c data =
   if c.phase = Dead then ""
   else begin
@@ -2012,37 +1953,9 @@ let feed c data =
 (* Socket loops                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let write_all fd s =
-  let len = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd b !off (len - !off)
-  done
-
-let handle_client t fd =
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.request_timeout
-   with Unix.Unix_error _ -> ());
-  (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.request_timeout
-   with Unix.Unix_error _ -> ());
-  let c = conn t in
-  let chunk = Bytes.create 4096 in
-  (try
-     let eof = ref false in
-     while (not !eof) && alive c do
-       let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-       if n = 0 then eof := true
-       else begin
-         let out = feed c (Bytes.sub_string chunk 0 n) in
-         if out <> "" then write_all fd out
-       end
-     done
-   with Unix.Unix_error _ | Sys_error _ | Fault.Crash _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* A connection flood must not translate into unbounded threads: past
-   [max_connections] concurrent connections, new accepts get a
-   best-effort advisory error frame and are dropped. *)
+(* Past [max_connections] concurrent connections, new accepts get a
+   best-effort advisory error frame and are dropped, so a connection
+   flood cannot grow server state without bound. *)
 let release t = Atomic.decr t.active
 
 let try_acquire t =
@@ -2051,16 +1964,6 @@ let try_acquire t =
     release t;
     false
   end
-
-let reject_over_capacity cfd =
-  (try
-     Unix.setsockopt_float cfd Unix.SO_SNDTIMEO 1.0;
-     write_all cfd
-       (Frame.to_string ~kind:Frame.Clear
-          (Message.response_to_string
-             (error_resp Message.Failed "server at connection limit")))
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  try Unix.close cfd with Unix.Unix_error _ -> ()
 
 (* A peer that disappears mid-write must surface as EPIPE on the
    write (handled like every other socket error), not as a
@@ -2071,74 +1974,11 @@ let ignore_sigpipe =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ())
 
-(* Legacy thread-per-connection accept loop.  Event-driven stop: the
-   select blocks on the listen fd AND a ctl pipe; {!wake} (called by
-   whoever flips [stop]) writes the pipe, so shutdown latency is one
-   syscall.  The 1 s select cap is only a backstop for callers that
-   set [stop] without waking. *)
-let serve_threaded t ~stop fd =
-  let ctl_r, ctl_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock ctl_r;
-  Unix.set_nonblock ctl_w;
-  let waker_id =
-    register_waker t (fun () ->
-        try ignore (Unix.single_write_substring ctl_w "!" 0 1) with
-        | Unix.Unix_error _ -> ())
-  in
-  let drain_ctl () =
-    let b = Bytes.create 64 in
-    let rec go () =
-      match Unix.read ctl_r b 0 64 with
-      | 64 -> go ()
-      | _ -> ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    in
-    go ()
-  in
-  Unix.listen fd 16;
-  while not (Atomic.get stop) do
-    match Unix.select [ fd; ctl_r ] [] [] 1.0 with
-    | rs, _, _ ->
-        if List.mem ctl_r rs then drain_ctl ();
-        if List.mem fd rs then begin
-          match Unix.accept fd with
-          | cfd, _ ->
-              if try_acquire t then begin
-                (* the acquired slot is owned by the handler thread; if
-                   the thread cannot even be created (fd/memory
-                   exhaustion) the slot and the socket must both be
-                   returned here, or the cap leaks permanently *)
-                match
-                  Thread.create
-                    (fun () ->
-                      Fun.protect
-                        ~finally:(fun () -> release t)
-                        (fun () -> handle_client t cfd))
-                    ()
-                with
-                | (_ : Thread.t) -> ()
-                | exception _ ->
-                    release t;
-                    (try Unix.close cfd with Unix.Unix_error _ -> ())
-              end
-              else reject_over_capacity cfd
-          | exception Unix.Unix_error _ -> ()
-        end
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  unregister_waker t waker_id;
-  (try Unix.close ctl_r with Unix.Unix_error _ -> ());
-  (try Unix.close ctl_w with Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* Event-loop service path: the {!Evloop} reactor owns every client fd
-   non-blocking; its worker pool runs {!feed}.  Admission (connection
-   cap + advisory reject), drain and dedup semantics are exactly the
-   threaded path's: the same [try_acquire]/[release] accounting and
-   the same advisory frame bytes. *)
-let serve_event t ~stop ~workers fd =
+(* The {!Evloop} reactor owns every client fd non-blocking; its worker
+   pool runs {!feed}.  Each admitted connection holds one
+   [try_acquire] slot until the reactor closes it. *)
+let serve_fd t ~stop fd =
+  Lazy.force ignore_sigpipe;
   let advisory =
     Frame.to_string ~kind:Frame.Clear
       (Message.response_to_string
@@ -2160,7 +2000,7 @@ let serve_event t ~stop ~workers fd =
   let cfg =
     {
       (Evloop.default_config ~on_accept) with
-      Evloop.workers;
+      Evloop.workers = t.io_workers;
       request_timeout = t.request_timeout;
       idle_timeout = t.idle_timeout;
       on_close = (fun () -> release t);
@@ -2172,12 +2012,6 @@ let serve_event t ~stop ~workers fd =
   Fun.protect
     ~finally:(fun () -> unregister_waker t waker_id)
     (fun () -> Evloop.run loop ~listen:fd ~stop)
-
-let serve_fd t ~stop fd =
-  Lazy.force ignore_sigpipe;
-  match t.io_mode with
-  | Event { workers } -> serve_event t ~stop ~workers fd
-  | Threaded -> serve_threaded t ~stop fd
 
 let serve_unix t ~path ~stop =
   (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());

@@ -25,20 +25,17 @@ type request =
   | Auth of { signature : string; key_share : string }
       (* key_share: the session-key secret, RSA-encrypted to the
          participant's certificate key; covered by [signature] *)
-  | Submit of op
   | Query of Oid.t option (* None: the database root *)
   | Verify of Oid.t option (* None: root object + whole-store audit *)
   | Audit
-  | Checkpoint
   | Root_hash
   | Stats (* group-commit batcher counters *)
-  (* -- v3 additions.  A v3 encoder only emits the new tags when the
-     new fields are actually used, so a stream produced by a v2 peer
-     decodes unchanged and a v3 peer talking to itself is free to use
-     them.  [rid] is a client-generated request id: the server keeps a
-     bounded dedup table of completed writes, so a retried submit or
-     checkpoint (same rid, e.g. after a dropped connection) returns
-     the original cached result instead of executing twice. *)
+  (* -- v3 additions.  Every write carries [rid], a client-generated
+     request id: the server keeps a bounded dedup table of completed
+     writes, so a retried submit or checkpoint (same rid, e.g. after a
+     dropped connection) returns the original cached result instead of
+     executing twice.  The rid-less v1 write tags (0x03 Submit, 0x07
+     Checkpoint) are retired and decode as malformed. *)
   | Submit_idem of { rid : string; op : op }
   | Checkpoint_idem of { rid : string }
   | Ping (* readiness/health probe; never shed, never queued *)
@@ -363,9 +360,6 @@ let encode_request buf = function
       Buffer.add_char buf '\x02';
       Value.add_string buf signature;
       Value.add_string buf key_share
-  | Submit op ->
-      Buffer.add_char buf '\x03';
-      encode_op buf op
   | Query oid ->
       Buffer.add_char buf '\x04';
       add_oid_opt buf oid
@@ -373,7 +367,6 @@ let encode_request buf = function
       Buffer.add_char buf '\x05';
       add_oid_opt buf oid
   | Audit -> Buffer.add_char buf '\x06'
-  | Checkpoint -> Buffer.add_char buf '\x07'
   | Root_hash -> Buffer.add_char buf '\x08'
   | Stats -> Buffer.add_char buf '\x09'
   | Submit_idem { rid; op } ->
@@ -419,9 +412,6 @@ let decode_request s off =
       let signature, off = Value.read_string s (off + 1) in
       let key_share, off = Value.read_string s off in
       (Auth { signature; key_share }, off)
-  | '\x03' ->
-      let op, off = decode_op s (off + 1) in
-      (Submit op, off)
   | '\x04' ->
       let oid, off = read_oid_opt s (off + 1) in
       (Query oid, off)
@@ -429,7 +419,6 @@ let decode_request s off =
       let oid, off = read_oid_opt s (off + 1) in
       (Verify oid, off)
   | '\x06' -> (Audit, off + 1)
-  | '\x07' -> (Checkpoint, off + 1)
   | '\x08' -> (Root_hash, off + 1)
   | '\x09' -> (Stats, off + 1)
   | '\x0a' ->

@@ -1,12 +1,11 @@
 (* Event-loop service path tests.
 
    Everything here runs over real Unix-domain sockets against the
-   {!Evloop} reactor (with one explicit run of the legacy
-   thread-per-connection fallback for parity): protocol correctness,
-   isolation of well-behaved neighbours from slow-loris tricklers and
-   malformed peers, the idle-connection reaper, connection-slot
-   accounting at three-digit connection counts, and the partial-write
-   / EAGAIN-storm failpoints on the reactor's write path. *)
+   {!Evloop} reactor: protocol correctness, isolation of well-behaved
+   neighbours from slow-loris tricklers and malformed peers, the
+   idle-connection reaper, connection-slot accounting at three-digit
+   connection counts, and the partial-write / EAGAIN-storm failpoints
+   on the reactor's write path. *)
 open Tep_store
 open Tep_core
 open Tep_wire
@@ -37,11 +36,10 @@ let local_report engine oid =
 (* Serve a fresh single-shard server on a temp socket, hand the body
    the pieces, and tear the loop down through the wake path (no
    reliance on the 1 s housekeeping backstop). *)
-let with_unix_server ?(io_mode = Server.Event { workers = 2 }) ?idle_timeout
-    ?max_connections body =
+let with_unix_server ?idle_timeout ?max_connections body =
   let engine, alice = make_env () in
   let server =
-    Server.create ~io_mode ?idle_timeout ?max_connections
+    Server.create ~io_workers:2 ?idle_timeout ?max_connections
       ~drbg:(Tep_crypto.Drbg.create ~seed:"evloop-server")
       ~participants:[ ("alice", alice) ]
       engine
@@ -91,14 +89,14 @@ let hello_frame =
        (Message.Hello { name = "alice"; nonce = String.make 16 'n' }))
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end parity                                                   *)
+(* End-to-end                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* The full authenticated workload over a socket: submits, queries,
    verify — every wire answer byte-identical to the in-process engine,
-   exactly as test_service asserts for the legacy path. *)
-let run_end_to_end ~io_mode () =
-  with_unix_server ~io_mode (fun ~engine ~alice ~server:_ ~path ->
+   exactly as test_service asserts over the loopback transport. *)
+let test_event_end_to_end () =
+  with_unix_server (fun ~engine ~alice ~server:_ ~path ->
       let c = connect path in
       ok (Client.authenticate c alice);
       let row, records =
@@ -120,11 +118,6 @@ let run_end_to_end ~io_mode () =
         (local_report engine (Engine.root_oid engine))
         (Message.render_report report);
       Client.close c)
-
-let test_event_end_to_end () =
-  run_end_to_end ~io_mode:(Server.Event { workers = 2 }) ()
-
-let test_threaded_end_to_end () = run_end_to_end ~io_mode:Server.Threaded ()
 
 (* ------------------------------------------------------------------ *)
 (* Slow-loris isolation                                                *)
@@ -339,7 +332,7 @@ let test_many_connections () =
 
 (* A server-level waker can fire in the window after [Evloop.run] has
    torn down its wakeup pipe but before the embedder unregisters the
-   waker (Server.serve_event does exactly that ordering).  The late
+   waker (Server.serve_fd does exactly that ordering).  The late
    wake must be a guarded no-op: no exception and no stray byte
    written into an unrelated fd that reuses the pipe's number. *)
 let test_wake_after_shutdown () =
@@ -376,8 +369,6 @@ let () =
         [
           Alcotest.test_case "event loop end-to-end" `Quick
             test_event_end_to_end;
-          Alcotest.test_case "threaded fallback end-to-end" `Quick
-            test_threaded_end_to_end;
           Alcotest.test_case "slow-loris isolation" `Quick test_slow_loris;
           Alcotest.test_case "malformed frame mid-stream" `Quick
             test_malformed_midstream;

@@ -209,6 +209,15 @@ let decode_sealed_resp msg =
   | Some (_, off) -> fst (Message.decode_response msg off)
   | None -> Alcotest.fail "sealed message missing correlation id"
 
+(* Open and decode the single sealed response in [s]. *)
+let open_sealed_resp key ~seq s =
+  match parse_one s with
+  | Frame.Sealed, payload -> (
+      match Session.open_ ~key ~dir:Session.To_client ~seq payload with
+      | Ok msg -> decode_sealed_resp msg
+      | Error e -> Alcotest.fail ("response failed to open: " ^ e))
+  | _ -> Alcotest.fail "expected a sealed response"
+
 let expect_error name s code =
   match parse_one s with
   | _, payload -> (
@@ -371,16 +380,37 @@ let test_bad_mac_and_replay_rejected () =
   let resp =
     Tep_server.Server.feed conn (Frame.to_string ~kind:Frame.Sealed sealed)
   in
-  (match parse_one resp with
-  | Frame.Sealed, payload -> (
-      (* the error still arrives sealed: the session key exists *)
-      match Session.open_ ~key ~dir:Session.To_client ~seq:1 payload with
-      | Ok msg -> (
-          match decode_sealed_resp msg with
-          | Message.Error_resp { code = Message.Auth_failed; _ } -> ()
-          | _ -> Alcotest.fail "expected auth-failed")
-      | Error e -> Alcotest.fail ("error response failed to open: " ^ e))
-  | _ -> Alcotest.fail "expected a sealed error");
+  (* the error still arrives sealed: the session key exists *)
+  (match open_sealed_resp key ~seq:1 resp with
+  | Message.Error_resp { code = Message.Auth_failed; _ } -> ()
+  | _ -> Alcotest.fail "expected auth-failed");
+  Alcotest.(check string) "connection dead" ""
+    (Tep_server.Server.feed conn (clear_frame Message.Root_hash))
+
+(* The retired rid-less Submit tag (0x03) on a live session is a
+   malformed request: the peer gets a sealed Bad_request and the
+   session dies, exactly like any other undecodable payload. *)
+let test_retired_submit_tag_rejected () =
+  let engine, _, _, alice, _ = make_env () in
+  let server = make_server engine alice in
+  let conn = Tep_server.Server.conn server in
+  let key = handshake conn alice in
+  let op = Buffer.create 32 in
+  Message.encode_op op
+    (Message.Op_insert { table = "stock"; cells = [| Value.Int 1 |] });
+  let sealed =
+    Session.seal ~key ~dir:Session.To_server ~seq:0
+      (Message.with_cid 1 ("\x03" ^ Buffer.contents op))
+  in
+  let resp =
+    Tep_server.Server.feed conn (Frame.to_string ~kind:Frame.Sealed sealed)
+  in
+  (match open_sealed_resp key ~seq:1 resp with
+  | Message.Error_resp { code = Message.Bad_request; message } ->
+      Alcotest.(check string) "message" "malformed request" message
+  | _ -> Alcotest.fail "expected bad-request");
+  Alcotest.(check int) "nothing executed" 0
+    (Server.batch_stats server).Server.ops;
   Alcotest.(check string) "connection dead" ""
     (Tep_server.Server.feed conn (clear_frame Message.Root_hash))
 
@@ -540,8 +570,8 @@ let test_unix_socket_end_to_end () =
       Client.close c)
 
 (* Past max_connections concurrent sockets, new connections are
-   rejected with an advisory error instead of spawning unbounded
-   threads; the slot frees when a connection closes. *)
+   rejected with an advisory error instead of being served; the slot
+   frees when a connection closes. *)
 let test_connection_cap () =
   let engine, _, _, alice, _ = make_env () in
   let server =
@@ -648,10 +678,11 @@ let test_pipelined_submits_coalesce () =
   let conn = Tep_server.Server.conn server in
   let key = handshake conn alice in
   let submit cid seq cells =
+    let op = Message.Op_insert { table = "stock"; cells } in
     let msg =
       Message.with_cid cid
         (Message.request_to_string
-           (Message.Submit (Message.Op_insert { table = "stock"; cells })))
+           (Message.Submit_idem { rid = Printf.sprintf "coalesce-%d" cid; op }))
     in
     Frame.to_string ~kind:Frame.Sealed
       (Session.seal ~key ~dir:Session.To_server ~seq msg)
@@ -1223,6 +1254,8 @@ let () =
             test_bad_mac_and_replay_rejected;
           Alcotest.test_case "clear frame post-auth" `Quick
             test_clear_frame_post_auth_rejected;
+          Alcotest.test_case "retired submit tag" `Quick
+            test_retired_submit_tag_rejected;
         ] );
       ( "faults",
         [

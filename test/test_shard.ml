@@ -1,8 +1,9 @@
 (* Sharded-forest tests: routing determinism, the Merkle
    root-of-roots, the cross-shard two-phase commit protocol (including
    crash-point enumeration over every interleaving of shard flushes),
-   server-side shard routing, per-shard root-cache invalidation, and
-   the adaptive pool work-size gate.
+   server-side shard routing, per-shard root-cache invalidation (also
+   in the window after a cross-shard commit unlocks), and the adaptive
+   pool work-size gate.
 
    Everything is deterministic: participants come from fixed DRBG
    seeds, fault ordinals are explicit, and the engine emits no
@@ -461,6 +462,61 @@ let test_server_cross_shard_batch () =
     (List.length (Shards.decided_txids coord_file));
   Sys.remove coord_file
 
+(* A cross-shard commit must mark every participant's root cache and
+   proof epoch before it releases the shards' write locks.  The commit
+   is held just after the unlock (the [server.cross.committed] site,
+   armed with a delay) while a Prove lands on a participating shard:
+   every proof item must chain to the shard root of the same response,
+   and that root must be the committed one. *)
+let test_server_cross_shard_prove_window () =
+  let server, _, e1, t0, t1, coord_file = make_sharded_server () in
+  let c = Client.loopback ~drbg:(Tep_crypto.Drbg.create ~seed:"client") server in
+  ok (Client.authenticate c alice);
+  ignore (ok (Client.insert c ~table:t0 [| Value.Int 1; Value.Int 10 |]));
+  ignore (ok (Client.insert c ~table:t1 [| Value.Int 2; Value.Int 20 |]));
+  (* warm both cached roots: a stale cached root is what the window
+     would serve *)
+  ignore (ok (Client.root_hash c));
+  let site = "server.cross.committed" in
+  Fault.reset ();
+  Fault.arm site (Fault.Delay 0.5);
+  let update table =
+    Message.Op_update { table; row = 0; col = 1; value = Value.Int 9 }
+  in
+  let responses = ref [||] in
+  let writer =
+    Thread.create
+      (fun () ->
+        responses := Server.submit_ops server alice [| update t0; update t1 |])
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while Fault.hit_count site < 1 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.002
+  done;
+  let reached = Fault.hit_count site >= 1 in
+  let proofs = Client.prove c ~table:t1 ~row:0 ~col:1 () in
+  Thread.join writer;
+  Fault.reset ();
+  Alcotest.(check bool) "commit reached the post-unlock site" true reached;
+  Array.iter
+    (function
+      | Message.Submitted _ -> ()
+      | _ -> Alcotest.fail "cross-shard update failed")
+    !responses;
+  let p = ok proofs in
+  let shard_root = List.nth p.Client.pf_shard_roots p.Client.pf_shard in
+  List.iter
+    (fun it ->
+      ok
+        (Tep_tree.Proof.verify (Engine.algo e1) ~root_hash:shard_root
+           it.Client.pf_proof))
+    p.Client.pf_items;
+  Alcotest.(check string) "shard root is the committed root"
+    (Engine.root_hash e1) shard_root;
+  Client.close c;
+  Sys.remove coord_file
+
 (* ------------------------------------------------------------------ *)
 (* Adaptive pool gate                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -575,6 +631,8 @@ let () =
             test_server_shard_cache_invalidation;
           Alcotest.test_case "cross-shard batch" `Quick
             test_server_cross_shard_batch;
+          Alcotest.test_case "cross-shard prove window" `Quick
+            test_server_cross_shard_prove_window;
         ] );
       ( "pool-gate",
         [

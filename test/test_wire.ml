@@ -204,19 +204,20 @@ let sample_report =
 let clean_report =
   { Message.rp_records = 9; rp_objects = 3; rp_signatures = 9; rp_violations = [] }
 
+let submit op = Message.Submit_idem { rid = "r"; op }
+
 let sample_requests =
   [
     Message.Hello { name = "alice"; nonce = String.make 16 '\x07' };
     Message.Auth
       { signature = String.make 64 '\x55'; key_share = String.make 64 '\xa1' };
-    Message.Submit
+    submit
       (Message.Op_insert
          { table = "stock"; cells = [| Value.Text "W-1"; Value.Int 9; Value.Null |] });
-    Message.Submit
+    submit
       (Message.Op_update
          { table = "stock"; row = 3; col = 1; value = Value.Float 2.5 });
-    Message.Submit (Message.Op_delete { table = "stock"; row = 0 });
-    Message.Submit
+    submit
       (Message.Op_aggregate
          { inputs = [ Oid.of_int 1; Oid.of_int 2 ]; value = Value.Text "agg" });
     Message.Query None;
@@ -224,7 +225,6 @@ let sample_requests =
     Message.Verify None;
     Message.Verify (Some (Oid.of_int 0));
     Message.Audit;
-    Message.Checkpoint;
     Message.Root_hash;
     Message.Stats;
     Message.Submit_idem
@@ -376,6 +376,21 @@ let test_response_roundtrip () =
         (Message.response_to_string resp'))
     sample_responses
 
+(* The rid-less v1 write tags (0x03 Submit, 0x07 Checkpoint) are
+   retired: a payload carrying either must be rejected as malformed,
+   never decoded as some other request. *)
+let test_retired_write_tags () =
+  let op_body = Buffer.create 16 in
+  Message.encode_op op_body
+    (Message.Op_insert { table = "stock"; cells = [| Value.Int 1 |] });
+  let op_body = Buffer.contents op_body in
+  List.iter
+    (fun (name, payload) ->
+      match Message.decode_request payload 0 with
+      | exception (Failure _ | Invalid_argument _) -> ()
+      | _ -> Alcotest.failf "%s must not decode" name)
+    [ ("tag 0x03", "\x03" ^ op_body); ("tag 0x07", "\x07") ]
+
 (* A v6 server's Pong ends after [shed]; the v7 [reaped] field must
    decode as an optional trailing field (default 0), or a v7 client
    could never Ping a v6 server. *)
@@ -496,6 +511,8 @@ let () =
         [
           Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
           Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
+          Alcotest.test_case "retired write tags" `Quick
+            test_retired_write_tags;
           Alcotest.test_case "pong v6 compat" `Quick test_pong_v6_compat;
           Alcotest.test_case "report rendering" `Quick test_report_rendering;
         ]

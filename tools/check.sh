@@ -11,10 +11,10 @@
 # verification gates (@proof unit suite, @proof-smoke bytes/latency
 # gate, and a scripted daemon proof session: insert -> remote prove
 # VERIFIED -> tamper -> remote prove exit 3 -> sampled audit exit 3),
-# and the event-loop service gates (@serve-loop: the reactor suite
-# plus the service robustness group pinned to the event loop; the
-# scripted daemon sessions below run the reactor by default, with an
-# explicit thread-per-connection parity check via --event-loop=false).
+# and the event-loop service gate (@serve-loop: the reactor suite;
+# the scripted daemon sessions below run on the same reactor), and
+# the toy-scale end-to-end benchmark of the real daemon
+# (@bench-e2e-smoke: every workload with all of its checks).
 # Equivalent to `dune build @check-all` plus the daemon sessions.
 set -eu
 cd "$(dirname "$0")/.."
@@ -64,6 +64,9 @@ TEP_SCALE=smoke TEP_BENCH_JSON=0 dune exec bench/main.exe -- proof
 echo "== serve-loop (event-loop reactor gate) =="
 dune build @serve-loop
 
+echo "== bench-e2e-smoke (end-to-end benchmark at toy scale) =="
+dune build @bench-e2e-smoke
+
 echo "== serve-smoke (scripted provdbd session) =="
 PROVDB=_build/default/bin/provdb.exe
 PROVDBD=_build/default/bin/provdbd.exe
@@ -93,8 +96,8 @@ wait_for_socket() {
   done
 }
 
-# explicit event-loop flags: the reactor with a small worker pool and
-# a non-default idle timeout, exercising the provdbd flag surface
+# explicit reactor flags: a small worker pool and a non-default idle
+# timeout, exercising the provdbd flag surface
 "$PROVDBD" "$ws" --io-threads 2 --idle-timeout 120 & daemon_pid=$!
 wait_for_socket "$ws"
 "$PROVDB" remote insert "$ws" --as alice --table stock --values 'WIDGET-1,100'
@@ -126,22 +129,6 @@ echo "drain: SIGTERM exited 0, root hash stable across restart"
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 daemon_pid=
-
-# Thread-per-connection fallback must stay wire-compatible: the same
-# workspace served with the event loop disabled answers with the same
-# root hash.
-"$PROVDBD" "$ws" --event-loop=false & daemon_pid=$!
-wait_for_socket "$ws"
-root_legacy=$("$PROVDB" remote root-hash "$ws" --as alice)
-"$PROVDB" remote verify "$ws" --as alice
-kill -TERM "$daemon_pid"
-wait "$daemon_pid"
-daemon_pid=
-if [ "$root_legacy" != "$root_before" ]; then
-  echo "FAIL: thread-per-connection fallback served a different root hash"
-  exit 1
-fi
-echo "fallback: --event-loop=false serves the same root (wire parity)"
 
 "$PROVDB" tamper "$ws" --attack data
 
