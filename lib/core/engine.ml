@@ -236,7 +236,6 @@ type staged = {
    [Provstore.latest].  [assigned] replays exactly that view without
    touching the store before the signing stage. *)
 let commit t (b : batch) : metrics =
-  if t.mode = Basic then Merkle.clear t.cache;
   Merkle.reset_stats t.cache;
   let hash_s = ref b.b_hash_s in
   (* Deepest objects first: their hashes warm the cache for ancestors,
@@ -253,6 +252,20 @@ let commit t (b : batch) : metrics =
     |> List.sort (fun (da, a, _) (db, bo, _) ->
            if da <> db then Stdlib.compare db da else Oid.compare a bo)
   in
+  (* Basic (Figure 7): re-hash every tree the batch touched from
+     scratch — a cold pass, so the pool (when given) spreads it; the
+     per-object hashes below are then cache hits. *)
+  if t.mode = Basic then begin
+    let t0 = now () in
+    Merkle.clear t.cache;
+    List.sort_uniq Oid.compare
+      (List.map (fun (_, oid, _) -> Forest.root_of t.forest oid) survivors)
+    |> List.iter (fun r ->
+           match Merkle.hash_basic ?pool:t.pool t.cache r with
+           | Ok _ -> ()
+           | Error e -> failwith ("Engine.commit: " ^ e));
+    hash_s := !hash_s +. (now () -. t0)
+  end;
   (* Stage 1: hash + stage payloads, canonical order. *)
   let assigned = Oid.Tbl.create 16 in
   let staged =

@@ -5,7 +5,9 @@
     one atomic object deep inside has a particular value {e without}
     receiving the whole tree: the proof carries, for each step from
     the leaf to the root, the node's frame data and the sibling
-    hashes — O(depth × fanout) instead of O(size).
+    hashes — O(depth × log fanout) instead of O(size): a node with
+    more than {!Merkle.wide_threshold} children contributes one chunk
+    per level of its chunk tree, not every child.
 
     This is the authenticated-data-structure connection the paper's
     related work points at (Merkle 1989; outsourced-database
@@ -13,14 +15,21 @@
 
 open Tep_store
 
+(** What a step's node commits to about its children, as carried by
+    a proof (the same shape {!Merkle.children_proof} returns). *)
+type children = Merkle.children =
+  | Flat of (Oid.t * string) list
+      (** A node with at most {!Merkle.wide_threshold} children: every
+          (child oid, child hash), oid-sorted. *)
+  | Chunked of { count : int; chunks : (Oid.t * string) list list }
+      (** A wide node: its child count and the one chunk per level of
+          its chunk tree on the proven child's path, level 0 (child
+          entries) first, the top chunk last. *)
+
 (** One step of the path: the parent node's identity and the child
     hashes it commits to, with the proven child's position left
-    implicit by [child_oid]. *)
-type step = {
-  node_oid : Oid.t;
-  node_value : Value.t;
-  children : (Oid.t * string) list;  (** (child oid, child hash), oid-sorted *)
-}
+    implicit by the previous step. *)
+type step = { node_oid : Oid.t; node_value : Value.t; children : children }
 
 type t = {
   leaf_oid : Oid.t;
@@ -38,8 +47,11 @@ val root_oid : t -> Oid.t
 val verify :
   Tep_crypto.Digest_algo.algo -> root_hash:string -> t -> (unit, string) result
 (** Recompute the hash chain from the leaf up and compare with the
-    trusted root hash.  Also checks structural sanity (each step's
-    parent actually lists the previous node as a child). *)
+    trusted root hash.  Also checks structural sanity and canonical
+    form: each step lists the previous node as a child; entries are
+    strictly oid-sorted and carry hashes of the algorithm's width; a
+    flat step has at most {!Merkle.wide_threshold} entries; every
+    chunk of a wide step obeys the chunk-boundary rule. *)
 
 val size_bytes : t -> int
 (** Serialised size — what a slice delivery ships instead of the

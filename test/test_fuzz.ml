@@ -45,10 +45,10 @@ let fuzz_decoders =
     QCheck2.Test.make ~name:"Proof.of_encoded total" ~count:2000 gen_bytes
       (fun s ->
         match Proof.of_encoded s with Ok _ | Error _ -> true);
-    QCheck2.Test.make ~name:"Proof.of_encoded 'P'-prefixed total"
+    QCheck2.Test.make ~name:"Proof.of_encoded 'Q'-prefixed total"
       ~count:2000 gen_bytes
       (fun s ->
-        match Proof.of_encoded ("P" ^ s) with Ok _ | Error _ -> true);
+        match Proof.of_encoded ("Q" ^ s) with Ok _ | Error _ -> true);
     fuzz "Slice.of_string" (fun s ->
         match Slice.of_string s with Ok _ | Error _ -> ());
     fuzz "Pki.certificate_of_string" (fun s ->

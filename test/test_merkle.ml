@@ -198,6 +198,193 @@ let test_parallel_matches_sequential () =
       Tep_parallel.Pool.shutdown pool)
     [ 1; 2; 4 ]
 
+(* ---- wide nodes (chunk trees) ---- *)
+
+(* Narrow frames are unchanged by the chunk tree: this forest (a table
+   with exactly 32 rows, one with 5, one empty) hashed to these roots
+   before wide nodes existed. *)
+let test_narrow_frames_pinned () =
+  let f = Forest.create () in
+  let root = ok (Forest.insert f (Value.Text "db")) in
+  List.iter
+    (fun (name, rows) ->
+      let tbl = ok (Forest.insert ~parent:root f (Value.Text name)) in
+      for r = 0 to rows - 1 do
+        let row = ok (Forest.insert ~parent:tbl f (iv r)) in
+        for c = 0 to 2 do
+          ignore (ok (Forest.insert ~parent:row f (iv ((r * 10) + c))))
+        done
+      done)
+    [ ("wide-edge", 32); ("small", 5); ("empty", 0) ];
+  List.iter
+    (fun (algo, hex) ->
+      let c = Merkle.create_cache algo f in
+      Alcotest.(check string)
+        (Tep_crypto.Digest_algo.name algo)
+        hex
+        (Tep_crypto.Digest_algo.to_hex (ok (Merkle.hash c root))))
+    [
+      (Tep_crypto.Digest_algo.SHA1, "13543e665d570031f3a26a8b7fe01173c51d2200");
+      ( Tep_crypto.Digest_algo.SHA256,
+        "b2a2c43aef1986577423c168d22f104799c5317fbe5820e12e9b1d867146cc63" );
+    ]
+
+let pure f root = Merkle.hash_subtree algo (ok (Forest.subtree f root))
+
+(* A forest whose table [t] holds [rows] rows of two cells, next to a
+   fixed 200-leaf table that keeps the forest past [par_threshold]. *)
+let wide_forest rows =
+  let f = Forest.create () in
+  let root = ok (Forest.insert f (Value.Text "db")) in
+  let t = ok (Forest.insert ~parent:root f (Value.Text "t")) in
+  let add_row v =
+    let r = ok (Forest.insert ~parent:t f (iv v)) in
+    ignore (ok (Forest.insert ~parent:r f (iv (v + 1))));
+    ignore (ok (Forest.insert ~parent:r f (iv (v + 2))))
+  in
+  for i = 1 to rows do
+    add_row (i * 10)
+  done;
+  let flat = ok (Forest.insert ~parent:root f (Value.Text "flat")) in
+  for i = 1 to 200 do
+    ignore (ok (Forest.insert ~parent:flat f (iv i)))
+  done;
+  (f, root, t, add_row)
+
+let pools = lazy (List.map (fun d -> Tep_parallel.Pool.create ~domains:d ()) [ 2; 4 ])
+
+type op = Ins | Del of int | Upd_row of int | Upd_cell of int
+
+let gen_ops =
+  QCheck2.Gen.(
+    pair (int_range 10 60)
+      (list_size (int_range 1 40)
+         (frequency
+            [
+              (4, return Ins);
+              (3, map (fun i -> Del i) nat);
+              (2, map (fun i -> Upd_row i) nat);
+              (2, map (fun i -> Upd_cell i) nat);
+            ])))
+
+(* Random inserts, deletes and updates move the table across the
+   32-child threshold; after every op the incremental cache agrees
+   with the pure definition, and at the end a cold pooled pass (2 and
+   4 domains) agrees too. *)
+let prop_incremental_matches =
+  QCheck2.Test.make ~name:"wide nodes: cache = hash_subtree = hash_par"
+    ~count:60 gen_ops (fun (rows, ops) ->
+      let f, root, t, add_row = wide_forest rows in
+      let cache = Merkle.create_cache algo f in
+      let fresh = ref 100_000 in
+      List.iter
+        (fun op ->
+          let kids = Forest.children f t in
+          let n = List.length kids in
+          (match op with
+          | Ins ->
+              fresh := !fresh + 10;
+              add_row !fresh
+          | Del i when n > 0 ->
+              ignore (ok (Forest.delete_subtree f (List.nth kids (i mod n))))
+          | Upd_row i when n > 0 ->
+              ignore (ok (Forest.update f (List.nth kids (i mod n)) (iv (-i))))
+          | Upd_cell i when n > 0 ->
+              let row = List.nth kids (i mod n) in
+              let cell = List.hd (Forest.children f row) in
+              ignore (ok (Forest.update f cell (iv (-i - 1))))
+          | _ -> ());
+          let want = pure f root in
+          if not (String.equal want (ok (Merkle.hash cache root))) then
+            QCheck2.Test.fail_reportf "cache diverged after %d rows" n)
+        ops;
+      let want = pure f root in
+      List.for_all
+        (fun pool ->
+          let cold = Merkle.create_cache algo f in
+          String.equal want (ok (Merkle.hash ~pool cold root))
+          && String.equal want (ok (Merkle.hash_basic ~pool cache root))
+          && String.equal want (ok (Merkle.hash cache root)))
+        (Lazy.force pools))
+
+(* The chunk tree depends only on the child set: the same final set
+   reached by two different insert/delete orders (explicit oids) gives
+   the same root, on warm caches hashed between every op. *)
+let prop_history_independent =
+  QCheck2.Test.make ~name:"wide nodes: history independence" ~count:40
+    QCheck2.Gen.(pair (int_range 20 120) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let shuffle l =
+        List.map (fun x -> (Random.State.bits rng, x)) l
+        |> List.sort compare |> List.map snd
+      in
+      let keep = List.init n (fun i -> 10 + (3 * i)) in
+      let extra = List.init (n / 2) (fun i -> 11 + (3 * i)) in
+      let run order deletes =
+        let f = Forest.create () in
+        let root = ok (Forest.insert ~oid:(Oid.of_int 1) f (Value.Text "t")) in
+        let cache = Merkle.create_cache algo f in
+        List.iter
+          (fun o ->
+            ignore
+              (ok (Forest.insert ~oid:(Oid.of_int o) ~parent:root f (iv (o * 7))));
+            ignore (ok (Merkle.hash cache root)))
+          order;
+        List.iter
+          (fun o ->
+            ignore (ok (Forest.delete f (Oid.of_int o)));
+            ignore (ok (Merkle.hash cache root)))
+          deletes;
+        (ok (Merkle.hash cache root), pure f root)
+      in
+      let a, a_pure = run keep [] in
+      let b, b_pure = run (shuffle (keep @ extra)) (shuffle extra) in
+      String.equal a b && String.equal a a_pure && String.equal b b_pure)
+
+(* Economical hashing through a wide node touches one chunk per level
+   of its chunk tree, not every child. *)
+let test_wide_dirty_path () =
+  let f, root, t, add_row = wide_forest 3000 in
+  let cache = Merkle.create_cache algo f in
+  ignore (ok (Merkle.hash cache root));
+  let row = List.nth (Forest.children f t) 1234 in
+  let cell = List.hd (Forest.children f row) in
+  let check what bound =
+    Merkle.reset_stats cache;
+    Alcotest.(check string) what (pure f root) (ok (Merkle.hash cache root));
+    let s = Merkle.stats cache in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d chunks re-digested <= %d" what
+         s.Merkle.chunks_hashed bound)
+      true
+      (s.Merkle.chunks_hashed <= bound);
+    s
+  in
+  ignore (ok (Forest.update f cell (iv 999)));
+  let s = check "cell update" 4 in
+  Alcotest.(check int) "cell, row, table, root" 4 s.Merkle.nodes_hashed;
+  add_row 1_000_000;
+  ignore (check "append" 8);
+  ignore (ok (Forest.delete_subtree f row));
+  ignore (check "delete" 8)
+
+let test_wide_proof_children () =
+  let f, root, t, _ = wide_forest 500 in
+  let cache = Merkle.create_cache algo f in
+  ignore (ok (Merkle.hash cache root));
+  let child = List.nth (Forest.children f t) 77 in
+  match ok (Merkle.children_proof cache t ~child) with
+  | Merkle.Flat _ -> Alcotest.fail "500 children must be chunked"
+  | Merkle.Chunked { count; chunks } ->
+      Alcotest.(check int) "count" 500 count;
+      Alcotest.(check bool) "child in level 0" true
+        (List.mem_assoc child (List.hd chunks));
+      Alcotest.(check bool)
+        (Printf.sprintf "%d levels is logarithmic" (List.length chunks))
+        true
+        (List.length chunks >= 2 && List.length chunks <= 5)
+
 let () =
   Alcotest.run "merkle"
     [
@@ -220,6 +407,16 @@ let () =
           Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "parallel matches sequential" `Quick
             test_parallel_matches_sequential;
+        ] );
+      ( "wide",
+        [
+          Alcotest.test_case "narrow frames pinned" `Quick
+            test_narrow_frames_pinned;
+          Alcotest.test_case "dirty path is logarithmic" `Quick
+            test_wide_dirty_path;
+          Alcotest.test_case "proof children" `Quick test_wide_proof_children;
+          QCheck_alcotest.to_alcotest prop_incremental_matches;
+          QCheck_alcotest.to_alcotest prop_history_independent;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_mutation_detected ]);
     ]

@@ -327,7 +327,14 @@ let test_tamper_matrix () =
     {
       step with
       Proof.children =
-        List.map (fun (o, h) -> (o, bump h)) step.Proof.children;
+        (match step.Proof.children with
+        | Proof.Flat es -> Proof.Flat (List.map (fun (o, h) -> (o, bump h)) es)
+        | Proof.Chunked c ->
+            Proof.Chunked
+              {
+                c with
+                chunks = List.map (List.map (fun (o, h) -> (o, bump h))) c.chunks;
+              });
     }
   in
   let tampered_sibling =

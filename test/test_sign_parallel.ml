@@ -33,7 +33,7 @@ let temp_dir tag =
 (* Both engines are built from the same DRBG seed, so participants,
    keys and the initial database are bit-for-bit identical; only the
    pool differs. *)
-let make_env ?pool tag =
+let make_env ?pool ?(rows = 8) tag =
   let drbg = Tep_crypto.Drbg.create ~seed:"sign-parallel" in
   let ca = Tep_crypto.Pki.create_ca ~name:"CA" drbg in
   let dir_ =
@@ -45,7 +45,7 @@ let make_env ?pool tag =
   let t =
     ok (Database.create_table db ~name:"t" (Schema.all_int [ "a"; "b"; "c" ]))
   in
-  for i = 0 to 7 do
+  for i = 0 to rows - 1 do
     ignore
       (Table.insert t [| Value.Int i; Value.Int (i * 2); Value.Int (i * 3) |])
   done;
@@ -137,16 +137,16 @@ let cleanup env =
   (try Sys.remove env.wal_path with Sys_error _ -> ());
   try Unix.rmdir env.dir with Unix.Unix_error _ -> ()
 
-let run_sequential () =
-  let env = make_env "seq" in
+let run_sequential ?rows () =
+  let env = make_env ?rows "seq" in
   workload env;
   let fp = fingerprint env in
   cleanup env;
   fp
 
-let run_pooled ?arm domains =
+let run_pooled ?arm ?rows domains =
   let pool = Pool.create ~domains () in
-  let env = make_env ~pool (Printf.sprintf "pool%d" domains) in
+  let env = make_env ~pool ?rows (Printf.sprintf "pool%d" domains) in
   (match arm with Some f -> f () | None -> ());
   workload env;
   Fault.reset ();
@@ -178,6 +178,17 @@ let test_pooled_identical () =
       check_identical (Printf.sprintf "%d domains" domains) seq fp;
       Alcotest.(check bool) "sign times recorded" true
         (m.Engine.sign_s > 0. && m.Engine.sign_cpu_s > 0.))
+    [ 2; 4 ]
+
+(* A table past the 32-child threshold commits through a chunk tree:
+   the pooled cold pass at start-up builds it on worker domains, the
+   commits splice into it, and everything stays byte-identical. *)
+let test_pooled_identical_wide () =
+  let seq = run_sequential ~rows:300 () in
+  List.iter
+    (fun domains ->
+      let fp, _ = run_pooled ~rows:300 domains in
+      check_identical (Printf.sprintf "wide table, %d domains" domains) seq fp)
     [ 2; 4 ]
 
 (* TEP_DOMAINS is how deployments size the pool; the CI gate sets it
@@ -229,6 +240,8 @@ let () =
         [
           Alcotest.test_case "pooled = sequential (2,4 domains)" `Quick
             test_pooled_identical;
+          Alcotest.test_case "pooled = sequential, wide table" `Quick
+            test_pooled_identical_wide;
           Alcotest.test_case "TEP_DOMAINS pool = sequential" `Quick
             test_default_domains_identical;
           Alcotest.test_case "delayed signer = sequential" `Quick

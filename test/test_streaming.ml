@@ -119,6 +119,59 @@ let test_large_streaming_consistency () =
     (Tep_crypto.Digest_algo.to_hex
        (Streaming.hash_database Tep_crypto.Digest_algo.SHA256 db))
 
+(* Tables on both sides of the 32-child threshold, and a root with
+   more than 32 tables: the streamed chunk levels agree with the tree
+   hash, the cached hash and a pooled cold pass. *)
+let all_views_agree what algo db =
+  let f = Forest.create () in
+  let m = Tree_view.build f db in
+  let root = Tree_view.root m in
+  let want = Merkle.hash_subtree algo (ok (Forest.subtree f root)) in
+  let hex = Tep_crypto.Digest_algo.to_hex in
+  Alcotest.(check string) (what ^ ": streaming") (hex want)
+    (hex (Streaming.hash_database algo db));
+  Alcotest.(check string) (what ^ ": cache") (hex want)
+    (hex (ok (Merkle.hash (Merkle.create_cache algo f) root)));
+  let pool = Tep_parallel.Pool.create ~domains:2 () in
+  Alcotest.(check string) (what ^ ": pooled") (hex want)
+    (hex (ok (Merkle.hash ~pool (Merkle.create_cache algo f) root)));
+  Tep_parallel.Pool.shutdown pool
+
+let test_wide_tables () =
+  List.iter
+    (fun rows ->
+      all_views_agree (Printf.sprintf "%d rows" rows) Tep_crypto.Digest_algo.SHA1
+        (build_db [ ("w", 2, rows); ("n", 1, 3) ]))
+    [ 31; 32; 33; 34; 47; 64; 257; 2000 ];
+  all_views_agree "40 tables" Tep_crypto.Digest_algo.SHA256
+    (build_db (List.init 40 (fun i -> (Printf.sprintf "t%02d" i, 1, i))))
+
+(* Random inserts, updates and deletes move a table across the
+   threshold; every state streams to the tree hash. *)
+let prop_random_ops =
+  QCheck2.Test.make ~name:"streaming = tree after random row ops" ~count:40
+    QCheck2.Gen.(pair (int_range 20 50) (list_size (int_range 1 30) (pair (int_range 0 2) nat)))
+    (fun (rows, ops) ->
+      let db = build_db [ ("t", 2, rows) ] in
+      let t = Database.get_table_exn db "t" in
+      List.iter
+        (fun (kind, i) ->
+          let ids = List.map (fun r -> r.Table.id) (Table.rows t) in
+          let n = List.length ids in
+          match kind with
+          | 0 -> ignore (Table.insert t [| Value.Int i; Value.Int (-i) |])
+          | 1 when n > 0 -> ignore (Table.delete t (List.nth ids (i mod n)))
+          | _ when n > 0 ->
+              ignore (Table.update_cell t (List.nth ids (i mod n)) 1 (Value.Int i))
+          | _ -> ())
+        ops;
+      let f = Forest.create () in
+      let m = Tree_view.build f db in
+      let algo = Tep_crypto.Digest_algo.SHA1 in
+      String.equal
+        (Merkle.hash_subtree algo (ok (Forest.subtree f (Tree_view.root m))))
+        (Streaming.hash_database algo db))
+
 let () =
   Alcotest.run "streaming"
     [
@@ -133,5 +186,7 @@ let () =
             test_row_count_mismatch;
           Alcotest.test_case "large consistency" `Quick
             test_large_streaming_consistency;
+          Alcotest.test_case "wide tables" `Quick test_wide_tables;
+          QCheck_alcotest.to_alcotest prop_random_ops;
         ] );
     ]

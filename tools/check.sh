@@ -9,8 +9,9 @@
 # overhead gate, and a scripted daemon lineage session: insert ->
 # derive -> lineage why -> tamper -> detect), and the remote
 # verification gates (@proof unit suite, @proof-smoke bytes/latency
-# gate, and a scripted daemon proof session: insert -> remote prove
-# VERIFIED -> tamper -> remote prove exit 3 -> sampled audit exit 3),
+# gate, and a scripted daemon proof session: insert 40 rows -> remote
+# prove VERIFIED (also past the 32nd row, through a chunked table
+# node) -> tamper -> remote prove exit 3 -> sampled audit exit 3),
 # and the event-loop service gate (@serve-loop: the reactor suite;
 # the scripted daemon sessions below run on the same reactor), and
 # the toy-scale end-to-end benchmark of the real daemon
@@ -245,6 +246,14 @@ echo "== proof (scripted daemon proof session) =="
 wait_for_socket "$ws4"
 "$PROVDB" remote insert "$ws4" --as alice --table stock --values 'WIDGET-1,100'
 "$PROVDB" remote insert "$ws4" --as alice --table stock --values 'WIDGET-2,7'
+# Past 32 rows the table node commits through its chunk tree, so the
+# proofs below also cross a chunked step.
+i=3
+while [ "$i" -le 40 ]; do
+  "$PROVDB" remote insert "$ws4" --as alice --table stock \
+    --values "WIDGET-$i,$i" > /dev/null
+  i=$((i + 1))
+done
 
 # O(log n) path: the client fetches a membership proof + checksum
 # chain and rechecks the whole hash chain locally against the
@@ -257,6 +266,12 @@ if ! echo "$prove_out" | grep -q 'VERIFIED'; then
 fi
 "$PROVDB" remote prove "$ws4" --as alice --table stock --row 1 --col 1 \
   > /dev/null
+wide_out=$("$PROVDB" remote prove "$ws4" --as alice --table stock --row 37)
+echo "$wide_out"
+if ! echo "$wide_out" | grep -q 'VERIFIED'; then
+  echo "FAIL: remote prove did not verify a row past the 32nd"
+  exit 1
+fi
 
 # proof-path counters must be visible remotely (second prove above
 # also exercises the single-cell form)
@@ -274,6 +289,8 @@ kill -TERM "$daemon_pid"
 wait "$daemon_pid" || true
 daemon_pid=
 
+# The tampered cell is row 0's; its proof crosses the chunked table
+# node of the 40-row table.
 "$PROVDB" tamper "$ws4" --attack data
 
 "$PROVDBD" "$ws4" & daemon_pid=$!
