@@ -61,23 +61,35 @@ let write_json path contents =
    whole suite, so e.g. rsa-sign measurements ran against a store
    already mutated by engine-update-cell iterations). *)
 
+(* RSA sign and verify at [bits]: a signer and a verifier key, each
+   from its own seeded environment.  Named "rsa-sign"/"rsa-verify" at
+   the config's size and suffixed with the size otherwise. *)
+let rsa_micro_tests bits ~suffix =
+  let open Bechamel in
+  let payload = String.make 256 'x' in
+  let participant seed name =
+    let env = Scenario.make_env ~seed () in
+    Participant.create ~bits ~ca:env.Scenario.ca ~name env.Scenario.drbg
+  in
+  let signer = participant ("bench-micro-sign" ^ suffix) "bench-sign" in
+  let verifier_pk, verifier_sig =
+    let p = participant ("bench-micro-verify" ^ suffix) "bench-verify" in
+    (Participant.public_key p, Participant.sign p payload)
+  in
+  [
+    Test.make ~name:("rsa-sign" ^ suffix)
+      (Staged.stage (fun () -> ignore (Participant.sign signer payload)));
+    Test.make ~name:("rsa-verify" ^ suffix)
+      (Staged.stage (fun () ->
+           ignore
+             (Tep_crypto.Rsa.verify ~algo:Tep_crypto.Digest_algo.SHA256
+                verifier_pk ~msg:payload ~signature:verifier_sig)));
+  ]
+
 let crypto_micro_tests cfg =
   let open Bechamel in
   let payload = String.make 256 'x' in
   let payload_4k = String.make 4096 'x' in
-  let signer =
-    let env = Scenario.make_env ~seed:"bench-micro-sign" () in
-    Participant.create ~bits:cfg.Experiments.rsa_bits ~ca:env.Scenario.ca
-      ~name:"bench-sign" env.Scenario.drbg
-  in
-  let verifier_pk, verifier_sig =
-    let env = Scenario.make_env ~seed:"bench-micro-verify" () in
-    let p =
-      Participant.create ~bits:cfg.Experiments.rsa_bits ~ca:env.Scenario.ca
-        ~name:"bench-verify" env.Scenario.drbg
-    in
-    (Participant.public_key p, Participant.sign p payload)
-  in
   let drbg = Tep_crypto.Drbg.create ~seed:"bench-drbg" in
   [
     Test.make ~name:"sha1-256B"
@@ -95,20 +107,17 @@ let crypto_micro_tests cfg =
            ignore
              (Tep_crypto.Hmac.mac ~algo:Tep_crypto.Digest_algo.SHA256
                 ~key:"key" payload)));
-    Test.make ~name:"rsa-sign"
-      (Staged.stage (fun () -> ignore (Participant.sign signer payload)));
-    Test.make ~name:"rsa-verify"
-      (Staged.stage (fun () ->
-           ignore
-             (Tep_crypto.Rsa.verify ~algo:Tep_crypto.Digest_algo.SHA256
-                verifier_pk ~msg:payload ~signature:verifier_sig)));
     Test.make ~name:"drbg-32B"
       (Staged.stage (fun () -> ignore (Tep_crypto.Drbg.generate drbg 32)));
   ]
+  @ rsa_micro_tests cfg.Experiments.rsa_bits ~suffix:""
+  (* the key size provdbd and the end-to-end benchmark sign with *)
+  @ rsa_micro_tests Tep_crypto.Rsa.default_bits
+      ~suffix:(Printf.sprintf "-%d" Tep_crypto.Rsa.default_bits)
 
-(* Windowed vs binary Montgomery ladder on a full-width 2048-bit
-   exponentiation — the tentpole modpow comparison (the ISSUE's
-   acceptance bar: windowed must beat the old binary ladder here). *)
+(* Full-width Montgomery exponentiations: the sliding-window ladder
+   against the binary one at 2048 bits, and a 512-bit modulus and
+   exponent, the CRT half of a 1024-bit signature. *)
 let modpow_micro_tests () =
   let open Bechamel in
   let open Tep_bignum in
@@ -117,18 +126,22 @@ let modpow_micro_tests () =
     let n = Nat.of_bytes_be (Tep_crypto.Drbg.generate drbg (bits / 8)) in
     Nat.rem n (Nat.shift_left Nat.one (bits - 1))
   in
-  let m =
-    let m = Nat.add (Nat.shift_left Nat.one 2047) (rand_bits 2048) in
-    if Nat.is_even m then Nat.add m Nat.one else m
+  let operands bits =
+    let m = Nat.add (Nat.shift_left Nat.one (bits - 1)) (rand_bits bits) in
+    let m = if Nat.is_even m then Nat.add m Nat.one else m in
+    let b = rand_bits bits in
+    let e = Nat.add (Nat.shift_left Nat.one (bits - 1)) (rand_bits bits) in
+    (Zmod.Montgomery.create m, b, e)
   in
-  let ctx = Zmod.Montgomery.create m in
-  let b = rand_bits 2048 in
-  let e = Nat.add (Nat.shift_left Nat.one 2047) (rand_bits 2048) in
+  let ctx, b, e = operands 2048 in
+  let ctx512, b512, e512 = operands 512 in
   [
     Test.make ~name:"modpow-2048-windowed"
       (Staged.stage (fun () -> ignore (Zmod.Montgomery.pow ctx b e)));
     Test.make ~name:"modpow-2048-binary"
       (Staged.stage (fun () -> ignore (Zmod.Montgomery.pow_binary ctx b e)));
+    Test.make ~name:"modpow-512"
+      (Staged.stage (fun () -> ignore (Zmod.Montgomery.pow ctx512 b512 e512)));
   ]
 
 let engine_micro_tests () =

@@ -73,7 +73,7 @@ val mul : t -> t -> t
     Karatsuba above. *)
 
 val mul_int : t -> int -> t
-(** [mul_int a k] with [0 <= k < 2^26]. *)
+(** [mul_int a k] with [0 <= k < 2^31]. *)
 
 val divmod : t -> t -> t * t
 (** [divmod a b = (q, r)] with [a = q*b + r] and [0 <= r < b]
@@ -96,7 +96,7 @@ val testbit : t -> int -> bool
 (** {1 Internals exposed for sibling modules} *)
 
 val limb_bits : int
-(** Bits per limb (26). *)
+(** Bits per limb (31). *)
 
 val karatsuba_threshold : int
 
@@ -105,7 +105,7 @@ val get_limb : t -> int -> int
 (** [get_limb n i] is limb [i], or [0] when [i >= num_limbs n]. *)
 
 val of_limbs : int array -> t
-(** Build from little-endian limbs (each in [[0, 2^26)]); trailing
+(** Build from little-endian limbs (each in [[0, 2^31)]); trailing
     zero limbs are normalised away.  The array is copied. *)
 
 val pp : Format.formatter -> t -> unit

@@ -36,10 +36,10 @@ let mod_mul a b m = Nat.rem (Nat.mul a b) m
 module Montgomery = struct
   type ctx = {
     m : Nat.t;
-    n : int; (* limb count of m *)
-    m_limbs : int array;
+    n : int; (* limb count, chosen so that 4m < R = base^n *)
+    m_limbs : int array; (* m, zero-padded to n limbs *)
     m' : int; (* -m^{-1} mod base *)
-    r2 : Nat.t; (* R^2 mod m, R = base^n *)
+    r2 : int array; (* R^2 mod m, as n limbs *)
   }
 
   let modulus ctx = ctx.m
@@ -57,178 +57,184 @@ module Montgomery = struct
   let create m =
     if Nat.is_even m || Nat.compare m Nat.one <= 0 then
       invalid_arg "Montgomery.create: modulus must be odd and > 1";
-    let n = Nat.num_limbs m in
+    (* Two spare bits give 4m < R, which keeps every product lazily in
+       [0, 2m) with no subtraction per multiply (see mont_mul_into).
+       512- and 1024-bit moduli get no extra limb from this. *)
+    let n = (Nat.num_bits m + 2 + limb_bits - 1) / limb_bits in
     let m_limbs = Array.init n (Nat.get_limb m) in
     let m' = (base - inv_limb m_limbs.(0)) land limb_mask in
     let r = Nat.shift_left Nat.one (n * limb_bits) in
     let r2 = Nat.rem (Nat.mul r r) m in
-    { m; n; m_limbs; m'; r2 }
+    { m; n; m_limbs; m'; r2 = Array.init n (Nat.get_limb r2) }
 
-  (* CIOS Montgomery multiplication: dst <- a*b*R^{-1} mod m.  Inputs
-     are limb arrays of length n (zero-padded); [t] is caller scratch
-     of length n+2 (contents ignored).  [dst] may alias [a] or [b] —
-     both are fully consumed before the first store to [dst] — so a
-     whole exponentiation runs in two fixed buffers with no allocation
-     per multiply.
+  (* Fused-operand-scanning Montgomery multiplication (FIOS):
+     dst <- a*b*R^{-1} mod m, lazily reduced.  Inputs are limb arrays
+     of length n holding values in [0, 2m); the result is again in
+     [0, 2m): a*b + u*m < 4m^2 + R*m and 4m < R give (a*b + u*m)/R < 2m.
+     So no multiply ever compares or subtracts; {!from_mont} does the
+     one final subtraction.  [t] is caller scratch of length n
+     (contents ignored).  [dst] may alias [a] or [b]: the row loop
+     only writes [t], which is copied to [dst] at the end, so a whole
+     exponentiation runs in fixed buffers with no allocation per
+     multiply.
 
-     The interleaved reduction stores slot j at index j-1, folding the
-     end-of-iteration one-limb shift of the textbook formulation into
-     the loop itself.  Each accumulation step is at most
-     limb + limb*limb + limb = 2^62 - 1, exactly max_int: the unsafe
-     accesses below are bounds-safe because every index is governed by
-     [n = ctx.n] and all four arrays have length >= n (t: n+2). *)
+     Each row computes u up front from t_0 + a_i*b_0, then adds
+     a_i*b and u*m in one pass with two independent carry chains,
+     storing slot j at j-1 (the division by the limb base).  Every
+     step is at most limb + limb*limb + limb = 2^62 - 1 = max_int, so
+     nothing overflows; and the running value stays below
+     t/base + 3m < 4m < R, so it fits in n limbs and the top limb
+     c1 + c2 stays below base.  The unsafe accesses are bounds-safe:
+     every index is below n and all five arrays have length >= n. *)
   let mont_mul_into ctx (t : int array) (dst : int array) (a : int array)
       (b : int array) : unit =
     let n = ctx.n in
+    let last = n - 1 in
     let m = ctx.m_limbs and m' = ctx.m' in
-    Array.fill t 0 (n + 2) 0;
-    for i = 0 to n - 1 do
+    let b0 = Array.unsafe_get b 0 and m0 = Array.unsafe_get m 0 in
+    Array.fill t 0 n 0;
+    for i = 0 to last do
       let ai = Array.unsafe_get a i in
-      (* t += ai * b *)
-      let carry = ref 0 in
-      for j = 0 to n - 1 do
+      let p = Array.unsafe_get t 0 + (ai * b0) in
+      let u = ((p land limb_mask) * m') land limb_mask in
+      (* low limb of q is zero by the choice of u: only its carry *)
+      let q = (p land limb_mask) + (u * m0) in
+      let c1 = ref (p lsr limb_bits) and c2 = ref (q lsr limb_bits) in
+      let j = ref 1 in
+      while !j < last do
+        let j0 = !j in
+        let p = Array.unsafe_get t j0 + (ai * Array.unsafe_get b j0) + !c1 in
+        let q = (p land limb_mask) + (u * Array.unsafe_get m j0) + !c2 in
+        Array.unsafe_set t (j0 - 1) (q land limb_mask);
+        let j1 = j0 + 1 in
         let p =
-          Array.unsafe_get t j + (ai * Array.unsafe_get b j) + !carry
+          Array.unsafe_get t j1 + (ai * Array.unsafe_get b j1)
+          + (p lsr limb_bits)
         in
-        Array.unsafe_set t j (p land limb_mask);
-        carry := p lsr limb_bits
-      done;
-      let s = Array.unsafe_get t n + !carry in
-      Array.unsafe_set t n (s land limb_mask);
-      Array.unsafe_set t (n + 1)
-        (Array.unsafe_get t (n + 1) + (s lsr limb_bits));
-      (* u = t[0] * m' mod base; t := (t + u*m) / base, the division
-         folded into the store index: slot j lands at j-1, and slot 0
-         (zero by construction of u) is simply never stored. *)
-      let u = (Array.unsafe_get t 0 * m') land limb_mask in
-      let p0 = Array.unsafe_get t 0 + (u * Array.unsafe_get m 0) in
-      let carry = ref (p0 lsr limb_bits) in
-      for j = 1 to n - 1 do
-        let p =
-          Array.unsafe_get t j + (u * Array.unsafe_get m j) + !carry
+        let q =
+          (p land limb_mask) + (u * Array.unsafe_get m j1) + (q lsr limb_bits)
         in
-        Array.unsafe_set t (j - 1) (p land limb_mask);
-        carry := p lsr limb_bits
+        Array.unsafe_set t j0 (q land limb_mask);
+        c1 := p lsr limb_bits;
+        c2 := q lsr limb_bits;
+        j := j0 + 2
       done;
-      let s = Array.unsafe_get t n + !carry in
-      Array.unsafe_set t (n - 1) (s land limb_mask);
-      Array.unsafe_set t n (Array.unsafe_get t (n + 1) + (s lsr limb_bits));
-      Array.unsafe_set t (n + 1) 0
+      if !j = last then begin
+        let j0 = last in
+        let p = Array.unsafe_get t j0 + (ai * Array.unsafe_get b j0) + !c1 in
+        let q = (p land limb_mask) + (u * Array.unsafe_get m j0) + !c2 in
+        Array.unsafe_set t (j0 - 1) (q land limb_mask);
+        c1 := p lsr limb_bits;
+        c2 := q lsr limb_bits
+      end;
+      Array.unsafe_set t last (!c1 + !c2)
     done;
-    (* Result in t[0..n]; subtract m if >= m, writing into dst. *)
-    let ge =
-      if Array.unsafe_get t n <> 0 then true
-      else begin
-        let rec cmp i =
-          if i < 0 then true (* equal *)
-          else
-            let ti = Array.unsafe_get t i and mi = Array.unsafe_get m i in
-            if ti <> mi then ti > mi else cmp (i - 1)
-        in
-        cmp (n - 1)
-      end
-    in
-    if ge then begin
-      let borrow = ref 0 in
-      for i = 0 to n - 1 do
-        let d = Array.unsafe_get t i - Array.unsafe_get m i - !borrow in
-        if d < 0 then begin
-          Array.unsafe_set dst i (d + base);
-          borrow := 1
-        end
-        else begin
-          Array.unsafe_set dst i d;
-          borrow := 0
-        end
-      done
-    end
-    else Array.blit t 0 dst 0 n
+    Array.blit t 0 dst 0 n
 
-  (* Allocating wrapper, used by the reference ladder. *)
-  let mont_mul_scratch ctx (t : int array) (a : int array) (b : int array) :
-      int array =
-    let res = Array.make ctx.n 0 in
-    mont_mul_into ctx t res a b;
+  (* x in Montgomery form: x*R mod m, in [0, 2m). *)
+  let to_mont ctx t x =
+    let x = Nat.rem x ctx.m in
+    let res = Array.init ctx.n (Nat.get_limb x) in
+    mont_mul_into ctx t res res ctx.r2;
     res
 
-  let to_limbs ctx x =
-    let x = Nat.rem x ctx.m in
-    Array.init ctx.n (Nat.get_limb x)
+  (* Leave Montgomery form: multiplying by 1 gives x*R^{-1} in
+     [0, m] (x < 2m < R), and the one conditional subtraction of the
+     whole exponentiation maps m to 0. *)
+  let from_mont ctx t x =
+    let one = Array.make ctx.n 0 in
+    one.(0) <- 1;
+    mont_mul_into ctx t one x one;
+    let r = Nat.of_limbs one in
+    if Nat.compare r ctx.m >= 0 then Nat.sub r ctx.m else r
 
   (* Reference left-to-right binary ladder, kept as the oracle the
-     windowed ladder is property-tested (and benchmarked) against. *)
+     sliding-window ladder is property-tested (and benchmarked)
+     against. *)
   let pow_binary ctx b e =
     if Nat.is_zero e then Nat.rem Nat.one ctx.m
     else begin
-      let t = Array.make (ctx.n + 2) 0 in
-      let mul = mont_mul_scratch ctx t in
-      let b_mont = mul (to_limbs ctx b) (to_limbs ctx ctx.r2) in
-      let acc = ref (mul (to_limbs ctx Nat.one) (to_limbs ctx ctx.r2)) in
-      for i = Nat.num_bits e - 1 downto 0 do
-        acc := mul !acc !acc;
-        if Nat.testbit e i then acc := mul !acc b_mont
+      let t = Array.make ctx.n 0 in
+      let b_mont = to_mont ctx t b in
+      let acc = Array.copy b_mont in
+      for i = Nat.num_bits e - 2 downto 0 do
+        mont_mul_into ctx t acc acc acc;
+        if Nat.testbit e i then mont_mul_into ctx t acc acc b_mont
       done;
-      (* Convert out of Montgomery form: multiply by 1. *)
-      let one_limbs = Array.make ctx.n 0 in
-      one_limbs.(0) <- 1;
-      Nat.of_limbs (mul !acc one_limbs)
+      from_mont ctx t acc
     end
 
-  (* Fixed-window size: chosen so the 2^k-1 table multiplies amortise
-     over e's bits (k=5 saves ~19% of the multiplies of the binary
-     ladder on a 2048-bit exponent). *)
+  (* Sliding-window size: the 2^(k-1) odd powers cost 2^(k-1)
+     multiplies and each window of up to k bits saves multiplies over
+     the binary ladder, so k grows with the exponent (5 for the 512-bit
+     CRT half-exponents of a 1024-bit key; 1 is the binary ladder,
+     right for short public exponents such as 65537). *)
   let window_bits ebits =
-    if ebits <= 24 then 1
-    else if ebits <= 80 then 2
-    else if ebits <= 240 then 3
-    else if ebits <= 768 then 4
-    else 5
+    if ebits > 671 then 6
+    else if ebits > 239 then 5
+    else if ebits > 79 then 4
+    else if ebits > 23 then 3
+    else 1
 
-  (* 2^k-ary fixed-window ladder: precompute b^0..b^(2^k - 1) in
-     Montgomery form, then per k-bit window do k squarings and at most
-     one table multiply.  The accumulator squares in place via
-     {!mont_mul_into} (dst aliasing is safe there), so the whole
-     ladder allocates only the table and two scratch buffers. *)
+  (* Left-to-right sliding window over odd powers: precompute
+     b, b^3, ..., b^(2^k - 1) in Montgomery form; a zero bit costs one
+     squaring, and a window of up to k bits that starts and ends on a
+     set bit costs its squarings plus one table multiply.  The first
+     window loads the table entry instead of squaring 1.  The
+     accumulator squares in place via {!mont_mul_into} (dst aliasing
+     is safe there), so the ladder allocates only the table and two
+     buffers. *)
   let pow ctx b e =
     if Nat.is_zero e then Nat.rem Nat.one ctx.m
     else begin
+      let n = ctx.n in
       let ebits = Nat.num_bits e in
       let k = window_bits ebits in
-      let n = ctx.n in
-      let t = Array.make (n + 2) 0 in
-      let one_mont = mont_mul_scratch ctx t (to_limbs ctx Nat.one)
-          (to_limbs ctx ctx.r2)
-      in
-      let b_mont = mont_mul_scratch ctx t (to_limbs ctx b)
-          (to_limbs ctx ctx.r2)
-      in
-      let table = Array.init (1 lsl k) (fun _ -> Array.make n 0) in
-      Array.blit one_mont 0 table.(0) 0 n;
-      for i = 1 to (1 lsl k) - 1 do
-        mont_mul_into ctx t table.(i) table.(i - 1) b_mont
-      done;
-      let window j =
-        (* bits [j*k .. j*k + k - 1] of e, top bit first *)
-        let w = ref 0 in
-        for bit = k - 1 downto 0 do
-          w := (!w lsl 1) lor (if Nat.testbit e ((j * k) + bit) then 1 else 0)
-        done;
-        !w
-      in
-      let nwin = (ebits + k - 1) / k in
+      let t = Array.make n 0 in
+      let table = Array.make (1 lsl (k - 1)) [||] in
+      table.(0) <- to_mont ctx t b;
+      if k > 1 then begin
+        let b2 = Array.make n 0 in
+        mont_mul_into ctx t b2 table.(0) table.(0);
+        for i = 1 to Array.length table - 1 do
+          let x = Array.make n 0 in
+          mont_mul_into ctx t x table.(i - 1) b2;
+          table.(i) <- x
+        done
+      end;
       let acc = Array.make n 0 in
-      Array.blit table.(window (nwin - 1)) 0 acc 0 n;
-      for j = nwin - 2 downto 0 do
-        for _ = 1 to k do
-          mont_mul_into ctx t acc acc acc
-        done;
-        let w = window j in
-        if w <> 0 then mont_mul_into ctx t acc acc table.(w)
+      let first = ref true in
+      let i = ref (ebits - 1) in
+      while !i >= 0 do
+        if not (Nat.testbit e !i) then begin
+          mont_mul_into ctx t acc acc acc;
+          decr i
+        end
+        else begin
+          (* the widest window e[i..l], l > i - k, with bit l set *)
+          let l = ref (max 0 (!i - k + 1)) in
+          while not (Nat.testbit e !l) do
+            incr l
+          done;
+          let w = ref 0 in
+          for bit = !i downto !l do
+            w := (!w lsl 1) lor if Nat.testbit e bit then 1 else 0
+          done;
+          let entry = table.(!w lsr 1) in
+          if !first then begin
+            Array.blit entry 0 acc 0 n;
+            first := false
+          end
+          else begin
+            for _ = !l to !i do
+              mont_mul_into ctx t acc acc acc
+            done;
+            mont_mul_into ctx t acc acc entry
+          end;
+          i := !l - 1
+        end
       done;
-      let one_limbs = Array.make n 0 in
-      one_limbs.(0) <- 1;
-      mont_mul_into ctx t acc acc one_limbs;
-      Nat.of_limbs acc
+      from_mont ctx t acc
     end
 end
 

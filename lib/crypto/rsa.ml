@@ -88,7 +88,33 @@ let raw_sign key m =
   let h = Nat.rem (Nat.mul key.qinv diff) key.p in
   Nat.add m2 (Nat.mul h key.q)
 
-let raw_public pk m = Zmod.modpow m pk.e pk.n
+(* Montgomery contexts of recently used public moduli, so a verify
+   skips the long division for R^2 mod n that building one costs.
+   Entries are keyed by the modulus value, not by the key record, so
+   an updated record such as [{ pk with n = n' }] looks up [n'] and can
+   never reach another modulus's context.  The cache is domain-local:
+   pool domains never share it, and systhreads of one domain at worst
+   drop an insertion (the list is replaced whole, every entry is an
+   immutable pair). *)
+let public_ctx_slots = 16
+
+let public_ctxs : (Nat.t * Zmod.Montgomery.ctx) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let public_ctx n =
+  let cache = Domain.DLS.get public_ctxs in
+  match List.find_opt (fun (m, _) -> Nat.equal m n) !cache with
+  | Some (_, ctx) -> ctx
+  | None ->
+      let ctx = Zmod.Montgomery.create n in
+      cache :=
+        (n, ctx) :: List.filteri (fun i _ -> i < public_ctx_slots - 1) !cache;
+      ctx
+
+let raw_public pk m =
+  if Nat.is_even pk.n || Nat.compare pk.n Nat.one <= 0 then
+    Zmod.modpow m pk.e pk.n
+  else Zmod.Montgomery.pow (public_ctx pk.n) m pk.e
 
 (* DER DigestInfo prefixes (RFC 3447 §9.2 notes). *)
 let digestinfo_prefix = function

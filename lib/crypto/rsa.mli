@@ -3,7 +3,8 @@
     The paper signs provenance checksums with 1024-bit RSA producing
     128-byte signatures; that is the default here.  Signing uses the
     Chinese-Remainder-Theorem optimisation with precomputed Montgomery
-    contexts. *)
+    contexts; verification reuses each public modulus's context from a
+    small per-domain cache keyed by the modulus value. *)
 
 type public_key = {
   n : Tep_bignum.Nat.t;  (** modulus *)

@@ -217,6 +217,15 @@ let read_oid s off =
   let n, off = Value.read_varint s off in
   (Oid.of_int n, off)
 
+(* An element count: every element takes at least one byte, so a count
+   beyond the bytes left is malformed.  Rejecting it here keeps a
+   hostile count from reaching List.init / Array.init, where it would
+   allocate (Out_of_memory) before any element fails to decode. *)
+let read_count s off =
+  let n, off = Value.read_varint s off in
+  if n < 0 || n > String.length s - off then failwith "Message: bad count";
+  (n, off)
+
 let add_oid_opt buf = function
   | None -> Buffer.add_char buf '\x00'
   | Some oid ->
@@ -244,7 +253,7 @@ let read_report s off =
   let rp_records, off = Value.read_varint s off in
   let rp_objects, off = Value.read_varint s off in
   let rp_signatures, off = Value.read_varint s off in
-  let n, off = Value.read_varint s off in
+  let n, off = read_count s off in
   let off = ref off in
   let rp_violations =
     List.init n (fun _ ->
@@ -259,7 +268,7 @@ let add_cells buf cells =
   Array.iter (Value.encode buf) cells
 
 let read_cells s off =
-  let n, off = Value.read_varint s off in
+  let n, off = read_count s off in
   let off = ref off in
   let cells =
     Array.init n (fun _ ->
@@ -339,7 +348,7 @@ let decode_op s off =
       let row, off = Value.read_varint s off in
       (Op_delete { table; row }, off)
   | '\x04' ->
-      let n, off = Value.read_varint s (off + 1) in
+      let n, off = read_count s (off + 1) in
       let off = ref off in
       let inputs =
         List.init n (fun _ ->
@@ -645,7 +654,7 @@ let decode_response s off =
       let records, off = Value.read_varint s off in
       (Submitted { row; oid; records }, off)
   | '\x84' ->
-      let n, off = Value.read_varint s (off + 1) in
+      let n, off = read_count s (off + 1) in
       let off = ref off in
       let records =
         List.init n (fun _ ->
@@ -730,7 +739,7 @@ let decode_response s off =
       let message, off = Value.read_string s off in
       (Overloaded_resp { retry_after_ms; message }, off)
   | '\x8c' ->
-      let n, off = Value.read_varint s (off + 1) in
+      let n, off = read_count s (off + 1) in
       let off = ref off in
       let shards =
         List.init n (fun _ ->
@@ -760,7 +769,7 @@ let decode_response s off =
   | '\x8d' ->
       let poly, off = Value.read_string s (off + 1) in
       let depth, off = Value.read_varint s off in
-      let n, off = Value.read_varint s off in
+      let n, off = read_count s off in
       let off = ref off in
       let oids =
         List.init n (fun _ ->
@@ -770,8 +779,7 @@ let decode_response s off =
       in
       (Lineage_resp { poly; depth; oids }, !off)
   | '\x8e' ->
-      let n, off = Value.read_varint s (off + 1) in
-      if n > String.length s then failwith "Message: bad row count";
+      let n, off = read_count s (off + 1) in
       let off = ref off in
       let arows =
         List.init n (fun _ ->
@@ -798,8 +806,7 @@ let decode_response s off =
       (Annotated_resp { arows; avalue; annot }, o)
   | '\x8f' ->
       let shard, off = Value.read_varint s (off + 1) in
-      let nroots, off = Value.read_varint s off in
-      if nroots > String.length s - off then failwith "Message: bad root count";
+      let nroots, off = read_count s off in
       let off = ref off in
       let shard_roots =
         List.init nroots (fun _ ->
@@ -807,15 +814,12 @@ let decode_response s off =
             off := o;
             r)
       in
-      let nitems, o = Value.read_varint s !off in
-      if nitems > String.length s - o then failwith "Message: bad item count";
+      let nitems, o = read_count s !off in
       let off = ref o in
       let items =
         List.init nitems (fun _ ->
             let proof, o = Value.read_string s !off in
-            let nrec, o = Value.read_varint s o in
-            if nrec > String.length s - o then
-              failwith "Message: bad record count";
+            let nrec, o = read_count s o in
             let o = ref o in
             let records =
               List.init nrec (fun _ ->

@@ -133,6 +133,80 @@ let test_invalid_params () =
     (Invalid_argument "Rsa.generate: bad public exponent") (fun () ->
       ignore (Rsa.generate ~e:4 drbg))
 
+let to_hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* Known answers: s = m^d mod n is unique, so any exponentiation
+   kernel must reproduce these signatures byte for byte.  The keys are
+   the DRBG-seeded [kp] and [kp512] above, pinned by fingerprint so a
+   key-generation change fails here rather than as a signature
+   mismatch. *)
+let test_known_answers () =
+  Alcotest.(check string) "1024-bit key" "9f2709a74224f78a"
+    (Rsa.fingerprint kp.Rsa.public);
+  Alcotest.(check string) "512-bit key" "cd7f3eadaf7675e2"
+    (Rsa.fingerprint kp512.Rsa.public);
+  List.iter
+    (fun (name, key, pk, algo, msg, want) ->
+      let s = Rsa.sign ~algo key msg in
+      Alcotest.(check string) name want (to_hex s);
+      Alcotest.(check bool) (name ^ " verifies") true
+        (Rsa.verify ~algo pk ~msg ~signature:s))
+    [
+      ( "1024 sha1 empty", kp.Rsa.private_, kp.Rsa.public, Digest_algo.SHA1, "",
+        "120bc32aa4db083dbd4227a5b226f91f565984c5c62637973f6c7614ed00d18d\
+         e78905574426015d38309dbb0f552ba8f0d073051beb470ad09f2c249d34feba\
+         b2fa8599ac496435744470d41d2bb192fc0bf0ddedb339eefefc4e7a1dba379c\
+         8c72081f6128c568a1ba56129f18a6379f969505929c3018ab169fef63ab80aa" );
+      ( "1024 sha1", kp.Rsa.private_, kp.Rsa.public, Digest_algo.SHA1,
+        "provenance",
+        "7d87ee0cd56e59aeae534f1ea38c4bf9bfa7683a1a68cfddd3708129606f9bf6\
+         514222c0c456a43f5f6054afb83c5ebba67f1157798a0029d0651b3d919d3471\
+         ed2ea9402a5fafdae78ee3479b353aa0a6e9302661024ca04bb5d3b7f51b90da\
+         772a3f1556609229403e3c8048eaa08198073f3475e5219b450c83d7e583e130" );
+      ( "1024 sha256", kp.Rsa.private_, kp.Rsa.public, Digest_algo.SHA256,
+        "provenance",
+        "4e8242be13cc02c087f8f5551a8bf19ebd9e5785e3771f3af03c57ada5c99697\
+         912f62616c524e32744ec053a5d53f4c63ff79ae03adc139021b7ec9d5394eb7\
+         0225268ae1d88bc455c784a66cc8894cf630016016a16944e6e6a8a217de6ed6\
+         3c69b5bc19166b08c73e11f5f3ab7c8b499b5545aeef407d258b7614af9a6d02" );
+      ( "512 sha1", kp512.Rsa.private_, kp512.Rsa.public, Digest_algo.SHA1,
+        "provenance",
+        "4fe25e77997c36fb6c7b0c0ea6e301fa1400288e15fa875aa7000a7d792a1f40\
+         80df5bbea21c483c8b07e9dc43915d0e2d88c29d1ddf14ccdff003728e0ac006" );
+      ( "512 sha256", kp512.Rsa.private_, kp512.Rsa.public,
+        Digest_algo.SHA256, "",
+        "892152937308c71b9e88660e26176dd27ccce43f5cd15a599b742f9c9671e5e9\
+         ff0a43b4104c18a3f12f9ed7ab1f2971599cb0245072aaaec6ed9775d0d9e2b3" );
+    ]
+
+(* Verify caches each public modulus's Montgomery context.  A key
+   record updated to another modulus must use that modulus, both right
+   after the first was cached and on a fresh domain, whose cache starts
+   empty. *)
+let test_public_ctx_cache () =
+  let s = Rsa.sign kp512.Rsa.private_ "cache" in
+  Alcotest.(check bool) "warm" true
+    (Rsa.verify kp512.Rsa.public ~msg:"cache" ~signature:s);
+  let m = Nat.of_bytes_be s in
+  let check name pk =
+    Alcotest.(check string) name
+      (Nat.to_hex (Zmod.modpow m pk.Rsa.e pk.Rsa.n))
+      (Nat.to_hex (Rsa.raw_public pk m))
+  in
+  check "own modulus" kp512.Rsa.public;
+  check "record update" { kp512.Rsa.public with Rsa.n = kp.Rsa.public.Rsa.n };
+  check "other exponent" { kp512.Rsa.public with Rsa.e = Nat.of_int 3 };
+  Alcotest.(check bool) "fresh domain" true
+    (Domain.join
+       (Domain.spawn (fun () ->
+            Rsa.verify kp512.Rsa.public ~msg:"cache" ~signature:s
+            && not
+                 (Rsa.verify
+                    { kp512.Rsa.public with Rsa.n = Nat.add kp512.Rsa.public.Rsa.n Nat.two }
+                    ~msg:"cache" ~signature:s))))
+
 let prop_sign_verify_512 =
   QCheck2.Test.make ~name:"sign/verify roundtrip (512-bit)" ~count:25
     QCheck2.Gen.(string_size ~gen:char (int_range 0 200))
@@ -207,6 +281,8 @@ let () =
           Alcotest.test_case "serialisation" `Quick test_serialisation;
           Alcotest.test_case "fingerprint" `Quick test_fingerprint;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "known answers" `Quick test_known_answers;
+          Alcotest.test_case "public context cache" `Quick test_public_ctx_cache;
           Alcotest.test_case "invalid params" `Quick test_invalid_params;
           Alcotest.test_case "encrypt/decrypt" `Quick test_encrypt_decrypt;
           Alcotest.test_case "decrypt rejects garbage" `Quick

@@ -40,12 +40,14 @@ let test_modpow_known () =
     (Invalid_argument "Zmod.modpow: zero modulus") (fun () ->
       ignore (Zmod.modpow (n 2) (n 2) Nat.zero))
 
-let test_montgomery_vs_naive () =
-  let seed = ref 99 in
-  let next () =
+let lcg seed =
+  let seed = ref seed in
+  fun () ->
     seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
     !seed
-  in
+
+let test_montgomery_vs_naive () =
+  let next = lcg 99 in
   for _ = 1 to 50 do
     let b = n (next ()) and e = n (next () land 0xFFFF) in
     let m = n ((next () lor 1) + 2) in
@@ -71,34 +73,109 @@ let test_modpow_edges () =
   check "even m" (n 6) (n 6) (n 3) (n 10);
   check "b multiple of m" Nat.zero (n 22) (n 5) (n 11)
 
-(* Exercise every window size (k=1..5): exponent widths on both sides
-   of each window_bits threshold, against the binary ladder. *)
+(* A uniformly-ish random [bits]-bit value from 30-bit LCG draws. *)
+let rand_nat next bits =
+  let x = ref Nat.zero in
+  for _ = 1 to (bits + 29) / 30 do
+    x := Nat.add (Nat.shift_left !x 30) (Nat.of_int (next ()))
+  done;
+  Nat.rem !x (Nat.shift_left Nat.one bits)
+
+(* A value of exactly [bits] bits. *)
+let rand_exponent next bits =
+  Nat.add (Nat.shift_left Nat.one (bits - 1)) (rand_nat next (bits - 1))
+
+(* An odd modulus of exactly [bits] bits. *)
+let rand_odd_modulus next bits =
+  let m = rand_exponent next bits in
+  if Nat.is_even m then Nat.add m Nat.one else m
+
+(* Exponent widths on both sides of every sliding-window threshold
+   (k = 1, 3, 4, 5, 6). *)
+let window_widths = [ 1; 2; 23; 24; 79; 80; 239; 240; 671; 672 ]
+
+(* Exercise every window size against the binary ladder on a 512-bit
+   modulus, the CRT half of a 1024-bit key. *)
 let test_window_sizes () =
-  let seed = ref 1234 in
-  let next () =
-    seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
-    !seed
-  in
-  let rand_nat bits =
-    let limbs = (bits + 29) / 30 in
-    let x = ref Nat.zero in
-    for _ = 1 to limbs do
-      x := Nat.add (Nat.shift_left !x 30) (Nat.of_int (next ()))
-    done;
-    Nat.rem !x (Nat.shift_left Nat.one bits)
-  in
-  let m = Nat.add (Nat.shift_left Nat.one 511) (rand_nat 511) in
-  let m = if Nat.is_even m then Nat.add m Nat.one else m in
-  let ctx = Zmod.Montgomery.create m in
-  let b = rand_nat 512 in
+  let next = lcg 1234 in
+  let ctx = Zmod.Montgomery.create (rand_odd_modulus next 512) in
+  let b = rand_nat next 512 in
   List.iter
     (fun ebits ->
-      let e = Nat.add (Nat.shift_left Nat.one (ebits - 1)) (rand_nat (ebits - 1)) in
+      let e = rand_exponent next ebits in
       Alcotest.check nat
         (Printf.sprintf "windowed = binary at %d-bit exponent" ebits)
         (Zmod.Montgomery.pow_binary ctx b e)
         (Zmod.Montgomery.pow ctx b e))
-    [ 2; 24; 25; 80; 81; 240; 241; 768; 769; 2048 ]
+    (window_widths @ [ 2048 ])
+
+(* pow = pow_binary = modpow_naive on moduli of 31k-2 .. 31k+2 bits:
+   the 4m < R rule adds a limb between 31k-2 and 31k-1 bits, so both
+   limb counts meet values lazily held in [0, 2m).  Bases cover the
+   reductions at the edges (0, 1, m-1, m, >= m, >= 2m), exponents the
+   degenerate 0, 1, 2 and every window-size threshold. *)
+let test_limb_boundaries () =
+  let next = lcg 4321 in
+  List.iter
+    (fun k ->
+      for bits = (31 * k) - 2 to (31 * k) + 2 do
+        let m = rand_odd_modulus next bits in
+        let ctx = Zmod.Montgomery.create m in
+        let check what b e =
+          let want = Zmod.modpow_naive b e m in
+          let name =
+            Printf.sprintf "%d-bit m, %s, %d-bit e" bits what (Nat.num_bits e)
+          in
+          Alcotest.check nat (name ^ " (pow)") want (Zmod.Montgomery.pow ctx b e);
+          Alcotest.check nat (name ^ " (binary)") want
+            (Zmod.Montgomery.pow_binary ctx b e)
+        in
+        let r = Nat.rem (rand_nat next bits) m in
+        let bases =
+          [
+            ("b=0", Nat.zero);
+            ("b=1", Nat.one);
+            ("b=m-1", Nat.sub m Nat.one);
+            ("b=m", m);
+            ("b>=m", Nat.add m r);
+            ("b>=2m", Nat.add (Nat.add m m) r);
+          ]
+        in
+        List.iter
+          (fun (what, b) ->
+            List.iter (fun e -> check what b (n e)) [ 0; 1; 2 ];
+            check what b (rand_exponent next 24))
+          bases;
+        let b = rand_nat next bits in
+        List.iter (fun w -> check "random b" b (rand_exponent next w))
+          window_widths
+      done)
+    [ 1; 2; 3; 17; 33 ]
+
+(* Nilpotent bases: modulo m = 3^a, any b with 3 | b has b^e = 0 once
+   e >= a, and the ladder can then hold the zero residue lazily as m
+   itself.  Only the final subtraction when leaving Montgomery form
+   maps it back to 0. *)
+let test_nilpotent_bases () =
+  let next = lcg 777 in
+  let three = n 3 in
+  let m = ref three in
+  for a = 1 to 70 do
+    let m' = !m in
+    let ctx = Zmod.Montgomery.create m' in
+    List.iter
+      (fun b ->
+        List.iter
+          (fun e ->
+            let name = Printf.sprintf "3^%d, e=%s" a (Nat.to_decimal e) in
+            let want = Zmod.modpow_naive b e m' in
+            Alcotest.check nat (name ^ " (pow)") want (Zmod.Montgomery.pow ctx b e);
+            Alcotest.check nat (name ^ " (binary)") want
+              (Zmod.Montgomery.pow_binary ctx b e))
+          [ n a; n (a + 1); rand_exponent next 24; rand_exponent next 80 ])
+      [ three; Nat.mul three (Nat.add (rand_nat next 40) Nat.one) ];
+    m := Nat.mul m' three
+  done
 
 let prop_modpow_vs_naive =
   QCheck2.Test.make ~name:"windowed modpow = naive oracle (any modulus)"
@@ -158,6 +235,8 @@ let () =
             test_montgomery_vs_naive;
           Alcotest.test_case "modpow edge cases" `Quick test_modpow_edges;
           Alcotest.test_case "window sizes" `Quick test_window_sizes;
+          Alcotest.test_case "limb boundaries" `Quick test_limb_boundaries;
+          Alcotest.test_case "nilpotent bases" `Quick test_nilpotent_bases;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
