@@ -33,13 +33,15 @@ let make_env () =
 let local_report engine oid =
   Format.asprintf "%a" Verifier.pp_report (ok (Engine.verify_object engine oid))
 
+let io_workers = 2
+
 (* Serve a fresh single-shard server on a temp socket, hand the body
    the pieces, and tear the loop down through the wake path (no
    reliance on the 1 s housekeeping backstop). *)
 let with_unix_server ?idle_timeout ?max_connections body =
   let engine, alice = make_env () in
   let server =
-    Server.create ~io_workers:2 ?idle_timeout ?max_connections
+    Server.create ~io_workers ?idle_timeout ?max_connections
       ~drbg:(Tep_crypto.Drbg.create ~seed:"evloop-server")
       ~participants:[ ("alice", alice) ]
       engine
@@ -290,12 +292,31 @@ let test_write_failpoints () =
 (* Connection-slot accounting at scale                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* This process's thread count from /proc/self/status, or None where
+   there is no /proc. *)
+let proc_threads () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | line -> (
+            match Scanf.sscanf_opt line "Threads: %d" Fun.id with
+            | Some n -> Some n
+            | None -> scan ())
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) scan
+
 (* 100 idle raw connections plus one active client: every one holds a
-   slot, the active client is unaffected, and closing the idles
+   slot, the active client is unaffected, the reactor holds them all
+   without a thread per connection (at most its I/O workers plus a few
+   more threads than before they connected), and closing the idles
    returns every slot. *)
 let test_many_connections () =
   with_unix_server ~max_connections:200
     (fun ~engine:_ ~alice ~server ~path ->
+      let threads_before = proc_threads () in
       let idles = List.init 100 (fun _ -> raw_connect path) in
       let c = connect path in
       ok (Client.authenticate c alice);
@@ -310,6 +331,14 @@ let test_many_connections () =
       Alcotest.(check int)
         "101 connections held" 101
         (Server.active_connections server);
+      (match (threads_before, proc_threads ()) with
+      | Some before, Some held ->
+          Alcotest.(check bool)
+            (Printf.sprintf "threads %d -> %d with 101 connections held"
+               before held)
+            true
+            (held - before <= io_workers + 4)
+      | _ -> ());
       List.iter
         (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
         idles;

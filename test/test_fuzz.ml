@@ -49,8 +49,6 @@ let fuzz_decoders =
       ~count:2000 gen_bytes
       (fun s ->
         match Proof.of_encoded ("Q" ^ s) with Ok _ | Error _ -> true);
-    fuzz "Slice.of_string" (fun s ->
-        match Slice.of_string s with Ok _ | Error _ -> ());
     fuzz "Pki.certificate_of_string" (fun s ->
         ignore (Tep_crypto.Pki.certificate_of_string s));
     fuzz "Pki.ca_of_string" (fun s -> ignore (Tep_crypto.Pki.ca_of_string s));

@@ -1,7 +1,6 @@
-(* Merkle membership proofs and slice delivery. *)
+(* Merkle membership proofs. *)
 open Tep_store
 open Tep_tree
-open Tep_core
 
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
 let algo = Tep_crypto.Digest_algo.SHA1
@@ -319,114 +318,6 @@ let test_wide_boundary_moves_rejected () =
     (rejected "closing entry moved in" root_hash
        (with_chunks w (((rows.(i), row_hashes.(i)) :: level0) :: above)))
 
-(* ---- slices ---- *)
-
-let engine_fixture () =
-  let drbg = Tep_crypto.Drbg.create ~seed:"test-slice" in
-  let ca = Tep_crypto.Pki.create_ca ~bits:512 ~name:"CA" drbg in
-  let dir = Participant.Directory.create ~ca_key:(Tep_crypto.Pki.ca_public_key ca) in
-  let alice = Participant.create ~bits:512 ~ca ~name:"alice" drbg in
-  Participant.Directory.register dir alice;
-  let db = Database.create ~name:"s" in
-  (* documents table: the realistic slice-delivery case is big cell
-     payloads, where proof-path hashes are far smaller than data *)
-  let schema =
-    Schema.make
-      [
-        { Schema.name = "id"; ty = Value.TInt; nullable = false };
-        { Schema.name = "doc"; ty = Value.TText; nullable = false };
-        { Schema.name = "status"; ty = Value.TInt; nullable = false };
-      ]
-  in
-  ignore (ok (Database.create_table db ~name:"t" schema));
-  let eng = Engine.create ~directory:dir db in
-  (* bulk-load in one complex operation: short history, large state *)
-  ignore
-    (ok
-       (Engine.complex_op eng alice (fun () ->
-            let rec go i =
-              if i >= 200 then Ok ()
-              else
-                match
-                  Engine.insert_row eng alice ~table:"t"
-                    [|
-                      Value.Int i;
-                      Value.Text (String.make 120 (Char.chr (65 + (i mod 26))));
-                      Value.Int 0;
-                    |]
-                with
-                | Ok _ -> go (i + 1)
-                | Error e -> Error e
-            in
-            go 0)));
-  ok (Engine.update_cell eng alice ~table:"t" ~row:7 ~col:2 (Value.Int 777));
-  (eng, alice, drbg)
-
-let test_slice_roundtrip_and_verify () =
-  let eng, _, _ = engine_fixture () in
-  let cell = Option.get (Tree_view.cell_oid (Engine.mapping eng) "t" 7 2) in
-  let slice = ok (Slice.create eng cell) in
-  Alcotest.(check bool) "value carried" true
-    (Value.equal (Slice.leaf_value slice) (Value.Int 777));
-  let report = ok (Slice.verify slice) in
-  Alcotest.(check bool) "verifies" true (Verifier.ok report);
-  (* wire roundtrip *)
-  let slice' = ok (Slice.of_string (Slice.to_string slice)) in
-  Alcotest.(check bool) "roundtrip verifies" true
-    (Verifier.ok (ok (Slice.verify slice')))
-
-let test_slice_much_smaller_than_bundle () =
-  let eng, _, _ = engine_fixture () in
-  let cell = Option.get (Tree_view.cell_oid (Engine.mapping eng) "t" 7 2) in
-  let slice = ok (Slice.create eng cell) in
-  let bundle = ok (Bundle.create eng (Engine.root_oid eng)) in
-  let slice_bytes = String.length (Slice.to_string slice) in
-  let bundle_bytes = String.length (Bundle.to_string bundle) in
-  Alcotest.(check bool)
-    (Printf.sprintf "slice %dB < bundle %dB" slice_bytes bundle_bytes)
-    true
-    (slice_bytes * 2 < bundle_bytes)
-
-let test_slice_forged_value () =
-  let eng, _, _ = engine_fixture () in
-  let cell = Option.get (Tree_view.cell_oid (Engine.mapping eng) "t" 7 2) in
-  let slice = ok (Slice.create eng cell) in
-  let forged =
-    {
-      slice with
-      Slice.proof = { slice.Slice.proof with Proof.leaf_value = Value.Int 1 };
-    }
-  in
-  match Slice.verify forged with
-  | Ok report -> Alcotest.(check bool) "rejected" false (Verifier.ok report)
-  | Error _ -> ()
-
-let test_slice_stale_after_update () =
-  (* a slice proves membership in a STATE; after the state moves on,
-     the old slice no longer verifies against fresh provenance *)
-  let eng, alice, _ = engine_fixture () in
-  let cell = Option.get (Tree_view.cell_oid (Engine.mapping eng) "t" 7 2) in
-  let slice = ok (Slice.create eng cell) in
-  ok (Engine.update_cell eng alice ~table:"t" ~row:3 ~col:0 (Value.Int 5));
-  let fresh = ok (Slice.create eng cell) in
-  (* old slice still verifies against its own records (they chain),
-     but mixing the old proof with the new records must fail *)
-  let mixed = { slice with Slice.root_records = fresh.Slice.root_records } in
-  (match Slice.verify mixed with
-  | Ok report -> Alcotest.(check bool) "stale proof rejected" false (Verifier.ok report)
-  | Error _ -> ());
-  Alcotest.(check bool) "fresh slice fine" true
-    (Verifier.ok (ok (Slice.verify fresh)))
-
-let test_slice_foreign_ca () =
-  let eng, _, drbg = engine_fixture () in
-  let cell = Option.get (Tree_view.cell_oid (Engine.mapping eng) "t" 7 2) in
-  let slice = ok (Slice.create eng cell) in
-  let other = Tep_crypto.Pki.create_ca ~bits:512 ~name:"Other" drbg in
-  match Slice.verify ~trusted_ca:(Tep_crypto.Pki.ca_public_key other) slice with
-  | Ok report -> Alcotest.(check bool) "foreign anchor rejected" false (Verifier.ok report)
-  | Error _ -> ()
-
 let () =
   Alcotest.run "proof"
     [
@@ -451,15 +342,5 @@ let () =
             test_wide_forgeries_rejected;
           Alcotest.test_case "boundary moves rejected" `Quick
             test_wide_boundary_moves_rejected;
-        ] );
-      ( "slices",
-        [
-          Alcotest.test_case "roundtrip & verify" `Quick
-            test_slice_roundtrip_and_verify;
-          Alcotest.test_case "smaller than bundle" `Quick
-            test_slice_much_smaller_than_bundle;
-          Alcotest.test_case "forged value" `Quick test_slice_forged_value;
-          Alcotest.test_case "stale proof" `Quick test_slice_stale_after_update;
-          Alcotest.test_case "foreign CA" `Quick test_slice_foreign_ca;
         ] );
     ]

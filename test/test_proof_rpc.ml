@@ -369,6 +369,33 @@ let test_tamper_matrix () =
   | Ok r ->
       Alcotest.(check bool) "record tampering reported" false (Verifier.ok r)
   | Error _ -> ());
+  (* 6. stale proof: taken before a write, checked against the root
+     published after it *)
+  ignore (ok (Client.insert c ~table:"stock" [| Value.Int 3; Value.Int 30 |]));
+  let fresh_root = ok (Client.root_hash c) in
+  ignore
+    (err
+       (Client.check_proofs ~algo:(Engine.algo engine) ~directory
+          ~trusted_root:fresh_root p));
+  (* 7. a directory rooted at a foreign CA: it refuses alice's
+     certificate, so no record signature may pass *)
+  let other =
+    Tep_crypto.Pki.create_ca ~bits:512 ~name:"Other"
+      (Tep_crypto.Drbg.create ~seed:"foreign-ca")
+  in
+  let foreign =
+    Participant.Directory.create ~ca_key:(Tep_crypto.Pki.ca_public_key other)
+  in
+  ignore
+    (err
+       (Participant.Directory.register_certificate foreign
+          (Participant.certificate alice)));
+  (match
+     Client.check_proofs ~algo:(Engine.algo engine) ~directory:foreign
+       ~trusted_root p
+   with
+  | Ok r -> Alcotest.(check bool) "foreign CA rejected" false (Verifier.ok r)
+  | Error _ -> ());
   Client.close c
 
 (* ------------------------------------------------------------------ *)

@@ -46,6 +46,17 @@ let local_report engine oid =
 
 let records_bytes records = String.concat "|" (List.map Record.encoded records)
 
+(* Mutate the first cell behind the engine's back, like `provdb tamper`. *)
+let tamper_first_cell engine =
+  let forest = Engine.forest engine in
+  match
+    List.concat_map (Forest.children forest) (Forest.roots forest)
+    |> List.concat_map (Forest.children forest)
+    |> List.concat_map (Forest.children forest)
+  with
+  | cell :: _ -> ignore (Forest.update forest cell (Value.Text "TAMPERED"))
+  | [] -> Alcotest.fail "no cells"
+
 (* ------------------------------------------------------------------ *)
 (* Loopback happy path                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -119,18 +130,7 @@ let test_loopback_tamper_detected () =
   ignore (ok (Client.insert c ~table:"stock" [| Value.Int 1; Value.Int 10 |]));
   let report, _ = ok (Client.verify c ()) in
   Alcotest.(check bool) "clean before tampering" true (Message.report_ok report);
-  (* mutate a cell behind the engine's back, like `provdb tamper` *)
-  let forest = Engine.forest engine in
-  let cell =
-    match
-      List.concat_map (fun r -> Forest.children forest r) (Forest.roots forest)
-      |> List.concat_map (fun t -> Forest.children forest t)
-      |> List.concat_map (fun r -> Forest.children forest r)
-    with
-    | c :: _ -> c
-    | [] -> Alcotest.fail "no cells"
-  in
-  ignore (Forest.update forest cell (Value.Text "TAMPERED"));
+  tamper_first_cell engine;
   let report, _ = ok (Client.verify c ()) in
   Alcotest.(check bool) "tampering detected over the wire" false
     (Message.report_ok report);
@@ -1225,6 +1225,92 @@ let test_capacity_returns_to_zero () =
       let c = auth_connect "cap0-final" 100 in
       Client.close c)
 
+(* Three loopback clients, each streaming 20 inserts with up to 5 in
+   flight, race through one server.  Returns every request's outcome;
+   the breaker is lifted so that an overload answer reaches the caller
+   as the server's typed error, never as a local fast-fail. *)
+let pipelined_burst ~seed server alice =
+  let clients = 3 and per_client = 20 and window = 5 in
+  let outcomes = Array.make clients [] in
+  let run ci =
+    let c =
+      Client.loopback
+        ~drbg:(Tep_crypto.Drbg.create ~seed:(Printf.sprintf "%s-%d" seed ci))
+        server
+    in
+    Client.set_breaker ~threshold:max_int c;
+    let out = ref [] in
+    (match Client.authenticate c alice with
+    | Error e -> out := [ Error ("auth: " ^ e) ]
+    | Ok () ->
+        let inflight = Queue.create () in
+        let collect () =
+          out :=
+            Result.map ignore (Client.collect_submitted c (Queue.pop inflight))
+            :: !out
+        in
+        for i = 0 to per_client - 1 do
+          (match
+             Client.insert_async c ~table:"stock" [| Value.Int ci; Value.Int i |]
+           with
+          | Ok cid -> Queue.push cid inflight
+          | Error e -> out := Error e :: !out);
+          if Queue.length inflight >= window then collect ()
+        done;
+        while not (Queue.is_empty inflight) do
+          collect ()
+        done);
+    Client.close c;
+    outcomes.(ci) <- !out
+  in
+  List.iter Thread.join (List.init clients (Thread.create run));
+  List.concat (Array.to_list outcomes)
+
+(* Overlapping submits from concurrent pipelined clients all land in
+   group commits, and the history they leave verifies over the wire
+   byte-identically to the in-process verifier, before and after
+   tampering.  The same burst against a 4-op admission queue may be
+   shed, but only with the typed overload error, and every refused
+   request is counted.  Whether the burst overruns the queue is up to
+   the scheduler, so nothing asserts that shedding happened. *)
+let test_concurrent_pipelined_clients () =
+  let engine, _, _, alice, _ = make_env () in
+  let server = make_server engine alice in
+  List.iter ok (pipelined_burst ~seed:"pipe" server alice);
+  Alcotest.(check int) "every op through the batcher" 60
+    (Server.batch_stats server).Server.ops;
+  let c = make_client server in
+  ok (Client.authenticate c alice);
+  let report, _ = ok (Client.verify c ()) in
+  Alcotest.(check bool) "pipelined history verifies" true
+    (Message.report_ok report);
+  Alcotest.(check string) "report byte-identical"
+    (local_report engine (Engine.root_oid engine))
+    (Message.render_report report);
+  tamper_first_cell engine;
+  let report, _ = ok (Client.verify c ()) in
+  Alcotest.(check bool) "tampering detected" false (Message.report_ok report);
+  Alcotest.(check string) "tamper report byte-identical"
+    (local_report engine (Engine.root_oid engine))
+    (Message.render_report report);
+  Client.close c;
+  let engine, _, _, alice, _ = make_env () in
+  let server = make_server engine alice in
+  Server.set_admission ~max_queue_ops:4 server;
+  let failures =
+    List.filter_map
+      (function Ok () -> None | Error e -> Some e)
+      (pipelined_burst ~seed:"shed" server alice)
+  in
+  List.iter
+    (fun e ->
+      Alcotest.(check bool)
+        ("only typed overload errors, got: " ^ e)
+        true (contains e "overloaded"))
+    failures;
+  Alcotest.(check int) "every failure counted as shed" (List.length failures)
+    (Server.batch_stats server).Server.shed
+
 let () =
   Alcotest.run "service"
     [
@@ -1285,6 +1371,8 @@ let () =
             test_group_commit_wal_failure_atomic;
           Alcotest.test_case "retry jitter" `Quick
             test_retry_jitter_deterministic;
+          Alcotest.test_case "concurrent pipelined clients" `Quick
+            test_concurrent_pipelined_clients;
         ] );
       ( "robustness",
         [

@@ -1,7 +1,8 @@
 (* Sharded-forest tests: routing determinism, the Merkle
    root-of-roots, the cross-shard two-phase commit protocol (including
    crash-point enumeration over every interleaving of shard flushes),
-   server-side shard routing, per-shard root-cache invalidation (also
+   server-side shard routing, concurrent per-shard pipelined clients
+   against a serial re-execution, per-shard root-cache invalidation (also
    in the window after a cross-shard commit unlocks), and the adaptive
    pool work-size gate.
 
@@ -421,6 +422,66 @@ let test_server_shard_cache_invalidation () =
   Client.close c;
   Sys.remove coord_file
 
+(* One pipelined loopback client per shard, each streaming inserts
+   into its own table concurrently.  Each shard's commit order is then
+   its client's program order, so replaying the same per-shard op
+   streams serially on fresh engines must reproduce the root-of-roots
+   byte for byte. *)
+let test_server_concurrent_clients_vs_serial () =
+  let server, e0, e1, t0, t1, coord_file = make_sharded_server () in
+  let requests = 25 and window = 8 in
+  let shards = [| (0, t0); (1, t1) |] in
+  let stream k = List.init requests (fun i -> [| Value.Int k; Value.Int i |]) in
+  let errors = Array.make (Array.length shards) [] in
+  let run (k, table) =
+    let c =
+      Client.loopback
+        ~drbg:(Tep_crypto.Drbg.create ~seed:(Printf.sprintf "shard-cli-%d" k))
+        server
+    in
+    let fail e = errors.(k) <- e :: errors.(k) in
+    (match Client.authenticate c alice with
+    | Error e -> fail e
+    | Ok () ->
+        let inflight = Queue.create () in
+        let collect () =
+          match Client.collect_submitted c (Queue.pop inflight) with
+          | Ok _ -> ()
+          | Error e -> fail e
+        in
+        List.iter
+          (fun cells ->
+            (match Client.insert_async c ~table cells with
+            | Ok cid -> Queue.push cid inflight
+            | Error e -> fail e);
+            if Queue.length inflight >= window then collect ())
+          (stream k);
+        while not (Queue.is_empty inflight) do
+          collect ()
+        done);
+    Client.close c
+  in
+  List.iter Thread.join
+    (Array.to_list (Array.map (Thread.create run) shards));
+  Array.iter (List.iter Alcotest.fail) errors;
+  let serial =
+    Array.map
+      (fun (k, table) ->
+        let e = make_engine table in
+        List.iter
+          (fun cells -> ignore (ok (Engine.insert_row e alice ~table cells)))
+          (stream k);
+        e)
+      shards
+  in
+  let root_of engines =
+    Merkle.root_of_roots (Engine.algo e0) (List.map Engine.root_hash engines)
+  in
+  Alcotest.(check string) "root-of-roots = serial re-execution"
+    (root_of (Array.to_list serial))
+    (root_of [ e0; e1 ]);
+  Sys.remove coord_file
+
 (* A multi-op batch spanning both shards goes through the 2PC
    coordinator path: both Submitted, the decision journaled. *)
 let test_server_cross_shard_batch () =
@@ -629,6 +690,8 @@ let () =
           Alcotest.test_case "routes" `Quick test_server_routes_shards;
           Alcotest.test_case "cache invalidation" `Quick
             test_server_shard_cache_invalidation;
+          Alcotest.test_case "concurrent clients = serial" `Quick
+            test_server_concurrent_clients_vs_serial;
           Alcotest.test_case "cross-shard batch" `Quick
             test_server_cross_shard_batch;
           Alcotest.test_case "cross-shard prove window" `Quick

@@ -255,7 +255,7 @@ let test_parallel_determinism () =
            (function Verifier.Bad_signature _ -> true | _ -> false)
            par_bad.Verifier.violations);
       Tep_parallel.Pool.shutdown pool)
-    [ 1; 2; 4 ]
+    [ 1; 2; 4; 8 ]
 
 let test_violation_strings () =
   (* every violation constructor renders *)

@@ -1,21 +1,22 @@
 #!/bin/sh
 # Repository check: full build, every test suite, an explicit run of
 # the crash-point enumeration harness (the durability gate), the
-# parallel-verification smoke benchmark (fails when any domain-pool
-# report disagrees with the sequential run), and the wire-service
-# gate (loopback + socket throughput, then a scripted provdbd
-# session asserting tampering is reported over the wire), and the
-# lineage engine gates (@prov unit suite, @prov-smoke annotated-query
-# overhead gate, and a scripted daemon lineage session: insert ->
-# derive -> lineage why -> tamper -> detect), and the remote
-# verification gates (@proof unit suite, @proof-smoke bytes/latency
-# gate, and a scripted daemon proof session: insert 40 rows -> remote
-# prove VERIFIED (also past the 32nd row, through a chunked table
-# node) -> tamper -> remote prove exit 3 -> sampled audit exit 3),
-# and the event-loop service gate (@serve-loop: the reactor suite;
-# the scripted daemon sessions below run on the same reactor), and
-# the toy-scale end-to-end benchmark of the real daemon
-# (@bench-e2e-smoke: every workload with all of its checks).
+# pooled commit-signing determinism gate, the network chaos soak, the
+# shard determinism suite, the lineage engine gates (@prov unit suite,
+# @prov-smoke annotated-query overhead gate), the remote verification
+# gates (@proof unit suite, @proof-smoke bytes/latency gate), the
+# event-loop service gate (@serve-loop) and the toy-scale end-to-end
+# benchmark of the real daemon (@bench-e2e-smoke: every workload with
+# all of its checks).  Then four scripted provdbd sessions:
+#   - daemon session: insert -> query -> verify, SIGTERM drain with a
+#     stable root across restart, tamper -> remote verify exit 3;
+#   - sharded daemon session: writes on both shards of a 2-shard
+#     workspace, root-of-roots stable across drain + restart;
+#   - lineage session: insert -> derive -> lineage why -> tamper ->
+#     detect;
+#   - proof session: insert 40 rows -> remote prove VERIFIED (also past
+#     the 32nd row, through a chunked table node) -> tamper -> remote
+#     prove exit 3 -> sampled audit exit 3.
 # Equivalent to `dune build @check-all` plus the daemon sessions.
 set -eu
 cd "$(dirname "$0")/.."
@@ -29,26 +30,14 @@ dune runtest
 echo "== crash-point enumeration =="
 dune exec test/test_crash.exe
 
-echo "== bench-smoke (parallel determinism gate) =="
-TEP_SCALE=smoke TEP_BENCH_JSON=0 dune exec bench/main.exe -- parallel
-
 echo "== sign-parallel (pooled commit-signing determinism gate) =="
 TEP_DOMAINS=4 dune exec test/test_sign_parallel.exe
-
-echo "== serve-smoke (wire service gate) =="
-TEP_SCALE=smoke TEP_BENCH_JSON=0 dune exec bench/main.exe -- serve
-
-echo "== serve-pipeline (pipelined-load gate) =="
-TEP_SCALE=smoke TEP_BENCH_JSON=0 dune exec bench/main.exe -- serve-pipeline
 
 echo "== chaos (network fault soak) =="
 TEP_CHAOS_SEED="${TEP_CHAOS_SEED:-tep-chaos-0}" dune exec test/test_chaos.exe
 
 echo "== shard (shard determinism suite) =="
 TEP_DOMAINS=4 dune exec test/test_shard.exe
-
-echo "== shard-smoke (sharded write throughput + root determinism) =="
-TEP_SCALE=smoke TEP_BENCH_JSON=0 dune exec bench/main.exe -- shard
 
 echo "== prov (lineage engine suite) =="
 dune exec test/test_prov.exe
@@ -68,7 +57,7 @@ dune build @serve-loop
 echo "== bench-e2e-smoke (end-to-end benchmark at toy scale) =="
 dune build @bench-e2e-smoke
 
-echo "== serve-smoke (scripted provdbd session) =="
+echo "== daemon session (scripted provdbd session) =="
 PROVDB=_build/default/bin/provdb.exe
 PROVDBD=_build/default/bin/provdbd.exe
 ws=$(mktemp -d)/ws
@@ -143,9 +132,9 @@ if [ "$status" -ne 3 ]; then
   echo "FAIL: remote verify after tampering exited $status, expected 3"
   exit 1
 fi
-echo "serve-smoke: tampering reported over the wire (exit 3)"
+echo "daemon session: tampering reported over the wire (exit 3)"
 
-echo "== shard-smoke (scripted multi-shard provdbd session) =="
+echo "== sharded daemon session (scripted multi-shard provdbd session) =="
 # Two tables the routing hash places on different shards of a 2-shard
 # workspace: stock -> shard 1, orders -> shard 0.
 "$PROVDB" init "$ws2" --shards 2 \
@@ -187,7 +176,7 @@ if [ "$roots_before" != "$roots_after" ]; then
   echo "  after:  $roots_after"
   exit 1
 fi
-echo "shard-smoke: writes landed on both shards, root-of-roots stable \
+echo "sharded daemon session: writes landed on both shards, root-of-roots stable \
 across restart"
 
 echo "== lineage (scripted daemon lineage session) =="
