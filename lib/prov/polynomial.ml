@@ -134,21 +134,26 @@ let decode s off =
         if c = 0 then failwith "Polynomial.decode: zero coefficient";
         (factors, c))
   in
-  (* re-normalise: fold each decoded term through the semiring ops so
-     a non-canonical (or adversarial) byte string still yields a
-     canonical value *)
-  let p =
-    sum
-      (List.map
-         (fun (factors, c) ->
-           times (of_const c)
-             (product (List.map (fun (v, e) ->
-                  if v < 0 then failwith "Polynomial.decode: negative var";
-                  product (List.init e (fun _ -> var v)))
-                 factors)))
-         terms)
+  (* re-normalise so a non-canonical (or adversarial) byte string
+     still yields a canonical value: each term's factors are sorted
+     and merged into one monomial, then the terms are summed.  An
+     exponent is kept as a number, never expanded into that many
+     factors — a varint exponent can be near 2^62. *)
+  let term (factors, c) : t =
+    if c < 0 then failwith "Polynomial.decode: negative coefficient";
+    let m =
+      List.fold_left
+        (fun m (v, e) ->
+          if v < 0 then failwith "Polynomial.decode: negative var";
+          if e < 0 then failwith "Polynomial.decode: negative exponent";
+          mono_times m [ (v, e) ])
+        [] factors
+    in
+    if List.exists (fun (_, e) -> e <= 0) m then
+      failwith "Polynomial.decode: exponent overflow";
+    [ (m, c) ]
   in
-  (p, !off)
+  (sum (List.map term terms), !off)
 
 let encoded p =
   let buf = Buffer.create 64 in

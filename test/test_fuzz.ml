@@ -16,8 +16,22 @@ let survives f =
   | exception (Failure _ | Invalid_argument _) -> true
   | exception _ -> false
 
-let fuzz name f =
-  QCheck2.Test.make ~name ~count:2000 gen_bytes (fun s -> survives (fun () -> f s))
+let fuzz ?(gen = gen_bytes) name f =
+  QCheck2.Test.make ~name ~count:2000 gen (fun s -> survives (fun () -> f s))
+
+(* Random bytes rarely get past a text parser's first token; drawing
+   from the grammar's own alphabet reaches the deeper states. *)
+let gen_over alphabet =
+  QCheck2.Gen.(
+    string_size
+      ~gen:(map (String.get alphabet) (int_range 0 (String.length alphabet - 1)))
+      (int_range 0 200))
+
+(* [s] as the length-framed body a binary decoder expects after [magic] *)
+let framed magic s =
+  let buf = Buffer.create (String.length s + 16) in
+  Value.add_string buf (magic ^ s);
+  Buffer.contents buf
 
 let fuzz_decoders =
   [
@@ -60,6 +74,26 @@ let fuzz_decoders =
         ignore (Tep_wire.Message.decode_request s 0));
     fuzz "Message.decode_response" (fun s ->
         ignore (Tep_wire.Message.decode_response s 0));
+    fuzz "Message.decode_op" (fun s -> ignore (Tep_wire.Message.decode_op s 0));
+    fuzz "Polynomial.decode" (fun s ->
+        ignore (Tep_prov.Polynomial.decode s 0));
+    fuzz "Annot.decode" (fun s -> ignore (Tep_prov.Annot.decode s 0));
+    (* past the payload magic, into the field and polynomial decoders *)
+    fuzz "Annot.decode framed payload" (fun s ->
+        ignore (Tep_prov.Annot.decode (framed "TEPANN1" s) 0));
+    fuzz "Annot.list_of_string" (fun s ->
+        match Tep_prov.Annot.list_of_string ("TEPANNOTS1" ^ s) with
+        | Ok _ | Error _ -> ());
+    fuzz "Xml.parse" ~gen:(gen_over "<>/=\"'!?-&;#x01 ab\n")
+      (fun s -> match Xml.parse s with Ok _ | Error _ -> ());
+    fuzz "Query.pred_of_string"
+      ~gen:(gen_over "()'=<>!ai1.0x- \tandotrsul")
+      (fun s -> match Query.pred_of_string s with Ok _ | Error _ -> ());
+    fuzz "Query.agg_of_string" ~gen:(gen_over "()*countsumavgminx ")
+      (fun s -> match Query.agg_of_string s with Ok _ | Error _ -> ());
+    (* five hex-ish fields reach the key arithmetic, not just the split *)
+    fuzz "Rsa.private_of_string" ~gen:(gen_over "0123456789abcdefg:")
+      (fun s -> ignore (Tep_crypto.Rsa.private_of_string ("rsa-priv:" ^ s)));
   ]
 
 (* WAL salvage must accept ANY byte string: worst case is an empty
@@ -204,6 +238,18 @@ let test_decode_response_regressions () =
       ("huge cell count", "\x8e\x01\x00\x80\x80\x80\x80\x80\x01\x00");
     ]
 
+(* A decoded exponent once expanded into that many factors before the
+   term was normalised, so one varint near 2^61 exhausted memory —
+   reachable from an annotation file or a server's annotated-rows
+   response.  One term, coefficient 1, one factor: x0^(2^61). *)
+let test_poly_huge_exponent () =
+  let e = 1 lsl 61 in
+  let buf = Buffer.create 16 in
+  List.iter (Value.add_varint buf) [ 1; 1; 1; 0; e ];
+  let p, off = Tep_prov.Polynomial.decode (Buffer.contents buf) 0 in
+  Alcotest.(check int) "consumed" (Buffer.length buf) off;
+  Alcotest.(check int) "degree kept as a number" e (Tep_prov.Polynomial.degree p)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -212,6 +258,8 @@ let () =
         [
           Alcotest.test_case "Message.decode_response" `Quick
             test_decode_response_regressions;
+          Alcotest.test_case "Polynomial.decode huge exponent" `Quick
+            test_poly_huge_exponent;
         ] );
       ("salvage", List.map QCheck_alcotest.to_alcotest fuzz_salvage);
       ( "integrity",

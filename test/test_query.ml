@@ -211,6 +211,86 @@ let prop_pred_roundtrip =
       | Error e -> QCheck2.Test.fail_reportf "parse error on %S: %s" s e
       | Ok q -> coerce_pred roundtrip_schema q = p)
 
+(* Random tables over the round-trip schema: every column nullable,
+   values drawn close to gen_cmp's literals so comparisons hit both
+   sides and equality. *)
+let gen_rows =
+  let open QCheck2.Gen in
+  let cell gen = frequency [ (1, return Value.Null); (4, gen) ] in
+  list_size (int_range 0 20)
+    (map
+       (fun (i, f, b, w) -> [| i; f; b; w |])
+       (quad
+          (cell (map (fun n -> Value.Int n) (int_range (-4) 4)))
+          (cell (map (fun n -> Value.Float (float_of_int n /. 2.)) (int_range (-4) 4)))
+          (cell (map (fun b -> Value.Bool b) bool))
+          (cell (map (fun w -> Value.Text w) (oneofl [ "a"; "ann"; "b"; "zed" ])))))
+
+let table_of rows =
+  let t = Table.create ~name:"r" roundtrip_schema in
+  List.iter (fun cells -> ignore (ok (Table.insert t cells))) rows;
+  t
+
+let ids_of rows = List.map (fun (r : Table.row) -> r.Table.id) rows
+let select_ids t p = ids_of (ok (select t p))
+
+(* Two-valued logic over rows: [And]/[Or]/[Not] are intersection,
+   union and complement of the selected id sets, and every result is
+   in row-id order. *)
+let prop_connectives_are_set_algebra =
+  QCheck2.Test.make ~name:"and/or/not = inter/union/complement" ~count:300
+    QCheck2.Gen.(triple gen_rows gen_pred gen_pred)
+    (fun (rows, p, q) ->
+      let t = table_of rows in
+      let all = Table.row_ids t in
+      let sp = select_ids t p and sq = select_ids t q in
+      let keep f = List.filter f all in
+      select_ids t (And (p, q)) = keep (fun i -> List.mem i sp && List.mem i sq)
+      && select_ids t (Or (p, q)) = keep (fun i -> List.mem i sp || List.mem i sq)
+      && select_ids t (Not p) = keep (fun i -> not (List.mem i sp))
+      && ok (count t p) = List.length sp)
+
+let prop_delete_where =
+  QCheck2.Test.make ~name:"delete_where removes exactly select" ~count:300
+    QCheck2.Gen.(pair gen_rows gen_pred)
+    (fun (rows, p) ->
+      let t = table_of rows in
+      let before = Table.row_ids t in
+      let matched = select_ids t p in
+      let deleted = ok (delete_where t p) in
+      deleted = matched
+      && Table.row_ids t = List.filter (fun i -> not (List.mem i matched)) before
+      && select_ids t p = [])
+
+let prop_update_where =
+  QCheck2.Test.make ~name:"update_where touches exactly select" ~count:300
+    QCheck2.Gen.(triple gen_rows gen_pred (int_range (-4) 4))
+    (fun (rows, p, n) ->
+      let t = table_of rows in
+      let before = Table.rows t in
+      let matched = select_ids t p in
+      let touched = ok (update_where t p [ ("i", Value.Int n) ]) in
+      touched = matched
+      && List.for_all
+           (fun (r : Table.row) ->
+             let now = Option.get (Table.get t r.Table.id) in
+             if List.mem r.Table.id matched then
+               now.Table.cells.(0) = Value.Int n
+               && Array.sub now.Table.cells 1 3 = Array.sub r.Table.cells 1 3
+             else now.Table.cells = r.Table.cells)
+           before)
+
+let prop_agg_roundtrip =
+  QCheck2.Test.make ~name:"agg_of_string (agg_to_string a) = a" ~count:200
+    QCheck2.Gen.(
+      map2
+        (fun f c -> f c)
+        (oneofl
+           [ (fun _ -> Count); (fun c -> Sum c); (fun c -> Avg c);
+             (fun c -> Min c); (fun c -> Max c) ])
+        gen_word)
+    (fun a -> agg_of_string (agg_to_string a) = Ok a)
+
 let () =
   Alcotest.run "query"
     [
@@ -230,5 +310,10 @@ let () =
         [
           Alcotest.test_case "grammar" `Quick test_parse_pred;
           QCheck_alcotest.to_alcotest prop_pred_roundtrip;
+          QCheck_alcotest.to_alcotest prop_agg_roundtrip;
         ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_connectives_are_set_algebra; prop_delete_where; prop_update_where ]
+      );
     ]
