@@ -1044,7 +1044,9 @@ let cmd_remote_root_hash dir socket host port as_ key =
       | Ok hash -> Ok (Tep_crypto.Digest_algo.to_hex hash)
       | Error f -> Error f)
 
-let cmd_remote_shard_stats dir socket host port as_ key =
+(* Daemon counters, one line per shard: batching, signing, queue
+   depth, root cache and proof path. *)
+let cmd_remote_stats dir socket host port as_ key =
   with_remote dir socket host port as_ key (fun c ->
       match lift_remote (Client.shard_stats c) with
       | Error f -> Error f
@@ -1052,42 +1054,17 @@ let cmd_remote_shard_stats dir socket host port as_ key =
           List.iteri
             (fun k s ->
               Printf.printf
-                "shard %d: batches=%d ops=%d queued=%d root_recomputes=%d \
-                 root_hits=%d proofs_served=%d proof_cache_hits=%d \
-                 proof_cache_misses=%d proof_bytes=%d\n"
-                k s.Message.ss_batches s.Message.ss_ops s.Message.ss_queued
-                s.Message.ss_root_recomputes s.Message.ss_root_hits
-                s.Message.ss_proofs_served s.Message.ss_proof_cache_hits
-                s.Message.ss_proof_cache_misses s.Message.ss_proof_bytes)
+                "shard %d: batches=%d ops=%d sign_wall_us=%d sign_cpu_us=%d \
+                 queued=%d root_recomputes=%d root_hits=%d proofs_served=%d \
+                 proof_cache_hits=%d proof_cache_misses=%d proof_bytes=%d\n"
+                k s.Message.ss_batches s.Message.ss_ops
+                s.Message.ss_sign_wall_us s.Message.ss_sign_cpu_us
+                s.Message.ss_queued s.Message.ss_root_recomputes
+                s.Message.ss_root_hits s.Message.ss_proofs_served
+                s.Message.ss_proof_cache_hits s.Message.ss_proof_cache_misses
+                s.Message.ss_proof_bytes)
             stats;
           Ok "")
-
-(* Aggregate daemon statistics: the batcher/signing counters plus the
-   per-shard proof-path counters in one place. *)
-let cmd_remote_stats dir socket host port as_ key =
-  with_remote dir socket host port as_ key (fun c ->
-      match lift_remote (Client.stats c) with
-      | Error f -> Error f
-      | Ok st -> (
-          Printf.printf "batches=%d ops=%d sign_wall_us=%d sign_cpu_us=%d\n"
-            st.Client.batches st.Client.ops st.Client.sign_wall_us
-            st.Client.sign_cpu_us;
-          match lift_remote (Client.shard_stats c) with
-          | Error f -> Error f
-          | Ok shards ->
-              List.iteri
-                (fun k s ->
-                  let mean =
-                    if s.Message.ss_proofs_served = 0 then 0
-                    else s.Message.ss_proof_bytes / s.Message.ss_proofs_served
-                  in
-                  Printf.printf
-                    "shard %d: proofs_served=%d proof_cache_hits=%d \
-                     proof_cache_misses=%d mean_proof_bytes=%d\n"
-                    k s.Message.ss_proofs_served s.Message.ss_proof_cache_hits
-                    s.Message.ss_proof_cache_misses mean)
-                shards;
-              Ok ""))
 
 (* Remote Merkle-proof verification, the read-side dual of Economical
    hashing: fetch the root hash once (the only thing taken from the
@@ -1533,8 +1510,8 @@ let remote_cmd =
       Cmd.v
         (Cmd.info "stats"
            ~doc:
-             "Print daemon statistics: batching/signing counters and the \
-              per-shard proof-path counters"
+             "Print the daemon's counters, one line per shard: batching, \
+              signing, queue depth, root cache and proof path"
            ~exits)
         Term.(
           const cmd_remote_stats $ dir_arg $ socket_arg $ host_arg $ port_arg
@@ -1549,12 +1526,6 @@ let remote_cmd =
            ~exits)
         Term.(
           const cmd_remote_root_hash $ dir_arg $ socket_arg $ host_arg
-          $ port_arg $ as_arg $ key_arg);
-      Cmd.v
-        (Cmd.info "shard-stats"
-           ~doc:"Print per-shard batching and root-cache statistics" ~exits)
-        Term.(
-          const cmd_remote_shard_stats $ dir_arg $ socket_arg $ host_arg
           $ port_arg $ as_arg $ key_arg);
       Cmd.v
         (Cmd.info "lineage"

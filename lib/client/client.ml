@@ -726,23 +726,9 @@ let root_hash t =
   rpc t Message.Root_hash
   |> unwrap (function Message.Root { hash } -> Ok hash | _ -> unexpected)
 
-type server_stats = {
-  batches : int;  (* group commits the batcher has executed *)
-  ops : int;  (* submits carried by those commits *)
-  sign_wall_us : int;  (* wall-clock µs inside commit signing stages *)
-  sign_cpu_us : int;  (* cumulative per-signature µs across domains *)
-}
-
-let stats t =
-  rpc t Message.Stats
-  |> unwrap (function
-       | Message.Stats_resp { batches; ops; sign_wall_us; sign_cpu_us } ->
-           Ok ({ batches; ops; sign_wall_us; sign_cpu_us } : server_stats)
-       | _ -> unexpected)
-
 (* Per-shard counters of a sharded server (one entry on an unsharded
-   one), in shard order: each shard's batcher totals, current queue
-   depth, and its server-side root-cache behaviour. *)
+   one), in shard order: each shard's batcher and signing totals,
+   current queue depth, and its root-cache and proof-cache behaviour. *)
 let shard_stats t =
   rpc t Message.Shard_stats
   |> unwrap (function

@@ -128,24 +128,27 @@ type batcher = {
   b_mutex : Mutex.t;
   b_cond : Condition.t; (* job completion; leader handoff *)
   mutable b_queue : submit_job list; (* newest first *)
+  b_queued : int Atomic.t;
+      (* ops in [b_queue]: changed under b_mutex at enqueue and drain,
+         read without it by Ping and Shard_stats *)
   mutable b_leader : bool; (* a leader is currently draining *)
-  mutable b_batches : int; (* group commits executed (observability) *)
-  mutable b_ops : int; (* ops carried by those commits *)
-  mutable b_sign_wall_s : float; (* wall-clock across commit signing stages *)
-  mutable b_sign_cpu_s : float; (* cumulative per-signature time *)
-  mutable b_dedup_hits : int; (* retried writes answered from the dedup table *)
-  mutable b_wal_failures : int; (* group commits voided by WAL errors *)
-  mutable b_shed : int; (* ops refused by admission control *)
 }
 
-type batch_stats = {
-  batches : int;
-  ops : int;
-  sign_wall_s : float;
-  sign_cpu_s : float;
-  dedup_hits : int;
-  wal_failures : int;
-  shed : int;
+(* One shard's service counters, the single source of both Ping's
+   totals and the Shard_stats answer.  Plain atomics: every writer
+   bumps them without taking a lock, and readers never wait on a
+   commit. *)
+type counters = {
+  c_batches : int Atomic.t; (* group commits executed *)
+  c_ops : int Atomic.t; (* ops carried by those commits *)
+  c_sign_wall_us : int Atomic.t; (* wall-clock µs inside commit signing *)
+  c_sign_cpu_us : int Atomic.t; (* cumulative per-signature µs *)
+  c_root_recomputes : int Atomic.t; (* root-cache misses *)
+  c_root_hits : int Atomic.t;
+  c_proofs_served : int Atomic.t;
+  c_proof_hits : int Atomic.t; (* answered from the LRU *)
+  c_proof_misses : int Atomic.t; (* rebuilt off the Merkle cache *)
+  c_proof_bytes : int Atomic.t; (* cumulative encoded bytes served *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -189,6 +192,7 @@ type shard = {
   s_engine : Engine.t;
   s_rwlock : Rwlock.t; (* readers share; this shard's commits exclude *)
   s_batcher : batcher;
+  s_counters : counters;
   s_checkpoint : (string * Tep_store.Wal.t) option;
       (* checkpoint directory + WAL, when the daemon owns durability *)
   s_audit_cp : Audit.checkpoint ref;
@@ -201,8 +205,6 @@ type shard = {
          the root_lock, so writers never wait on readers — taking
          s_root_lock under the write lock would deadlock against a
          reader holding s_root_lock while waiting for a read lock. *)
-  s_root_recomputes : int Atomic.t; (* cache misses (observability) *)
-  s_root_hits : int Atomic.t;
   (* Hot leaf→root membership proofs (encoded), keyed by leaf oid.  A
      bounded LRU: a proof built at epoch e is replayable verbatim
      until the next commit on THIS shard bumps the epoch — writes to
@@ -214,10 +216,6 @@ type shard = {
   s_proof_epoch : int Atomic.t;
       (* bumped by every commit on this shard, next to s_root_dirty:
          cached proofs from earlier epochs can never be served again *)
-  s_proofs_served : int Atomic.t;
-  s_proof_hits : int Atomic.t; (* answered from the LRU *)
-  s_proof_misses : int Atomic.t; (* rebuilt off the Merkle cache *)
-  s_proof_bytes : int Atomic.t; (* cumulative encoded bytes served *)
 }
 
 and proof_entry = {
@@ -245,6 +243,9 @@ type t = {
   request_timeout : float;
   max_connections : int;
   active : int Atomic.t; (* concurrent socket connections *)
+  dedup_hits : int Atomic.t; (* retried writes answered from the dedup table *)
+  shed : int Atomic.t; (* ops refused by admission control *)
+  wal_failures : int Atomic.t; (* commits voided by WAL errors *)
   dedup : dedup;
   admission : admission;
   draining : bool Atomic.t; (* drain begun: shed all new writes *)
@@ -272,14 +273,23 @@ let make_batcher () =
     b_mutex = Mutex.create ();
     b_cond = Condition.create ();
     b_queue = [];
+    b_queued = Atomic.make 0;
     b_leader = false;
-    b_batches = 0;
-    b_ops = 0;
-    b_sign_wall_s = 0.;
-    b_sign_cpu_s = 0.;
-    b_dedup_hits = 0;
-    b_wal_failures = 0;
-    b_shed = 0;
+  }
+
+let make_counters () =
+  let z () = Atomic.make 0 in
+  {
+    c_batches = z ();
+    c_ops = z ();
+    c_sign_wall_us = z ();
+    c_sign_cpu_us = z ();
+    c_root_recomputes = z ();
+    c_root_hits = z ();
+    c_proofs_served = z ();
+    c_proof_hits = z ();
+    c_proof_misses = z ();
+    c_proof_bytes = z ();
   }
 
 let make_shard i (engine, checkpoint) =
@@ -288,21 +298,16 @@ let make_shard i (engine, checkpoint) =
     s_engine = engine;
     s_rwlock = Rwlock.create ();
     s_batcher = make_batcher ();
+    s_counters = make_counters ();
     s_checkpoint = checkpoint;
     s_audit_cp = ref Audit.empty;
     s_audit_lock = Mutex.create ();
     s_root_lock = Mutex.create ();
     s_root_cache = ref None;
     s_root_dirty = Atomic.make true;
-    s_root_recomputes = Atomic.make 0;
-    s_root_hits = Atomic.make 0;
     s_proof_cache = Hashtbl.create 64;
     s_proof_tick = ref 0;
     s_proof_epoch = Atomic.make 0;
-    s_proofs_served = Atomic.make 0;
-    s_proof_hits = Atomic.make 0;
-    s_proof_misses = Atomic.make 0;
-    s_proof_bytes = Atomic.make 0;
   }
 
 let create ?(max_payload = Frame.default_max_payload) ?(request_timeout = 30.)
@@ -335,6 +340,9 @@ let create ?(max_payload = Frame.default_max_payload) ?(request_timeout = 30.)
     request_timeout;
     max_connections;
     active = Atomic.make 0;
+    dedup_hits = Atomic.make 0;
+    shed = Atomic.make 0;
+    wal_failures = Atomic.make 0;
     dedup =
       {
         d_mutex = Mutex.create ();
@@ -365,35 +373,6 @@ let directory t = Engine.directory (engine t)
    process must never match a fresh Decide. *)
 let fresh_txid t =
   Printf.sprintf "%s-%d" t.txid_epoch (Atomic.fetch_and_add t.txid_seq 1)
-
-let batch_stats t =
-  Array.fold_left
-    (fun acc s ->
-      let b = s.s_batcher in
-      Mutex.lock b.b_mutex;
-      let acc =
-        {
-          batches = acc.batches + b.b_batches;
-          ops = acc.ops + b.b_ops;
-          sign_wall_s = acc.sign_wall_s +. b.b_sign_wall_s;
-          sign_cpu_s = acc.sign_cpu_s +. b.b_sign_cpu_s;
-          dedup_hits = acc.dedup_hits + b.b_dedup_hits;
-          wal_failures = acc.wal_failures + b.b_wal_failures;
-          shed = acc.shed + b.b_shed;
-        }
-      in
-      Mutex.unlock b.b_mutex;
-      acc)
-    {
-      batches = 0;
-      ops = 0;
-      sign_wall_s = 0.;
-      sign_cpu_s = 0.;
-      dedup_hits = 0;
-      wal_failures = 0;
-      shed = 0;
-    }
-    t.shards
 
 let set_admission ?max_queue_ops ?max_session_inflight ?retry_after_ms t =
   let a = t.admission in
@@ -505,22 +484,6 @@ let quiesce ?(timeout = 10.) t =
 (* Dedup table operations                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Dedup hits and session-level sheds are process-wide events, not
-   tied to any particular shard's batcher; they are accounted on shard
-   0 (batch_stats and Pong sum across shards, so the totals are what
-   an operator sees either way). *)
-let note_dedup_hit t =
-  let b = t.shards.(0).s_batcher in
-  Mutex.lock b.b_mutex;
-  b.b_dedup_hits <- b.b_dedup_hits + 1;
-  Mutex.unlock b.b_mutex
-
-let note_shed ?(n = 1) t =
-  let b = t.shards.(0).s_batcher in
-  Mutex.lock b.b_mutex;
-  b.b_shed <- b.b_shed + n;
-  Mutex.unlock b.b_mutex
-
 (* Claim a rid for execution.  [`Run]: this caller owns the rid and
    must later call {!dedup_resolve}.  [`Hit resp]: the rid already
    completed; answer with the original response.  A pending rid makes
@@ -533,7 +496,7 @@ let dedup_claim t rid =
     match Hashtbl.find_opt d.d_tbl rid with
     | Some (D_done resp) ->
         Mutex.unlock d.d_mutex;
-        note_dedup_hit t;
+        Atomic.incr t.dedup_hits;
         `Hit resp
     | Some D_pending ->
         Condition.wait d.d_cond d.d_mutex;
@@ -545,24 +508,6 @@ let dedup_claim t rid =
   in
   go ()
 
-(* Publish a claimed rid's outcome.  [Some resp] caches it (bounded
-   FIFO eviction of completed entries); [None] forgets the rid so a
-   client retry re-executes — used for commit-level failures, where
-   nothing was applied and re-running is the correct recovery. *)
-let dedup_resolve t rid outcome =
-  let d = t.dedup in
-  Mutex.lock d.d_mutex;
-  (match outcome with
-  | Some resp ->
-      Hashtbl.replace d.d_tbl rid (D_done resp);
-      Queue.push rid d.d_order;
-      while Queue.length d.d_order > d.d_cap do
-        Hashtbl.remove d.d_tbl (Queue.pop d.d_order)
-      done
-  | None -> Hashtbl.remove d.d_tbl rid);
-  Condition.broadcast d.d_cond;
-  Mutex.unlock d.d_mutex
-
 (* Only deterministic outcomes are worth caching: a Submitted (the op
    committed) or a Bad_request (the engine rejected it without
    touching state; a blind retry gets the same answer).  Commit-level
@@ -572,6 +517,24 @@ let dedup_cacheable (resp : Message.response) =
   | Message.Submitted _ | Message.Checkpointed _ -> true
   | Message.Error_resp { code = Message.Bad_request; _ } -> true
   | _ -> false
+
+(* Publish a claimed rid's outcome.  A cacheable response is kept
+   (bounded FIFO eviction of completed entries); any other forgets the
+   rid so a client retry re-executes — used for commit-level failures,
+   where nothing was applied and re-running is the correct recovery. *)
+let dedup_resolve t rid resp =
+  let d = t.dedup in
+  Mutex.lock d.d_mutex;
+  if dedup_cacheable resp then begin
+    Hashtbl.replace d.d_tbl rid (D_done resp);
+    Queue.push rid d.d_order;
+    while Queue.length d.d_order > d.d_cap do
+      Hashtbl.remove d.d_tbl (Queue.pop d.d_order)
+    done
+  end
+  else Hashtbl.remove d.d_tbl rid;
+  Condition.broadcast d.d_cond;
+  Mutex.unlock d.d_mutex
 
 let gen_nonce t =
   Mutex.lock t.drbg_lock;
@@ -709,6 +672,34 @@ let mark_committed (s : shard) =
   Atomic.set s.s_root_dirty true;
   Atomic.incr s.s_proof_epoch
 
+(* Counter updates for one shard's part of a commit: [note_batch] at
+   arrival (drain, or a cross-shard job's start), [note_signed] once
+   the commit is durable. *)
+let note_batch (s : shard) ~ops =
+  Atomic.incr s.s_counters.c_batches;
+  ignore (Atomic.fetch_and_add s.s_counters.c_ops ops)
+
+let note_signed (s : shard) (m : Engine.metrics) =
+  let add_us counter seconds =
+    ignore (Atomic.fetch_and_add counter (int_of_float (seconds *. 1e6)))
+  in
+  add_us s.s_counters.c_sign_wall_us m.Engine.sign_s;
+  add_us s.s_counters.c_sign_cpu_us m.Engine.sign_cpu_s
+
+(* The body of one complex operation: apply every slot's op in order
+   and [store] its outcome.  If nothing survived there is nothing to
+   commit: erroring out of the body skips the (empty) commit, exactly
+   like a failed singleton submit. *)
+let apply_each engine participant slots ~op ~store =
+  let any_ok = ref false in
+  List.iter
+    (fun x ->
+      let r = apply_op engine participant (op x) in
+      (match r with R_err _ -> () | _ -> any_ok := true);
+      store x r)
+    slots;
+  if !any_ok then Ok () else Error "no operation in the batch succeeded"
+
 (* Execute one drained queue under the write lock.  Jobs are grouped
    by participant ({!Engine.complex_op} signs a batch as one identity);
    within a group, ops run in arrival order inside a single complex
@@ -721,7 +712,7 @@ let mark_committed (s : shard) =
    commit itself fails (WAL error, simulated crash), every op of the
    group fails atomically: nothing was durably recorded, and recovery
    rolls the store back to the last commit marker. *)
-let run_batch (shard : shard) (jobs : submit_job list) =
+let run_batch t (shard : shard) (jobs : submit_job list) =
   Rwlock.with_write shard.s_rwlock (fun () ->
       (* Group by participant, preserving arrival order of both the
          groups and the ops within each. *)
@@ -750,26 +741,14 @@ let run_batch (shard : shard) (jobs : submit_job list) =
           let outcome =
             match
               Engine.complex_op shard.s_engine participant (fun () ->
-                  let any_ok = ref false in
-                  List.iter
-                    (fun (job, i) ->
-                      let r = apply_op shard.s_engine participant job.j_ops.(i) in
-                      (match r with R_err _ -> () | _ -> any_ok := true);
-                      job.j_results.(i) <- r)
-                    entries;
-                  (* If nothing survived there is nothing to commit:
-                     erroring out of the body skips the (empty) commit,
-                     exactly like a failed singleton submit did. *)
-                  if !any_ok then Ok ()
-                  else Error "no operation in the batch succeeded")
+                  apply_each shard.s_engine participant entries
+                    ~op:(fun (job, i) -> job.j_ops.(i))
+                    ~store:(fun (job, i) r -> job.j_results.(i) <- r))
             with
             | Ok v -> Ok v
             | Error e -> Error (F_failed e)
             | exception Engine.Wal_failure e ->
-                let b = shard.s_batcher in
-                Mutex.lock b.b_mutex;
-                b.b_wal_failures <- b.b_wal_failures + 1;
-                Mutex.unlock b.b_mutex;
+                Atomic.incr t.wal_failures;
                 Error (F_wal ("wal: " ^ e))
             | exception e ->
                 Error (F_failed ("commit failed: " ^ Printexc.to_string e))
@@ -777,14 +756,7 @@ let run_batch (shard : shard) (jobs : submit_job list) =
           match outcome with
           | Ok ((), m) ->
               mark_committed shard;
-              (* Signing-time counters: taken under b_mutex while this
-                 leader still holds the write lock; the only lock order
-                 anywhere is rwlock → b_mutex, so no cycle. *)
-              let b = shard.s_batcher in
-              Mutex.lock b.b_mutex;
-              b.b_sign_wall_s <- b.b_sign_wall_s +. m.Engine.sign_s;
-              b.b_sign_cpu_s <- b.b_sign_cpu_s +. m.Engine.sign_cpu_s;
-              Mutex.unlock b.b_mutex;
+              note_signed shard m;
               List.iter
                 (fun (job, _) -> job.j_records <- m.Engine.records_emitted)
                 entries
@@ -831,12 +803,10 @@ let submit_to_shard t (shard : shard) participant (ops : Message.op array) :
     let b = shard.s_batcher in
     Mutex.lock b.b_mutex;
     let max_q = t.admission.max_queue_ops in
-    let queued =
-      List.fold_left (fun acc j -> acc + Array.length j.j_ops) 0 b.b_queue
-    in
+    let queued = Atomic.get b.b_queued in
     if max_q < 0 || (b.b_leader && queued + n > max_q) then begin
-      b.b_shed <- b.b_shed + n;
       Mutex.unlock b.b_mutex;
+      ignore (Atomic.fetch_and_add t.shed n);
       Array.make n (overloaded t queued)
     end
     else begin
@@ -851,6 +821,7 @@ let submit_to_shard t (shard : shard) participant (ops : Message.op array) :
         }
       in
       b.b_queue <- job :: b.b_queue;
+      ignore (Atomic.fetch_and_add b.b_queued n);
       if b.b_leader then begin
         while not job.j_done do
           Condition.wait b.b_cond b.b_mutex
@@ -862,12 +833,9 @@ let submit_to_shard t (shard : shard) participant (ops : Message.op array) :
         while b.b_queue <> [] do
           let jobs = List.rev b.b_queue in
           b.b_queue <- [];
-          b.b_batches <- b.b_batches + 1;
-          b.b_ops <-
-            b.b_ops
-            + List.fold_left (fun n j -> n + Array.length j.j_ops) 0 jobs;
+          note_batch shard ~ops:(Atomic.exchange b.b_queued 0);
           Mutex.unlock b.b_mutex;
-          (try run_batch shard jobs
+          (try run_batch t shard jobs
            with e ->
              (* run_batch catches per-group failures; anything escaping
                 is a harness-level surprise — fail the drained jobs
@@ -898,21 +866,27 @@ let submit_to_shard t (shard : shard) participant (ops : Message.op array) :
 
 (* Which shard holds [oid]?  Each shard's oid space is independent, so
    the probe scans shards in index order under their read locks; the
-   first hit wins.  Objects never migrate between shards, so a hit is
-   stable for as long as the object exists. *)
-let owning_shard t oid =
+   first hit wins and runs [f] under that same read lock (so a
+   concurrent delete cannot strand the probe's answer).  Objects never
+   migrate between shards, so a hit is stable for as long as the
+   object exists. *)
+let probe_owner t oid f =
   let n = Array.length t.shards in
   let rec go k =
     if k >= n then None
     else
       let s = t.shards.(k) in
-      if
+      match
         Rwlock.with_read s.s_rwlock (fun () ->
-            Forest.mem (Engine.forest s.s_engine) oid)
-      then Some k
-      else go (k + 1)
+            if Forest.mem (Engine.forest s.s_engine) oid then Some (f s)
+            else None)
+      with
+      | Some _ as r -> r
+      | None -> go (k + 1)
   in
   go 0
+
+let owning_shard t oid = probe_owner t oid (fun s -> s.s_index)
 
 (* Table-addressed ops route by the stable table hash; aggregates
    route to the single shard owning every input (per-shard oid spaces
@@ -996,26 +970,16 @@ let submit_cross t participant (ops : Message.op array)
                   p_by = participant;
                   p_body =
                     (fun () ->
-                      let any_ok = ref false in
-                      Array.iter
-                        (fun i ->
-                          let r = apply_op engine participant ops.(i) in
-                          (match r with R_err _ -> () | _ -> any_ok := true);
-                          results.(i) <- r)
-                        slots;
-                      if !any_ok then Ok ()
-                      else Error "no operation in the batch succeeded");
+                      apply_each engine participant (Array.to_list slots)
+                        ~op:(fun i -> ops.(i))
+                        ~store:(fun i r -> results.(i) <- r));
                 })
               groups
           in
           (* Arrival accounting, like the shard leaders do at drain. *)
           List.iter
             (fun (k, slots) ->
-              let b = t.shards.(k).s_batcher in
-              Mutex.lock b.b_mutex;
-              b.b_batches <- b.b_batches + 1;
-              b.b_ops <- b.b_ops + Array.length slots;
-              Mutex.unlock b.b_mutex)
+              note_batch t.shards.(k) ~ops:(Array.length slots))
             groups;
           let txid = fresh_txid t in
           let records = Array.make (Array.length t.shards) 0 in
@@ -1038,18 +1002,10 @@ let submit_cross t participant (ops : Message.op array)
               List.iter
                 (fun (k, m) ->
                   records.(k) <- m.Engine.records_emitted;
-                  let b = t.shards.(k).s_batcher in
-                  Mutex.lock b.b_mutex;
-                  b.b_sign_wall_s <- b.b_sign_wall_s +. m.Engine.sign_s;
-                  b.b_sign_cpu_s <- b.b_sign_cpu_s +. m.Engine.sign_cpu_s;
-                  Mutex.unlock b.b_mutex)
+                  note_signed t.shards.(k) m)
                 committed;
-              if warnings <> [] then begin
-                let b = t.shards.(0).s_batcher in
-                Mutex.lock b.b_mutex;
-                b.b_wal_failures <- b.b_wal_failures + List.length warnings;
-                Mutex.unlock b.b_mutex
-              end;
+              ignore
+                (Atomic.fetch_and_add t.wal_failures (List.length warnings));
               List.iter
                 (fun (k, slots) ->
                   Array.iter
@@ -1059,10 +1015,7 @@ let submit_cross t participant (ops : Message.op array)
                     slots)
                 groups
           | Error e ->
-              let b = t.shards.(0).s_batcher in
-              Mutex.lock b.b_mutex;
-              b.b_wal_failures <- b.b_wal_failures + 1;
-              Mutex.unlock b.b_mutex;
+              Atomic.incr t.wal_failures;
               fill_all (error_resp Message.Wal_failed e)
           | exception e ->
               (* [Fault.Crash] must escape (simulated crash); anything
@@ -1124,41 +1077,47 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* Health snapshot.  Deliberately lock-light (batcher mutex + atomics
-   only, never the rwlock): a Ping must answer even while a slow
-   commit holds the write lock — that is precisely when an operator
-   wants to see the queue depth. *)
-let shard_queued (s : shard) =
-  let b = s.s_batcher in
-  Mutex.lock b.b_mutex;
-  let q =
-    List.fold_left (fun acc j -> acc + Array.length j.j_ops) 0 b.b_queue
-  in
-  Mutex.unlock b.b_mutex;
-  q
+let empty_report =
+  {
+    Message.rp_records = 0;
+    rp_objects = 0;
+    rp_signatures = 0;
+    rp_violations = [];
+  }
+
+(* The counter readers: atomics only, no mutex and never the rwlock.
+   A Ping must answer even while a slow commit holds the write lock —
+   that is precisely when an operator wants to see the queue depth. *)
+let shard_stat (s : shard) =
+  let c = s.s_counters and get = Atomic.get in
+  {
+    Message.ss_batches = get c.c_batches;
+    ss_ops = get c.c_ops;
+    ss_sign_wall_us = get c.c_sign_wall_us;
+    ss_sign_cpu_us = get c.c_sign_cpu_us;
+    ss_queued = get s.s_batcher.b_queued;
+    ss_root_recomputes = get c.c_root_recomputes;
+    ss_root_hits = get c.c_root_hits;
+    ss_proofs_served = get c.c_proofs_served;
+    ss_proof_cache_hits = get c.c_proof_hits;
+    ss_proof_cache_misses = get c.c_proof_misses;
+    ss_proof_bytes = get c.c_proof_bytes;
+  }
 
 let pong t =
-  let queued_ops =
-    Array.fold_left (fun acc s -> acc + shard_queued s) 0 t.shards
-  in
-  let s = batch_stats t in
-  let batches = s.batches
-  and ops = s.ops
-  and dedup_hits = s.dedup_hits
-  and wal_failures = s.wal_failures
-  and shed = s.shed in
+  let sum f = Array.fold_left (fun acc s -> acc + Atomic.get (f s)) 0 t.shards in
   let draining = Atomic.get t.draining in
   Message.Pong
     {
       ready = not draining;
       draining;
       active = Atomic.get t.active;
-      queued_ops;
-      batches;
-      ops;
-      dedup_hits;
-      wal_failures;
-      shed;
+      queued_ops = sum (fun s -> s.s_batcher.b_queued);
+      batches = sum (fun s -> s.s_counters.c_batches);
+      ops = sum (fun s -> s.s_counters.c_ops);
+      dedup_hits = Atomic.get t.dedup_hits;
+      wal_failures = Atomic.get t.wal_failures;
+      shed = Atomic.get t.shed;
       reaped = Atomic.get t.reaped;
     }
 
@@ -1178,12 +1137,12 @@ let shard_root_cached (s : shard) read_root =
   let dirty = Atomic.exchange s.s_root_dirty false in
   match !(s.s_root_cache) with
   | Some h when not dirty ->
-      Atomic.incr s.s_root_hits;
+      Atomic.incr s.s_counters.c_root_hits;
       h
   | _ ->
       let h = read_root () in
       s.s_root_cache := Some h;
-      Atomic.incr s.s_root_recomputes;
+      Atomic.incr s.s_counters.c_root_recomputes;
       h
 
 let shard_root (s : shard) =
@@ -1224,37 +1183,17 @@ let fold_shards t f merge =
   Option.get !acc
 
 (* Oid-addressed reads resolve against the owning shard and run under
-   its read lock in one step (so a concurrent delete cannot strand the
-   probe's answer). *)
+   its read lock in one step. *)
 let with_owning_shard t oid f =
-  let n = Array.length t.shards in
-  let rec go k =
-    if k >= n then error_resp Message.Not_found "object not found in any shard"
-    else
-      let s = t.shards.(k) in
-      match
-        Rwlock.with_read s.s_rwlock (fun () ->
-            if Forest.mem (Engine.forest s.s_engine) oid then Some (f s)
-            else None)
-      with
-      | Some resp -> resp
-      | None -> go (k + 1)
-  in
-  go 0
+  match probe_owner t oid f with
+  | Some resp -> resp
+  | None -> error_resp Message.Not_found "object not found in any shard"
 
 (* ------------------------------------------------------------------ *)
 (* Membership proofs (wire v6)                                         *)
 (* ------------------------------------------------------------------ *)
 
 let proof_cache_cap = 256
-
-let empty_report =
-  {
-    Message.rp_records = 0;
-    rp_objects = 0;
-    rp_signatures = 0;
-    rp_violations = [];
-  }
 
 (* Serve one leaf's encoded membership proof through the shard's LRU.
    Requires BOTH s_root_lock and the shard read lock held (the Prove
@@ -1266,23 +1205,24 @@ let empty_report =
 let serve_proof (s : shard) ~epoch oid =
   incr s.s_proof_tick;
   let tick = !(s.s_proof_tick) in
+  let c = s.s_counters in
   let deliver bytes =
-    Atomic.incr s.s_proofs_served;
-    ignore (Atomic.fetch_and_add s.s_proof_bytes (String.length bytes));
+    Atomic.incr c.c_proofs_served;
+    ignore (Atomic.fetch_and_add c.c_proof_bytes (String.length bytes));
     Ok bytes
   in
   let cached = Hashtbl.find_opt s.s_proof_cache oid in
   match cached with
   | Some entry when entry.pe_epoch = epoch ->
       entry.pe_last <- tick;
-      Atomic.incr s.s_proof_hits;
+      Atomic.incr c.c_proof_hits;
       deliver entry.pe_bytes
   | _ -> (
       match Engine.prove s.s_engine oid with
       | Error e -> Error e
       | Ok p ->
           let bytes = Proof.to_string p in
-          Atomic.incr s.s_proof_misses;
+          Atomic.incr c.c_proof_misses;
           if
             Option.is_none cached
             && Hashtbl.length s.s_proof_cache >= proof_cache_cap
@@ -1358,15 +1298,7 @@ let dispatch t participant (req : Message.request) =
           (* the shard never received a write: nothing is signed, so
              there is nothing to verify — the same objects simply
              would not exist in a serial run *)
-          let empty =
-            {
-              Verifier.violations = [];
-              records_checked = 0;
-              objects_checked = 0;
-              signatures_checked = 0;
-            }
-          in
-          Ok (report empty, report empty)
+          Ok (empty_report, empty_report)
         else
           match
             Engine.verify_object s.s_engine (Engine.root_oid s.s_engine)
@@ -1406,41 +1338,8 @@ let dispatch t participant (req : Message.request) =
       in
       Message.Audited { report = r; examined; objects }
   | Message.Root_hash -> Message.Root { hash = published_root t }
-  | Message.Stats ->
-      let s = batch_stats t in
-      Message.Stats_resp
-        {
-          batches = s.batches;
-          ops = s.ops;
-          sign_wall_us = int_of_float (s.sign_wall_s *. 1e6);
-          sign_cpu_us = int_of_float (s.sign_cpu_s *. 1e6);
-        }
   | Message.Shard_stats ->
-      Message.Shard_stats_resp
-        (Array.to_list
-           (Array.map
-              (fun s ->
-                let b = s.s_batcher in
-                Mutex.lock b.b_mutex;
-                let batches = b.b_batches and ops = b.b_ops in
-                let queued =
-                  List.fold_left
-                    (fun acc j -> acc + Array.length j.j_ops)
-                    0 b.b_queue
-                in
-                Mutex.unlock b.b_mutex;
-                {
-                  Message.ss_batches = batches;
-                  ss_ops = ops;
-                  ss_queued = queued;
-                  ss_root_recomputes = Atomic.get s.s_root_recomputes;
-                  ss_root_hits = Atomic.get s.s_root_hits;
-                  ss_proofs_served = Atomic.get s.s_proofs_served;
-                  ss_proof_cache_hits = Atomic.get s.s_proof_hits;
-                  ss_proof_cache_misses = Atomic.get s.s_proof_misses;
-                  ss_proof_bytes = Atomic.get s.s_proof_bytes;
-                })
-              t.shards))
+      Message.Shard_stats_resp (Array.to_list (Array.map shard_stat t.shards))
   | Message.Lineage { kind; oid } ->
       with_owning_shard t oid (fun s ->
           let idx = Prov_index.of_store (Engine.provstore s.s_engine) in
@@ -1757,7 +1656,7 @@ let flush_pending c out =
           (fun i (_, rid, _) ->
             match Hashtbl.find_opt local rid with
             | Some j ->
-                note_dedup_hit t;
+                Atomic.incr t.dedup_hits;
                 `Alias j
             | None -> (
                 match dedup_claim t rid with
@@ -1790,8 +1689,7 @@ let flush_pending c out =
         (fun k slot ->
           Hashtbl.replace resp_of_slot slot resps.(k);
           let _, rid, _ = ps.(slot) in
-          dedup_resolve t rid
-            (if dedup_cacheable resps.(k) then Some resps.(k) else None))
+          dedup_resolve t rid resps.(k))
         fresh;
       Array.iteri
         (fun i (cid, _, _) ->
@@ -1812,7 +1710,7 @@ let flush_pending c out =
 let buffer_submit c out ~cid ~rid op =
   let t = c.server in
   if List.length c.pending >= t.admission.max_session_inflight then begin
-    note_shed t;
+    Atomic.incr t.shed;
     Buffer.add_string out
       (frame_response ~cid c (overloaded t (List.length c.pending)))
   end
@@ -1850,8 +1748,7 @@ let handle_sealed c out s payload =
                 | `Hit resp -> resp
                 | `Run ->
                     let resp = checkpoint c.server in
-                    dedup_resolve c.server rid
-                      (if dedup_cacheable resp then Some resp else None);
+                    dedup_resolve c.server rid resp;
                     resp
               in
               Buffer.add_string out (frame_response ~cid c resp)

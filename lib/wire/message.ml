@@ -29,13 +29,13 @@ type request =
   | Verify of Oid.t option (* None: root object + whole-store audit *)
   | Audit
   | Root_hash
-  | Stats (* group-commit batcher counters *)
   (* -- v3 additions.  Every write carries [rid], a client-generated
      request id: the server keeps a bounded dedup table of completed
      writes, so a retried submit or checkpoint (same rid, e.g. after a
      dropped connection) returns the original cached result instead of
      executing twice.  The rid-less v1 write tags (0x03 Submit, 0x07
-     Checkpoint) are retired and decode as malformed. *)
+     Checkpoint) are retired and decode as malformed, as is 0x09, the
+     Stats request, whose counters Shard_stats now carries. *)
   | Submit_idem of { rid : string; op : op }
   | Checkpoint_idem of { rid : string }
   | Ping (* readiness/health probe; never shed, never queued *)
@@ -71,6 +71,8 @@ and lineage_kind = L_why | L_inputs | L_depth | L_impact
 type shard_stat = {
   ss_batches : int;
   ss_ops : int;
+  ss_sign_wall_us : int; (* wall-clock µs inside this shard's commit signing *)
+  ss_sign_cpu_us : int; (* cumulative per-signature µs across domains *)
   ss_queued : int; (* submit ops sitting in this shard's batcher queue *)
   ss_root_recomputes : int; (* root-cache misses: engine root rehashed *)
   ss_root_hits : int; (* root served from the per-shard cache *)
@@ -117,12 +119,6 @@ type response =
   | Audited of { report : report; examined : int; objects : int }
   | Checkpointed of { generation : int; lsn : int }
   | Root of { hash : string }
-  | Stats_resp of {
-      batches : int;
-      ops : int;
-      sign_wall_us : int; (* wall-clock µs inside commit signing stages *)
-      sign_cpu_us : int; (* cumulative per-signature µs across domains *)
-    }
   | Pong of {
       ready : bool; (* accepting writes (false once draining) *)
       draining : bool;
@@ -133,7 +129,7 @@ type response =
       dedup_hits : int; (* retried writes answered from the dedup table *)
       wal_failures : int; (* batches voided by WAL append/flush errors *)
       shed : int; (* ops refused by admission control *)
-      reaped : int; (* v7: connections closed by the idle reaper *)
+      reaped : int; (* connections closed by the idle reaper *)
     }
   | Overloaded_resp of { retry_after_ms : int; message : string }
       (* typed overload shed: admission control refused the request
@@ -226,57 +222,60 @@ let read_count s off =
   if n < 0 || n > String.length s - off then failwith "Message: bad count";
   (n, off)
 
-let add_oid_opt buf = function
-  | None -> Buffer.add_char buf '\x00'
-  | Some oid ->
-      Buffer.add_char buf '\x01';
-      add_oid buf oid
+(* A counted list.  Every list decoder goes through [read_list], so none
+   can skip [read_count]'s bound. *)
+let add_list buf add xs =
+  Value.add_varint buf (List.length xs);
+  List.iter (add buf) xs
 
-let read_oid_opt s off =
+let read_list s off read =
+  let n, off = read_count s off in
+  let off = ref off in
+  let xs =
+    List.init n (fun _ ->
+        let x, o = read s !off in
+        off := o;
+        x)
+  in
+  (xs, !off)
+
+(* An optional field: a 0x00 / 0x01 presence byte, then the value. *)
+let add_opt buf add = function
+  | None -> Buffer.add_char buf '\x00'
+  | Some v ->
+      Buffer.add_char buf '\x01';
+      add buf v
+
+let read_opt s off read =
   if off >= String.length s then failwith "Message: truncated option"
   else
     match s.[off] with
     | '\x00' -> (None, off + 1)
     | '\x01' ->
-        let oid, off = read_oid s (off + 1) in
-        (Some oid, off)
+        let v, off = read s (off + 1) in
+        (Some v, off)
     | _ -> failwith "Message: bad option tag"
 
 let add_report buf r =
   Value.add_varint buf r.rp_records;
   Value.add_varint buf r.rp_objects;
   Value.add_varint buf r.rp_signatures;
-  Value.add_varint buf (List.length r.rp_violations);
-  List.iter (Value.add_string buf) r.rp_violations
+  add_list buf Value.add_string r.rp_violations
 
 let read_report s off =
   let rp_records, off = Value.read_varint s off in
   let rp_objects, off = Value.read_varint s off in
   let rp_signatures, off = Value.read_varint s off in
-  let n, off = read_count s off in
-  let off = ref off in
-  let rp_violations =
-    List.init n (fun _ ->
-        let v, o = Value.read_string s !off in
-        off := o;
-        v)
-  in
-  ({ rp_records; rp_objects; rp_signatures; rp_violations }, !off)
+  let rp_violations, off = read_list s off Value.read_string in
+  ({ rp_records; rp_objects; rp_signatures; rp_violations }, off)
 
 let add_cells buf cells =
   Value.add_varint buf (Array.length cells);
   Array.iter (Value.encode buf) cells
 
 let read_cells s off =
-  let n, off = read_count s off in
-  let off = ref off in
-  let cells =
-    Array.init n (fun _ ->
-        let v, o = Value.decode s !off in
-        off := o;
-        v)
-  in
-  (cells, !off)
+  let cells, off = read_list s off Value.decode in
+  (Array.of_list cells, off)
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)
@@ -326,8 +325,7 @@ let encode_op buf = function
       Value.add_varint buf row
   | Op_aggregate { inputs; value } ->
       Buffer.add_char buf '\x04';
-      Value.add_varint buf (List.length inputs);
-      List.iter (add_oid buf) inputs;
+      add_list buf add_oid inputs;
       Value.encode buf value
 
 let decode_op s off =
@@ -348,16 +346,9 @@ let decode_op s off =
       let row, off = Value.read_varint s off in
       (Op_delete { table; row }, off)
   | '\x04' ->
-      let n, off = read_count s (off + 1) in
-      let off = ref off in
-      let inputs =
-        List.init n (fun _ ->
-            let oid, o = read_oid s !off in
-            off := o;
-            oid)
-      in
-      let value, o = Value.decode s !off in
-      (Op_aggregate { inputs; value }, o)
+      let inputs, off = read_list s (off + 1) read_oid in
+      let value, off = Value.decode s off in
+      (Op_aggregate { inputs; value }, off)
   | c -> failwith (Printf.sprintf "Message: bad op tag %#x" (Char.code c))
 
 let encode_request buf = function
@@ -371,13 +362,12 @@ let encode_request buf = function
       Value.add_string buf key_share
   | Query oid ->
       Buffer.add_char buf '\x04';
-      add_oid_opt buf oid
+      add_opt buf add_oid oid
   | Verify oid ->
       Buffer.add_char buf '\x05';
-      add_oid_opt buf oid
+      add_opt buf add_oid oid
   | Audit -> Buffer.add_char buf '\x06'
   | Root_hash -> Buffer.add_char buf '\x08'
-  | Stats -> Buffer.add_char buf '\x09'
   | Submit_idem { rid; op } ->
       Buffer.add_char buf '\x0a';
       Value.add_string buf rid;
@@ -400,11 +390,7 @@ let encode_request buf = function
       Buffer.add_char buf '\x10';
       Value.add_string buf table;
       Value.add_varint buf row;
-      (match col with
-      | None -> Buffer.add_char buf '\x00'
-      | Some c ->
-          Buffer.add_char buf '\x01';
-          Value.add_varint buf c)
+      add_opt buf Value.add_varint col
   | Audit_sample { seed; alpha_ppm } ->
       Buffer.add_char buf '\x11';
       Value.add_string buf seed;
@@ -422,14 +408,13 @@ let decode_request s off =
       let key_share, off = Value.read_string s off in
       (Auth { signature; key_share }, off)
   | '\x04' ->
-      let oid, off = read_oid_opt s (off + 1) in
+      let oid, off = read_opt s (off + 1) read_oid in
       (Query oid, off)
   | '\x05' ->
-      let oid, off = read_oid_opt s (off + 1) in
+      let oid, off = read_opt s (off + 1) read_oid in
       (Verify oid, off)
   | '\x06' -> (Audit, off + 1)
   | '\x08' -> (Root_hash, off + 1)
-  | '\x09' -> (Stats, off + 1)
   | '\x0a' ->
       let rid, off = Value.read_string s (off + 1) in
       let op, off = decode_op s off in
@@ -452,15 +437,7 @@ let decode_request s off =
   | '\x10' ->
       let table, off = Value.read_string s (off + 1) in
       let row, off = Value.read_varint s off in
-      if off >= String.length s then failwith "Message: truncated option";
-      let col, off =
-        match s.[off] with
-        | '\x00' -> (None, off + 1)
-        | '\x01' ->
-            let c, o = Value.read_varint s (off + 1) in
-            (Some c, o)
-        | _ -> failwith "Message: bad option tag"
-      in
+      let col, off = read_opt s off Value.read_varint in
       (Prove { table; row; col }, off)
   | '\x11' ->
       let seed, off = Value.read_string s (off + 1) in
@@ -507,25 +484,16 @@ let encode_response buf = function
       Value.add_string buf server
   | Submitted { row; oid; records } ->
       Buffer.add_char buf '\x83';
-      (match row with
-      | None -> Buffer.add_char buf '\x00'
-      | Some r ->
-          Buffer.add_char buf '\x01';
-          Value.add_varint buf r);
-      add_oid_opt buf oid;
+      add_opt buf Value.add_varint row;
+      add_opt buf add_oid oid;
       Value.add_varint buf records
   | Records records ->
       Buffer.add_char buf '\x84';
-      Value.add_varint buf (List.length records);
-      List.iter (Record.encode buf) records
+      add_list buf Record.encode records
   | Verified { report; store_audit } ->
       Buffer.add_char buf '\x85';
       add_report buf report;
-      (match store_audit with
-      | None -> Buffer.add_char buf '\x00'
-      | Some a ->
-          Buffer.add_char buf '\x01';
-          add_report buf a)
+      add_opt buf add_report store_audit
   | Audited { report; examined; objects } ->
       Buffer.add_char buf '\x86';
       add_report buf report;
@@ -538,12 +506,6 @@ let encode_response buf = function
   | Root { hash } ->
       Buffer.add_char buf '\x88';
       Value.add_string buf hash
-  | Stats_resp { batches; ops; sign_wall_us; sign_cpu_us } ->
-      Buffer.add_char buf '\x89';
-      Value.add_varint buf batches;
-      Value.add_varint buf ops;
-      Value.add_varint buf sign_wall_us;
-      Value.add_varint buf sign_cpu_us
   | Pong
       {
         ready;
@@ -574,11 +536,12 @@ let encode_response buf = function
       Value.add_string buf message
   | Shard_stats_resp shards ->
       Buffer.add_char buf '\x8c';
-      Value.add_varint buf (List.length shards);
-      List.iter
-        (fun s ->
+      add_list buf
+        (fun buf s ->
           Value.add_varint buf s.ss_batches;
           Value.add_varint buf s.ss_ops;
+          Value.add_varint buf s.ss_sign_wall_us;
+          Value.add_varint buf s.ss_sign_cpu_us;
           Value.add_varint buf s.ss_queued;
           Value.add_varint buf s.ss_root_recomputes;
           Value.add_varint buf s.ss_root_hits;
@@ -591,34 +554,25 @@ let encode_response buf = function
       Buffer.add_char buf '\x8d';
       Value.add_string buf poly;
       Value.add_varint buf depth;
-      Value.add_varint buf (List.length oids);
-      List.iter (add_oid buf) oids
+      add_list buf add_oid oids
   | Annotated_resp { arows; avalue; annot } ->
       Buffer.add_char buf '\x8e';
-      Value.add_varint buf (List.length arows);
-      List.iter
-        (fun (v, cells, poly) ->
+      add_list buf
+        (fun buf (v, cells, poly) ->
           Value.add_varint buf v;
           add_cells buf cells;
           Value.add_string buf poly)
         arows;
-      (match avalue with
-      | None -> Buffer.add_char buf '\x00'
-      | Some v ->
-          Buffer.add_char buf '\x01';
-          Value.encode buf v);
+      add_opt buf Value.encode avalue;
       Value.add_string buf annot
   | Proof_resp { shard; shard_roots; items } ->
       Buffer.add_char buf '\x8f';
       Value.add_varint buf shard;
-      Value.add_varint buf (List.length shard_roots);
-      List.iter (Value.add_string buf) shard_roots;
-      Value.add_varint buf (List.length items);
-      List.iter
-        (fun (proof, records) ->
+      add_list buf Value.add_string shard_roots;
+      add_list buf
+        (fun buf (proof, records) ->
           Value.add_string buf proof;
-          Value.add_varint buf (List.length records);
-          List.iter (Record.encode buf) records)
+          add_list buf Record.encode records)
         items
   | Audit_sample_resp { report; sampled; population } ->
       Buffer.add_char buf '\x90';
@@ -640,42 +594,17 @@ let decode_response s off =
       let server, off = Value.read_string s (off + 1) in
       (Auth_ok { server }, off)
   | '\x83' ->
-      let row, off =
-        if off + 1 >= String.length s then failwith "Message: truncated"
-        else
-          match s.[off + 1] with
-          | '\x00' -> (None, off + 2)
-          | '\x01' ->
-              let r, o = Value.read_varint s (off + 2) in
-              (Some r, o)
-          | _ -> failwith "Message: bad option tag"
-      in
-      let oid, off = read_oid_opt s off in
+      let row, off = read_opt s (off + 1) Value.read_varint in
+      let oid, off = read_opt s off read_oid in
       let records, off = Value.read_varint s off in
       (Submitted { row; oid; records }, off)
   | '\x84' ->
-      let n, off = read_count s (off + 1) in
-      let off = ref off in
-      let records =
-        List.init n (fun _ ->
-            let r, o = Record.decode s !off in
-            off := o;
-            r)
-      in
-      (Records records, !off)
+      let records, off = read_list s (off + 1) Record.decode in
+      (Records records, off)
   | '\x85' ->
       let report, off = read_report s (off + 1) in
-      if off >= String.length s then failwith "Message: truncated"
-      else
-        let store_audit, off =
-          match s.[off] with
-          | '\x00' -> (None, off + 1)
-          | '\x01' ->
-              let a, o = read_report s (off + 1) in
-              (Some a, o)
-          | _ -> failwith "Message: bad option tag"
-        in
-        (Verified { report; store_audit }, off)
+      let store_audit, off = read_opt s off read_report in
+      (Verified { report; store_audit }, off)
   | '\x86' ->
       let report, off = read_report s (off + 1) in
       let examined, off = Value.read_varint s off in
@@ -688,12 +617,6 @@ let decode_response s off =
   | '\x88' ->
       let hash, off = Value.read_string s (off + 1) in
       (Root { hash }, off)
-  | '\x89' ->
-      let batches, off = Value.read_varint s (off + 1) in
-      let ops, off = Value.read_varint s off in
-      let sign_wall_us, off = Value.read_varint s off in
-      let sign_cpu_us, off = Value.read_varint s off in
-      (Stats_resp { batches; ops; sign_wall_us; sign_cpu_us }, off)
   | '\x8a' ->
       let flag off =
         if off >= String.length s then failwith "Message: truncated flag"
@@ -712,14 +635,7 @@ let decode_response s off =
       let dedup_hits, off = Value.read_varint s off in
       let wal_failures, off = Value.read_varint s off in
       let shed, off = Value.read_varint s off in
-      (* [reaped] was appended in v7 with no version negotiation in
-         Hello; a v6 server's Pong ends here.  Decode it as optional
-         (default 0 on an exhausted payload) so a v7 client keeps
-         interoperating with a v6 server instead of failing the whole
-         Ping on a truncated varint. *)
-      let reaped, off =
-        if off >= String.length s then (0, off) else Value.read_varint s off
-      in
+      let reaped, off = Value.read_varint s off in
       ( Pong
           {
             ready;
@@ -739,12 +655,12 @@ let decode_response s off =
       let message, off = Value.read_string s off in
       (Overloaded_resp { retry_after_ms; message }, off)
   | '\x8c' ->
-      let n, off = read_count s (off + 1) in
-      let off = ref off in
-      let shards =
-        List.init n (fun _ ->
-            let ss_batches, o = Value.read_varint s !off in
+      let shards, off =
+        read_list s (off + 1) (fun s o ->
+            let ss_batches, o = Value.read_varint s o in
             let ss_ops, o = Value.read_varint s o in
+            let ss_sign_wall_us, o = Value.read_varint s o in
+            let ss_sign_cpu_us, o = Value.read_varint s o in
             let ss_queued, o = Value.read_varint s o in
             let ss_root_recomputes, o = Value.read_varint s o in
             let ss_root_hits, o = Value.read_varint s o in
@@ -752,85 +668,48 @@ let decode_response s off =
             let ss_proof_cache_hits, o = Value.read_varint s o in
             let ss_proof_cache_misses, o = Value.read_varint s o in
             let ss_proof_bytes, o = Value.read_varint s o in
-            off := o;
-            {
-              ss_batches;
-              ss_ops;
-              ss_queued;
-              ss_root_recomputes;
-              ss_root_hits;
-              ss_proofs_served;
-              ss_proof_cache_hits;
-              ss_proof_cache_misses;
-              ss_proof_bytes;
-            })
+            ( {
+                ss_batches;
+                ss_ops;
+                ss_sign_wall_us;
+                ss_sign_cpu_us;
+                ss_queued;
+                ss_root_recomputes;
+                ss_root_hits;
+                ss_proofs_served;
+                ss_proof_cache_hits;
+                ss_proof_cache_misses;
+                ss_proof_bytes;
+              },
+              o ))
       in
-      (Shard_stats_resp shards, !off)
+      (Shard_stats_resp shards, off)
   | '\x8d' ->
       let poly, off = Value.read_string s (off + 1) in
       let depth, off = Value.read_varint s off in
-      let n, off = read_count s off in
-      let off = ref off in
-      let oids =
-        List.init n (fun _ ->
-            let oid, o = read_oid s !off in
-            off := o;
-            oid)
-      in
-      (Lineage_resp { poly; depth; oids }, !off)
+      let oids, off = read_list s off read_oid in
+      (Lineage_resp { poly; depth; oids }, off)
   | '\x8e' ->
-      let n, off = read_count s (off + 1) in
-      let off = ref off in
-      let arows =
-        List.init n (fun _ ->
-            let v, o = Value.read_varint s !off in
+      let arows, off =
+        read_list s (off + 1) (fun s o ->
+            let v, o = Value.read_varint s o in
             let cells, o = read_cells s o in
             let poly, o = Value.read_string s o in
-            off := o;
-            (v, cells, poly))
+            ((v, cells, poly), o))
       in
-      let avalue =
-        if !off >= String.length s then failwith "Message: truncated"
-        else
-          match s.[!off] with
-          | '\x00' ->
-              incr off;
-              None
-          | '\x01' ->
-              let v, o = Value.decode s (!off + 1) in
-              off := o;
-              Some v
-          | _ -> failwith "Message: bad option tag"
-      in
-      let annot, o = Value.read_string s !off in
-      (Annotated_resp { arows; avalue; annot }, o)
+      let avalue, off = read_opt s off Value.decode in
+      let annot, off = Value.read_string s off in
+      (Annotated_resp { arows; avalue; annot }, off)
   | '\x8f' ->
       let shard, off = Value.read_varint s (off + 1) in
-      let nroots, off = read_count s off in
-      let off = ref off in
-      let shard_roots =
-        List.init nroots (fun _ ->
-            let r, o = Value.read_string s !off in
-            off := o;
-            r)
+      let shard_roots, off = read_list s off Value.read_string in
+      let items, off =
+        read_list s off (fun s o ->
+            let proof, o = Value.read_string s o in
+            let records, o = read_list s o Record.decode in
+            ((proof, records), o))
       in
-      let nitems, o = read_count s !off in
-      let off = ref o in
-      let items =
-        List.init nitems (fun _ ->
-            let proof, o = Value.read_string s !off in
-            let nrec, o = read_count s o in
-            let o = ref o in
-            let records =
-              List.init nrec (fun _ ->
-                  let r, o' = Record.decode s !o in
-                  o := o';
-                  r)
-            in
-            off := !o;
-            (proof, records))
-      in
-      (Proof_resp { shard; shard_roots; items }, !off)
+      (Proof_resp { shard; shard_roots; items }, off)
   | '\x90' ->
       let report, off = read_report s (off + 1) in
       let sampled, off = Value.read_varint s off in

@@ -201,7 +201,7 @@ let test_chaos_soak () =
             (Table.row_count (Database.get_table_exn db "stock"));
           let h = ok (Client.ping dc) in
           Alcotest.(check bool)
-            (Printf.sprintf "dedup hit visible in batch_stats (%d)"
+            (Printf.sprintf "dedup hit visible in Ping (%d)"
                h.Client.dedup_hits)
             true
             (h.Client.dedup_hits >= 1);

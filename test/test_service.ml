@@ -41,6 +41,21 @@ let make_server ?max_payload ?checkpoint engine alice =
 let make_client server =
   Client.loopback ~drbg:(Tep_crypto.Drbg.create ~seed:"client") server
 
+(* The server's counters as an operator reads them, over a fresh
+   loopback session: Ping's process-wide totals and the per-shard
+   Shard_stats entries. *)
+let counters server alice =
+  let c =
+    Client.loopback ~drbg:(Tep_crypto.Drbg.create ~seed:"counters") server
+  in
+  ok (Client.authenticate c alice);
+  let h = ok (Client.ping c) in
+  let shards = ok (Client.shard_stats c) in
+  Client.close c;
+  (h, shards)
+
+let health server alice = fst (counters server alice)
+
 let local_report engine oid =
   Format.asprintf "%a" Verifier.pp_report (ok (Engine.verify_object engine oid))
 
@@ -409,8 +424,7 @@ let test_retired_submit_tag_rejected () =
   | Message.Error_resp { code = Message.Bad_request; message } ->
       Alcotest.(check string) "message" "malformed request" message
   | _ -> Alcotest.fail "expected bad-request");
-  Alcotest.(check int) "nothing executed" 0
-    (Server.batch_stats server).Server.ops;
+  Alcotest.(check int) "nothing executed" 0 (health server alice).Client.h_ops;
   Alcotest.(check string) "connection dead" ""
     (Tep_server.Server.feed conn (clear_frame Message.Root_hash))
 
@@ -691,7 +705,7 @@ let test_pipelined_submits_coalesce () =
     submit 1 0 [| Value.Int 1; Value.Int 10 |]
     ^ submit 2 1 [| Value.Int 2; Value.Int 20 |]
   in
-  let before = Server.batch_stats server in
+  let before, before_shards = counters server alice in
   let frames = parse_frames (Tep_server.Server.feed conn chunk) in
   Alcotest.(check int) "two responses" 2 (List.length frames);
   List.iteri
@@ -710,14 +724,17 @@ let test_pipelined_submits_coalesce () =
                   Alcotest.(check bool) "records emitted" true (records > 0)
               | _ -> Alcotest.fail "expected Submitted")))
     frames;
-  let after = Server.batch_stats server in
+  let after, after_shards = counters server alice in
   Alcotest.(check int) "one group commit" 1
-    (after.Server.batches - before.Server.batches);
+    (after.Client.h_batches - before.Client.h_batches);
   Alcotest.(check int) "carrying both ops" 2
-    (after.Server.ops - before.Server.ops);
-  Alcotest.(check bool) "signing time recorded" true
-    (after.Server.sign_wall_s > before.Server.sign_wall_s
-    && after.Server.sign_cpu_s > before.Server.sign_cpu_s);
+    (after.Client.h_ops - before.Client.h_ops);
+  (match (before_shards, after_shards) with
+  | [ b ], [ a ] ->
+      Alcotest.(check bool) "signing time recorded" true
+        (a.Message.ss_sign_wall_us > b.Message.ss_sign_wall_us
+        && a.Message.ss_sign_cpu_us > b.Message.ss_sign_cpu_us)
+  | _ -> Alcotest.fail "expected one shard");
   (* one commit, yet both rows have provenance the verifier accepts *)
   match Engine.verify_object engine (Engine.root_oid engine) with
   | Ok _ -> ()
@@ -761,6 +778,52 @@ let test_concurrent_readers_not_serialised () =
   Fault.reset ();
   Alcotest.(check bool) "reads overlapped the in-flight verify" true
     (reads_done -. t0 < 0.25 && reads_done < !verify_done)
+
+(* Ping is lock-light: it reads atomics only, never a shard's rwlock,
+   so it answers while a commit holds the write lock.  The commit is
+   held in its signing stage (a delay on [engine.commit.sign]); a
+   second client's Ping must return before that commit does.  Only
+   the order is checked, not how long anything took. *)
+let test_ping_during_commit () =
+  let engine, _, _, alice, _ = make_env () in
+  let server = make_server engine alice in
+  let c1 = make_client server in
+  let c2 =
+    Client.loopback ~drbg:(Tep_crypto.Drbg.create ~seed:"client-ping") server
+  in
+  ok (Client.authenticate c1 alice);
+  ok (Client.authenticate c2 alice);
+  let site = "engine.commit.sign" in
+  Fault.reset ();
+  Fault.arm site (Fault.Delay 1.0);
+  let committed = Stdlib.Atomic.make false in
+  let inserted = ref (Error "the writer never ran") in
+  let writer =
+    Thread.create
+      (fun () ->
+        inserted :=
+          Client.insert c1 ~table:"stock" [| Value.Int 1; Value.Int 10 |];
+        Stdlib.Atomic.set committed true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while Fault.hit_count site < 1 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.002
+  done;
+  let reached = Fault.hit_count site >= 1 in
+  let h = ok (Client.ping c2) in
+  let answered_first = not (Stdlib.Atomic.get committed) in
+  Thread.join writer;
+  Fault.reset ();
+  Alcotest.(check bool) "commit reached its signing stage" true reached;
+  Alcotest.(check bool) "Ping answered before the commit finished" true
+    answered_first;
+  Alcotest.(check int) "the in-flight batch is already counted" 1
+    h.Client.h_batches;
+  Alcotest.(check int) "its op left the queue" 0 h.Client.queued_ops;
+  ignore (ok !inserted);
+  Client.close c1;
+  Client.close c2
 
 (* Group commit atomicity: while every WAL flush fails, submits from
    two concurrent connections must all be rejected — durability cannot
@@ -857,38 +920,6 @@ let test_retry_jitter_deterministic () =
         (d >= 0.5 *. base && d < 1.5 *. base))
     a
 
-(* Batcher stats over the wire: the Stats RPC reflects the group
-   commits a session drove, including the signing-time split newly
-   carried in Engine.metrics. *)
-let test_stats_rpc () =
-  let engine, _, _, alice, _ = make_env () in
-  let server = make_server engine alice in
-  let c = make_client server in
-  ok (Client.authenticate c alice);
-  let s0 = ok (Client.stats c) in
-  let _ = ok (Client.insert c ~table:"stock" [| Value.Int 1; Value.Int 10 |]) in
-  let row, _ = ok (Client.insert c ~table:"stock" [| Value.Int 2; Value.Int 20 |]) in
-  ignore (ok (Client.update c ~table:"stock" ~row ~col:1 (Value.Int 21)));
-  let s1 = ok (Client.stats c) in
-  Alcotest.(check int) "ops counted" 3 (s1.Client.ops - s0.Client.ops);
-  Alcotest.(check bool) "batches advanced" true
-    (s1.Client.batches > s0.Client.batches);
-  Alcotest.(check bool) "signing wall time advanced" true
-    (s1.Client.sign_wall_us > s0.Client.sign_wall_us);
-  (* each commit signs sequentially here (no pool), so cumulative CPU
-     can only exceed or match the stage wall clock it is part of *)
-  Alcotest.(check bool) "cpu >= 0 and >= nothing weird" true
-    (s1.Client.sign_cpu_us >= s0.Client.sign_cpu_us
-    && s1.Client.sign_cpu_us > 0);
-  (* server-side view agrees with the wire's microsecond rounding *)
-  let local = Server.batch_stats server in
-  Alcotest.(check int) "wire batches = server batches" local.Server.batches
-    s1.Client.batches;
-  Alcotest.(check int) "wire ops = server ops" local.Server.ops s1.Client.ops;
-  Alcotest.(check int) "wire wall us = server wall us"
-    (int_of_float (local.Server.sign_wall_s *. 1e6))
-    s1.Client.sign_wall_us
-
 (* ------------------------------------------------------------------ *)
 (* Fault tolerance: dedup, admission, breaker, drain, capacity         *)
 (* ------------------------------------------------------------------ *)
@@ -914,16 +945,16 @@ let test_duplicate_request_id () =
   let server = make_server engine alice in
   let c = make_client server in
   ok (Client.authenticate c alice);
-  let before = Server.batch_stats server in
+  let before = ok (Client.ping c) in
   let row1, _, _ = ok (Client.submit_idem c ~rid:"dup-0" (op_insert 1 10)) in
   let row2, _, _ = ok (Client.submit_idem c ~rid:"dup-0" (op_insert 1 10)) in
   Alcotest.(check (option int)) "retry echoes the cached row" row1 row2;
   Alcotest.(check int) "executed exactly once" 1 (stock_rows engine);
-  let after = Server.batch_stats server in
-  Alcotest.(check int) "dedup hit visible in batch_stats" 1
-    (after.Server.dedup_hits - before.Server.dedup_hits);
+  let after = ok (Client.ping c) in
+  Alcotest.(check int) "dedup hit visible in Ping" 1
+    (after.Client.dedup_hits - before.Client.dedup_hits);
   Alcotest.(check int) "only one op reached the engine" 1
-    (after.Server.ops - before.Server.ops);
+    (after.Client.h_ops - before.Client.h_ops);
   Client.close c
 
 (* Two requests with the same rid inside one pipelined chunk: the
@@ -966,10 +997,10 @@ let test_duplicate_rid_in_one_batch () =
   | [ a; b ] -> Alcotest.(check int) "duplicate aliases the same row" a b
   | _ -> assert false);
   Alcotest.(check int) "executed exactly once" 1 (stock_rows engine);
-  let s = Server.batch_stats server in
+  let h = health server alice in
   Alcotest.(check int) "in-batch alias counted as a dedup hit" 1
-    s.Server.dedup_hits;
-  Alcotest.(check int) "one op committed" 1 s.Server.ops
+    h.Client.dedup_hits;
+  Alcotest.(check int) "one op committed" 1 h.Client.h_ops
 
 (* A WAL flush failure must surface as its typed wire error and tick
    the wal_failures counter — an operator can tell a sick disk from a
@@ -1002,16 +1033,15 @@ let test_wal_failure_typed_and_counted () =
         ("typed wal error, got: " ^ e)
         true (contains e "wal"));
   Fault.reset ();
-  let s = Server.batch_stats server in
-  Alcotest.(check int) "wal failure counted in batch_stats" 1
-    s.Server.wal_failures;
+  let h = ok (Client.ping c) in
+  Alcotest.(check int) "wal failure counted in Ping" 1 h.Client.wal_failures;
   (* a wal-failed outcome must NOT be cached in the dedup table: the
      client was told nothing durable happened, so the same rid retried
      must re-execute — and now succeed *)
   ignore (ok (Client.submit_idem c ~rid:"wal-0" (op_insert 1 10)));
-  let s = Server.batch_stats server in
+  let h = ok (Client.ping c) in
   Alcotest.(check int) "the retry re-executed (no dedup replay)" 0
-    s.Server.dedup_hits;
+    h.Client.dedup_hits;
   let report, _ = ok (Client.verify c ()) in
   Alcotest.(check bool) "verify clean after the wal failure" true
     (Message.report_ok report)
@@ -1032,8 +1062,8 @@ let test_admission_shed_and_recover () =
         ("typed overload with retry hint, got: " ^ e)
         true
         (contains e "overloaded" && contains e "retry after 7 ms"));
-  let s = Server.batch_stats server in
-  Alcotest.(check int) "shed counted in batch_stats" 1 s.Server.shed;
+  let h = ok (Client.ping c) in
+  Alcotest.(check int) "shed counted in Ping" 1 h.Client.shed;
   Alcotest.(check string) "reads are never shed" (Engine.root_hash engine)
     (ok (Client.root_hash c));
   Server.set_admission ~max_queue_ops:512 server;
@@ -1067,9 +1097,9 @@ let test_circuit_breaker () =
     ("tripped writes fail fast, got: " ^ e)
     true
     (contains e "circuit breaker");
-  let s = Server.batch_stats server in
+  let h = ok (Client.ping c) in
   Alcotest.(check int) "the fast-fail never reached the server" 2
-    s.Server.shed;
+    h.Client.shed;
   Alcotest.(check string) "reads bypass the breaker" (Engine.root_hash engine)
     (ok (Client.root_hash c));
   (* cooldown elapses; the half-open probe hits a still-shedding
@@ -1278,7 +1308,7 @@ let test_concurrent_pipelined_clients () =
   let server = make_server engine alice in
   List.iter ok (pipelined_burst ~seed:"pipe" server alice);
   Alcotest.(check int) "every op through the batcher" 60
-    (Server.batch_stats server).Server.ops;
+    (health server alice).Client.h_ops;
   let c = make_client server in
   ok (Client.authenticate c alice);
   let report, _ = ok (Client.verify c ()) in
@@ -1309,7 +1339,7 @@ let test_concurrent_pipelined_clients () =
         true (contains e "overloaded"))
     failures;
   Alcotest.(check int) "every failure counted as shed" (List.length failures)
-    (Server.batch_stats server).Server.shed
+    (health server alice).Client.shed
 
 let () =
   Alcotest.run "service"
@@ -1320,7 +1350,6 @@ let () =
           Alcotest.test_case "tamper detected" `Quick
             test_loopback_tamper_detected;
           Alcotest.test_case "checkpoint rpc" `Quick test_checkpoint_rpc;
-          Alcotest.test_case "stats rpc" `Quick test_stats_rpc;
         ] );
       ( "auth",
         [
@@ -1367,6 +1396,7 @@ let () =
             test_pipelined_submits_coalesce;
           Alcotest.test_case "concurrent readers" `Quick
             test_concurrent_readers_not_serialised;
+          Alcotest.test_case "ping during commit" `Quick test_ping_during_commit;
           Alcotest.test_case "group-commit WAL failure" `Quick
             test_group_commit_wal_failure_atomic;
           Alcotest.test_case "retry jitter" `Quick

@@ -523,6 +523,61 @@ let test_server_cross_shard_batch () =
     (List.length (Shards.decided_txids coord_file));
   Sys.remove coord_file
 
+(* Every batch counter lives on its shard: after single-shard and
+   cross-shard writes the per-shard batches and ops sum to Ping's
+   totals, and signing time advances on exactly the shards written. *)
+let test_server_counters () =
+  let server, _, _, t0, t1, coord_file = make_sharded_server () in
+  let c = Client.loopback ~drbg:(Tep_crypto.Drbg.create ~seed:"client") server in
+  ok (Client.authenticate c alice);
+  let stats () =
+    let h = ok (Client.ping c) and shards = ok (Client.shard_stats c) in
+    let sum f = List.fold_left (fun acc s -> acc + f s) 0 shards in
+    Alcotest.(check int) "shard batches sum to Ping's" h.Client.h_batches
+      (sum (fun s -> s.Message.ss_batches));
+    Alcotest.(check int) "shard ops sum to Ping's" h.Client.h_ops
+      (sum (fun s -> s.Message.ss_ops));
+    shards
+  in
+  let step label ~signed write =
+    let before = stats () in
+    write ();
+    let after = stats () in
+    List.iteri
+      (fun k (b, a) ->
+        let wrote = List.mem k signed in
+        let name what = Printf.sprintf "%s: shard %d %s" label k what in
+        Alcotest.(check int) (name "batches")
+          (b.Message.ss_batches + Bool.to_int wrote)
+          a.Message.ss_batches;
+        Alcotest.(check int) (name "ops")
+          (b.Message.ss_ops + Bool.to_int wrote)
+          a.Message.ss_ops;
+        Alcotest.(check bool) (name "signing wall time advanced") wrote
+          (a.Message.ss_sign_wall_us > b.Message.ss_sign_wall_us);
+        Alcotest.(check bool) (name "signing cpu time advanced") wrote
+          (a.Message.ss_sign_cpu_us > b.Message.ss_sign_cpu_us))
+      (List.combine before after)
+  in
+  let insert table v =
+    Message.Op_insert { table; cells = [| Value.Int v; Value.Int v |] }
+  in
+  step "shard-1 write" ~signed:[ 1 ] (fun () ->
+      ignore (ok (Client.insert c ~table:t1 [| Value.Int 1; Value.Int 1 |])));
+  step "shard-0 write" ~signed:[ 0 ] (fun () ->
+      ignore (ok (Client.insert c ~table:t0 [| Value.Int 2; Value.Int 2 |])));
+  step "cross-shard write" ~signed:[ 0; 1 ] (fun () ->
+      Array.iter
+        (function
+          | Message.Submitted _ -> ()
+          | _ -> Alcotest.fail "cross-shard op not committed")
+        (Server.submit_ops server alice [| insert t0 3; insert t1 4 |]));
+  let h = ok (Client.ping c) in
+  Alcotest.(check int) "Ping batches" 4 h.Client.h_batches;
+  Alcotest.(check int) "Ping ops" 4 h.Client.h_ops;
+  Client.close c;
+  Sys.remove coord_file
+
 (* A cross-shard commit must mark every participant's root cache and
    proof epoch before it releases the shards' write locks.  The commit
    is held just after the unlock (the [server.cross.committed] site,
@@ -694,6 +749,7 @@ let () =
             test_server_concurrent_clients_vs_serial;
           Alcotest.test_case "cross-shard batch" `Quick
             test_server_cross_shard_batch;
+          Alcotest.test_case "counters" `Quick test_server_counters;
           Alcotest.test_case "cross-shard prove window" `Quick
             test_server_cross_shard_prove_window;
         ] );

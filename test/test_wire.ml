@@ -226,7 +226,7 @@ let sample_requests =
     Message.Verify (Some (Oid.of_int 0));
     Message.Audit;
     Message.Root_hash;
-    Message.Stats;
+    Message.Shard_stats;
     Message.Submit_idem
       {
         rid = "f0e1d2c3b4a59687";
@@ -263,10 +263,6 @@ let sample_responses =
     Message.Checkpointed { generation = 4; lsn = 128 };
     Message.Checkpointed { generation = 1; lsn = -1 };
     Message.Root { hash = String.make 32 '\xee' };
-    Message.Stats_resp
-      { batches = 12; ops = 48; sign_wall_us = 1503; sign_cpu_us = 5021 };
-    Message.Stats_resp
-      { batches = 0; ops = 0; sign_wall_us = 0; sign_cpu_us = 0 };
     Message.Error_resp { code = Message.Auth_required; message = "who?" };
     Message.Error_resp { code = Message.Failed; message = "" };
     Message.Error_resp { code = Message.Wal_failed; message = "wal: fsync" };
@@ -319,6 +315,8 @@ let sample_responses =
         {
           Message.ss_batches = 3;
           ss_ops = 17;
+          ss_sign_wall_us = 1503;
+          ss_sign_cpu_us = 5021;
           ss_queued = 0;
           ss_root_recomputes = 2;
           ss_root_hits = 9;
@@ -330,6 +328,8 @@ let sample_responses =
         {
           Message.ss_batches = 0;
           ss_ops = 0;
+          ss_sign_wall_us = 0;
+          ss_sign_cpu_us = 0;
           ss_queued = 0;
           ss_root_recomputes = 0;
           ss_root_hits = 0;
@@ -376,51 +376,199 @@ let test_response_roundtrip () =
         (Message.response_to_string resp'))
     sample_responses
 
-(* The rid-less v1 write tags (0x03 Submit, 0x07 Checkpoint) are
-   retired: a payload carrying either must be rejected as malformed,
-   never decoded as some other request. *)
+(* The retired tags must be rejected as malformed, never decoded as
+   some other message: the rid-less v1 writes (0x03 Submit, 0x07
+   Checkpoint) and the Stats pair (0x09 request, 0x89 response). *)
 let test_retired_write_tags () =
   let op_body = Buffer.create 16 in
   Message.encode_op op_body
     (Message.Op_insert { table = "stock"; cells = [| Value.Int 1 |] });
   let op_body = Buffer.contents op_body in
-  List.iter
-    (fun (name, payload) ->
-      match Message.decode_request payload 0 with
-      | exception (Failure _ | Invalid_argument _) -> ()
-      | _ -> Alcotest.failf "%s must not decode" name)
-    [ ("tag 0x03", "\x03" ^ op_body); ("tag 0x07", "\x07") ]
-
-(* A v6 server's Pong ends after [shed]; the v7 [reaped] field must
-   decode as an optional trailing field (default 0), or a v7 client
-   could never Ping a v6 server. *)
-let test_pong_v6_compat () =
-  let v7 =
-    Message.response_to_string
-      (Message.Pong
-         {
-           ready = true;
-           draining = false;
-           active = 3;
-           queued_ops = 17;
-           batches = 128;
-           ops = 512;
-           dedup_hits = 9;
-           wal_failures = 1;
-           shed = 40;
-           reaped = 0;
-         })
+  let rejects name decode payload =
+    match decode payload 0 with
+    | exception (Failure _ | Invalid_argument _) -> ()
+    | _ -> Alcotest.failf "%s must not decode" name
   in
-  (* a reaped count of 0 encodes as a single 0x00 varint byte: strip
-     it to obtain exactly what a v6 server would have sent *)
-  let v6 = String.sub v7 0 (String.length v7 - 1) in
-  let resp, consumed = Message.decode_response v6 0 in
-  Alcotest.(check int) "consumed all" (String.length v6) consumed;
-  match resp with
-  | Message.Pong p ->
-      Alcotest.(check int) "reaped defaults to 0" 0 p.reaped;
-      Alcotest.(check int) "shed survives" 40 p.shed
-  | _ -> Alcotest.fail "expected Pong"
+  List.iter
+    (fun (name, payload) -> rejects name Message.decode_request payload)
+    [
+      ("tag 0x03", "\x03" ^ op_body);
+      ("tag 0x07", "\x07");
+      ("tag 0x09", "\x09");
+    ];
+  rejects "tag 0x89" Message.decode_response "\x89\x0c\x30\x00\x00"
+
+(* Known answers: the exact bytes of one instance of every request and
+   response whose format is frozen, so a codec refactor cannot change
+   the wire silently.  Shard_stats_resp is not pinned: the response
+   roundtrip above covers it. *)
+let kat_requests =
+  [
+    Message.Hello { name = "alice"; nonce = "0123456789abcdef" };
+    Message.Auth { signature = "sig\x00\xff"; key_share = "share" };
+    Message.Query None;
+    Message.Query (Some (Oid.of_int 300));
+    Message.Verify None;
+    Message.Verify (Some (Oid.of_int 0));
+    Message.Audit;
+    Message.Root_hash;
+    Message.Submit_idem
+      {
+        rid = "r1";
+        op =
+          Message.Op_insert
+            {
+              table = "stock";
+              cells = [| Value.Text "W-1"; Value.Int (-9); Value.Null |];
+            };
+      };
+    Message.Submit_idem
+      {
+        rid = "r2";
+        op =
+          Message.Op_update
+            { table = "stock"; row = 3; col = 1; value = Value.Float 2.5 };
+      };
+    Message.Submit_idem
+      { rid = ""; op = Message.Op_delete { table = "stock"; row = 200 } };
+    Message.Submit_idem
+      {
+        rid = "r4";
+        op =
+          Message.Op_aggregate
+            {
+              inputs = [ Oid.of_int 1; Oid.of_int 130 ];
+              value = Value.Text "agg";
+            };
+      };
+    Message.Checkpoint_idem { rid = "retry \x00 me" };
+    Message.Ping;
+    Message.Shard_stats;
+    Message.Lineage { kind = Message.L_why; oid = Oid.of_int 8 };
+    Message.Lineage { kind = Message.L_impact; oid = Oid.of_int 123456 };
+    Message.Annotated_query
+      { table = "stock"; where = "qty > 50"; agg = "sum(qty)" };
+    Message.Prove { table = "stock"; row = 0; col = None };
+    Message.Prove { table = "orders"; row = 12345; col = Some 2 };
+    Message.Audit_sample { seed = "sweep-1"; alpha_ppm = 100_000 };
+  ]
+
+let kat_responses =
+  [
+    Message.Challenge { nonce = "nonce" };
+    Message.Auth_ok { server = "provdbd" };
+    Message.Submitted { row = Some 5; oid = None; records = 4 };
+    Message.Submitted { row = None; oid = Some (Oid.of_int 31); records = 2 };
+    Message.Records [ sample_record ];
+    Message.Verified { report = clean_report; store_audit = None };
+    Message.Verified { report = sample_report; store_audit = Some clean_report };
+    Message.Audited { report = sample_report; examined = 7; objects = 3 };
+    Message.Checkpointed { generation = 4; lsn = -1 };
+    Message.Root { hash = "\xee\x01" };
+    Message.Pong
+      {
+        ready = true;
+        draining = false;
+        active = 3;
+        queued_ops = 17;
+        batches = 128;
+        ops = 512;
+        dedup_hits = 9;
+        wal_failures = 1;
+        shed = 40;
+        reaped = 6;
+      };
+    Message.Overloaded_resp { retry_after_ms = 25; message = "queue full" };
+    Message.Lineage_resp
+      { poly = "\x01\x02"; depth = 3; oids = [ Oid.of_int 2; Oid.of_int 500 ] };
+    Message.Annotated_resp
+      {
+        arows =
+          [ (2, [| Value.Text "W-1"; Value.Int 9 |], "\x01"); (5, [||], "") ];
+        avalue = Some (Value.Int 107);
+        annot = "annot";
+      };
+    Message.Annotated_resp { arows = []; avalue = None; annot = "" };
+    Message.Proof_resp
+      {
+        shard = 1;
+        shard_roots = [ "root-a"; "root-b" ];
+        items = [ ("proof\x00", [ sample_record ]); ("", []) ];
+      };
+    Message.Audit_sample_resp { report = sample_report; sampled = 12; population = 480 };
+    Message.Error_resp { code = Message.Wal_failed; message = "wal: fsync" };
+  ]
+
+let kat_request_hex =
+  [
+    "0105616c6963651030313233343536373839616263646566";
+    "020573696700ff057368617265";
+    "0400";
+    "0401ac02";
+    "0500";
+    "050100";
+    "06";
+    "08";
+    "0a027231010573746f636b030503572d31031100";
+    "0a027232020573746f636b0301044004000000000000";
+    "0a00030573746f636bc801";
+    "0a02723404020182010503616767";
+    "0b0a72657472792000206d65";
+    "0c";
+    "0d";
+    "0e0108";
+    "0e04c0c407";
+    "0f0573746f636b08717479203e2035300873756d2871747929";
+    "100573746f636b0000";
+    "10066f7264657273b9600102";
+    "110773776565702d31a08d06";
+  ]
+
+let kat_response_hex =
+  [
+    "81056e6f6e6365";
+    "820770726f76646264";
+    "8301050004";
+    "8300011f02";
+    "8401520305616c696365020101040114010101010101010101010101010101010101010104140202020202020202020202020202020202020202010354010f70726576200020636865636b73756d0e636865636b73756d206279746573";
+    "850903090000";
+    "850c040c020d76696f6c6174696f6e206f6e650d76696f6c6174696f6e2074776f0109030900";
+    "860c040c020d76696f6c6174696f6e206f6e650d76696f6c6174696f6e2074776f0703";
+    "870400";
+    "8802ee01";
+    "8a010003118001800409012806";
+    "8b190a71756575652066756c6c";
+    "8d020102030202f403";
+    "8e0202020503572d31031201010500000103d60105616e6e6f74";
+    "8e000000";
+    "8f010206726f6f742d6106726f6f742d62020670726f6f660001520305616c696365020101040114010101010101010101010101010101010101010104140202020202020202020202020202020202020202010354010f70726576200020636865636b73756d0e636865636b73756d2062797465730000";
+    "900c040c020d76696f6c6174696f6e206f6e650d76696f6c6174696f6e2074776f0ce003";
+    "ff060a77616c3a206673796e63";
+  ]
+
+let hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let test_known_answers () =
+  let check encode decode values hexes =
+    Alcotest.(check int) "one hex per value" (List.length values)
+      (List.length hexes);
+    List.iter2
+      (fun v h ->
+        let s = encode v in
+        Alcotest.(check string) "pinned bytes" h (hex s);
+        let v', consumed = decode s 0 in
+        Alcotest.(check int) "consumed all" (String.length s) consumed;
+        Alcotest.(check string) "decodes back" h (hex (encode v')))
+      values hexes
+  in
+  check Message.request_to_string Message.decode_request kat_requests
+    kat_request_hex;
+  check Message.response_to_string Message.decode_response kat_responses
+    kat_response_hex
 
 (* The wire report must render byte-identically to the in-process
    verifier's formatter — that is what lets a remote client print the
@@ -513,7 +661,7 @@ let () =
           Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
           Alcotest.test_case "retired write tags" `Quick
             test_retired_write_tags;
-          Alcotest.test_case "pong v6 compat" `Quick test_pong_v6_compat;
+          Alcotest.test_case "known answers" `Quick test_known_answers;
           Alcotest.test_case "report rendering" `Quick test_report_rendering;
         ]
         @ List.map qtest fuzz_decoders );
