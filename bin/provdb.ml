@@ -101,26 +101,27 @@ let parse_table_spec spec =
 let locate_oid ws ~table ~row ~col =
   match (table, row, col) with
   | None, None, None ->
-      if nshards ws = 1 then Ok (ws.engine, Engine.root_oid ws.engine)
+      if nshards ws = 1 then
+        let e = ws.shards.(0).s_engine in
+        Ok (e, Engine.root_oid e)
       else
         fail_usage
           "a sharded workspace has one root per shard; pass --table to pick one"
   | Some t, row, col -> (
       let e = engine_for_table ws t in
       let m = Engine.mapping e in
+      let found missing = function
+        | Some o -> Ok (e, o)
+        | None -> Error (Usage missing)
+      in
       match (row, col) with
-      | None, None -> (
-          match Tree_view.table_oid m t with
-          | Some o -> Ok (e, o)
-          | None -> fail_usage "no table %s" t)
-      | Some r, None -> (
-          match Tree_view.row_oid m t r with
-          | Some o -> Ok (e, o)
-          | None -> fail_usage "no row %d in %s" r t)
-      | Some r, Some c -> (
-          match Tree_view.cell_oid m t r c with
-          | Some o -> Ok (e, o)
-          | None -> fail_usage "no cell (%s, %d, %d)" t r c)
+      | None, None -> found ("no table " ^ t) (Tree_view.table_oid m t)
+      | Some r, None ->
+          found (Printf.sprintf "no row %d in %s" r t) (Tree_view.row_oid m t r)
+      | Some r, Some c ->
+          found
+            (Printf.sprintf "no cell (%s, %d, %d)" t r c)
+            (Tree_view.cell_oid m t r c)
       | None, Some _ -> fail_usage "--col requires --row")
   | _ -> fail_usage "--row/--col require --table"
 
@@ -156,14 +157,11 @@ let cmd_init dir tables seed shards =
     in
     let rec add_tables = function
       | [] -> Ok ()
-      | spec :: rest -> (
-          match parse_table_spec spec with
-          | Error f -> Error f
-          | Ok (name, schema) -> (
-              let k = Shards.shard_of_table ~shards name in
-              match Database.create_table dbs.(k) ~name schema with
-              | Ok _ -> add_tables rest
-              | Error e -> Error (Fail e)))
+      | spec :: rest ->
+          let* name, schema = parse_table_spec spec in
+          let k = Shards.shard_of_table ~shards name in
+          let* _ = lift (Database.create_table dbs.(k) ~name schema) in
+          add_tables rest
     in
     match add_tables tables with
     | Error f ->
@@ -186,12 +184,18 @@ let cmd_init dir tables seed shards =
         let coord =
           if shards > 1 then Some (Wal.open_file (coord_path dir)) else None
         in
-        let ws = make ~dir ~ca ~directory ~participants:[] ~coord shard_arr in
-        save ws;
-        Printf.printf "initialised %s with %d table(s)%s\n" dir
-          (List.length tables)
-          (if shards > 1 then Printf.sprintf " across %d shards" shards else "");
-        exit_ok
+        match
+          save { dir; ca; directory; participants = []; shards = shard_arr; coord }
+        with
+        | Error e ->
+            report_failure (Fail e);
+            exit_fail
+        | Ok () ->
+            Printf.printf "initialised %s with %d table(s)%s\n" dir
+              (List.length tables)
+              (if shards > 1 then Printf.sprintf " across %d shards" shards
+               else "");
+            exit_ok
   end
 
 let cmd_participant dir name seed =
@@ -220,171 +224,130 @@ let parse_cells tbl values =
     let rec build acc cols raw =
       match (cols, raw) with
       | [], [] -> Ok (Array.of_list (List.rev acc))
-      | c :: cs, v :: vs -> (
-          match parse_value c.Schema.ty v with
-          | Ok v -> build (v :: acc) cs vs
-          | Error f -> Error f)
+      | c :: cs, v :: vs ->
+          let* v = parse_value c.Schema.ty v in
+          build (v :: acc) cs vs
       | _ -> fail_usage "arity"
     in
     build [] cols raw
   end
 
+(* The engine owning [table] and the table itself. *)
+let find_table ws table =
+  let e = engine_for_table ws table in
+  match Database.get_table (Engine.backend e) table with
+  | None -> fail_usage "no table %s" table
+  | Some tbl -> Ok (e, tbl)
+
 let cmd_insert dir as_ table values =
   with_workspace dir (fun ws ->
-      match get_participant ws as_ with
-      | Error f -> Error f
-      | Ok p -> (
-          let e = engine_for_table ws table in
-          match Database.get_table (Engine.backend e) table with
-          | None -> fail_usage "no table %s" table
-          | Some tbl -> (
-              match parse_cells tbl values with
-              | Error f -> Error f
-              | Ok cells -> (
-                  match Engine.insert_row e p ~table cells with
-                  | Ok row ->
-                      Ok
-                        (Printf.sprintf "inserted row %d (%d records)" row
-                           (Engine.last_metrics e).Engine.records_emitted)
-                  | Error e -> fail "%s" e))))
+      let* p = get_participant ws as_ in
+      let* e, tbl = find_table ws table in
+      let* cells = parse_cells tbl values in
+      let* row = lift (Engine.insert_row e p ~table cells) in
+      Ok
+        (Printf.sprintf "inserted row %d (%d records)" row
+           (Engine.last_metrics e).Engine.records_emitted))
 
 let cmd_update dir as_ table row column value =
   with_workspace dir (fun ws ->
-      match get_participant ws as_ with
-      | Error f -> Error f
-      | Ok p -> (
-          let e = engine_for_table ws table in
-          match Database.get_table (Engine.backend e) table with
-          | None -> fail_usage "no table %s" table
-          | Some tbl -> (
-              match Schema.column_index (Table.schema tbl) column with
-              | None -> fail_usage "no column %s in %s" column table
-              | Some col -> (
-                  let ty = (Schema.column_at (Table.schema tbl) col).Schema.ty in
-                  match parse_value ty value with
-                  | Error f -> Error f
-                  | Ok v -> (
-                      match Engine.update_cell e p ~table ~row ~col v with
-                      | Ok () ->
-                          Ok
-                            (Printf.sprintf "updated %s[%d].%s (%d records)"
-                               table row column
-                               (Engine.last_metrics e).Engine.records_emitted)
-                      | Error e -> fail "%s" e)))))
+      let* p = get_participant ws as_ in
+      let* e, tbl = find_table ws table in
+      let schema = Table.schema tbl in
+      let* col =
+        match Schema.column_index schema column with
+        | None -> fail_usage "no column %s in %s" column table
+        | Some col -> Ok col
+      in
+      let* v = parse_value (Schema.column_at schema col).Schema.ty value in
+      let* () = lift (Engine.update_cell e p ~table ~row ~col v) in
+      Ok
+        (Printf.sprintf "updated %s[%d].%s (%d records)" table row column
+           (Engine.last_metrics e).Engine.records_emitted))
 
 let cmd_delete dir as_ table row =
   with_workspace dir (fun ws ->
-      match get_participant ws as_ with
-      | Error f -> Error f
-      | Ok p -> (
-          let e = engine_for_table ws table in
-          match Engine.delete_row e p ~table row with
-          | Ok () ->
-              Ok
-                (Printf.sprintf "deleted %s[%d] (%d inherited records)" table
-                   row
-                   (Engine.last_metrics e).Engine.records_emitted)
-          | Error e -> fail "%s" e))
+      let* p = get_participant ws as_ in
+      let e = engine_for_table ws table in
+      let* () = lift (Engine.delete_row e p ~table row) in
+      Ok
+        (Printf.sprintf "deleted %s[%d] (%d inherited records)" table row
+           (Engine.last_metrics e).Engine.records_emitted))
 
 let cmd_verify dir table row col =
   with_workspace ~save_after:false dir (fun ws ->
       match table with
       | None when row <> None || col <> None ->
           fail_usage "--row/--col require --table"
-      | Some _ -> (
-          match locate_oid ws ~table ~row ~col with
-          | Error f -> Error f
-          | Ok (e, oid) -> (
-              match Engine.verify_object e oid with
-              | Error e -> fail "%s" e
-              | Ok report ->
-                  Format.printf "%a@." Verifier.pp_report report;
-                  if Verifier.ok report then Ok ""
-                  else fail_verify "verification failed"))
-      | None -> (
+      | Some _ ->
+          let* e, oid = locate_oid ws ~table ~row ~col in
+          let* report = lift (Engine.verify_object e oid) in
+          Format.printf "%a@." Verifier.pp_report report;
+          if Verifier.ok report then Ok "" else fail_verify "verification failed"
+      | None ->
           (* Whole database: verify every shard's root object and
              additionally audit every stored record (catches corruption
              in chains that are not part of any root's provenance
              object). *)
-          let all_ok = ref true in
-          let outcome = ref (Ok ()) in
-          Array.iteri
-            (fun k s ->
-              if !outcome = Ok () then begin
-                let label =
-                  if nshards ws = 1 then "" else Printf.sprintf "shard %d: " k
-                in
-                if
-                  nshards ws > 1
-                  && Provstore.record_count (Engine.provstore s.s_engine) = 0
-                  && Database.total_rows (Engine.backend s.s_engine) = 0
-                then
-                  (* the shard never received a write: nothing is
-                     signed, so there is nothing to verify — the same
-                     objects simply would not exist in a serial run *)
-                  Format.printf "%sVERIFIED: empty shard@." label
-                else
-                match
-                  Engine.verify_object s.s_engine (Engine.root_oid s.s_engine)
-                with
-                | Error e -> outcome := fail "%s%s" label e
-                | Ok report ->
-                    let audit =
-                      Verifier.verify_records ~pool:(pool ())
-                        ~algo:(Engine.algo s.s_engine) ~directory:ws.directory
-                        (Provstore.all (Engine.provstore s.s_engine))
-                    in
-                    Format.printf "%s%a@." label Verifier.pp_report report;
-                    if not (Verifier.ok audit) then
-                      Format.printf "%sstore audit: %a@." label
-                        Verifier.pp_report audit;
-                    if not (Verifier.ok report && Verifier.ok audit) then
-                      all_ok := false
-              end)
-            ws.shards;
+          let n = nshards ws in
+          let rec verify_shards k ok =
+            if k = n then Ok ok
+            else
+              let label = shard_label ~shards:n k in
+              match
+                Shards.verify_shard ~pool:(pool ()) ~shards:n
+                  ws.shards.(k).s_engine
+              with
+              | Error e -> fail "%s%s" label e
+              | Ok None ->
+                  Format.printf "%sVERIFIED: empty shard@." label;
+                  verify_shards (k + 1) ok
+              | Ok (Some (report, audit)) ->
+                  Format.printf "%s%a@." label Verifier.pp_report report;
+                  if not (Verifier.ok audit) then
+                    Format.printf "%sstore audit: %a@." label
+                      Verifier.pp_report audit;
+                  verify_shards (k + 1)
+                    (ok && Verifier.ok report && Verifier.ok audit)
+          in
+          let* shards_ok = verify_shards 0 true in
           (* Saved annotations, when present: every entry must parse
              and verify against the participant directory — a flipped
              byte in annot.dat fails here, same exit 3 class as record
              tampering. *)
           let apath = annot_path dir in
-          if !outcome = Ok () && Sys.file_exists apath then begin
+          let annots_ok =
+            (not (Sys.file_exists apath))
+            ||
             match Annot.list_of_string (read_file apath) with
             | Error e ->
                 Format.printf "annotations: FAILED: %s@." e;
-                all_ok := false
+                false
             | Ok annots ->
-                let bad = ref 0 in
-                List.iter
-                  (fun a ->
-                    match Annot.verify ws.directory a with
-                    | Ok () -> ()
-                    | Error e ->
-                        incr bad;
-                        Format.printf "annotation %S: FAILED: %s@."
-                          a.Annot.a_id e)
-                  annots;
-                if !bad = 0 then
-                  Format.printf
-                    "annotations: VERIFIED: %d signed annotation(s)@."
-                    (List.length annots)
-                else all_ok := false
-          end;
-          match !outcome with
-          | Error _ as e -> e
-          | Ok () -> if !all_ok then Ok "" else fail_verify "verification failed"))
+                let failed a =
+                  match Annot.verify ws.directory a with
+                  | Ok () -> false
+                  | Error e ->
+                      Format.printf "annotation %S: FAILED: %s@." a.Annot.a_id
+                        e;
+                      true
+                in
+                let bad = List.filter failed annots in
+                if bad = [] then
+                  Format.printf "annotations: VERIFIED: %d signed annotation(s)@."
+                    (List.length annots);
+                bad = []
+          in
+          if shards_ok && annots_ok then Ok ""
+          else fail_verify "verification failed")
 
 let cmd_show dir table row col dot =
   with_workspace ~save_after:false dir (fun ws ->
-      match locate_oid ws ~table ~row ~col with
-      | Error f -> Error f
-      | Ok (e, oid) -> (
-          match Engine.deliver e oid with
-          | Error e -> fail "%s" e
-          | Ok (_, records) ->
-              if dot then print_string (Dag.to_dot (Dag.build records))
-              else
-                List.iter (fun r -> Format.printf "%a@." Record.pp r) records;
-              Ok ""))
+      let* e, oid = locate_oid ws ~table ~row ~col in
+      let* _, records = lift (Engine.deliver e oid) in
+      if dot then print_string (Dag.to_dot (Dag.build records))
+      else List.iter (fun r -> Format.printf "%a@." Record.pp r) records;
+      Ok "")
 
 let cmd_stats dir =
   with_workspace ~save_after:false dir (fun ws ->
@@ -471,22 +434,15 @@ let cmd_tamper dir attack =
 
 let cmd_export dir table row col deep out =
   with_workspace ~save_after:false dir (fun ws ->
-      match locate_oid ws ~table ~row ~col with
-      | Error f -> Error f
-      | Ok (e, oid) -> (
-          match Bundle.create ~deep e oid with
-          | Error e -> fail "%s" e
-          | Ok b -> (
-              match Bundle.save b out with
-              | Error e -> fail "%s" e
-              | Ok () ->
-                  Ok
-                    (Printf.sprintf
-                       "wrote %s: %d records, %d certificates, participants: %s"
-                       out
-                       (List.length b.Bundle.records)
-                       (List.length b.Bundle.certificates)
-                       (String.concat ", " (Bundle.participants b))))))
+      let* e, oid = locate_oid ws ~table ~row ~col in
+      let* b = lift (Bundle.create ~deep e oid) in
+      let* () = lift (Bundle.save b out) in
+      Ok
+        (Printf.sprintf "wrote %s: %d records, %d certificates, participants: %s"
+           out
+           (List.length b.Bundle.records)
+           (List.length b.Bundle.certificates)
+           (String.concat ", " (Bundle.participants b))))
 
 (* Standalone recipient check: needs no workspace. *)
 let cmd_check path ca_key_file =
@@ -531,9 +487,7 @@ let cmd_audit dir =
       let objects_total = ref 0 in
       Array.iteri
         (fun k s ->
-          let label =
-            if nshards ws = 1 then "" else Printf.sprintf "shard %d: " k
-          in
+          let label = shard_label ~shards:(nshards ws) k in
           let ckpt_path = s.s_dir // "audit.ckpt" in
           let cp =
             if Sys.file_exists ckpt_path then
@@ -557,27 +511,35 @@ let cmd_audit dir =
         !examined_total !objects_total;
       if !all_ok then Ok "" else fail_verify "audit failed")
 
+(* Drop the records of objects no longer in the forest, then rebuild
+   each shard's engine over its pruned store so the save below writes
+   the pruned store to the flat files and a new checkpoint generation
+   alike — `provdb recover` must not bring the records back. *)
 let cmd_prune dir =
-  with_workspace ~save_after:false dir (fun ws ->
+  with_workspace dir (fun ws ->
       let before_total = ref 0 in
       let after_total = ref 0 in
-      Array.iter
-        (fun s ->
-          let prov = Engine.provstore s.s_engine in
-          before_total := !before_total + Provstore.record_count prov;
+      Array.iteri
+        (fun k s ->
+          let e = s.s_engine in
+          let prov = Engine.provstore e and forest = Engine.forest e in
           let live = ref [] in
           List.iter
             (fun root ->
-              Forest.iter_preorder (Engine.forest s.s_engine) root (fun o _ ->
-                  live := o :: !live))
-            (Forest.roots (Engine.forest s.s_engine));
+              Forest.iter_preorder forest root (fun o _ -> live := o :: !live))
+            (Forest.roots forest);
           let pruned = Provstore.prune prov ~live:!live in
-          (* swap in the pruned store by persisting it; the engine in
-             this process keeps the old one, so just write and report *)
-          write_file (s.s_dir // "prov.dat") (Provstore.to_string pruned);
-          after_total := !after_total + Provstore.record_count pruned)
+          before_total := !before_total + Provstore.record_count prov;
+          after_total := !after_total + Provstore.record_count pruned;
+          ws.shards.(k) <-
+            {
+              s with
+              s_engine =
+                Engine.of_parts ~algo:(Engine.algo e) ~wal:s.s_wal
+                  ~pool:(pool ()) ~provstore:pruned ~directory:ws.directory
+                  ~forest ~view:(Engine.mapping e) (Engine.backend e);
+            })
         ws.shards;
-      (* prevent the outer save from clobbering prov.dat *)
       Ok
         (Printf.sprintf
            "pruned %d -> %d records (%d bytes reclaimed in paper schema)"
@@ -593,47 +555,35 @@ let parse_where schema where =
   | Error e -> fail_usage "%s" e
   | Ok pred -> Ok (Query.coerce_pred schema pred)
 
+let cells_text (r : Table.row) =
+  String.concat " | " (Array.to_list (Array.map Value.to_string r.Table.cells))
+
 let cmd_select dir table where blame =
   with_workspace ~save_after:false dir (fun ws ->
-      let e = engine_for_table ws table in
-      match Database.get_table (Engine.backend e) table with
-      | None -> fail_usage "no table %s" table
-      | Some tbl -> (
-          let schema = Table.schema tbl in
-          match parse_where schema where with
-          | Error f -> Error f
-          | Ok pred -> (
-              match Query.select tbl pred with
-              | Error e -> fail "%s" e
-              | Ok rows ->
-                  let cols = Schema.columns schema in
-                  let row_blame r =
-                    if not blame then ""
-                    else
-                      let writer =
-                        match
-                          Tree_view.row_oid (Engine.mapping e) table r.Table.id
-                        with
-                        | None -> None
-                        | Some oid ->
-                            Prov_query.last_writer (Engine.provstore e) oid
-                      in
-                      " | " ^ Option.value ~default:"-" writer
-                  in
-                  Printf.printf "row | %s%s\n"
-                    (String.concat " | "
-                       (List.map (fun c -> c.Schema.name) cols))
-                    (if blame then " | last_writer" else "");
-                  List.iter
-                    (fun r ->
-                      Printf.printf "%3d | %s%s\n" r.Table.id
-                        (String.concat " | "
-                           (Array.to_list
-                              (Array.map Value.to_string r.Table.cells)))
-                        (row_blame r))
-                    rows;
-                  Printf.printf "(%d rows)\n" (List.length rows);
-                  Ok "")))
+      let* e, tbl = find_table ws table in
+      let schema = Table.schema tbl in
+      let* pred = parse_where schema where in
+      let* rows = lift (Query.select tbl pred) in
+      let row_blame r =
+        if not blame then ""
+        else
+          let writer =
+            match Tree_view.row_oid (Engine.mapping e) table r.Table.id with
+            | None -> None
+            | Some oid -> Prov_query.last_writer (Engine.provstore e) oid
+          in
+          " | " ^ Option.value ~default:"-" writer
+      in
+      Printf.printf "row | %s%s\n"
+        (String.concat " | "
+           (List.map (fun c -> c.Schema.name) (Schema.columns schema)))
+        (if blame then " | last_writer" else "");
+      List.iter
+        (fun r ->
+          Printf.printf "%3d | %s%s\n" r.Table.id (cells_text r) (row_blame r))
+        rows;
+      Printf.printf "(%d rows)\n" (List.length rows);
+      Ok "")
 
 (* ------------------------------------------------------------------ *)
 (* Lineage commands                                                    *)
@@ -641,27 +591,24 @@ let cmd_select dir table where blame =
 
 let cmd_lineage_kind kind dir table row col =
   with_workspace ~save_after:false dir (fun ws ->
-      match locate_oid ws ~table ~row ~col with
-      | Error f -> Error f
-      | Ok (e, oid) ->
-          let idx = Prov_index.of_store (Engine.provstore e) in
-          (match kind with
-          | `Why ->
-              Printf.printf "why(%s) = %s\n" (Oid.to_string oid)
-                (Lineage.poly_to_string (Lineage.why idx oid));
-              Printf.printf "depth %d, min support %d\n"
-                (Lineage.depth idx oid)
-                (Lineage.min_support idx oid)
-          | `Inputs ->
-              List.iter
-                (fun o -> print_endline (Oid.to_string o))
-                (Lineage.which_inputs idx oid)
-          | `Depth -> Printf.printf "%d\n" (Lineage.depth idx oid)
-          | `Impact ->
-              List.iter
-                (fun o -> print_endline (Oid.to_string o))
-                (Lineage.impact idx oid));
-          Ok "")
+      let* e, oid = locate_oid ws ~table ~row ~col in
+      let idx = Prov_index.of_store (Engine.provstore e) in
+      (match kind with
+      | `Why ->
+          Printf.printf "why(%s) = %s\n" (Oid.to_string oid)
+            (Lineage.poly_to_string (Lineage.why idx oid));
+          Printf.printf "depth %d, min support %d\n" (Lineage.depth idx oid)
+            (Lineage.min_support idx oid)
+      | `Inputs ->
+          List.iter
+            (fun o -> print_endline (Oid.to_string o))
+            (Lineage.which_inputs idx oid)
+      | `Depth -> Printf.printf "%d\n" (Lineage.depth idx oid)
+      | `Impact ->
+          List.iter
+            (fun o -> print_endline (Oid.to_string o))
+            (Lineage.impact idx oid));
+      Ok "")
 
 (* Annotated select/aggregate over one table.  Row variables are
    forest oids, so the printed polynomials name the same objects
@@ -671,121 +618,64 @@ let cmd_lineage_kind kind dir table row col =
    `provdb verify` checks from then on. *)
 let cmd_lineage_select dir table where agg save as_ =
   with_workspace ~save_after:false dir (fun ws ->
-      let e = engine_for_table ws table in
-      match Database.get_table (Engine.backend e) table with
-      | None -> fail_usage "no table %s" table
-      | Some tbl -> (
-          let schema = Table.schema tbl in
-          match parse_where schema where with
-          | Error f -> Error f
-          | Ok pred -> (
-              let mapping = Engine.mapping e in
-              let rvar r = Annotate.row_var mapping table r in
-              let var r = Polynomial.var (rvar r) in
-              match Annotate.select ~var tbl pred with
-              | Error e -> fail "%s" e
-              | Ok rows -> (
-                  let value =
-                    match agg with
-                    | None -> Ok None
-                    | Some a -> (
-                        match Query.agg_of_string a with
-                        | Error e -> fail_usage "%s" e
-                        | Ok a -> (
-                            match
-                              Query.aggregate_rows schema (List.map fst rows) a
-                            with
-                            | Error e -> fail "%s" e
-                            | Ok v -> Ok (Some v)))
-                  in
-                  match value with
-                  | Error f -> Error f
-                  | Ok value -> (
-                      List.iter
-                        (fun ((r : Table.row), p) ->
-                          Printf.printf "%3d | %s | %s\n" r.Table.id
-                            (String.concat " | "
-                               (Array.to_list
-                                  (Array.map Value.to_string r.Table.cells)))
-                            (Lineage.poly_to_string p))
-                        rows;
-                      (match value with
-                      | Some v ->
-                          Printf.printf "%s = %s\n"
-                            (Option.value agg ~default:"")
-                            (Value.to_string v)
-                      | None ->
-                          Printf.printf "(%d rows)\n" (List.length rows));
-                      match save with
-                      | None -> Ok ""
-                      | Some id -> (
-                          match as_ with
-                          | None -> fail_usage "--save requires --as PARTICIPANT"
-                          | Some name -> (
-                              match List.assoc_opt name ws.participants with
-                              | None -> fail_usage "unknown participant %s" name
-                              | Some p -> (
-                                  let annot =
-                                    Annot.make ~id ~table
-                                      ~pred:(Query.pred_to_string pred)
-                                      ~agg:(Option.value agg ~default:"")
-                                      ~rows:
-                                        (List.map
-                                           (fun (r, poly) -> (rvar r, poly))
-                                           rows)
-                                      ~value ~root:(published_root ws) p
-                                  in
-                                  let path = annot_path dir in
-                                  let existing =
-                                    if Sys.file_exists path then
-                                      Annot.list_of_string (read_file path)
-                                    else Ok []
-                                  in
-                                  match existing with
-                                  | Error e -> fail "%s: %s" path e
-                                  | Ok l ->
-                                      write_file path
-                                        (Annot.list_to_string (l @ [ annot ]));
-                                      Ok
-                                        (Printf.sprintf
-                                           "saved signed annotation %S (%d \
-                                            total)"
-                                           id
-                                           (List.length l + 1))))))))))
+      let* e, tbl = find_table ws table in
+      let* q =
+        Annotate.query
+          ~var:(Annotate.row_var (Engine.mapping e) table)
+          tbl
+          ~where:(Option.value where ~default:"")
+          ~agg
+        |> Result.map_error (function
+             | Annotate.Parse e -> Usage e
+             | Annotate.Eval e -> Fail e)
+      in
+      List.iter
+        (fun (r, _, p) ->
+          Printf.printf "%3d | %s | %s\n" r.Table.id (cells_text r)
+            (Lineage.poly_to_string p))
+        q.q_rows;
+      (match q.q_value with
+      | Some v ->
+          Printf.printf "%s = %s\n" (Option.value agg ~default:"")
+            (Value.to_string v)
+      | None -> Printf.printf "(%d rows)\n" (List.length q.q_rows));
+      match (save, as_) with
+      | None, _ -> Ok ""
+      | Some _, None -> fail_usage "--save requires --as PARTICIPANT"
+      | Some id, Some name -> (
+          match List.assoc_opt name ws.participants with
+          | None -> fail_usage "unknown participant %s" name
+          | Some p ->
+              let annot =
+                Annot.make ~id ~table
+                  ~pred:(Query.pred_to_string q.q_pred)
+                  ~agg:(Option.value agg ~default:"")
+                  ~rows:(List.map (fun (_, v, poly) -> (v, poly)) q.q_rows)
+                  ~value:q.q_value ~root:(published_root ws) p
+              in
+              let path = annot_path dir in
+              let* l =
+                if not (Sys.file_exists path) then Ok []
+                else
+                  Annot.list_of_string (read_file path)
+                  |> Result.map_error (fun e -> Fail (path ^ ": " ^ e))
+              in
+              write_file path (Annot.list_to_string (l @ [ annot ]));
+              Ok
+                (Printf.sprintf "saved signed annotation %S (%d total)" id
+                   (List.length l + 1))))
 
 let cmd_checkpoint dir keep =
   with_workspace ~save_after:false dir (fun ws ->
-      let rec go k lines =
-        if k = nshards ws then Ok (List.rev lines)
-        else
-          let s = ws.shards.(k) in
-          match
-            Recovery.checkpoint ?keep ~dir:(ckpt_dir s.s_dir) ~wal:s.s_wal
-              s.s_engine
-          with
-          | Error e -> fail "%s" e
-          | Ok gen ->
-              let label =
-                if nshards ws = 1 then "" else Printf.sprintf "shard %d: " k
-              in
-              go (k + 1)
-                (Printf.sprintf
-                   "%swrote checkpoint generation %d (lsn %d); %d \
-                    generation(s) retained"
-                   label gen (Wal.last_seq s.s_wal)
-                   (List.length (Recovery.generations ~dir:(ckpt_dir s.s_dir)))
-                 :: lines)
+      let* gens = lift (Shards.checkpoint_all ?keep ~coord:ws.coord (durable ws)) in
+      let line k (gen, lsn) =
+        Printf.sprintf
+          "%swrote checkpoint generation %d (lsn %d); %d generation(s) retained"
+          (shard_label ~shards:(nshards ws) k)
+          gen lsn
+          (List.length (Recovery.generations ~dir:(ckpt_dir ws.shards.(k).s_dir)))
       in
-      match go 0 [] with
-      | Error f -> Error f
-      | Ok lines ->
-          (* every shard WAL is truncated, so no Prepare survives and
-             the coordinator's decisions carry no live information *)
-          (match ws.coord with
-          | None -> ()
-          | Some coord ->
-              ignore (Wal.truncate coord ~upto:(Wal.last_seq coord)));
-          Ok (String.concat "\n" lines))
+      Ok (String.concat "\n" (List.mapi line gens)))
 
 (* Rebuild the workspace from the newest valid checkpoint generation
    plus the WAL tail — the path to take after a crash, or after
@@ -806,34 +696,30 @@ let cmd_recover dir =
         if k = n then Ok (List.rev acc)
         else
           let sdir = shard_dir dir ~shards:n k in
-          match
-            (* Workspace.save below writes the post-recovery checkpoint,
-               so recover itself need not *)
+          let* engine, wal, report =
+            (* save below writes the post-recovery checkpoint, so
+               recover itself need not *)
             Recovery.recover ~final_checkpoint:false ~pool:(pool ())
               ?is_decided ~dir:(ckpt_dir sdir) ~wal_path:(wal_path sdir)
               ~directory ()
-          with
-          | Error e ->
-              Error
-                (if n = 1 then e else Printf.sprintf "shard %d: %s" k e)
-          | Ok (engine, wal, report) ->
-              if n > 1 then Format.printf "shard %d:@." k;
-              Format.printf "%a@." Recovery.pp_report report;
-              go (k + 1)
-                (({ s_dir = sdir; s_engine = engine; s_wal = wal }, report)
-                 :: acc)
+            |> Result.map_error (fun e -> shard_label ~shards:n k ^ e)
+          in
+          if n > 1 then Format.printf "shard %d:@." k;
+          Format.printf "%a@." Recovery.pp_report report;
+          go (k + 1)
+            (({ s_dir = sdir; s_engine = engine; s_wal = wal }, report) :: acc)
       in
-      match go 0 [] with
+      match
+        let* pairs = go 0 [] in
+        let shards = Array.of_list (List.map fst pairs) in
+        let coord = if n > 1 then Some (Wal.open_file (coord_path dir)) else None in
+        let* () = save { dir; ca; directory; participants; shards; coord } in
+        Ok pairs
+      with
       | Error e ->
           prerr_endline ("error: " ^ e);
           exit_fail
       | Ok pairs ->
-          let shards = Array.of_list (List.map fst pairs) in
-          let coord =
-            if n > 1 then Some (Wal.open_file (coord_path dir)) else None
-          in
-          let ws = make ~dir ~ca ~directory ~participants ~coord shards in
-          save ws;
           print_endline "workspace files rewritten from recovered state";
           if List.for_all (fun (_, r) -> r.Recovery.hash_verified) pairs then
             exit_ok
@@ -915,94 +801,74 @@ let with_remote dir socket host port as_ key f =
       report_failure f;
       code_of_failure f
 
-let lift_remote = function Ok v -> Ok v | Error e -> Error (Fail e)
-
-let cmd_remote_insert dir socket host port as_ key table values =
-  with_remote dir socket host port as_ key (fun c ->
+let cmd_remote_insert remote table values =
+  remote (fun c ->
       let cells =
         Array.of_list (List.map guess_value (String.split_on_char ',' values))
       in
-      match Client.insert c ~table cells with
-      | Ok (row, records) ->
-          Ok (Printf.sprintf "inserted row %d (%d records)" row records)
-      | Error e -> fail "%s" e)
+      let* row, records = lift (Client.insert c ~table cells) in
+      Ok (Printf.sprintf "inserted row %d (%d records)" row records))
 
-let cmd_remote_update dir socket host port as_ key table row col value =
-  with_remote dir socket host port as_ key (fun c ->
-      match Client.update c ~table ~row ~col (guess_value value) with
-      | Ok records ->
-          Ok (Printf.sprintf "updated %s[%d].%d (%d records)" table row col records)
-      | Error e -> fail "%s" e)
+let cmd_remote_update remote table row col value =
+  remote (fun c ->
+      let* records = lift (Client.update c ~table ~row ~col (guess_value value)) in
+      Ok (Printf.sprintf "updated %s[%d].%d (%d records)" table row col records))
 
-let cmd_remote_delete dir socket host port as_ key table row =
-  with_remote dir socket host port as_ key (fun c ->
-      match Client.delete c ~table ~row with
-      | Ok records ->
-          Ok (Printf.sprintf "deleted %s[%d] (%d inherited records)" table row records)
-      | Error e -> fail "%s" e)
+let cmd_remote_delete remote table row =
+  remote (fun c ->
+      let* records = lift (Client.delete c ~table ~row) in
+      Ok (Printf.sprintf "deleted %s[%d] (%d inherited records)" table row records))
 
-let cmd_remote_aggregate dir socket host port as_ key oids value =
-  with_remote dir socket host port as_ key (fun c ->
+let cmd_remote_aggregate remote oids value =
+  remote (fun c ->
       let rec parse acc = function
         | [] -> Ok (List.rev acc)
-        | s :: rest -> (
-            match parse_oid s with
-            | Ok o -> parse (o :: acc) rest
-            | Error f -> Error f)
+        | s :: rest ->
+            let* o = parse_oid s in
+            parse (o :: acc) rest
       in
-      match parse [] (String.split_on_char ',' oids) with
-      | Error f -> Error f
-      | Ok inputs -> (
-          let value = Option.map guess_value value in
-          match Client.aggregate c ?value inputs with
-          | Ok (oid, records) ->
-              Ok
-                (Printf.sprintf "aggregate object %s (%d records)"
-                   (Oid.to_string oid) records)
-          | Error e -> fail "%s" e))
+      let* inputs = parse [] (String.split_on_char ',' oids) in
+      let value = Option.map guess_value value in
+      let* oid, records = lift (Client.aggregate c ?value inputs) in
+      Ok
+        (Printf.sprintf "aggregate object %s (%d records)" (Oid.to_string oid)
+           records))
 
-let cmd_remote_query dir socket host port as_ key oid =
-  with_remote dir socket host port as_ key (fun c ->
-      let oid = Option.map Oid.of_int oid in
-      match Client.query c ?oid () with
-      | Ok records ->
-          List.iter (fun r -> Format.printf "%a@." Record.pp r) records;
-          Ok ""
-      | Error e -> fail "%s" e)
+let cmd_remote_query remote oid =
+  remote (fun c ->
+      let* records = lift (Client.query c ?oid:(Option.map Oid.of_int oid) ()) in
+      List.iter (fun r -> Format.printf "%a@." Record.pp r) records;
+      Ok "")
 
-let cmd_remote_verify dir socket host port as_ key oid =
-  with_remote dir socket host port as_ key (fun c ->
-      let oid = Option.map Oid.of_int oid in
-      match Client.verify c ?oid () with
-      | Ok (report, store_audit) ->
-          print_report report;
-          let audit_ok =
-            match store_audit with
-            | None -> true
-            | Some a ->
-                if not (Message.report_ok a) then begin
-                  print_string "store audit: ";
-                  print_report a
-                end;
-                Message.report_ok a
-          in
-          if Message.report_ok report && audit_ok then Ok ""
-          else fail_verify "verification failed"
-      | Error e -> fail "%s" e)
+let cmd_remote_verify remote oid =
+  remote (fun c ->
+      let* report, store_audit =
+        lift (Client.verify c ?oid:(Option.map Oid.of_int oid) ())
+      in
+      print_report report;
+      let audit_ok =
+        match store_audit with
+        | None -> true
+        | Some a ->
+            if not (Message.report_ok a) then begin
+              print_string "store audit: ";
+              print_report a
+            end;
+            Message.report_ok a
+      in
+      if Message.report_ok report && audit_ok then Ok ""
+      else fail_verify "verification failed")
 
-let cmd_remote_audit dir socket host port as_ key sample seed =
-  with_remote dir socket host port as_ key (fun c ->
+let cmd_remote_audit remote sample seed =
+  remote (fun c ->
       match sample with
-      | None -> (
-          match Client.audit c with
-          | Ok (report, examined, objects) ->
-              print_report report;
-              Printf.printf
-                "examined %d new record(s); checkpoint covers %d object(s)\n"
-                examined objects;
-              if Message.report_ok report then Ok ""
-              else fail_verify "audit failed"
-          | Error e -> fail "%s" e)
+      | None ->
+          let* report, examined, objects = lift (Client.audit c) in
+          print_report report;
+          Printf.printf
+            "examined %d new record(s); checkpoint covers %d object(s)\n"
+            examined objects;
+          if Message.report_ok report then Ok "" else fail_verify "audit failed"
       | Some alpha ->
           if not (alpha > 0. && alpha <= 1.) then
             fail_usage "--sample must be in (0, 1]"
@@ -1012,172 +878,148 @@ let cmd_remote_audit dir socket host port as_ key sample seed =
                from the possibly-rounded request *)
             let alpha_ppm = max 1 (int_of_float (alpha *. 1e6)) in
             let seed = Option.value seed ~default:"provdb-audit" in
-            (match Client.audit_sample c ~seed ~alpha_ppm with
-            | Error e -> fail "%s" e
-            | Ok (report, sampled, population) ->
-                print_report report;
-                let a = float_of_int alpha_ppm /. 1e6 in
-                Printf.printf
-                  "sampled %d of %d live object(s) (alpha = %g, seed %S)\n"
-                  sampled population a seed;
-                Printf.printf
-                  "detection bound: P(miss k tampered) <= (1 - alpha)^k = \
-                   %.4f^k  (k=1: %.4f, k=5: %.4f, k=20: %.4f)\n"
-                  (1. -. a) (1. -. a)
-                  ((1. -. a) ** 5.)
-                  ((1. -. a) ** 20.);
-                if Message.report_ok report then Ok ""
-                else fail_verify "sampled audit failed"))
+            let* report, sampled, population =
+              lift (Client.audit_sample c ~seed ~alpha_ppm)
+            in
+            print_report report;
+            let a = float_of_int alpha_ppm /. 1e6 in
+            Printf.printf
+              "sampled %d of %d live object(s) (alpha = %g, seed %S)\n" sampled
+              population a seed;
+            Printf.printf
+              "detection bound: P(miss k tampered) <= (1 - alpha)^k = %.4f^k  \
+               (k=1: %.4f, k=5: %.4f, k=20: %.4f)\n"
+              (1. -. a) (1. -. a)
+              ((1. -. a) ** 5.)
+              ((1. -. a) ** 20.);
+            if Message.report_ok report then Ok ""
+            else fail_verify "sampled audit failed")
 
-let cmd_remote_checkpoint dir socket host port as_ key =
-  with_remote dir socket host port as_ key (fun c ->
-      match Client.checkpoint c with
-      | Ok (generation, lsn) ->
-          Ok
-            (Printf.sprintf "wrote checkpoint generation %d (lsn %d)" generation
-               lsn)
-      | Error e -> fail "%s" e)
+let cmd_remote_checkpoint remote =
+  remote (fun c ->
+      let* generation, lsn = lift (Client.checkpoint c) in
+      Ok (Printf.sprintf "wrote checkpoint generation %d (lsn %d)" generation lsn))
 
-let cmd_remote_root_hash dir socket host port as_ key =
-  with_remote dir socket host port as_ key (fun c ->
-      match lift_remote (Client.root_hash c) with
-      | Ok hash -> Ok (Tep_crypto.Digest_algo.to_hex hash)
-      | Error f -> Error f)
+let cmd_remote_root_hash remote =
+  remote (fun c ->
+      let* hash = lift (Client.root_hash c) in
+      Ok (Tep_crypto.Digest_algo.to_hex hash))
 
 (* Daemon counters, one line per shard: batching, signing, queue
    depth, root cache and proof path. *)
-let cmd_remote_stats dir socket host port as_ key =
-  with_remote dir socket host port as_ key (fun c ->
-      match lift_remote (Client.shard_stats c) with
-      | Error f -> Error f
-      | Ok stats ->
-          List.iteri
-            (fun k s ->
-              Printf.printf
-                "shard %d: batches=%d ops=%d sign_wall_us=%d sign_cpu_us=%d \
-                 queued=%d root_recomputes=%d root_hits=%d proofs_served=%d \
-                 proof_cache_hits=%d proof_cache_misses=%d proof_bytes=%d\n"
-                k s.Message.ss_batches s.Message.ss_ops
-                s.Message.ss_sign_wall_us s.Message.ss_sign_cpu_us
-                s.Message.ss_queued s.Message.ss_root_recomputes
-                s.Message.ss_root_hits s.Message.ss_proofs_served
-                s.Message.ss_proof_cache_hits s.Message.ss_proof_cache_misses
-                s.Message.ss_proof_bytes)
-            stats;
-          Ok "")
+let cmd_remote_stats remote =
+  remote (fun c ->
+      let* stats = lift (Client.shard_stats c) in
+      List.iteri
+        (fun k s ->
+          Printf.printf
+            "shard %d: batches=%d ops=%d sign_wall_us=%d sign_cpu_us=%d \
+             queued=%d root_recomputes=%d root_hits=%d proofs_served=%d \
+             proof_cache_hits=%d proof_cache_misses=%d proof_bytes=%d\n"
+            k s.Message.ss_batches s.Message.ss_ops s.Message.ss_sign_wall_us
+            s.Message.ss_sign_cpu_us s.Message.ss_queued
+            s.Message.ss_root_recomputes s.Message.ss_root_hits
+            s.Message.ss_proofs_served s.Message.ss_proof_cache_hits
+            s.Message.ss_proof_cache_misses s.Message.ss_proof_bytes)
+        stats;
+      Ok "")
+
+(* The workspace's participant directory, for checks made here. *)
+let with_directory dir f =
+  match load_identity dir with
+  | Error e ->
+      report_failure e;
+      code_of_failure e
+  | Ok (_ca, directory, _participants) -> f directory
 
 (* Remote Merkle-proof verification, the read-side dual of Economical
    hashing: fetch the root hash once (the only thing taken from the
    server that the session's HMAC already authenticates), then have
    every claim in the proof answer rechecked locally — O(depth ×
    fanout) wire bytes and client work instead of a full report. *)
-let cmd_remote_prove dir socket host port as_ key table row col =
-  match load_identity dir with
-  | Error f ->
-      report_failure f;
-      code_of_failure f
-  | Ok (_ca, directory, _participants) ->
-      with_remote dir socket host port as_ key (fun c ->
-          match lift_remote (Client.root_hash c) with
-          | Error f -> Error f
-          | Ok trusted -> (
-              match Client.prove c ~table ~row ?col () with
-              | Error e -> fail "%s" e
-              | Ok proofs -> (
-                  (* workspaces hash with the engine default *)
-                  let algo = Tep_crypto.Digest_algo.SHA1 in
-                  let bytes =
-                    List.fold_left
-                      (fun a (it : Client.proof_item) ->
-                        a + String.length it.Client.pf_encoded)
-                      0 proofs.Client.pf_items
-                  in
-                  match
-                    Client.check_proofs ~algo ~directory ~trusted_root:trusted
-                      proofs
-                  with
-                  | Error e -> fail_verify "proof: %s" e
-                  | Ok r ->
-                      if Verifier.ok r then begin
-                        Printf.printf
-                          "VERIFIED: %d leaf(s), %d records, %d signatures \
-                           checked against root %s (%d proof bytes)\n"
-                          (List.length proofs.Client.pf_items)
-                          r.Verifier.records_checked
-                          r.Verifier.signatures_checked
-                          (Tep_crypto.Digest_algo.to_hex trusted)
-                          bytes;
-                        Ok ""
-                      end
-                      else begin
-                        Format.printf "%a@." Verifier.pp_report r;
-                        fail_verify "proof verification failed"
-                      end)))
+let cmd_remote_prove dir remote table row col =
+  with_directory dir (fun directory ->
+      remote (fun c ->
+          let* trusted = lift (Client.root_hash c) in
+          let* proofs = lift (Client.prove c ~table ~row ?col ()) in
+          (* workspaces hash with the engine default *)
+          let algo = Tep_crypto.Digest_algo.SHA1 in
+          let bytes =
+            List.fold_left
+              (fun a (it : Client.proof_item) ->
+                a + String.length it.Client.pf_encoded)
+              0 proofs.Client.pf_items
+          in
+          match
+            Client.check_proofs ~algo ~directory ~trusted_root:trusted proofs
+          with
+          | Error e -> fail_verify "proof: %s" e
+          | Ok r when Verifier.ok r ->
+              Printf.printf
+                "VERIFIED: %d leaf(s), %d records, %d signatures checked \
+                 against root %s (%d proof bytes)\n"
+                (List.length proofs.Client.pf_items)
+                r.Verifier.records_checked r.Verifier.signatures_checked
+                (Tep_crypto.Digest_algo.to_hex trusted)
+                bytes;
+              Ok ""
+          | Ok r ->
+              Format.printf "%a@." Verifier.pp_report r;
+              fail_verify "proof verification failed"))
 
-let cmd_remote_lineage dir socket host port as_ key kind oid =
-  with_remote dir socket host port as_ key (fun c ->
+let cmd_remote_lineage remote kind oid =
+  remote (fun c ->
       match Message.lineage_kind_of_name kind with
       | None ->
           fail_usage "unknown lineage kind %s (why|inputs|depth|impact)" kind
-      | Some k -> (
-          match Client.lineage c ~kind:k ~oid:(Oid.of_int oid) with
-          | Error e -> fail "%s" e
-          | Ok l ->
-              (match l.Client.l_poly with
-              | Some p ->
-                  Printf.printf "why(%s) = %s\n" (Lineage.oid_name oid)
-                    (Lineage.poly_to_string p)
-              | None -> ());
-              (match k with
-              | Message.L_why | Message.L_depth ->
-                  Printf.printf "depth %d\n" l.Client.l_depth
-              | Message.L_inputs | Message.L_impact ->
-                  List.iter
-                    (fun o -> print_endline (Oid.to_string o))
-                    l.Client.l_oids);
-              Ok ""))
+      | Some k ->
+          let* l = lift (Client.lineage c ~kind:k ~oid:(Oid.of_int oid)) in
+          (match l.Client.l_poly with
+          | Some p ->
+              Printf.printf "why(%s) = %s\n" (Lineage.oid_name oid)
+                (Lineage.poly_to_string p)
+          | None -> ());
+          (match k with
+          | Message.L_why | Message.L_depth ->
+              Printf.printf "depth %d\n" l.Client.l_depth
+          | Message.L_inputs | Message.L_impact ->
+              List.iter (fun o -> print_endline (Oid.to_string o)) l.Client.l_oids);
+          Ok "")
 
 (* Annotated remote select: rows come back with their provenance
    polynomials plus an annotation signed by the server as the
    authenticated session participant.  The annotation is verified
    here against the local participant directory, so a result whose
    rows or polynomials were altered in flight or at rest exits 3. *)
-let cmd_remote_select dir socket host port as_ key table where agg =
-  match load_identity dir with
-  | Error f ->
-      report_failure f;
-      code_of_failure f
-  | Ok (_ca, directory, _participants) ->
-      with_remote dir socket host port as_ key (fun c ->
-          match
-            Client.annotated_query c ~table
-              ~where:(Option.value where ~default:"")
-              ~agg:(Option.value agg ~default:"")
-              ()
-          with
-          | Error e -> fail "%s" e
-          | Ok (rows, value, annot) -> (
-              List.iter
-                (fun (r : Client.annotated_row) ->
-                  Printf.printf "%s | %s | %s\n"
-                    (Lineage.oid_name r.Client.ar_var)
-                    (String.concat " | "
-                       (Array.to_list
-                          (Array.map Value.to_string r.Client.ar_cells)))
-                    (Lineage.poly_to_string r.Client.ar_poly))
-                rows;
-              (match value with
-              | Some v ->
-                  Printf.printf "%s = %s\n"
-                    (Option.value agg ~default:"")
-                    (Value.to_string v)
-              | None -> Printf.printf "(%d rows)\n" (List.length rows));
-              match Annot.verify directory annot with
-              | Ok () ->
-                  Ok
-                    (Printf.sprintf "annotation signed by %s: VERIFIED"
-                       annot.Annot.a_participant)
-              | Error e -> fail_verify "annotation: %s" e))
+let cmd_remote_select dir remote table where agg =
+  with_directory dir (fun directory ->
+      remote (fun c ->
+          let* rows, value, annot =
+            lift
+              (Client.annotated_query c ~table
+                 ~where:(Option.value where ~default:"")
+                 ~agg:(Option.value agg ~default:"")
+                 ())
+          in
+          List.iter
+            (fun (r : Client.annotated_row) ->
+              Printf.printf "%s | %s | %s\n"
+                (Lineage.oid_name r.Client.ar_var)
+                (String.concat " | "
+                   (Array.to_list (Array.map Value.to_string r.Client.ar_cells)))
+                (Lineage.poly_to_string r.Client.ar_poly))
+            rows;
+          (match value with
+          | Some v ->
+              Printf.printf "%s = %s\n" (Option.value agg ~default:"")
+                (Value.to_string v)
+          | None -> Printf.printf "(%d rows)\n" (List.length rows));
+          match Annot.verify directory annot with
+          | Ok () ->
+              Ok
+                (Printf.sprintf "annotation signed by %s: VERIFIED"
+                   annot.Annot.a_participant)
+          | Error e -> fail_verify "annotation: %s" e))
 
 (* ------------------------------------------------------------------ *)
 (* Cmdliner plumbing                                                   *)
@@ -1422,6 +1264,13 @@ let key_arg =
              "Participant credential file (default: \
               WORKSPACE/participants/PARTICIPANT)")
 
+(* [with_remote] over the connection flags every remote command
+   shares; each command takes it as its [remote] argument. *)
+let remote_arg =
+  Term.(
+    const with_remote $ dir_arg $ socket_arg $ host_arg $ port_arg $ as_arg
+    $ key_arg)
+
 let remote_cmd =
   let values =
     Arg.(required & opt (some string) None & info [ "values" ] ~docv:"V1,V2,...")
@@ -1440,38 +1289,27 @@ let remote_cmd =
        ~exits)
     [
       Cmd.v (Cmd.info "insert" ~doc:"Insert a row over the wire" ~exits)
-        Term.(
-          const cmd_remote_insert $ dir_arg $ socket_arg $ host_arg $ port_arg
-          $ as_arg $ key_arg $ table_req $ values);
+        Term.(const cmd_remote_insert $ remote_arg $ table_req $ values);
       Cmd.v (Cmd.info "update" ~doc:"Update one cell over the wire" ~exits)
         Term.(
-          const cmd_remote_update $ dir_arg $ socket_arg $ host_arg $ port_arg
-          $ as_arg $ key_arg $ table_req $ row_req
+          const cmd_remote_update $ remote_arg $ table_req $ row_req
           $ Arg.(required & opt (some int) None & info [ "col" ] ~docv:"INDEX")
           $ value_req);
       Cmd.v (Cmd.info "delete" ~doc:"Delete a row over the wire" ~exits)
-        Term.(
-          const cmd_remote_delete $ dir_arg $ socket_arg $ host_arg $ port_arg
-          $ as_arg $ key_arg $ table_req $ row_req);
+        Term.(const cmd_remote_delete $ remote_arg $ table_req $ row_req);
       Cmd.v
         (Cmd.info "aggregate" ~doc:"Aggregate objects over the wire" ~exits)
-        Term.(
-          const cmd_remote_aggregate $ dir_arg $ socket_arg $ host_arg
-          $ port_arg $ as_arg $ key_arg $ oids $ value_opt);
+        Term.(const cmd_remote_aggregate $ remote_arg $ oids $ value_opt);
       Cmd.v
         (Cmd.info "query" ~doc:"Fetch an object's provenance records" ~exits)
-        Term.(
-          const cmd_remote_query $ dir_arg $ socket_arg $ host_arg $ port_arg
-          $ as_arg $ key_arg $ oid_opt);
+        Term.(const cmd_remote_query $ remote_arg $ oid_opt);
       Cmd.v
         (Cmd.info "verify"
            ~doc:
              "Run server-side verification and print the report.  Exits 3 \
               when tampering is detected."
            ~exits)
-        Term.(
-          const cmd_remote_verify $ dir_arg $ socket_arg $ host_arg $ port_arg
-          $ as_arg $ key_arg $ oid_opt);
+        Term.(const cmd_remote_verify $ remote_arg $ oid_opt);
       Cmd.v
         (Cmd.info "audit"
            ~doc:
@@ -1480,8 +1318,7 @@ let remote_cmd =
               Exits 3 when tampering is detected."
            ~exits)
         Term.(
-          const cmd_remote_audit $ dir_arg $ socket_arg $ host_arg $ port_arg
-          $ as_arg $ key_arg
+          const cmd_remote_audit $ remote_arg
           $ Arg.(
               value
               & opt (some float) None
@@ -1505,35 +1342,28 @@ let remote_cmd =
               any chain mismatch."
            ~exits)
         Term.(
-          const cmd_remote_prove $ dir_arg $ socket_arg $ host_arg $ port_arg
-          $ as_arg $ key_arg $ table_req $ row_req $ col_opt);
+          const cmd_remote_prove $ dir_arg $ remote_arg $ table_req $ row_req
+          $ col_opt);
       Cmd.v
         (Cmd.info "stats"
            ~doc:
              "Print the daemon's counters, one line per shard: batching, \
               signing, queue depth, root cache and proof path"
            ~exits)
-        Term.(
-          const cmd_remote_stats $ dir_arg $ socket_arg $ host_arg $ port_arg
-          $ as_arg $ key_arg);
+        Term.(const cmd_remote_stats $ remote_arg);
       Cmd.v
         (Cmd.info "checkpoint" ~doc:"Ask the daemon to checkpoint" ~exits)
-        Term.(
-          const cmd_remote_checkpoint $ dir_arg $ socket_arg $ host_arg
-          $ port_arg $ as_arg $ key_arg);
+        Term.(const cmd_remote_checkpoint $ remote_arg);
       Cmd.v
         (Cmd.info "root-hash" ~doc:"Print the daemon's current root hash"
            ~exits)
-        Term.(
-          const cmd_remote_root_hash $ dir_arg $ socket_arg $ host_arg
-          $ port_arg $ as_arg $ key_arg);
+        Term.(const cmd_remote_root_hash $ remote_arg);
       Cmd.v
         (Cmd.info "lineage"
            ~doc:"Lineage query over the wire (why|inputs|depth|impact)"
            ~exits)
         Term.(
-          const cmd_remote_lineage $ dir_arg $ socket_arg $ host_arg
-          $ port_arg $ as_arg $ key_arg
+          const cmd_remote_lineage $ remote_arg
           $ Arg.(value & opt string "why" & info [ "kind" ] ~docv:"KIND")
           $ Arg.(
               required & opt (some int) None & info [ "oid" ] ~docv:"OID"));
@@ -1544,8 +1374,8 @@ let remote_cmd =
               annotation against the local directory (exit 3 on failure)"
            ~exits)
         Term.(
-          const cmd_remote_select $ dir_arg $ socket_arg $ host_arg
-          $ port_arg $ as_arg $ key_arg $ table_req $ where_arg $ agg_arg);
+          const cmd_remote_select $ dir_arg $ remote_arg $ table_req
+          $ where_arg $ agg_arg);
     ]
 
 let () =

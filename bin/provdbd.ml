@@ -48,11 +48,12 @@ let run dir socket port shards_flag io_threads idle_timeout =
         List.tl (Array.to_list ws.shards)
         |> List.map (fun s -> (s.s_engine, Some (ckpt_dir s.s_dir, s.s_wal)))
       in
+      let first = ws.shards.(0) in
       let server =
         Server.create ~pool:(pool ())
-          ~checkpoint:(ckpt_dir ws.shards.(0).s_dir, ws.wal)
+          ~checkpoint:(ckpt_dir first.s_dir, first.s_wal)
           ~shards:extra ?coord:ws.coord ~io_workers:io_threads ~idle_timeout
-          ~participants:ws.participants ws.engine
+          ~participants:ws.participants first.s_engine
       in
       let stop = Atomic.make false in
       let signals = Atomic.make 0 in
@@ -101,10 +102,15 @@ let run dir socket port shards_flag io_threads idle_timeout =
       if not (Server.quiesce ~timeout:10. server) then
         prerr_endline
           "provdbd: warning: drain timed out with batches still queued";
-      save ws;
+      let saved = save ws in
       (try Unix.unlink sock with Unix.Unix_error _ | Sys_error _ -> ());
-      print_endline "provdbd: drained, checkpointed, workspace saved";
-      exit_ok
+      match saved with
+      | Error e ->
+          report_failure (Fail ("saving the workspace: " ^ e));
+          exit_fail
+      | Ok () ->
+          print_endline "provdbd: drained, checkpointed, workspace saved";
+          exit_ok
 
 let () =
   let dir =
@@ -147,7 +153,8 @@ let () =
   in
   let exits =
     Cmd.Exit.info exit_fail
-      ~doc:"on operational errors (unloadable workspace, I/O failures)."
+      ~doc:"on operational errors (unloadable or stale workspace, I/O \
+            failures)."
     :: Cmd.Exit.info exit_forced
          ~doc:"on forced shutdown: a second signal arrived while draining, so \
                the checkpoint was skipped; run `provdb recover` to replay the \

@@ -26,8 +26,6 @@ type t = {
   ca : Tep_crypto.Pki.ca;
   directory : Participant.Directory.t;
   participants : (string * Participant.t) list;
-  engine : Engine.t; (* = shards.(0).s_engine, kept for 1-shard call sites *)
-  wal : Wal.t; (* = shards.(0).s_wal *)
   shards : shard_ws array;
   coord : Wal.t option; (* Some iff Array.length shards > 1 *)
 }
@@ -69,6 +67,8 @@ let code_of_failure = function
 let message_of_failure = function
   | Fail e | Usage e | Verify_failed e -> e
 
+let ( let* ) = Result.bind
+let lift r = Result.map_error (fun e -> Fail e) r (* an operational error *)
 let fail fmt = Printf.ksprintf (fun s -> Error (Fail s)) fmt
 let fail_usage fmt = Printf.ksprintf (fun s -> Error (Usage s)) fmt
 let fail_verify fmt = Printf.ksprintf (fun s -> Error (Verify_failed s)) fmt
@@ -105,27 +105,14 @@ let nshards ws = Array.length ws.shards
 let shard_for_table ws table = Shards.shard_of_table ~shards:(nshards ws) table
 let engine_for_table ws table = ws.shards.(shard_for_table ws table).s_engine
 
-(* The database-wide root: the engine root for one shard, the Merkle
-   root-of-roots over per-shard engine roots otherwise.  Matches what
-   a sharded provdbd publishes over the wire. *)
-let published_root ws =
-  if nshards ws = 1 then Engine.root_hash ws.engine
-  else
-    Merkle.root_of_roots
-      (Engine.algo ws.engine)
-      (Array.to_list (Array.map (fun s -> Engine.root_hash s.s_engine) ws.shards))
+(* Qualifies per-shard output and errors in a multi-shard workspace. *)
+let shard_label ~shards k = if shards = 1 then "" else Printf.sprintf "shard %d: " k
 
-let make ~dir ~ca ~directory ~participants ~coord shards =
-  {
-    dir;
-    ca;
-    directory;
-    participants;
-    engine = shards.(0).s_engine;
-    wal = shards.(0).s_wal;
-    shards;
-    coord;
-  }
+(* The database-wide root, exactly as provdbd publishes it. *)
+let published_root ws =
+  Shards.published_root
+    (Engine.algo ws.shards.(0).s_engine)
+    (Array.to_list (Array.map (fun s -> Engine.root_hash s.s_engine) ws.shards))
 
 (* CA + participant credentials, shared by normal loads and by
    [recover] (which rebuilds everything else from checkpoints). *)
@@ -155,63 +142,79 @@ let load_identity dir =
         Ok (ca, directory, participants)
   end
 
+(* [Some reason] when [sdir]'s flat files may lag the shard's newest
+   checkpoint generation.  They are rewritten only by {!save}, while a
+   running provdbd may checkpoint a newer generation between saves. *)
+let staleness sdir engine =
+  match Recovery.newest_root ~dir:(ckpt_dir sdir) with
+  | Ok (Some root) when not (String.equal root (Engine.root_hash engine)) ->
+      Some "the newest checkpoint generation holds a different root"
+  | Ok _ -> None
+  | Error e -> Some e
+
 (* One shard's data files, loaded from its own directory.  [label]
-   qualifies error / warning messages in multi-shard workspaces. *)
+   qualifies error messages in multi-shard workspaces.  Refuses
+   files that are not the shard's latest committed state: opening
+   them would serve, and at the next save checkpoint over, a state
+   that lost acknowledged writes. *)
 let load_shard ~directory ~label ~recover_hint sdir =
-  match Snapshot.load (sdir // "backend.snap") with
-  | Error e -> fail "%sbackend: %s" label e
-  | Ok db -> (
-      match Provstore.of_string (read_file (sdir // "prov.dat")) with
-      | Error e -> fail "%sprovenance store: %s" label e
-      | Ok prov ->
-          let forest, _ = Forest.decode (read_file (sdir // "forest.dat")) 0 in
-          let view, _ = Tree_view.decode (read_file (sdir // "view.dat")) 0 in
-          let wal = Wal.open_file (wal_path sdir) in
-          (* a non-empty log means the last session died before its
-             checkpoint: its committed tail is only in the WAL *)
-          (match Wal.salvage_file (wal_path sdir) with
-          | Ok sv when sv.Wal.entries <> [] ->
-              Printf.eprintf
-                "warning: %s%d un-checkpointed WAL frame(s) found — a \
-                 previous session crashed; run `provdb recover %s` to \
-                 replay them (continuing discards them at next save)\n"
-                label (List.length sv.Wal.entries) recover_hint
-          | _ -> ());
-          let engine =
-            Engine.of_parts ~wal ~pool:(pool ()) ~provstore:prov ~directory
-              ~forest ~view db
-          in
-          Ok { s_dir = sdir; s_engine = engine; s_wal = wal })
+  let refuse why =
+    fail
+      "%sthe workspace files are stale: %s. Either a provdbd is serving \
+       this workspace (stop it first) or a previous session crashed \
+       (run `provdb recover %s`)"
+      label why recover_hint
+  in
+  let within what = Result.map_error (fun e -> Fail (label ^ what ^ ": " ^ e)) in
+  match Wal.salvage_file (wal_path sdir) with
+  | Ok sv when sv.Wal.entries <> [] ->
+      refuse
+        (Printf.sprintf "%d un-checkpointed WAL frame(s)"
+           (List.length sv.Wal.entries))
+  | _ -> (
+      let* db = within "backend" (Snapshot.load (sdir // "backend.snap")) in
+      let* prov =
+        within "provenance store"
+          (Provstore.of_string (read_file (sdir // "prov.dat")))
+      in
+      let forest, _ = Forest.decode (read_file (sdir // "forest.dat")) 0 in
+      let view, _ = Tree_view.decode (read_file (sdir // "view.dat")) 0 in
+      let wal = Wal.open_file (wal_path sdir) in
+      let engine =
+        Engine.of_parts ~wal ~pool:(pool ()) ~provstore:prov ~directory ~forest
+          ~view db
+      in
+      match staleness sdir engine with
+      | Some why ->
+          Wal.close wal;
+          refuse why
+      | None -> Ok { s_dir = sdir; s_engine = engine; s_wal = wal })
 
 let load dir =
-  match load_identity dir with
-  | Error e -> Error e
-  | Ok (ca, directory, participants) ->
-      let n = shard_count dir in
-      let rec load_all k acc =
-        if k = n then Ok (Array.of_list (List.rev acc))
-        else
-          let label = if n = 1 then "" else Printf.sprintf "shard %d: " k in
-          match
-            load_shard ~directory ~label ~recover_hint:dir
-              (shard_dir dir ~shards:n k)
-          with
-          | Error e -> Error e
-          | Ok s -> load_all (k + 1) (s :: acc)
+  let* ca, directory, participants = load_identity dir in
+  let n = shard_count dir in
+  let rec load_all k acc =
+    if k = n then Ok (Array.of_list (List.rev acc))
+    else
+      let* s =
+        load_shard ~directory ~label:(shard_label ~shards:n k) ~recover_hint:dir
+          (shard_dir dir ~shards:n k)
       in
-      (match load_all 0 [] with
-      | Error e -> Error e
-      | Ok shards ->
-          let coord =
-            if n > 1 then Some (Wal.open_file (coord_path dir)) else None
-          in
-          Ok (make ~dir ~ca ~directory ~participants ~coord shards))
+      load_all (k + 1) (s :: acc)
+  in
+  let* shards = load_all 0 [] in
+  let coord = if n > 1 then Some (Wal.open_file (coord_path dir)) else None in
+  Ok { dir; ca; directory; participants; shards; coord }
 
-let save_shard s =
+(* The [Shards.checkpoint_all] view of the workspace. *)
+let durable ws =
+  Array.to_list
+    (Array.map (fun s -> (ckpt_dir s.s_dir, s.s_wal, s.s_engine)) ws.shards)
+
+(* The flat files every load reads. *)
+let save_files s =
   let sdir = s.s_dir in
-  (match Snapshot.save (Engine.backend s.s_engine) (sdir // "backend.snap") with
-  | Ok () -> ()
-  | Error e -> failwith e);
+  let* () = Snapshot.save (Engine.backend s.s_engine) (sdir // "backend.snap") in
   write_file (sdir // "prov.dat")
     (Provstore.to_string (Engine.provstore s.s_engine));
   let buf = Buffer.create 4096 in
@@ -220,41 +223,37 @@ let save_shard s =
   Buffer.clear buf;
   Tree_view.encode buf (Engine.mapping s.s_engine);
   write_file (sdir // "view.dat") (Buffer.contents buf);
-  (* checkpoint generation + WAL truncation: the crash-safe copy of
-     everything written above *)
-  match Recovery.checkpoint ~dir:(ckpt_dir sdir) ~wal:s.s_wal s.s_engine with
-  | Ok _gen -> ()
-  | Error e -> failwith e
+  Ok ()
 
+(* Flat files, then a checkpoint generation per shard (the crash-safe
+   copy of the same state) with WAL and coordinator-log truncation. *)
 let save ws =
   write_file (ws.dir // "ca") (Tep_crypto.Pki.ca_to_string ws.ca);
-  Array.iter save_shard ws.shards;
-  (* every shard is checkpointed, so no Prepare frame survives in any
-     shard WAL — the coordinator's decisions carry no live
-     information and the log can be emptied *)
-  match ws.coord with
-  | None -> ()
-  | Some coord -> (
-      match Wal.truncate coord ~upto:(Wal.last_seq coord) with
-      | Ok () -> ()
-      | Error e -> failwith ("coordinator log: " ^ e))
+  let rec files = function
+    | [] -> Ok ()
+    | s :: rest ->
+        let* () = save_files s in
+        files rest
+  in
+  let* () = files (Array.to_list ws.shards) in
+  let* _ = Shards.checkpoint_all ~coord:ws.coord (durable ws) in
+  Ok ()
 
 let report_failure f = prerr_endline ("error: " ^ message_of_failure f)
 
 let with_workspace ?(save_after = true) dir f =
-  match load dir with
+  match
+    let* ws = load dir in
+    let* msg = f ws in
+    let* () = if save_after then lift (save ws) else Ok () in
+    Ok msg
+  with
+  | Ok msg ->
+      if msg <> "" then print_endline msg;
+      exit_ok
   | Error f ->
       report_failure f;
       code_of_failure f
-  | Ok ws -> (
-      match f ws with
-      | Ok msg ->
-          if save_after then save ws;
-          if msg <> "" then print_endline msg;
-          exit_ok
-      | Error f ->
-          report_failure f;
-          code_of_failure f)
 
 let get_participant ws name =
   match List.assoc_opt name ws.participants with

@@ -938,11 +938,7 @@ let merge_vreports (a : Verifier.report) (b : Verifier.report) =
    treat exactly like a failed remote verify.  [Error] is a broken or
    forged proof — equally tampering evidence, just detected earlier. *)
 let check_proofs ~algo ~directory ~trusted_root (p : proofs) =
-  let published =
-    match p.pf_shard_roots with
-    | [ r ] -> r
-    | roots -> Tep_tree.Merkle.root_of_roots algo roots
-  in
+  let published = Tep_core.Shards.published_root algo p.pf_shard_roots in
   if not (String.equal published trusted_root) then
     Error "proof: shard roots do not recombine into the trusted root"
   else

@@ -74,6 +74,17 @@ let encode_checkpoint ~gen ~lsn engine =
   let body = Buffer.contents buf in
   body ^ Tep_crypto.Sha256.digest body
 
+(* magic, generation, lsn + 1, root hash: everything before the
+   captured state.  @raise Failure on a truncated header. *)
+let decode_header s =
+  if String.length s < 8 || String.sub s 0 8 <> magic then
+    failwith "bad magic"
+  else
+    let gen, off = Value.read_varint s 8 in
+    let lsn1, off = Value.read_varint s off in
+    let root_hash, off = Value.read_string s off in
+    (gen, lsn1, root_hash, off)
+
 let decode_checkpoint s =
   let dlen = Tep_crypto.Sha256.digest_size in
   let len = String.length s in
@@ -83,12 +94,9 @@ let decode_checkpoint s =
     let trailer = String.sub s (len - dlen) dlen in
     if not (String.equal (Tep_crypto.Sha256.digest body) trailer) then
       Error "checkpoint: integrity trailer mismatch"
-    else if String.sub body 0 8 <> magic then Error "checkpoint: bad magic"
     else
       try
-        let gen, off = Value.read_varint body 8 in
-        let lsn1, off = Value.read_varint body off in
-        let root_hash, off = Value.read_string body off in
+        let gen, lsn1, root_hash, off = decode_header body in
         let db, off = Database.decode body off in
         let forest, off = Forest.decode body off in
         let view, off = Tree_view.decode body off in
@@ -139,6 +147,24 @@ let load_generation path =
   match read_whole path with
   | exception Sys_error e -> Error e
   | s -> decode_checkpoint s
+
+(* The header fits in 256 bytes whatever the digest algorithm, so
+   neither the trailer nor the captured state is read. *)
+let newest_root ~dir =
+  match generations ~dir with
+  | [] -> Ok None
+  | (_, path) :: _ -> (
+      try
+        let ic = open_in_bin path in
+        let s =
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () -> really_input_string ic (min 256 (in_channel_length ic)))
+        in
+        let _, _, root, _ = decode_header s in
+        Ok (Some root)
+      with Sys_error e | Failure e | Invalid_argument e ->
+        Error (path ^ ": " ^ e))
 
 let ensure_dir dir =
   try Unix.mkdir dir 0o755

@@ -68,6 +68,11 @@ val generation_path : dir:string -> int -> string
 val generations : dir:string -> (int * string) list
 (** Existing generations, newest first. *)
 
+val newest_root : dir:string -> (string option, string) result
+(** The root hash recorded in the newest generation's header ([None]:
+    no generation).  A cheap staleness probe, not a validation: the
+    trailer and the captured state are not read. *)
+
 val checkpoint :
   ?keep:int -> dir:string -> wal:Wal.t -> Engine.t -> (int, string) result
 (** Capture the engine's state as a new generation under [dir]

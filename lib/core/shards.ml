@@ -155,3 +155,47 @@ let commit_cross ~coord ~txid parts =
             Ok
               ( List.map (fun (p, m) -> (p.p_shard, m)) prepared,
                 List.rev !warnings ))
+
+(* ------------------------------------------------------------------ *)
+(* Whole-database operations                                           *)
+(* ------------------------------------------------------------------ *)
+
+let published_root algo = function
+  | [ root ] -> root (* byte-compatible with an unsharded engine *)
+  | roots -> Tep_tree.Merkle.root_of_roots algo roots
+
+(* A shard that never received a write has nothing signed to verify:
+   the same objects simply would not exist in a serial run. *)
+let verify_shard ?pool ~shards engine =
+  let prov = Engine.provstore engine in
+  if
+    shards > 1
+    && Provstore.record_count prov = 0
+    && Tep_store.Database.total_rows (Engine.backend engine) = 0
+  then Ok None
+  else
+    Result.map
+      (fun root ->
+        Some
+          ( root,
+            Verifier.verify_records ?pool ~algo:(Engine.algo engine)
+              ~directory:(Engine.directory engine) (Provstore.all prov) ))
+      (Engine.verify_object engine (Engine.root_oid engine))
+
+(* Only once every shard is checkpointed does no Prepare frame survive
+   in any shard WAL, so only then do the coordinator's decisions carry
+   no live information. *)
+let checkpoint_all ?keep ~coord shards =
+  let rec go k acc = function
+    | [] -> Ok (List.rev acc)
+    | (dir, wal, engine) :: rest -> (
+        match Recovery.checkpoint ?keep ~dir ~wal engine with
+        | Error e -> Error (Printf.sprintf "shard %d: %s" k e)
+        | Ok gen -> go (k + 1) ((gen, Tep_store.Wal.last_seq wal) :: acc) rest)
+  in
+  match (go 0 [] shards, coord) with
+  | Ok gens, Some coord -> (
+      match Tep_store.Wal.truncate coord ~upto:(Tep_store.Wal.last_seq coord) with
+      | Ok () -> Ok gens
+      | Error e -> Error ("coordinator log: " ^ e))
+  | result, _ -> result

@@ -5,7 +5,7 @@
     directory.  Tables route to shards by a stable hash of the table
     name ({!shard_of_table}); the published root is the Merkle
     root-of-roots over the per-shard engine roots
-    ({!Tep_tree.Merkle.root_of_roots}).
+    ({!published_root}).
 
     Cross-shard transactions commit under a two-phase marker protocol
     built on the existing WAL format:
@@ -93,3 +93,33 @@ val commit_cross :
     commit point).  [Error] means the transaction never committed: no
     Decide was written and recovery rolls every prepared frame back.
     {!Tep_fault.Fault.Crash} escapes untouched from every step. *)
+
+(** {1 Whole-database operations}
+
+    The rules combining N shards into one answer, shared by the
+    service and the local CLI. *)
+
+val published_root : Tep_crypto.Digest_algo.algo -> string list -> string
+(** The root over the per-shard roots in shard order: a single root
+    verbatim, two or more combined into the Merkle root-of-roots. *)
+
+val verify_shard :
+  ?pool:Tep_parallel.Pool.t ->
+  shards:int ->
+  Engine.t ->
+  ((Verifier.report * Verifier.report) option, string) result
+(** [Some (root, store)]: the verification of the shard's root object
+    and the audit of every record in its store.  [None] when [shards >
+    1] and the shard never received a write. *)
+
+val checkpoint_all :
+  ?keep:int ->
+  coord:Tep_store.Wal.t option ->
+  (string * Tep_store.Wal.t * Engine.t) list ->
+  ((int * int) list, string) result
+(** Checkpoint each [(dir, wal, engine)] in index order (a new
+    generation under [dir], then [wal] truncated past it), giving each
+    [(generation, lsn)].  A failure stops the sweep and is prefixed
+    ["shard k: "].  Once every shard succeeded, truncate the
+    coordinator log; a failed truncate is an [Error] too.  The caller
+    must exclude writers. *)

@@ -110,3 +110,34 @@ let aggregate ?var table pred agg =
       match Query.aggregate_rows (Table.schema table) (List.map fst rows) agg with
       | Error e -> Error e
       | Ok v -> Ok (v, annot))
+
+(* ------------------------------------------------------------------ *)
+(* The annotated query                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type query_error = Parse of string | Eval of string
+
+type answer = {
+  q_pred : Query.pred;
+  q_rows : (Table.row * int * Polynomial.t) list;
+  q_value : Value.t option;
+}
+
+let query ~var table ~where ~agg =
+  let ( let* ) = Result.bind in
+  let parse r = Result.map_error (fun e -> Parse e) r
+  and eval r = Result.map_error (fun e -> Eval e) r in
+  let schema = Table.schema table in
+  let* pred = parse (Query.pred_of_string where) in
+  let pred = Query.coerce_pred schema pred in
+  let* rows = eval (select ~var:(fun r -> Polynomial.var (var r)) table pred) in
+  let* value =
+    match agg with
+    | None -> Ok None
+    | Some a ->
+        let* a = parse (Query.agg_of_string a) in
+        let* v = eval (Query.aggregate_rows schema (List.map fst rows) a) in
+        Ok (Some v)
+  in
+  let q_rows = List.map (fun (r, p) -> (r, var r, p)) rows in
+  Ok { q_pred = pred; q_rows; q_value = value }

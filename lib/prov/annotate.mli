@@ -75,3 +75,25 @@ val aggregate :
   (Value.t * Polynomial.t, string) result
 (** The aggregate value and its annotation: the sum of row annotations
     for [Count], their product for the value aggregates. *)
+
+(** {1 The annotated query}
+
+    What the service and [provdb lineage select] both evaluate. *)
+
+type query_error = Parse of string | Eval of string
+
+type answer = {
+  q_pred : Query.pred;  (** [where], coerced to the table's schema *)
+  q_rows : (Table.row * int * Polynomial.t) list;  (** row, variable, annotation *)
+  q_value : Value.t option;  (** the aggregate, when asked for *)
+}
+
+val query :
+  var:(Table.row -> int) ->
+  Table.t ->
+  where:string ->
+  agg:string option ->
+  (answer, query_error) result
+(** Parse and coerce [where], {!select} with variables [var] (pass
+    {!row_var}), then parse and apply [agg].  A malformed [where] or
+    unknown aggregate is [Parse]; a failed evaluation is [Eval]. *)

@@ -59,10 +59,8 @@ module Message = Tep_wire.Message
 module Session = Tep_wire.Session
 module Engine = Tep_core.Engine
 module Participant = Tep_core.Participant
-module Verifier = Tep_core.Verifier
 module Audit = Tep_core.Audit
 module Provstore = Tep_core.Provstore
-module Recovery = Tep_core.Recovery
 module Shards = Tep_core.Shards
 module Prov_index = Tep_core.Prov_index
 module Lineage = Tep_prov.Lineage
@@ -72,7 +70,6 @@ module Annot = Tep_prov.Annot
 module Query = Tep_store.Query
 module Oid = Tep_tree.Oid
 module Forest = Tep_tree.Forest
-module Merkle = Tep_tree.Merkle
 module Proof = Tep_tree.Proof
 module Tree_view = Tep_tree.Tree_view
 module Fault = Tep_fault.Fault
@@ -1150,16 +1147,11 @@ let shard_root (s : shard) =
       shard_root_cached s (fun () ->
           Rwlock.with_read s.s_rwlock (fun () -> Engine.root_hash s.s_engine)))
 
-(* The hash the service publishes: the engine root itself for a
-   single-shard server (byte-compatible with the unsharded service),
-   the Merkle root-of-roots over the per-shard roots in shard order
-   otherwise. *)
+(* The hash the service publishes, from the cached per-shard roots. *)
 let published_root t =
-  if Array.length t.shards = 1 then shard_root t.shards.(0)
-  else
-    Merkle.root_of_roots
-      (Engine.algo (engine t))
-      (Array.to_list (Array.map shard_root t.shards))
+  Shards.published_root
+    (Engine.algo (engine t))
+    (Array.to_list (Array.map shard_root t.shards))
 
 let merge_reports (a : Message.report) (b : Message.report) =
   {
@@ -1290,26 +1282,11 @@ let dispatch t participant (req : Message.request) =
          lists concatenate in shard order, counters sum — R1-R8 cover
          the union of the shards, which is the whole database *)
       let verify_one (s : shard) =
-        if
-          shard_count t > 1
-          && Provstore.record_count (Engine.provstore s.s_engine) = 0
-          && Tep_store.Database.total_rows (Engine.backend s.s_engine) = 0
-        then
-          (* the shard never received a write: nothing is signed, so
-             there is nothing to verify — the same objects simply
-             would not exist in a serial run *)
-          Ok (empty_report, empty_report)
-        else
-          match
-            Engine.verify_object s.s_engine (Engine.root_oid s.s_engine)
-          with
-          | Ok r ->
-              let store =
-                Verifier.verify_records ?pool:t.pool ~algo ~directory
-                  (Provstore.all (Engine.provstore s.s_engine))
-              in
-              Ok (report r, report store)
-          | Error e -> Error e
+        Result.map
+          (function
+            | None -> (empty_report, empty_report)
+            | Some (r, store) -> (report r, report store))
+          (Shards.verify_shard ?pool:t.pool ~shards:(shard_count t) s.s_engine)
       in
       match
         fold_shards t verify_one (fun a b ->
@@ -1376,49 +1353,31 @@ let dispatch t participant (req : Message.request) =
           match Tep_store.Database.get_table (Engine.backend s.s_engine) table with
           | None -> error_resp Message.Not_found ("no such table " ^ table)
           | Some tbl -> (
-              match Query.pred_of_string where with
-              | Error e -> error_resp Message.Bad_request e
-              | Ok pred -> (
-                  let pred =
-                    Query.coerce_pred (Tep_store.Table.schema tbl) pred
+              match
+                Annotate.query
+                  ~var:(Annotate.row_var (Engine.mapping s.s_engine) table)
+                  tbl ~where
+                  ~agg:(if agg = "" then None else Some agg)
+              with
+              | Error (Annotate.Parse e | Annotate.Eval e) ->
+                  error_resp Message.Bad_request e
+              | Ok q ->
+                  let annot =
+                    Annot.make ~id:"" ~table
+                      ~pred:(Query.pred_to_string q.Annotate.q_pred) ~agg
+                      ~rows:(List.map (fun (_, v, p) -> (v, p)) q.q_rows)
+                      ~value:q.q_value ~root participant
                   in
-                  let mapping = Engine.mapping s.s_engine in
-                  let rvar r = Annotate.row_var mapping table r in
-                  let var r = Polynomial.var (rvar r) in
-                  let respond rows value =
-                    let annot =
-                      Annot.make ~id:"" ~table
-                        ~pred:(Query.pred_to_string pred) ~agg
-                        ~rows:(List.map (fun (r, p) -> (rvar r, p)) rows)
-                        ~value ~root participant
-                    in
-                    Message.Annotated_resp
-                      {
-                        arows =
-                          List.map
-                            (fun ((r : Tep_store.Table.row), p) ->
-                              (rvar r, r.Tep_store.Table.cells,
-                               Polynomial.encoded p))
-                            rows;
-                        avalue = value;
-                        annot = Annot.encoded annot;
-                      }
-                  in
-                  match Annotate.select ~var tbl pred with
-                  | Error e -> error_resp Message.Bad_request e
-                  | Ok rows ->
-                      if agg = "" then respond rows None
-                      else (
-                        match Query.agg_of_string agg with
-                        | Error e -> error_resp Message.Bad_request e
-                        | Ok a -> (
-                            match
-                              Query.aggregate_rows
-                                (Tep_store.Table.schema tbl)
-                                (List.map fst rows) a
-                            with
-                            | Error e -> error_resp Message.Bad_request e
-                            | Ok v -> respond rows (Some v)))))))
+                  Message.Annotated_resp
+                    {
+                      arows =
+                        List.map
+                          (fun ((r : Tep_store.Table.row), v, p) ->
+                            (v, r.Tep_store.Table.cells, Polynomial.encoded p))
+                          q.q_rows;
+                      avalue = q.q_value;
+                      annot = Annot.encoded annot;
+                    })))
   | Message.Prove { table; row; col } -> (
       (* Everything the client will recheck must come from ONE
          committed state of the owning shard: shard k's root and the
@@ -1528,44 +1487,26 @@ let dispatch t participant (req : Message.request) =
       end
 
 (* Checkpoint every shard under all write locks.  With every shard
-   write-locked no 2PC can be mid-flight, so once each shard's WAL is
-   checkpointed — prepared transactions upgraded to Commit markers or
-   rolled into the snapshot — the coordinator's decision log carries
-   no live information and is truncated too. *)
+   write-locked no 2PC can be mid-flight, so [Shards.checkpoint_all]
+   may truncate the coordinator's decision log once every shard is
+   checkpointed. *)
 let checkpoint t =
-  let checkpoint_one (s : shard) =
-    match s.s_checkpoint with
-    | None -> Error "checkpointing not configured"
-    | Some (dir, wal) -> (
-        match Recovery.checkpoint ~dir ~wal s.s_engine with
-        | Ok generation -> Ok (generation, Tep_store.Wal.last_seq wal)
-        | Error e -> Error e)
+  let durable (s : shard) =
+    Option.map (fun (dir, wal) -> (dir, wal, s.s_engine)) s.s_checkpoint
   in
-  let rec go k acc =
-    if k >= Array.length t.shards then Ok (List.rev acc)
-    else
-      match checkpoint_one t.shards.(k) with
-      | Ok r -> go (k + 1) (r :: acc)
-      | Error e ->
-          Error (Printf.sprintf "shard %d: %s" k e)
-  in
+  let parts = List.filter_map durable (Array.to_list t.shards) in
   if Atomic.get t.draining then
     error_resp Message.Shutting_down "server is draining"
+  else if List.length parts < shard_count t then
+    error_resp Message.Failed "checkpointing not configured"
   else
     with_writes t (List.init (shard_count t) Fun.id) (fun () ->
         try
-          match go 0 [] with
+          match Shards.checkpoint_all ~coord:t.coord parts with
+          | Ok gens ->
+              let generation, lsn = List.hd gens in
+              Message.Checkpointed { generation; lsn }
           | Error e -> error_resp Message.Failed e
-          | Ok results -> (
-              (match t.coord with
-              | Some coord ->
-                  ignore
-                    (Tep_store.Wal.truncate coord
-                       ~upto:(Tep_store.Wal.last_seq coord))
-              | None -> ());
-              match results with
-              | (generation, lsn) :: _ -> Message.Checkpointed { generation; lsn }
-              | [] -> error_resp Message.Failed "no shards")
         with e -> error_resp Message.Failed (Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)

@@ -388,6 +388,80 @@ let test_annot_unknown_participant () =
   | Ok () -> Alcotest.fail "foreign directory accepted the annotation"
   | Error _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* The annotated query shared by the service and the CLI               *)
+(* ------------------------------------------------------------------ *)
+
+let test_query_errors () =
+  let t = mk_table () in
+  let q ?agg where =
+    Annotate.query ~var:(fun (r : Table.row) -> r.Table.id) t ~where ~agg
+  in
+  (match q "qty >" with
+  | Error (Annotate.Parse _) -> ()
+  | _ -> Alcotest.fail "a malformed where must be a parse error");
+  (match q ~agg:"median(qty)" "" with
+  | Error (Annotate.Parse _) -> ()
+  | _ -> Alcotest.fail "an unknown aggregate must be a parse error");
+  (match q ~agg:"sum(sku)" "" with
+  | Error (Annotate.Eval _) -> ()
+  | _ -> Alcotest.fail "sum over a text column must be an evaluation error");
+  match q ~agg:"sum(qty)" "qty > 10" with
+  | Error _ -> Alcotest.fail "a well-formed query failed"
+  | Ok a ->
+      Alcotest.(check (list int)) "rows" [ 0; 3 ]
+        (List.map (fun (_, v, _) -> v) a.Annotate.q_rows);
+      Alcotest.(check bool) "value" true (a.q_value = Some (Value.Int 150))
+
+(* What a client receives for an Annotated_query is exactly what the
+   shared evaluator computes on the server's engine. *)
+let test_query_loopback_matches_direct () =
+  let eng, _, alice, _, _, _, _ = fixture () in
+  let module Client = Tep_client.Client in
+  let server =
+    Tep_server.Server.create
+      ~drbg:(Tep_crypto.Drbg.create ~seed:"server")
+      ~participants:[ ("alice", alice) ]
+      eng
+  in
+  let c = Client.loopback ~drbg:(Tep_crypto.Drbg.create ~seed:"client") server in
+  ok (Client.authenticate c alice);
+  let tbl = Database.get_table_exn (Engine.backend eng) "t" in
+  List.iter
+    (fun (where, agg) ->
+      let direct =
+        match
+          Annotate.query
+            ~var:(Annotate.row_var (Engine.mapping eng) "t")
+            tbl ~where ~agg
+        with
+        | Ok a -> a
+        | Error _ -> Alcotest.failf "direct query %S failed" where
+      in
+      let rows, value, _ =
+        ok (Client.annotated_query c ~table:"t" ~where ?agg ())
+      in
+      let text cells =
+        String.concat "," (Array.to_list (Array.map Value.to_string cells))
+      in
+      Alcotest.(check (list (triple int string string)))
+        (where ^ ": rows and polynomials")
+        (List.map
+           (fun ((r : Table.row), v, p) ->
+             (v, text r.Table.cells, Polynomial.to_string p))
+           direct.Annotate.q_rows)
+        (List.map
+           (fun (r : Client.annotated_row) ->
+             ( r.Client.ar_var,
+               text r.Client.ar_cells,
+               Polynomial.to_string r.Client.ar_poly ))
+           rows);
+      Alcotest.(check bool) (where ^ ": value") true (value = direct.q_value))
+    [
+      ("", None); ("a > 1", None); ("a >= 1", Some "sum(a)"); ("", Some "count");
+    ];
+  Client.close c
+
 let () =
   Alcotest.run "prov"
     [
@@ -411,6 +485,9 @@ let () =
           Alcotest.test_case "count & aggregate" `Quick
             test_annotated_count_and_agg;
           Alcotest.test_case "pruning" `Quick test_pruning;
+          Alcotest.test_case "query errors" `Quick test_query_errors;
+          Alcotest.test_case "loopback query = direct" `Quick
+            test_query_loopback_matches_direct;
         ] );
       ( "lineage",
         [

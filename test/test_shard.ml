@@ -121,7 +121,13 @@ let test_root_of_roots () =
     (Merkle.root_of_roots algo [ "aaaa" ] <> "aaaa");
   Alcotest.(check bool) "arity matters" true
     (Merkle.root_of_roots algo [ "aaaa" ]
-    <> Merkle.root_of_roots algo [ "aaaa"; "aaaa" ])
+    <> Merkle.root_of_roots algo [ "aaaa"; "aaaa" ]);
+  (* the published root: one shard's root verbatim (byte-compatible
+     with an unsharded engine), several combined *)
+  Alcotest.(check string) "one root published verbatim" "aaaa"
+    (Shards.published_root algo [ "aaaa" ]);
+  Alcotest.(check string) "several roots combined" r1
+    (Shards.published_root algo [ "aaaa"; "bbbb" ])
 
 (* The same op stream, executed (a) sharded with interleaved arrivals
    and (b) sharded with grouped arrivals, yields byte-identical
@@ -342,6 +348,80 @@ let test_2pc_crash_enumeration () =
           Wal.close w0;
           Wal.close w1))
     scenarios
+
+(* ------------------------------------------------------------------ *)
+(* Whole-database operations                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Two shards, writes on shard 0 only: shard 1 (its table created
+   before the engine, as `provdb init` does) holds no record and no
+   row, so in a 2-shard deployment it counts as empty. *)
+let test_verify_shard () =
+  let t0 = table_for_shard ~shards:2 0 and t1 = table_for_shard ~shards:2 1 in
+  let e0 = make_engine t0 in
+  ignore (ok (Engine.insert_row e0 alice ~table:t0 [| Value.Int 1; Value.Int 2 |]));
+  let db1 = Database.create ~name:"sharddb" in
+  ignore (ok (Database.create_table db1 ~name:t1 (Schema.all_int [ "a"; "b" ])));
+  let e1 = Engine.create ~directory db1 in
+  (match ok (Shards.verify_shard ~shards:2 e1) with
+  | None -> ()
+  | Some _ -> Alcotest.fail "a shard with no writes must count as empty");
+  (match ok (Shards.verify_shard ~shards:1 e1) with
+  | Some _ -> ()
+  | None -> Alcotest.fail "an unsharded engine is never skipped as empty");
+  (match ok (Shards.verify_shard ~shards:2 e0) with
+  | Some (root, store) ->
+      Alcotest.(check bool) "written shard verifies" true (Verifier.ok root);
+      Alcotest.(check bool) "its store audits clean" true (Verifier.ok store)
+  | None -> Alcotest.fail "a written shard is not empty");
+  (* a cell changed behind the engine's back *)
+  let cell = Option.get (Tep_tree.Tree_view.cell_oid (Engine.mapping e0) t0 0 1) in
+  ignore (ok (Tep_tree.Forest.update (Engine.forest e0) cell (Value.Int 99)));
+  match ok (Shards.verify_shard ~shards:2 e0) with
+  | Some (root, _) ->
+      Alcotest.(check bool) "tampered cell is an R4/R5 violation" true
+        (List.exists
+           (function Verifier.Object_mismatch _ -> true | _ -> false)
+           root.Verifier.violations)
+  | None -> Alcotest.fail "a written shard is not empty"
+
+let newest_generation d =
+  match Recovery.generations ~dir:d with (g, _) :: _ -> g | [] -> -1
+
+(* A checkpoint that fails on shard 1 must leave the coordinator's
+   decisions in place: shard 1 may still hold the prepared frames
+   they resolve. *)
+let test_checkpoint_all () =
+  with_workdir (fun dir ->
+      let engines, coord = build_shards dir in
+      ignore
+        (ok (Shards.commit_cross ~coord ~txid:"tx-ck" (cross_parts engines 5)));
+      let coord_frames () = List.length (Wal.read_file (coord_path dir)) in
+      Alcotest.(check int) "decision logged" 1 (coord_frames ());
+      let dirs = Array.to_list (shard_dirs dir) in
+      let parts =
+        List.map2 (fun d (eng, wal, _) -> (d, wal, eng)) dirs
+          (Array.to_list engines)
+      in
+      Fault.arm ~after:2 "snapshot.save.rename" (Fault.Transient 3);
+      (match Shards.checkpoint_all ~coord:(Some coord) parts with
+      | Ok _ -> Alcotest.fail "a failed generation write must fail the checkpoint"
+      | Error e ->
+          Alcotest.(check bool)
+            ("error names shard 1: " ^ e)
+            true
+            (String.starts_with ~prefix:"shard 1:" e));
+      Fault.reset ();
+      Alcotest.(check int) "coordinator log keeps its frames" 1 (coord_frames ());
+      let before = List.map newest_generation dirs in
+      let gens = ok (Shards.checkpoint_all ~coord:(Some coord) parts) in
+      Alcotest.(check (list int)) "a new generation on every shard"
+        (List.map succ before)
+        (List.map newest_generation dirs);
+      Alcotest.(check (list int)) "generations reported in shard order"
+        (List.map newest_generation dirs)
+        (List.map fst gens);
+      Alcotest.(check int) "coordinator log emptied" 0 (coord_frames ()))
 
 (* ------------------------------------------------------------------ *)
 (* Server-level sharding                                               *)
@@ -739,6 +819,11 @@ let () =
           Alcotest.test_case "partial reject" `Quick test_2pc_partial_reject;
           Alcotest.test_case "crash enumeration" `Quick
             test_2pc_crash_enumeration;
+        ] );
+      ( "whole-database",
+        [
+          Alcotest.test_case "verify_shard" `Quick test_verify_shard;
+          Alcotest.test_case "checkpoint_all" `Quick test_checkpoint_all;
         ] );
       ( "server",
         [

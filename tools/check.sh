@@ -4,16 +4,22 @@
 # commit-signing determinism, the network chaos soak, shard
 # determinism, the lineage and proof suites with their smoke gates,
 # the event-loop service gate and the toy-scale end-to-end benchmark
-# of the real daemon), then four scripted provdbd sessions:
+# of the real daemon), then five scripted provdbd sessions:
 #   - daemon session: insert -> query -> verify, SIGTERM drain with a
 #     stable root across restart, tamper -> remote verify exit 3;
 #   - sharded daemon session: writes on both shards of a 2-shard
-#     workspace, root-of-roots stable across drain + restart;
+#     workspace, root-of-roots stable across drain + restart, then the
+#     local verify/audit/checkpoint/stats/lineage select on the same
+#     workspace, whose stats root must be the daemon's root-of-roots;
 #   - lineage session: insert -> derive -> lineage why -> tamper ->
 #     detect;
 #   - proof session: insert 40 rows -> remote prove VERIFIED (also past
 #     the 32nd row, through a chunked table node) -> tamper -> remote
-#     prove exit 3 -> sampled audit exit 3.
+#     prove exit 3 -> sampled audit exit 3;
+#   - stale-workspace session: a daemon killed after a remote
+#     checkpoint, or with un-checkpointed WAL frames, must not restart
+#     until `provdb recover`, which brings back the pre-crash root;
+#     `provdb prune` survives `provdb recover`.
 # With TEP_CHAOS_SEED set, the chaos soak also runs once more under
 # that seed (the @chaos gate itself pins tep-chaos-0).
 set -eu
@@ -34,13 +40,14 @@ ws=$(mktemp -d)/ws
 ws2=$(mktemp -d)/ws
 ws3=$(mktemp -d)/ws
 ws4=$(mktemp -d)/ws
+ws5=$(mktemp -d)/ws
 cleanup() {
   if [ -n "${daemon_pid:-}" ]; then
     kill "$daemon_pid" 2>/dev/null || true
     wait "$daemon_pid" 2>/dev/null || true
   fi
   rm -rf "$(dirname "$ws")" "$(dirname "$ws2")" "$(dirname "$ws3")" \
-    "$(dirname "$ws4")"
+    "$(dirname "$ws4")" "$(dirname "$ws5")"
 }
 trap cleanup EXIT
 
@@ -148,6 +155,25 @@ if [ "$roots_before" != "$roots_after" ]; then
 fi
 echo "sharded daemon session: writes landed on both shards, root-of-roots stable \
 across restart"
+
+# The local whole-database commands on the drained 2-shard workspace.
+"$PROVDB" verify "$ws2"
+"$PROVDB" audit "$ws2"
+"$PROVDB" checkpoint "$ws2"
+local_stats=$("$PROVDB" stats "$ws2")
+echo "$local_stats"
+local_root=$(echo "$local_stats" | sed -n 's/^root hash: *//p')
+if [ "$local_root" != "$roots_after" ]; then
+  echo "FAIL: local stats root differs from the daemon's root-of-roots"
+  echo "  local:  $local_root"
+  echo "  daemon: $roots_after"
+  exit 1
+fi
+"$PROVDB" lineage select "$ws2" --table stock --where 'qty > 0' \
+  --agg 'sum(qty)' --save sharded1 --as alice
+"$PROVDB" verify "$ws2"
+echo "sharded local session: verify, audit, checkpoint, stats and signed \
+lineage select agree with the daemon"
 
 echo "== lineage (scripted daemon lineage session) =="
 "$PROVDB" init "$ws3" --table 'stock:sku,qty@int'
@@ -271,5 +297,88 @@ if [ "$status" -ne 3 ]; then
   exit 1
 fi
 echo "proof: chain mismatch and sampled audit both reported (exit 3)"
+
+echo "== stale workspace (scripted crash regressions) =="
+"$PROVDB" init "$ws5" --table 'stock:sku,qty@int'
+"$PROVDB" participant "$ws5" alice
+
+# SIGKILL the daemon and remove its stale socket, as a crash leaves it.
+crash_daemon() {
+  kill -KILL "$daemon_pid"
+  wait "$daemon_pid" 2>/dev/null || true
+  daemon_pid=
+  rm -f "$ws5/provdbd.sock"
+}
+
+# A restart over the crashed workspace must exit 1 without listening
+# and send the operator to `provdb recover`.
+expect_refusal() {
+  status=0
+  timeout 20 "$PROVDBD" "$ws5" > /dev/null 2> "$ws5.err" || status=$?
+  cat "$ws5.err"
+  if [ "$status" -ne 1 ] || [ -S "$ws5/provdbd.sock" ]; then
+    echo "FAIL: provdbd over a stale workspace ($1) exited $status, expected 1"
+    exit 1
+  fi
+  if ! grep -q 'provdb recover' "$ws5.err"; then
+    echo "FAIL: the stale-workspace refusal ($1) does not name provdb recover"
+    exit 1
+  fi
+}
+
+# After recovery, a restarted daemon serves the root from before the crash.
+expect_recovered_root() {
+  "$PROVDB" recover "$ws5" > /dev/null
+  "$PROVDBD" "$ws5" & daemon_pid=$!
+  wait_for_socket "$ws5"
+  root_now=$("$PROVDB" remote root-hash "$ws5" --as alice)
+  if [ "$root_now" != "$1" ]; then
+    echo "FAIL: recovered root differs from the pre-crash root ($2)"
+    echo "  before: $1"
+    echo "  after:  $root_now"
+    exit 1
+  fi
+}
+
+# (a) a remote checkpoint newer than the flat files, then a crash
+"$PROVDBD" "$ws5" & daemon_pid=$!
+wait_for_socket "$ws5"
+"$PROVDB" remote insert "$ws5" --as alice --table stock --values 'WIDGET-1,100'
+"$PROVDB" remote insert "$ws5" --as alice --table stock --values 'WIDGET-2,7'
+"$PROVDB" remote checkpoint "$ws5" --as alice
+root_crash=$("$PROVDB" remote root-hash "$ws5" --as alice)
+crash_daemon
+expect_refusal "checkpoint newer than the saved files"
+expect_recovered_root "$root_crash" "checkpoint newer than the saved files"
+
+# (b) an acknowledged write only in the WAL, then a crash
+"$PROVDB" remote insert "$ws5" --as alice --table stock --values 'WIDGET-3,3'
+root_crash=$("$PROVDB" remote root-hash "$ws5" --as alice)
+crash_daemon
+expect_refusal "un-checkpointed WAL frames"
+expect_recovered_root "$root_crash" "un-checkpointed WAL frames"
+kill -TERM "$daemon_pid"
+wait "$daemon_pid"
+daemon_pid=
+
+# prune persists: `provdb recover` must not restore the pruned records
+record_count() {
+  "$PROVDB" stats "$ws5" | sed -n 's/^provenance records: *//p'
+}
+"$PROVDB" delete "$ws5" --as alice --table stock --row 0
+before_prune=$(record_count)
+"$PROVDB" prune "$ws5"
+after_prune=$(record_count)
+"$PROVDB" recover "$ws5" > /dev/null
+after_recover=$(record_count)
+if [ "$after_prune" -ge "$before_prune" ] || \
+   [ "$after_recover" != "$after_prune" ]; then
+  echo "FAIL: prune then recover: records $before_prune -> $after_prune" \
+    "-> $after_recover"
+  exit 1
+fi
+"$PROVDB" verify "$ws5"
+echo "stale workspace: crashed daemons refused until recover, pre-crash roots \
+restored, prune survives recover"
 
 echo "check: OK"
