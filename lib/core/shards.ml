@@ -182,6 +182,44 @@ let verify_shard ?pool ~shards engine =
               ~directory:(Engine.directory engine) (Provstore.all prov) ))
       (Engine.verify_object engine (Engine.root_oid engine))
 
+(* Two phases.  The draws are the sweep's reproducibility contract —
+   one [uniform_int drbg 1_000_000] per live object in oid order, so an
+   auditor holding the seed replays the same sample — and they thread
+   one DRBG, so they run serially.  The sampled objects are independent
+   reads, so they fan out over the pool one object per item: an object's
+   closure is one or two records, too few to split further.  [map_list]
+   keeps input order, so the results come back in oid order whatever
+   the scheduling. *)
+let sample_shard ?pool ~drbg ~alpha_ppm engine =
+  let live =
+    List.filter
+      (Tep_tree.Forest.mem (Engine.forest engine))
+      (Provstore.objects (Engine.provstore engine))
+  in
+  let sample =
+    List.rev
+      (List.fold_left
+         (fun acc oid ->
+           if Tep_crypto.Drbg.uniform_int drbg 1_000_000 < alpha_ppm then
+             oid :: acc
+           else acc)
+         [] live)
+  in
+  let check oid =
+    ( oid,
+      Result.map
+        (fun (data, records) ->
+          Verifier.verify ~algo:(Engine.algo engine)
+            ~directory:(Engine.directory engine) ~data records)
+        (Engine.deliver engine oid) )
+  in
+  let results =
+    match pool with
+    | Some p -> Tep_parallel.Pool.map_list p check sample
+    | None -> List.map check sample
+  in
+  (results, List.length live)
+
 (* Only once every shard is checkpointed does no Prepare frame survive
    in any shard WAL, so only then do the coordinator's decisions carry
    no live information. *)

@@ -112,6 +112,21 @@ val verify_shard :
     and the audit of every record in its store.  [None] when [shards >
     1] and the shard never received a write. *)
 
+val sample_shard :
+  ?pool:Tep_parallel.Pool.t ->
+  drbg:Tep_crypto.Drbg.t ->
+  alpha_ppm:int ->
+  Engine.t ->
+  (Tep_tree.Oid.t * (Verifier.report, string) result) list * int
+(** One shard's part of a sampled audit sweep: [(results, population)].
+    Draws [Drbg.uniform_int drbg 1_000_000] once per live object of the
+    shard, in oid order, and samples the object when the draw is below
+    [alpha_ppm] — the draw sequence an auditor replays from the seed.
+    Each sampled object then gets {!Engine.deliver} and the full
+    recipient-side {!Verifier.verify} of its provenance closure, the
+    objects spread over [?pool].  [results] holds one entry per sampled
+    object, in oid order; [population] counts the live objects. *)
+
 val checkpoint_all :
   ?keep:int ->
   coord:Tep_store.Wal.t option ->

@@ -48,6 +48,11 @@ let init = function
   | SHA1 -> Csha1 (Sha1.init ())
   | SHA256 -> Csha256 (Sha256.init ())
 
+let copy = function
+  | Cmd5 c -> Cmd5 (Md5.copy c)
+  | Csha1 c -> Csha1 (Sha1.copy c)
+  | Csha256 c -> Csha256 (Sha256.copy c)
+
 let update ctx s =
   match ctx with
   | Cmd5 c -> Md5.update c s

@@ -25,6 +25,9 @@ val of_hex : string -> string
 type ctx
 
 val init : algo -> ctx
+val copy : ctx -> ctx
+(** An independent context in the same state. *)
+
 val update : ctx -> string -> unit
 val update_sub : ctx -> string -> int -> int -> unit
 val final : ctx -> string

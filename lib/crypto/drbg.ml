@@ -4,21 +4,30 @@
 let algo = Digest_algo.SHA256
 let outlen = 32
 
-type t = { mutable k : string; mutable v : string }
+(* The key is kept only as its HMAC midstates: it is set once per
+   update and then MACs one or two messages, so hashing its padded
+   blocks once per key, not once per MAC, saves a third of the
+   compressions of a draw. *)
+type t = { mutable k : Hmac.ctx; mutable v : string }
 
-let hmac k m = Hmac.mac ~algo ~key:k m
+let rekey t m = t.k <- Hmac.context ~algo ~key:(Hmac.mac_with t.k m)
 
 (* The SP 800-90A update function. *)
 let update t provided =
-  t.k <- hmac t.k (t.v ^ "\x00" ^ provided);
-  t.v <- hmac t.k t.v;
+  rekey t (t.v ^ "\x00" ^ provided);
+  t.v <- Hmac.mac_with t.k t.v;
   if provided <> "" then begin
-    t.k <- hmac t.k (t.v ^ "\x01" ^ provided);
-    t.v <- hmac t.k t.v
+    rekey t (t.v ^ "\x01" ^ provided);
+    t.v <- Hmac.mac_with t.k t.v
   end
 
 let create ~seed =
-  let t = { k = String.make outlen '\000'; v = String.make outlen '\001' } in
+  let t =
+    {
+      k = Hmac.context ~algo ~key:(String.make outlen '\000');
+      v = String.make outlen '\001';
+    }
+  in
   update t seed;
   t
 
@@ -41,7 +50,7 @@ let generate t n =
   if n < 0 then invalid_arg "Drbg.generate: negative length";
   let buf = Buffer.create n in
   while Buffer.length buf < n do
-    t.v <- hmac t.k t.v;
+    t.v <- Hmac.mac_with t.k t.v;
     Buffer.add_string buf t.v
   done;
   update t "";

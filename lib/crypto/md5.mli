@@ -12,6 +12,10 @@ val init : unit -> ctx
 val reset : ctx -> unit
 (** Return a context to its initial state for reuse. *)
 
+val copy : ctx -> ctx
+(** An independent context in the same state: the midstate of a
+    common prefix, hashed once and then extended many times. *)
+
 val update : ctx -> string -> unit
 val update_sub : ctx -> string -> int -> int -> unit
 val final : ctx -> string

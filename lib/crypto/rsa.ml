@@ -24,6 +24,9 @@ let public_of_private k = { n = k.pn; e = k.pe }
 let key_bytes pk = (Nat.num_bits pk.n + 7) / 8
 
 let make_private ~n ~e ~d ~p ~q =
+  (* a factor of 1 would make the CRT exponent a remainder mod 0 *)
+  if Nat.compare p Nat.one <= 0 || Nat.compare q Nat.one <= 0 then
+    invalid_arg "Rsa.make_private: p, q must exceed 1";
   let dp = Nat.rem d (Nat.sub p Nat.one) in
   let dq = Nat.rem d (Nat.sub q Nat.one) in
   let qinv =

@@ -38,6 +38,8 @@ let reset ctx =
   ctx.buf_len <- 0;
   ctx.total <- 0
 
+let copy ctx = { ctx with buf = Bytes.copy ctx.buf; w = Array.make 80 0 }
+
 let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
 
 (* The caller guarantees [off + 64 <= Bytes.length block]; with that

@@ -12,6 +12,10 @@ val reset : ctx -> unit
 (** Return a context to its initial state so it can be reused for a
     fresh digest without reallocating its buffers. *)
 
+val copy : ctx -> ctx
+(** An independent context in the same state: the midstate of a
+    common prefix, hashed once and then extended many times. *)
+
 val update : ctx -> string -> unit
 val update_sub : ctx -> string -> int -> int -> unit
 (** [update_sub ctx s off len] feeds [len] bytes of [s] from [off]. *)

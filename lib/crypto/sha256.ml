@@ -52,8 +52,16 @@ let reset ctx =
   ctx.buf_len <- 0;
   ctx.total <- 0
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
-let shr x n = x lsr n
+let copy ctx =
+  { ctx with h = Array.copy ctx.h; buf = Bytes.copy ctx.buf; w = Array.make 64 0 }
+
+(* Words live in 63-bit ints, and [+], [lxor], [land], [lor] and [lsl]
+   leave the low 32 bits of a result exact whatever sits above them,
+   overflow included.  Only a right shift pulls high bits down, so only
+   the inputs of [rotr] and [lsr] must be clean words: the working
+   variables [a] and [e], the schedule words and the chaining state are
+   masked; rotation results and the round sums are not. *)
+let[@inline] rotr x n = (x lsr n) lor (x lsl (32 - n))
 
 (* The caller guarantees [off + 64 <= Bytes.length block], making all
    accesses below in bounds. *)
@@ -69,8 +77,8 @@ let compress ctx block off =
   done;
   for i = 16 to 63 do
     let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor shr w15 3 in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor shr w2 10 in
+    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
+    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
     Array.unsafe_set w i
       ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
       land mask32)
@@ -85,24 +93,20 @@ let compress ctx block off =
   and g = ref h.(6)
   and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) land mask32 in
-    let t1 =
-      (!hh + s1 + (ch land mask32) + Array.unsafe_get k i
-      + Array.unsafe_get w i)
-      land mask32
-    in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask32 in
+    let e' = !e and a' = !a in
+    let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
+    let ch = (e' land !f) lxor (lnot e' land !g) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
+    let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
     hh := !g;
     g := !f;
-    f := !e;
+    f := e';
     e := (!d + t1) land mask32;
     d := !c;
     c := !b;
-    b := !a;
-    a := (t1 + t2) land mask32
+    b := a';
+    a := (t1 + s0 + maj) land mask32
   done;
   h.(0) <- (h.(0) + !a) land mask32;
   h.(1) <- (h.(1) + !b) land mask32;

@@ -1153,12 +1153,15 @@ let published_root t =
     (Engine.algo (engine t))
     (Array.to_list (Array.map shard_root t.shards))
 
-let merge_reports (a : Message.report) (b : Message.report) =
+(* Counters summed, violation lists concatenated in order — one pass,
+   so folding a sweep's thousands of per-object reports stays linear. *)
+let concat_reports (reports : Message.report list) =
+  let sum f = List.fold_left (fun n r -> n + f r) 0 reports in
   {
-    Message.rp_records = a.Message.rp_records + b.Message.rp_records;
-    rp_objects = a.Message.rp_objects + b.Message.rp_objects;
-    rp_signatures = a.Message.rp_signatures + b.Message.rp_signatures;
-    rp_violations = a.Message.rp_violations @ b.Message.rp_violations;
+    Message.rp_records = sum (fun r -> r.Message.rp_records);
+    rp_objects = sum (fun r -> r.Message.rp_objects);
+    rp_signatures = sum (fun r -> r.Message.rp_signatures);
+    rp_violations = List.concat_map (fun r -> r.Message.rp_violations) reports;
   }
 
 (* Fold [f shard] over every shard in index order, each under its own
@@ -1292,7 +1295,7 @@ let dispatch t participant (req : Message.request) =
         fold_shards t verify_one (fun a b ->
             match (a, b) with
             | Ok (r1, s1), Ok (r2, s2) ->
-                Ok (merge_reports r1 r2, merge_reports s1 s2)
+                Ok (concat_reports [ r1; r2 ], concat_reports [ s1; s2 ])
             | (Error _ as e), _ | _, (Error _ as e) -> e)
       with
       | Ok (r, store) ->
@@ -1311,7 +1314,7 @@ let dispatch t participant (req : Message.request) =
       in
       let r, examined, objects =
         fold_shards t audit_one (fun (r1, e1, o1) (r2, e2, o2) ->
-            (merge_reports r1 r2, e1 + e2, o1 + o2))
+            (concat_reports [ r1; r2 ], e1 + e2, o1 + o2))
       in
       Message.Audited { report = r; examined; objects }
   | Message.Root_hash -> Message.Root { hash = published_root t }
@@ -1457,31 +1460,26 @@ let dispatch t participant (req : Message.request) =
            bound P(miss k tampered objects) ≤ (1−α)^k per sweep. *)
         let drbg = Tep_crypto.Drbg.create ~seed in
         let sample_one (sh : shard) =
-          let store = Engine.provstore sh.s_engine in
-          let forest = Engine.forest sh.s_engine in
-          let live = List.filter (Forest.mem forest) (Provstore.objects store) in
-          List.fold_left
-            (fun (rep, sampled, population) oid ->
-              let draw = Tep_crypto.Drbg.uniform_int drbg 1_000_000 in
-              if draw >= alpha_ppm then (rep, sampled, population + 1)
-              else
-                match Engine.verify_object sh.s_engine oid with
-                | Ok r ->
-                    (merge_reports rep (report r), sampled + 1, population + 1)
-                | Error e ->
-                    ( {
-                        rep with
-                        Message.rp_violations =
-                          rep.Message.rp_violations
-                          @ [ Printf.sprintf "%s: %s" (Oid.to_string oid) e ];
-                      },
-                      sampled + 1,
-                      population + 1 ))
-            (empty_report, 0, 0) live
+          let results, population =
+            Shards.sample_shard ?pool:t.pool ~drbg ~alpha_ppm sh.s_engine
+          in
+          let object_report (oid, result) =
+            match result with
+            | Ok r -> report r
+            | Error e ->
+                {
+                  empty_report with
+                  Message.rp_violations =
+                    [ Printf.sprintf "%s: %s" (Oid.to_string oid) e ];
+                }
+          in
+          ( concat_reports (List.map object_report results),
+            List.length results,
+            population )
         in
         let rep, sampled, population =
           fold_shards t sample_one (fun (r1, s1, p1) (r2, s2, p2) ->
-              (merge_reports r1 r2, s1 + s2, p1 + p2))
+              (concat_reports [ r1; r2 ], s1 + s2, p1 + p2))
         in
         Message.Audit_sample_resp { report = rep; sampled; population }
       end

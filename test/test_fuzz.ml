@@ -250,6 +250,15 @@ let test_poly_huge_exponent () =
   Alcotest.(check int) "consumed" (Buffer.length buf) off;
   Alcotest.(check int) "degree kept as a number" e (Tep_prov.Polynomial.degree p)
 
+(* A factor of 1 once reached [Nat.rem d 0] and escaped as
+   Division_by_zero. *)
+let test_rsa_unit_factor () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) s true
+        (Tep_crypto.Rsa.private_of_string ("rsa-priv:" ^ s) = None))
+    [ "b1fa1c0b3fd:::e0f:1"; "231c3d:2a35:b:1:406218a821911" ]
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -260,6 +269,8 @@ let () =
             test_decode_response_regressions;
           Alcotest.test_case "Polynomial.decode huge exponent" `Quick
             test_poly_huge_exponent;
+          Alcotest.test_case "Rsa.private_of_string unit factor" `Quick
+            test_rsa_unit_factor;
         ] );
       ("salvage", List.map QCheck_alcotest.to_alcotest fuzz_salvage);
       ( "integrity",

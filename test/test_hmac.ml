@@ -100,6 +100,51 @@ let prop_key_sensitivity =
            (Hmac.mac ~algo:Digest_algo.SHA256 ~key:k1 msg)
            (Hmac.mac ~algo:Digest_algo.SHA256 ~key:k2 msg)))
 
+(* RFC 2104 spelled out from the one-shot digest, independent of the
+   key-schedule and midstate code in [Hmac]. *)
+let reference_hmac algo ~key msg =
+  let key =
+    if String.length key > 64 then Digest_algo.digest algo key else key
+  in
+  let pad byte =
+    String.init 64 (fun i ->
+        let k = if i < String.length key then Char.code key.[i] else 0 in
+        Char.chr (k lxor byte))
+  in
+  Digest_algo.digest algo
+    (pad 0x5c ^ Digest_algo.digest algo (pad 0x36 ^ msg))
+
+let prop_reference =
+  QCheck2.Test.make ~name:"mac_with (context) = reference HMAC" ~count:300
+    QCheck2.Gen.(
+      triple
+        (oneofl Digest_algo.all)
+        (string_size ~gen:char (int_range 0 150))
+        (string_size ~gen:char (int_range 0 200)))
+    ~print:(fun (algo, key, msg) ->
+      Printf.sprintf "%s key=%d bytes msg=%d bytes" (Digest_algo.name algo)
+        (String.length key) (String.length msg))
+    (fun (algo, key, msg) ->
+      String.equal
+        (reference_hmac algo ~key msg)
+        (Hmac.mac_with (Hmac.context ~algo ~key) msg))
+
+(* One context shared by two domains tagging at once — the sealed
+   session pattern — gives every tag the sequential run gives. *)
+let test_shared_context_domains () =
+  List.iter
+    (fun algo ->
+      let ctx = Hmac.context ~algo ~key:"session key" in
+      let msgs = List.init 400 (fun i -> String.make (i mod 150) (Char.chr (i land 0xff))) in
+      let expected = List.map (reference_hmac algo ~key:"session key") msgs in
+      let tag_all () = List.map (Hmac.mac_with ctx) msgs in
+      let other = Domain.spawn tag_all in
+      let mine = tag_all () in
+      let theirs = Domain.join other in
+      Alcotest.(check (list string)) "this domain" expected mine;
+      Alcotest.(check (list string)) "other domain" expected theirs)
+    Digest_algo.all
+
 let () =
   Alcotest.run "hmac"
     [
@@ -115,10 +160,13 @@ let () =
           Alcotest.test_case "keyed context" `Quick test_keyed_context;
           Alcotest.test_case "constant-time equal" `Quick
             test_constant_time_equal;
+          Alcotest.test_case "shared context, two domains" `Quick
+            test_shared_context_domains;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_key_sensitivity;
           QCheck_alcotest.to_alcotest prop_context_equivalence;
+          QCheck_alcotest.to_alcotest prop_reference;
         ] );
     ]

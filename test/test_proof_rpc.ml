@@ -486,6 +486,80 @@ let test_audit_sample_detects_tamper () =
   Alcotest.(check (float 1e-9)) "bound at alpha=1" 0. ((1. -. 1.) ** 1.);
   Client.close c
 
+(* The sweep's sample is fixed by the seed and its report by the
+   sample: the pool only changes who verifies which object.  Two shards,
+   a cell rewritten behind shard 0's engine and a record's output hash
+   flipped in shard 1's store, swept by a sequential server and by a
+   4-domain one over the same engines. *)
+let test_audit_sample_pool_independent () =
+  let server, directory, alice, e0, e1, t0, t1 = make_sharded_env () in
+  let c = make_client server in
+  ok (Client.authenticate c alice);
+  for i = 1 to 6 do
+    ignore (ok (Client.insert c ~table:t0 [| Value.Int i; Value.Int (i * 10) |]));
+    ignore (ok (Client.insert c ~table:t1 [| Value.Int i; Value.Int (i * 20) |]))
+  done;
+  List.iter
+    (fun (table, row) ->
+      ignore (ok (Client.update c ~table ~row ~col:1 (Value.Int (100 + row)))))
+    [ (t0, 1); (t0, 4); (t1, 2); (t1, 5) ];
+  Client.close c;
+  let cell eng table row =
+    Option.get (Tree_view.cell_oid (Engine.mapping eng) table row 1)
+  in
+  ignore (Forest.update (Engine.forest e0) (cell e0 t0 3) (Value.Int 999));
+  let victim = cell e1 t1 2 in
+  let tampered = Provstore.create ~algo:(Engine.algo e1) () in
+  List.iter
+    (fun (r : Record.t) ->
+      Provstore.append tampered
+        (if Oid.equal r.Record.output_oid victim && r.Record.seq_id = 1 then
+           { r with Record.output_hash = "evil" }
+         else r))
+    (Provstore.all (Engine.provstore e1));
+  let e1 =
+    Engine.of_parts ~directory ~provstore:tampered ~forest:(Engine.forest e1)
+      ~view:(Engine.mapping e1) (Engine.backend e1)
+  in
+  let four = Tep_parallel.Pool.create ~domains:4 () in
+  let sweep pool ~seed ~alpha_ppm =
+    let server =
+      Server.create ~pool
+        ~drbg:(Tep_crypto.Drbg.create ~seed:"server")
+        ~participants:[ ("alice", alice) ]
+        ~shards:[ (e1, None) ] e0
+    in
+    let c = make_client server in
+    ok (Client.authenticate c alice);
+    let r = ok (Client.audit_sample c ~seed ~alpha_ppm) in
+    Client.close c;
+    r
+  in
+  List.iter
+    (fun (seed, alpha_ppm) ->
+      let r1, s1, n1 = sweep Tep_parallel.Pool.sequential ~seed ~alpha_ppm in
+      let r4, s4, n4 = sweep four ~seed ~alpha_ppm in
+      let what = Printf.sprintf "seed %S at %d ppm" seed alpha_ppm in
+      Alcotest.(check string) (what ^ ": rendered report")
+        (Message.render_report r1) (Message.render_report r4);
+      Alcotest.(check (list string)) (what ^ ": violation order")
+        r1.Message.rp_violations r4.Message.rp_violations;
+      Alcotest.(check int) (what ^ ": sampled") s1 s4;
+      Alcotest.(check int) (what ^ ": population") n1 n4)
+    [ ("pools", 300_000); ("pools", 1_000_000); ("other", 600_000) ];
+  (* Pinned: a change to the DRBG stream or the draw order moves it. *)
+  let _, sampled, population = sweep four ~seed:"pools" ~alpha_ppm:300_000 in
+  Alcotest.(check int) "population" 40 population;
+  Alcotest.(check int) "sampled for seed \"pools\" at 30%" 15 sampled;
+  let full, sampled, _ = sweep four ~seed:"pools" ~alpha_ppm:1_000_000 in
+  Alcotest.(check int) "alpha=1 samples every live object" population sampled;
+  let reported tag =
+    List.exists (String.ends_with ~suffix:tag) full.Message.rp_violations
+  in
+  Alcotest.(check bool) "tampered cell reported" true (reported "(R4/R5)");
+  Alcotest.(check bool) "tampered record reported" true (reported "(R1/R8)");
+  Tep_parallel.Pool.shutdown four
+
 let () =
   Alcotest.run "proof-rpc"
     [
@@ -519,5 +593,7 @@ let () =
             test_audit_sample_full_alpha;
           Alcotest.test_case "detects tampering" `Quick
             test_audit_sample_detects_tamper;
+          Alcotest.test_case "same sweep on any pool" `Quick
+            test_audit_sample_pool_independent;
         ] );
     ]

@@ -267,8 +267,16 @@ if ! echo "$pstats" | grep -q 'proofs_served=[1-9]'; then
   exit 1
 fi
 
-# sampled continuous audit: seed-reproducible, clean history -> exit 0
-"$PROVDB" remote audit "$ws4" --as alice --sample 0.5 --seed check-sh
+# sampled continuous audit: seed-reproducible, clean history -> exit 0.
+# The sample is a function of the seed and the live oids alone, so its
+# size is pinned: a change to the DRBG stream or the draw order fails
+# here.
+sample_out=$("$PROVDB" remote audit "$ws4" --as alice --sample 0.5 --seed check-sh)
+echo "$sample_out"
+if ! echo "$sample_out" | grep -qxF 'sampled 69 of 122 live object(s) (alpha = 0.5, seed "check-sh")'; then
+  echo "FAIL: sampled audit did not draw the pinned sample for seed check-sh"
+  exit 1
+fi
 
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" || true
