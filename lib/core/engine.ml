@@ -179,6 +179,23 @@ let mark_created b oid =
   Oid.Tbl.replace b.touched oid
     { before_hash = None; prev_record = None; direct = true; agg_inputs = None }
 
+(* Journal a mutation, then apply its tree side through the function
+   recovery replays it with, capturing pre-states on the way.  Returns
+   the oids it created, in order.  Callers validate the entry against
+   the backend first, so a tree-side failure is a broken invariant. *)
+let journal t b entry =
+  wal_log t entry;
+  let created = ref [] in
+  match
+    Tree_view.mirror ~touch:(capture_existing t b)
+      ~created:(fun oid ->
+        mark_created b oid;
+        created := oid :: !created)
+      t.forest t.view entry
+  with
+  | Ok () -> List.rev !created
+  | Error e -> failwith ("Engine: " ^ e)
+
 (* ------------------------------------------------------------------ *)
 (* Commit: emit one record per surviving touched object                *)
 (* ------------------------------------------------------------------ *)
@@ -513,28 +530,6 @@ let insert_object t p ?parent value =
               mark_created b oid;
               Ok oid))
 
-let update_object t p oid value =
-  in_batch t p (fun b ->
-      if not (Forest.mem t.forest oid) then
-        Error (Printf.sprintf "no object %s" (Oid.to_string oid))
-      else begin
-        capture_existing t b ~direct:true oid;
-        match Forest.update t.forest oid value with
-        | Error e -> Error e
-        | Ok _prev ->
-            (* Keep the relational backend in sync for cell locations. *)
-            (match Tree_view.locate t.view oid with
-            | Some (Tree_view.Cell (tbl, row, col)) -> (
-                match Database.get_table t.db tbl with
-                | Some table ->
-                    (match Table.update_cell table row col value with
-                    | Ok _ -> wal_log t (Wal.Update_cell (tbl, row, col, value))
-                    | Error e -> failwith ("Engine.update_object: " ^ e))
-                | None -> ())
-            | _ -> ());
-            Ok ()
-      end)
-
 let delete_object t p oid =
   in_batch t p (fun b ->
       if not (Forest.mem t.forest oid) then
@@ -592,7 +587,7 @@ let aggregate_objects t p ?(value = Value.Text "aggregate") inputs =
                         ~prev_checksums:[]
                     in
                     let checksum = Checksum.sign b.participant payload in
-                    Provstore.append t.prov
+                    let record =
                       {
                         Record.seq_id = 0;
                         participant = Participant.name b.participant;
@@ -605,23 +600,23 @@ let aggregate_objects t p ?(value = Value.Text "aggregate") inputs =
                         output_value = None;
                         prev_checksums = [];
                         checksum;
-                      };
+                      }
+                    in
+                    Provstore.append t.prov record;
+                    if wal_present t then
+                      wal_log t (Wal.Blob (Record.encoded record));
                     input_info ((oid, h, checksum) :: acc) rest)
         in
         match input_info [] inputs with
         | Error e -> Error e
         | Ok infos -> (
-            match Forest.aggregate t.forest value inputs with
-            | Error e -> Error e
-            | Ok (boid, _mapping) ->
-                Oid.Tbl.replace b.touched boid
-                  {
-                    before_hash = None;
-                    prev_record = None;
-                    direct = true;
-                    agg_inputs = Some infos;
-                  };
-                Ok boid)
+            match
+              journal t b (Wal.Aggregate (value, List.map Oid.to_int inputs))
+            with
+            | [ boid ] ->
+                (Oid.Tbl.find b.touched boid).agg_inputs <- Some infos;
+                Ok boid
+            | _ -> assert false)
       end)
 
 (* ------------------------------------------------------------------ *)
@@ -633,17 +628,8 @@ let create_table t p ~name schema =
       match Database.create_table t.db ~name schema with
       | Error e -> Error e
       | Ok _ ->
-          wal_log t (Wal.Create_table (name, schema));
-          let root = root_oid t in
-          capture_existing t b ~direct:false root;
-          (match
-             Forest.insert ~parent:root t.forest (Tree_view.table_value name)
-           with
-          | Error e -> Error e
-          | Ok toid ->
-              Tree_view.register_table t.view name toid;
-              mark_created b toid;
-              Ok ()))
+          ignore (journal t b (Wal.Create_table (name, schema)));
+          Ok ())
 
 let insert_row t p ~table cells =
   in_batch t p (fun b ->
@@ -652,58 +638,25 @@ let insert_row t p ~table cells =
       | Some tbl -> (
           match Tree_view.table_oid t.view table with
           | None -> Error (Printf.sprintf "table %s has no tree node" table)
-          | Some toid -> (
+          | Some _ -> (
               match Table.insert tbl cells with
               | Error e -> Error e
               | Ok row_id ->
-                  wal_log t (Wal.Insert_row (table, row_id, cells));
-                  (* Capture table/root pre-state before growing the
-                     tree. *)
-                  capture_existing t b ~direct:false toid;
-                  (match
-                     Forest.insert ~parent:toid t.forest
-                       (Tree_view.row_value row_id)
-                   with
-                  | Error e -> failwith e
-                  | Ok roid ->
-                      Tree_view.register_row t.view table row_id roid;
-                      mark_created b roid;
-                      Array.iteri
-                        (fun col v ->
-                          match Forest.insert ~parent:roid t.forest v with
-                          | Error e -> failwith e
-                          | Ok coid ->
-                              Tree_view.register_cell t.view table row_id col
-                                coid;
-                              mark_created b coid)
-                        cells;
-                      Ok row_id))))
+                  ignore (journal t b (Wal.Insert_row (table, row_id, cells)));
+                  Ok row_id)))
 
 let delete_row t p ~table row =
   in_batch t p (fun b ->
       match Database.get_table t.db table with
       | None -> Error (Printf.sprintf "no table %s" table)
       | Some tbl -> (
-          match Tree_view.row_oid t.view table row with
-          | None -> Error (Printf.sprintf "no row %d in %s" row table)
-          | Some roid ->
-              if not (Table.delete tbl row) then
-                Error (Printf.sprintf "no row %d in %s" row table)
-              else begin
-                wal_log t (Wal.Delete_row (table, row));
-                capture_existing t b ~direct:true roid;
-                let cells = Forest.children t.forest roid in
-                List.iter
-                  (fun coid ->
-                    match Forest.delete t.forest coid with
-                    | Ok _ -> Tree_view.unregister t.view coid
-                    | Error e -> failwith e)
-                  cells;
-                (match Forest.delete t.forest roid with
-                | Ok _ -> Tree_view.unregister t.view roid
-                | Error e -> failwith e);
-                Ok ()
-              end))
+          if Tree_view.row_oid t.view table row = None
+             || not (Table.delete tbl row)
+          then Error (Printf.sprintf "no row %d in %s" row table)
+          else begin
+            ignore (journal t b (Wal.Delete_row (table, row)));
+            Ok ()
+          end))
 
 let update_cell t p ~table ~row ~col value =
   in_batch t p (fun b ->
@@ -714,15 +667,29 @@ let update_cell t p ~table ~row ~col value =
           | None ->
               Error
                 (Printf.sprintf "no cell (%s, row %d, col %d)" table row col)
-          | Some coid -> (
-              capture_existing t b ~direct:true coid;
+          | Some _ -> (
               match Table.update_cell tbl row col value with
               | Error e -> Error e
-              | Ok _prev -> (
-                  wal_log t (Wal.Update_cell (table, row, col, value));
-                  match Forest.update t.forest coid value with
-                  | Ok _ -> Ok ()
-                  | Error e -> failwith e))))
+              | Ok _prev ->
+                  ignore (journal t b (Wal.Update_cell (table, row, col, value)));
+                  Ok ())))
+
+(* An object that is a cell updates like one, so the backend and the
+   WAL follow. *)
+let update_object t p oid value =
+  match Tree_view.locate t.view oid with
+  | Some (Tree_view.Cell (table, row, col)) ->
+      update_cell t p ~table ~row ~col value
+  | _ ->
+      in_batch t p (fun b ->
+          if not (Forest.mem t.forest oid) then
+            Error (Printf.sprintf "no object %s" (Oid.to_string oid))
+          else begin
+            capture_existing t b ~direct:true oid;
+            match Forest.update t.forest oid value with
+            | Error e -> Error e
+            | Ok _prev -> Ok ()
+          end)
 
 let update_cell_named t p ~table ~row ~column value =
   match Database.get_table t.db table with

@@ -164,12 +164,16 @@ val aggregate_objects :
 (** The paper's [Aggregate({A_1..A_n}, B)]: deep-copies the input
     subtrees under a fresh root [B] (which gets the [Aggregate]
     record citing each input's latest checksum).  [value] is [B]'s
-    own value (defaults to [Text "aggregate"]). *)
+    own value (defaults to [Text "aggregate"]).  Journaled as
+    [Wal.Aggregate], after a [Wal.Blob] for each [Import] record
+    signed for an input that had none. *)
 
 (** {1 Relational operations}
 
     These keep the backend database and the forest in sync and record
-    provenance at the matching tree locations. *)
+    provenance at the matching tree locations.  Each validates against
+    the backend, journals one WAL entry and applies the tree side with
+    {!Tep_tree.Tree_view.mirror}, as recovery replays it. *)
 
 val create_table :
   t -> Participant.t -> name:string -> Schema.t -> (unit, string) result

@@ -199,138 +199,6 @@ let checkpoint ?(keep = 2) ~dir ~wal engine =
               Ok gen))
 
 (* ------------------------------------------------------------------ *)
-(* Replay: mirror the engine's forest/view mutations exactly           *)
-(* ------------------------------------------------------------------ *)
-
-(* Oid assignment comes from Forest.insert's allocator; because the
-   crashed engine performed these same operations in this same order
-   on this same forest state, replay reproduces identical oids — the
-   property Engine.of_parts relies on. *)
-let apply_relational db forest view entry =
-  let ( let* ) = Result.bind in
-  let err fmt = Printf.ksprintf (fun s -> Error ("replay: " ^ s)) fmt in
-  match entry with
-  | Wal.Create_table (name, schema) ->
-      let* _t =
-        match Database.create_table db ~name schema with
-        | Ok t -> Ok t
-        | Error e -> err "create_table %s: %s" name e
-      in
-      let* toid =
-        match
-          Forest.insert ~parent:(Tree_view.root view) forest
-            (Tree_view.table_value name)
-        with
-        | Ok o -> Ok o
-        | Error e -> err "create_table %s: %s" name e
-      in
-      Tree_view.register_table view name toid;
-      Ok ()
-  | Wal.Drop_table name -> (
-      match Tree_view.table_oid view name with
-      | None -> err "drop_table: no table %s" name
-      | Some toid ->
-          let removed = ref [] in
-          Forest.iter_preorder forest toid (fun o _ -> removed := o :: !removed);
-          let* _n =
-            match Forest.delete_subtree forest toid with
-            | Ok n -> Ok n
-            | Error e -> err "drop_table %s: %s" name e
-          in
-          List.iter (Tree_view.unregister view) !removed;
-          if Database.drop_table db name then Ok ()
-          else err "drop_table: no table %s" name)
-  | Wal.Insert_row (tbl, id, cells) -> (
-      match (Database.get_table db tbl, Tree_view.table_oid view tbl) with
-      | None, _ | _, None -> err "insert_row: no table %s" tbl
-      | Some t, Some toid ->
-          let* () =
-            match Table.insert_with_id t id cells with
-            | Ok () -> Ok ()
-            | Error e -> err "insert_row %s/%d: %s" tbl id e
-          in
-          let* roid =
-            match
-              Forest.insert ~parent:toid forest (Tree_view.row_value id)
-            with
-            | Ok o -> Ok o
-            | Error e -> err "insert_row %s/%d: %s" tbl id e
-          in
-          Tree_view.register_row view tbl id roid;
-          let rec cells_loop col =
-            if col >= Array.length cells then Ok ()
-            else
-              match Forest.insert ~parent:roid forest cells.(col) with
-              | Error e -> err "insert_row %s/%d cell %d: %s" tbl id col e
-              | Ok coid ->
-                  Tree_view.register_cell view tbl id col coid;
-                  cells_loop (col + 1)
-          in
-          cells_loop 0)
-  | Wal.Delete_row (tbl, id) -> (
-      match (Database.get_table db tbl, Tree_view.row_oid view tbl id) with
-      | None, _ -> err "delete_row: no table %s" tbl
-      | _, None -> err "delete_row: no row %d in %s" id tbl
-      | Some t, Some roid ->
-          if not (Table.delete t id) then err "delete_row: no row %d in %s" id tbl
-          else begin
-            let rec delete_all = function
-              | [] -> Ok ()
-              | oid :: rest -> (
-                  match Forest.delete forest oid with
-                  | Ok _ ->
-                      Tree_view.unregister view oid;
-                      delete_all rest
-                  | Error e -> err "delete_row %s/%d: %s" tbl id e)
-            in
-            let* () = delete_all (Forest.children forest roid) in
-            let* _v =
-              match Forest.delete forest roid with
-              | Ok v -> Ok v
-              | Error e -> err "delete_row %s/%d: %s" tbl id e
-            in
-            Tree_view.unregister view roid;
-            Ok ()
-          end)
-  | Wal.Update_cell (tbl, id, col, v) -> (
-      match (Database.get_table db tbl, Tree_view.cell_oid view tbl id col) with
-      | None, _ -> err "update_cell: no table %s" tbl
-      | _, None -> err "update_cell: no cell (%s, %d, %d)" tbl id col
-      | Some t, Some coid ->
-          let* _prev =
-            match Table.update_cell t id col v with
-            | Ok p -> Ok p
-            | Error e -> err "update_cell %s/%d/%d: %s" tbl id col e
-          in
-          let* _prev =
-            match Forest.update forest coid v with
-            | Ok p -> Ok p
-            | Error e -> err "update_cell %s/%d/%d: %s" tbl id col e
-          in
-          Ok ())
-  | Wal.Update_row (tbl, id, cells) -> (
-      match Database.get_table db tbl with
-      | None -> err "update_row: no table %s" tbl
-      | Some t ->
-          let* _prev =
-            match Table.update_row t id cells with
-            | Ok p -> Ok p
-            | Error e -> err "update_row %s/%d: %s" tbl id e
-          in
-          let rec cells_loop col =
-            if col >= Array.length cells then Ok ()
-            else
-              match Tree_view.cell_oid view tbl id col with
-              | None -> err "update_row: no cell (%s, %d, %d)" tbl id col
-              | Some coid -> (
-                  match Forest.update forest coid cells.(col) with
-                  | Ok _ -> cells_loop (col + 1)
-                  | Error e -> err "update_row %s/%d/%d: %s" tbl id col e)
-          in
-          cells_loop 0)
-  | Wal.Commit _ | Wal.Blob _ | Wal.Prepare _ | Wal.Decide _ -> Ok ()
-
-(* ------------------------------------------------------------------ *)
 (* Recover                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -443,11 +311,17 @@ let recover ?mode ?pool ?wal_path ?(is_decided = fun _ -> false)
                 Ok ()
             | Wal.Decide _ -> Ok ()
             | e -> (
-                match apply_relational c.c_db c.c_forest c.c_view e with
-                | Ok () ->
-                    incr entries_replayed;
-                    Ok ()
-                | Error _ as err -> err)
+                (* The engine assigned oids through Tree_view.mirror
+                   in this order on this forest state, so the same
+                   call with no hooks reproduces them. *)
+                match Wal.apply c.c_db e with
+                | Error e -> Error ("replay: " ^ e)
+                | Ok () -> (
+                    match Tree_view.mirror c.c_forest c.c_view e with
+                    | Error e -> Error ("replay: " ^ e)
+                    | Ok () ->
+                        incr entries_replayed;
+                        Ok ()))
           in
           let rec apply_all = function
             | [] -> Ok ()

@@ -17,12 +17,13 @@
       is reported),
     + salvage the WAL and take the tail past the generation's LSN,
     + replay the {e contiguous} tail prefix up to the last
-      {!Tep_store.Wal.Commit} marker — relational entries are applied
-      to both the backend and the forest/view (mirroring exactly the
-      oid assignments the engine performed before the crash), and
-      journaled provenance records are re-appended to the store;
-      frames after the last commit marker, or after a damaged gap,
-      are rolled back,
+      {!Tep_store.Wal.Commit} marker — each relational or [Aggregate]
+      entry is applied to the backend with {!Tep_store.Wal.apply} and
+      to the forest/view with {!Tep_tree.Tree_view.mirror}, the
+      function the engine made the change through, so the replay
+      assigns the oids the engine assigned; journaled provenance
+      records are re-appended to the store; frames after the last
+      commit marker, or after a damaged gap, are rolled back,
     + rebuild the engine with {!Engine.of_parts} (preserving oid
       identity),
     + cross-check the recovered root hash against the last commit
@@ -31,10 +32,14 @@
     + write a fresh checkpoint, so rolled-back frames can never
       resurface in a later recovery.
 
-    Object-level operations ([insert_object] & co.) are not journaled
-    in the WAL; the pipeline covers the relational workload (the
-    paper's experimental setting).  State they created is still
-    restored from the checkpoint itself. *)
+    Aggregates are journaled, and so are the [Import] records an
+    aggregate signs for untracked inputs.  [insert_object],
+    [update_object] (unless the object is a cell, which updates like
+    {!Engine.update_cell}) and [delete_object] are not, and provdbd
+    never issues them: the pipeline covers the relational workload
+    (the paper's experimental setting) plus aggregates.  State those
+    object operations created is still restored from the checkpoint
+    itself. *)
 
 open Tep_store
 
@@ -44,7 +49,8 @@ type report = {
   generation : int;  (** generation the recovery started from *)
   checkpoint_lsn : int;  (** LSN covered by that generation *)
   rejected : rejected list;  (** newer generations that failed to load *)
-  entries_replayed : int;  (** relational WAL entries re-applied *)
+  entries_replayed : int;
+      (** relational and [Aggregate] WAL entries re-applied *)
   records_replayed : int;  (** provenance records re-appended *)
   frames_dropped : int;
       (** salvaged frames rolled back: past the last commit marker or

@@ -13,13 +13,6 @@ let create_table t ~name schema =
     Ok table
   end
 
-let drop_table t name =
-  if Hashtbl.mem t.tables name then begin
-    Hashtbl.remove t.tables name;
-    true
-  end
-  else false
-
 let get_table t name = Hashtbl.find_opt t.tables name
 
 let get_table_exn t name =

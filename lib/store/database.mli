@@ -7,7 +7,6 @@ val create : name:string -> t
 val name : t -> string
 
 val create_table : t -> name:string -> Schema.t -> (Table.t, string) result
-val drop_table : t -> string -> bool
 val get_table : t -> string -> Table.t option
 val get_table_exn : t -> string -> Table.t
 (** @raise Not_found *)

@@ -68,17 +68,6 @@ let update_cell t row_id col v =
         end
       end
 
-let update_row t row_id cells =
-  match Hashtbl.find_opt t.rows row_id with
-  | None -> Error (Printf.sprintf "no row %d" row_id)
-  | Some r -> (
-      match Schema.validate_row t.schema cells with
-      | Error e -> Error e
-      | Ok () ->
-          let prev = Array.copy r.cells in
-          Array.blit cells 0 r.cells 0 (Array.length cells);
-          Ok prev)
-
 let row_count t = Hashtbl.length t.rows
 
 let ids_sorted t =

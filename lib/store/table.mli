@@ -26,9 +26,6 @@ val update_cell : t -> int -> int -> Value.t -> (Value.t, string) result
 (** [update_cell t row_id col_idx v] sets one cell and returns the
     previous value. *)
 
-val update_row : t -> int -> Value.t array -> (Value.t array, string) result
-(** Replace all cells of a row; returns the previous cells. *)
-
 val row_count : t -> int
 
 val iter : (row -> unit) -> t -> unit

@@ -1,20 +1,17 @@
 type entry =
   | Create_table of string * Schema.t
-  | Drop_table of string
   | Insert_row of string * int * Value.t array
   | Delete_row of string * int
   | Update_cell of string * int * int * Value.t
-  | Update_row of string * int * Value.t array
+  | Aggregate of Value.t * int list
   | Commit of string
   | Blob of string
   | Prepare of string * string
   | Decide of string * int list
 
 let is_relational = function
-  | Create_table _ | Drop_table _ | Insert_row _ | Delete_row _
-  | Update_cell _ | Update_row _ ->
-      true
-  | Commit _ | Blob _ | Prepare _ | Decide _ -> false
+  | Create_table _ | Insert_row _ | Delete_row _ | Update_cell _ -> true
+  | Aggregate _ | Commit _ | Blob _ | Prepare _ | Decide _ -> false
 
 type salvage = {
   entries : (int * entry) list;
@@ -83,14 +80,28 @@ let decode_cells s off =
   in
   (cells, !off)
 
+let add_ints buf l =
+  Value.add_varint buf (List.length l);
+  List.iter (Value.add_varint buf) l
+
+let read_ints s off =
+  let n, off = Value.read_varint s off in
+  if n < 0 || n > String.length s - off then
+    failwith "Wal.decode_entry: bad count";
+  let off = ref off in
+  let l =
+    List.init n (fun _ ->
+        let v, o = Value.read_varint s !off in
+        off := o;
+        v)
+  in
+  (l, !off)
+
 let encode_entry buf = function
   | Create_table (name, schema) ->
       Buffer.add_char buf '\x01';
       Value.add_string buf name;
       Schema.encode buf schema
-  | Drop_table name ->
-      Buffer.add_char buf '\x02';
-      Value.add_string buf name
   | Insert_row (tbl, id, cells) ->
       Buffer.add_char buf '\x03';
       Value.add_string buf tbl;
@@ -106,11 +117,6 @@ let encode_entry buf = function
       Value.add_varint buf id;
       Value.add_varint buf col;
       Value.encode buf v
-  | Update_row (tbl, id, cells) ->
-      Buffer.add_char buf '\x06';
-      Value.add_string buf tbl;
-      Value.add_varint buf id;
-      encode_cells buf cells
   | Commit root_hash ->
       Buffer.add_char buf '\x07';
       Value.add_string buf root_hash
@@ -124,8 +130,11 @@ let encode_entry buf = function
   | Decide (txid, shards) ->
       Buffer.add_char buf '\x0a';
       Value.add_string buf txid;
-      Value.add_varint buf (List.length shards);
-      List.iter (Value.add_varint buf) shards
+      add_ints buf shards
+  | Aggregate (v, inputs) ->
+      Buffer.add_char buf '\x0b';
+      Value.encode buf v;
+      add_ints buf inputs
 
 let decode_entry s off =
   if off >= String.length s then failwith "Wal.decode_entry: empty";
@@ -134,9 +143,6 @@ let decode_entry s off =
       let name, off = Value.read_string s (off + 1) in
       let schema, off = Schema.decode s off in
       (Create_table (name, schema), off)
-  | '\x02' ->
-      let name, off = Value.read_string s (off + 1) in
-      (Drop_table name, off)
   | '\x03' ->
       let tbl, off = Value.read_string s (off + 1) in
       let id, off = Value.read_varint s off in
@@ -152,11 +158,6 @@ let decode_entry s off =
       let col, off = Value.read_varint s off in
       let v, off = Value.decode s off in
       (Update_cell (tbl, id, col, v), off)
-  | '\x06' ->
-      let tbl, off = Value.read_string s (off + 1) in
-      let id, off = Value.read_varint s off in
-      let cells, off = decode_cells s off in
-      (Update_row (tbl, id, cells), off)
   | '\x07' ->
       let h, off = Value.read_string s (off + 1) in
       (Commit h, off)
@@ -169,17 +170,12 @@ let decode_entry s off =
       (Prepare (txid, h), off)
   | '\x0a' ->
       let txid, off = Value.read_string s (off + 1) in
-      let n, off = Value.read_varint s off in
-      if n < 0 || n > String.length s - off then
-        failwith "Wal.decode_entry: bad shard count";
-      let off = ref off in
-      let shards =
-        List.init n (fun _ ->
-            let v, o = Value.read_varint s !off in
-            off := o;
-            v)
-      in
-      (Decide (txid, shards), !off)
+      let shards, off = read_ints s off in
+      (Decide (txid, shards), off)
+  | '\x0b' ->
+      let v, off = Value.decode s (off + 1) in
+      let inputs, off = read_ints s off in
+      (Aggregate (v, inputs), off)
   | c -> failwith (Printf.sprintf "Wal.decode_entry: bad tag %#x" (Char.code c))
 
 (* ------------------------------------------------------------------ *)
@@ -546,43 +542,33 @@ let entry_count t = t.count
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let apply db = function
+  | Create_table (name, schema) -> (
+      match Database.create_table db ~name schema with
+      | Ok _ -> Ok ()
+      | Error e -> Error e)
+  | Insert_row (tbl, id, cells) -> (
+      match Database.get_table db tbl with
+      | None -> Error (Printf.sprintf "insert: no table %s" tbl)
+      | Some t -> Table.insert_with_id t id cells)
+  | Delete_row (tbl, id) -> (
+      match Database.get_table db tbl with
+      | None -> Error (Printf.sprintf "delete: no table %s" tbl)
+      | Some t ->
+          if Table.delete t id then Ok ()
+          else Error (Printf.sprintf "delete: no row %d in %s" id tbl))
+  | Update_cell (tbl, id, col, v) -> (
+      match Database.get_table db tbl with
+      | None -> Error (Printf.sprintf "update: no table %s" tbl)
+      | Some t -> (
+          match Table.update_cell t id col v with
+          | Ok _ -> Ok ()
+          | Error e -> Error e))
+  | Aggregate _ | Commit _ | Blob _ | Prepare _ | Decide _ -> Ok ()
+
 let replay entries db =
-  let apply = function
-    | Create_table (name, schema) -> (
-        match Database.create_table db ~name schema with
-        | Ok _ -> Ok ()
-        | Error e -> Error e)
-    | Drop_table name ->
-        if Database.drop_table db name then Ok ()
-        else Error (Printf.sprintf "drop: no table %s" name)
-    | Insert_row (tbl, id, cells) -> (
-        match Database.get_table db tbl with
-        | None -> Error (Printf.sprintf "insert: no table %s" tbl)
-        | Some t -> Table.insert_with_id t id cells)
-    | Delete_row (tbl, id) -> (
-        match Database.get_table db tbl with
-        | None -> Error (Printf.sprintf "delete: no table %s" tbl)
-        | Some t ->
-            if Table.delete t id then Ok ()
-            else Error (Printf.sprintf "delete: no row %d in %s" id tbl))
-    | Update_cell (tbl, id, col, v) -> (
-        match Database.get_table db tbl with
-        | None -> Error (Printf.sprintf "update: no table %s" tbl)
-        | Some t -> (
-            match Table.update_cell t id col v with
-            | Ok _ -> Ok ()
-            | Error e -> Error e))
-    | Update_row (tbl, id, cells) -> (
-        match Database.get_table db tbl with
-        | None -> Error (Printf.sprintf "update: no table %s" tbl)
-        | Some t -> (
-            match Table.update_row t id cells with
-            | Ok _ -> Ok ()
-            | Error e -> Error e))
-    | Commit _ | Blob _ | Prepare _ | Decide _ -> Ok ()
-  in
   List.fold_left
-    (fun acc e -> match acc with Error _ -> acc | Ok () -> apply e)
+    (fun acc e -> match acc with Error _ -> acc | Ok () -> apply db e)
     (Ok ()) entries
 
 let load_and_replay path db =

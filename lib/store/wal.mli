@@ -29,11 +29,15 @@
 
 type entry =
   | Create_table of string * Schema.t
-  | Drop_table of string
   | Insert_row of string * int * Value.t array  (** table, row id, cells *)
   | Delete_row of string * int
   | Update_cell of string * int * int * Value.t  (** table, row, col, new *)
-  | Update_row of string * int * Value.t array
+  | Aggregate of Value.t * int list
+      (** (value, input oids): an aggregate the engine performed.  It
+          leaves the backend alone, but allocates forest oids, so
+          recovery must redo it for later inserts to land on the same
+          oids.  Oids travel as ints because this library cannot see
+          the tree's oid type. *)
   | Commit of string
       (** commit marker written by the engine at complex-operation
           commit; the payload is the post-commit root hash.  Recovery
@@ -58,8 +62,8 @@ type entry =
           presence makes each matching [Prepare] a commit marker. *)
 
 val is_relational : entry -> bool
-(** True for the six backend-mutating entries, false for
-    [Commit]/[Blob]/[Prepare]/[Decide]. *)
+(** True for the four backend-mutating entries, false for
+    [Aggregate]/[Commit]/[Blob]/[Prepare]/[Decide]. *)
 
 type salvage = {
   entries : (int * entry) list;  (** (frame seq, entry), in log order *)
@@ -129,9 +133,13 @@ val read_file : string -> entry list
 (** Salvaged entries of a log file, discarding the damage report.
     @raise Sys_error on I/O failure. *)
 
+val apply : Database.t -> entry -> (unit, string) result
+(** Apply one entry to a database.  Entries that do not mutate the
+    backend ([Aggregate]/[Commit]/[Blob]/[Prepare]/[Decide]) are
+    no-ops. *)
+
 val replay : entry list -> Database.t -> (unit, string) result
-(** Apply entries in order to a database.  [Commit]/[Blob]/[Prepare]/
-    [Decide] entries are skipped. *)
+(** {!apply} each entry in order, stopping at the first error. *)
 
 val load_and_replay : string -> Database.t -> (int, string) result
 (** Salvage a log file and replay it into a database; returns the

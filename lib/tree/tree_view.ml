@@ -22,10 +22,6 @@ let register m loc oid =
   Hashtbl.replace m.forward loc oid;
   Oid.Tbl.replace m.reverse oid loc
 
-let register_table m name oid = register m (Table name) oid
-let register_row m tbl id oid = register m (Row (tbl, id)) oid
-let register_cell m tbl id col oid = register m (Cell (tbl, id, col)) oid
-
 let unregister m oid =
   match Oid.Tbl.find_opt m.reverse oid with
   | None -> ()
@@ -38,6 +34,63 @@ let row_oid m tbl id = Hashtbl.find_opt m.forward (Row (tbl, id))
 let cell_oid m tbl id col = Hashtbl.find_opt m.forward (Cell (tbl, id, col))
 let locate m oid = Oid.Tbl.find_opt m.reverse oid
 
+let ( let* ) = Result.bind
+
+(* The oids a replay assigns are the oids the engine assigned only
+   because both run this one function: every node is inserted in the
+   order below, from the same allocator. *)
+let mirror ?(touch = fun ~direct:_ _ -> ()) ?(created = ignore) forest m =
+  let insert parent loc v =
+    let* oid = Forest.insert ~parent forest v in
+    register m loc oid;
+    created oid;
+    Ok oid
+  in
+  function
+  | Wal.Create_table (name, _) ->
+      touch ~direct:false m.root;
+      let* _ = insert m.root (Table name) (table_value name) in
+      Ok ()
+  | Wal.Insert_row (tbl, id, cells) -> (
+      match table_oid m tbl with
+      | None -> Error (Printf.sprintf "no table %s" tbl)
+      | Some toid ->
+          touch ~direct:false toid;
+          let* roid = insert toid (Row (tbl, id)) (row_value id) in
+          let rec from col =
+            if col = Array.length cells then Ok ()
+            else
+              let* _ = insert roid (Cell (tbl, id, col)) cells.(col) in
+              from (col + 1)
+          in
+          from 0)
+  | Wal.Delete_row (tbl, id) -> (
+      match row_oid m tbl id with
+      | None -> Error (Printf.sprintf "no row %d in %s" id tbl)
+      | Some roid ->
+          touch ~direct:true roid;
+          (* leaf deletes only: the cells first, then the row *)
+          List.fold_left
+            (fun acc oid ->
+              let* () = acc in
+              let* _ = Forest.delete forest oid in
+              unregister m oid;
+              Ok ())
+            (Ok ())
+            (Forest.children forest roid @ [ roid ]))
+  | Wal.Update_cell (tbl, id, col, v) -> (
+      match cell_oid m tbl id col with
+      | None -> Error (Printf.sprintf "no cell (%s, row %d, col %d)" tbl id col)
+      | Some coid ->
+          touch ~direct:true coid;
+          let* _ = Forest.update forest coid v in
+          Ok ())
+  | Wal.Aggregate (v, inputs) ->
+      let* boid, _ = Forest.aggregate forest v (List.map Oid.of_int inputs) in
+      created boid;
+      Ok ()
+  | Wal.Commit _ | Wal.Blob _ | Wal.Prepare _ | Wal.Decide _ -> Ok ()
+
 let build forest db =
   let root =
     match Forest.insert forest (root_value db) with
@@ -47,43 +100,29 @@ let build forest db =
   let m =
     { root; forward = Hashtbl.create 4096; reverse = Oid.Tbl.create 4096 }
   in
-  Oid.Tbl.replace m.reverse root Root;
-  Hashtbl.replace m.forward Root root;
+  register m Root root;
+  let apply entry =
+    match mirror forest m entry with Ok () -> () | Error e -> failwith e
+  in
   List.iter
     (fun tbl ->
-      let tname = Table.name tbl in
-      let toid =
-        match Forest.insert ~parent:root forest (table_value tname) with
-        | Ok o -> o
-        | Error e -> failwith e
-      in
-      register_table m tname toid;
+      let name = Table.name tbl in
+      apply (Wal.Create_table (name, Table.schema tbl));
       Table.iter
-        (fun r ->
-          let roid =
-            match Forest.insert ~parent:toid forest (row_value r.Table.id) with
-            | Ok o -> o
-            | Error e -> failwith e
-          in
-          register_row m tname r.Table.id roid;
-          Array.iteri
-            (fun col v ->
-              let coid =
-                match Forest.insert ~parent:roid forest v with
-                | Ok o -> o
-                | Error e -> failwith e
-              in
-              register_cell m tname r.Table.id col coid)
-            r.Table.cells)
+        (fun r -> apply (Wal.Insert_row (name, r.Table.id, r.Table.cells)))
         tbl)
     (Database.tables db);
   m
 
+(* Entries go out in oid order, so the bytes depend on the mapping
+   alone and not on the hash table's insertion history: a recovered
+   mapping encodes exactly like the live one. *)
 let encode buf m =
   Value.add_varint buf (Oid.to_int m.root);
   Value.add_varint buf (Hashtbl.length m.forward);
-  Hashtbl.iter
-    (fun loc oid ->
+  Hashtbl.fold (fun loc oid acc -> (oid, loc) :: acc) m.forward []
+  |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
+  |> List.iter (fun (oid, loc) ->
       (match loc with
       | Root -> Buffer.add_char buf '\x00'
       | Table t ->
@@ -99,7 +138,6 @@ let encode buf m =
           Value.add_varint buf r;
           Value.add_varint buf c);
       Value.add_varint buf (Oid.to_int oid))
-    m.forward
 
 let decode s off =
   let root, off = Value.read_varint s off in

@@ -17,9 +17,34 @@ type mapping
 
 val build : Forest.t -> Tep_store.Database.t -> mapping
 (** Insert the whole tree view into the forest (which should be
-    freshly created).  Oids are assigned root-first, tables in name
-    order, rows in id order, cells in column order — the layout
-    {!Streaming} assumes. *)
+    freshly created): the root, then one {!mirror}ed [Create_table]
+    per table and one [Insert_row] per row.  Oids are therefore
+    assigned root-first, tables in name order, rows in id order, cells
+    in column order — the layout {!Streaming} assumes. *)
+
+val mirror :
+  ?touch:(direct:bool -> Oid.t -> unit) ->
+  ?created:(Oid.t -> unit) ->
+  Forest.t ->
+  mapping ->
+  Tep_store.Wal.entry ->
+  (unit, string) result
+(** Apply the tree side of one journaled mutation: insert, delete or
+    update the forest nodes of a [Create_table], [Insert_row],
+    [Delete_row] or [Update_cell] and (un)register them in the
+    mapping, or redo an [Aggregate] with {!Forest.aggregate}.  Control
+    entries are no-ops.  The engine, crash recovery and {!build} all
+    go through here, which is what makes a replay assign the oids the
+    engine assigned.
+
+    [touch ~direct oid] runs before an existing node (or a new node's
+    parent) changes: [~direct:true] for the deleted row or updated
+    cell, [false] for the parent an insert grows.  [created oid] runs
+    after each inserted node, and after an aggregate's new root only
+    (not its copies).  The backend is not touched: callers apply the
+    entry there themselves ({!Tep_store.Wal.apply}).  [Error] when the
+    entry names a table, row or cell the mapping lacks, or the forest
+    refuses a step. *)
 
 val root : mapping -> Oid.t
 val table_oid : mapping -> string -> Oid.t option
@@ -27,19 +52,15 @@ val row_oid : mapping -> string -> int -> Oid.t option
 val cell_oid : mapping -> string -> int -> int -> Oid.t option
 val locate : mapping -> Oid.t -> location option
 
-(** {1 Registration of engine-driven changes}
-
-    When the provenance engine inserts or deletes rows after the
-    initial build it must keep the mapping in sync. *)
-
-val register_row : mapping -> string -> int -> Oid.t -> unit
-val register_cell : mapping -> string -> int -> int -> Oid.t -> unit
-val register_table : mapping -> string -> Oid.t -> unit
 val unregister : mapping -> Oid.t -> unit
+(** Forget the location of an object the engine deleted outside
+    {!mirror} (the engine's [delete_object] and [delete_object_subtree]). *)
 
 (** {1 Persistence} *)
 
 val encode : Buffer.t -> mapping -> unit
+(** Entries in oid order: equal mappings encode to equal bytes. *)
+
 val decode : string -> int -> mapping * int
 
 val root_value : Tep_store.Database.t -> Tep_store.Value.t

@@ -10,8 +10,11 @@
 
    Torn-write and bit-flip variants exercise the salvage path the same
    way.  Everything is deterministic: participants come from a fixed
-   DRBG seed and fault ordinals are explicit. *)
+   DRBG seed and fault ordinals are explicit.  A property test then
+   checks that recovery rebuilds exactly the state a live engine
+   reached, for random op sequences with the checkpoint anywhere. *)
 open Tep_store
+open Tep_tree
 open Tep_core
 module Fault = Tep_fault.Fault
 
@@ -45,6 +48,23 @@ let with_workdir f =
       try rm_rf dir with Sys_error _ -> ())
     (fun () -> f dir)
 
+(* Aggregate the first two rows of "t", then aggregate over a copy
+   inside that aggregate.  The copy has no record yet, so the second
+   aggregate signs an Import for it mid-body.  Both allocate oids, so
+   a later insert lands where it did only if recovery redoes them. *)
+let aggregate_twice eng =
+  let forest = Engine.forest eng in
+  let table = Option.get (Tree_view.table_oid (Engine.mapping eng) "t") in
+  match Forest.children forest table with
+  | r0 :: r1 :: _ ->
+      let agg = ok (Engine.aggregate_objects eng alice [ r0; r1 ]) in
+      let copy = List.hd (Forest.children forest agg) in
+      ignore
+        (ok
+           (Engine.aggregate_objects eng alice ~value:(Value.Text "nested")
+              [ copy ]))
+  | _ -> Alcotest.fail "aggregate_twice: fewer than two rows"
+
 (* Phase A: build a baseline workload and checkpoint it cleanly, so
    every scenario starts from a recoverable on-disk state. *)
 let build_baseline dir =
@@ -56,8 +76,9 @@ let build_baseline dir =
     ignore (ok (Engine.insert_row eng alice ~table:"t" [| Value.Int i; Value.Int (i * i) |]))
   done;
   ignore (ok (Recovery.checkpoint ~dir ~wal eng));
-  (* one committed-but-not-checkpointed op, so recovery always has a
-     WAL tail to replay *)
+  (* committed-but-not-checkpointed ops, so recovery always has a WAL
+     tail to replay *)
+  aggregate_twice eng;
   ignore (ok (Engine.insert_row eng alice ~table:"t" [| Value.Int 10; Value.Int 100 |]));
   Wal.close wal
 
@@ -69,6 +90,7 @@ let faulted_workload dir =
   let r1 = ok (Engine.insert_row eng alice ~table:"t" [| Value.Int 20; Value.Int 400 |]) in
   ok (Engine.update_cell eng alice ~table:"t" ~row:r1 ~col:1 (Value.Int 401));
   ignore (ok (Recovery.checkpoint ~dir ~wal eng));
+  aggregate_twice eng;
   let r2 = ok (Engine.insert_row eng alice ~table:"t" [| Value.Int 30; Value.Int 900 |]) in
   ok (Engine.delete_row eng alice ~table:"t" r2);
   ok (Engine.update_cell eng alice ~table:"t" ~row:r1 ~col:0 (Value.Int 21))
@@ -81,8 +103,14 @@ let assert_recoverable name dir =
   if not report.Recovery.hash_verified then
     Alcotest.failf "%s: root hash cross-check failed:@ %a" name
       Recovery.pp_report report;
-  let vreport = ok (Engine.verify_object eng (Engine.root_oid eng)) in
-  Alcotest.(check bool) (name ^ ": root verifies") true (Verifier.ok vreport);
+  (* every tree: the database and each aggregate *)
+  List.iter
+    (fun root ->
+      let vreport = ok (Engine.verify_object eng root) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s verifies" name (Oid.to_string root))
+        true (Verifier.ok vreport))
+    (Forest.roots (Engine.forest eng));
   let r = ok (Engine.insert_row eng alice ~table:"t" [| Value.Int 77; Value.Int 5929 |]) in
   ok (Engine.delete_row eng alice ~table:"t" r);
   Wal.close wal
@@ -218,6 +246,125 @@ let test_uncommitted_rollback () =
         report2.Recovery.hash_verified;
       Wal.close wal3)
 
+(* ------------------------------------------------------------------ *)
+(* Property: recovery rebuilds the live engine's state                 *)
+(* ------------------------------------------------------------------ *)
+
+type prop_op =
+  | Create
+  | Insert of int
+  | Update of int * int
+  | Delete of int
+  | Aggregate of int * int
+
+let pp_prop_op = function
+  | Create -> "create"
+  | Insert i -> Printf.sprintf "insert %d" i
+  | Update (i, v) -> Printf.sprintf "update %d %d" i v
+  | Delete i -> Printf.sprintf "delete %d" i
+  | Aggregate (i, j) -> Printf.sprintf "aggregate %d %d" i j
+
+(* ops, and how many of them run before the checkpoint *)
+let gen_prop_case =
+  QCheck2.Gen.(
+    list_size (int_range 1 10)
+      (frequency
+         [
+           (1, return Create);
+           (3, map (fun i -> Insert i) (int_range 0 99));
+           (2, map2 (fun i v -> Update (i, v)) (int_range 0 99) (int_range 0 999));
+           (1, map (fun i -> Delete i) (int_range 0 99));
+           (2, map2 (fun i j -> Aggregate (i, j)) (int_range 0 999) (int_range 0 999));
+         ])
+    >>= fun ops -> map (fun k -> (ops, k)) (int_range 0 (List.length ops)))
+
+let print_prop_case (ops, k) =
+  Printf.sprintf "checkpoint after %d of [%s]" k
+    (String.concat "; " (List.map pp_prop_op ops))
+
+(* Each op picks its target from the live state, so every op applies.
+   A database starts with one table, so inserts have somewhere to go. *)
+let run_prop_op eng op =
+  let db = Engine.backend eng in
+  let forest = Engine.forest eng in
+  let rows () =
+    List.concat_map
+      (fun name ->
+        let acc = ref [] in
+        Table.iter
+          (fun r -> acc := (name, r.Table.id) :: !acc)
+          (Database.get_table_exn db name);
+        List.rev !acc)
+      (Database.table_names db)
+  in
+  let pick l i = List.nth l (i mod List.length l) in
+  match op with
+  | Create ->
+      let name = Printf.sprintf "t%d" (List.length (Database.table_names db)) in
+      ok (Engine.create_table eng alice ~name (Schema.all_int [ "a"; "b" ]))
+  | Insert i ->
+      let table = pick (Database.table_names db) i in
+      ignore
+        (ok (Engine.insert_row eng alice ~table [| Value.Int i; Value.Int (i * i) |]))
+  | Update (i, v) -> (
+      match rows () with
+      | [] -> ()
+      | l ->
+          let table, row = pick l i in
+          ok (Engine.update_cell eng alice ~table ~row ~col:(v mod 2) (Value.Int v)))
+  | Delete i -> (
+      match rows () with
+      | [] -> ()
+      | l ->
+          let table, row = pick l i in
+          ok (Engine.delete_row eng alice ~table row))
+  | Aggregate (i, j) ->
+      let live =
+        List.concat_map
+          (fun root ->
+            let acc = ref [] in
+            Forest.iter_preorder forest root (fun o _ -> acc := o :: !acc);
+            List.rev !acc)
+          (Forest.roots forest)
+      in
+      let inputs = List.sort_uniq Oid.compare [ pick live i; pick live j ] in
+      ignore (ok (Engine.aggregate_objects eng alice inputs))
+
+let encoded f x =
+  let buf = Buffer.create 4096 in
+  f buf x;
+  Buffer.contents buf
+
+let prop_recover_rebuilds =
+  QCheck2.Test.make ~name:"recover = live engine" ~count:30
+    ~print:print_prop_case gen_prop_case (fun (ops, k) ->
+      with_workdir (fun dir ->
+          let wal = Wal.open_file (Filename.concat dir "wal.log") in
+          let db = Database.create ~name:"propdb" in
+          let eng = Engine.create ~wal ~directory db in
+          ok (Engine.create_table eng alice ~name:"t0" (Schema.all_int [ "a"; "b" ]));
+          List.iteri
+            (fun i op ->
+              if i = k then ignore (ok (Recovery.checkpoint ~dir ~wal eng));
+              run_prop_op eng op)
+            ops;
+          if k = List.length ops then
+            ignore (ok (Recovery.checkpoint ~dir ~wal eng));
+          (* the live state; then the engine is dropped unsaved *)
+          let root = Engine.root_hash eng in
+          let forest = encoded Forest.encode (Engine.forest eng) in
+          let view = encoded Tree_view.encode (Engine.mapping eng) in
+          Wal.close wal;
+          let eng2, wal2, report = ok (Recovery.recover ~dir ~directory ()) in
+          Wal.close wal2;
+          if not report.Recovery.hash_verified then
+            QCheck2.Test.fail_reportf "cross-check failed:@ %a"
+              Recovery.pp_report report;
+          String.equal root (Engine.root_hash eng2)
+          && String.equal forest (encoded Forest.encode (Engine.forest eng2))
+          && String.equal view
+               (encoded Tree_view.encode (Engine.mapping eng2))))
+
 let () =
   Alcotest.run "crash"
     [
@@ -237,4 +384,5 @@ let () =
           Alcotest.test_case "uncommitted rollback" `Quick
             test_uncommitted_rollback;
         ] );
+      ("property", [ QCheck_alcotest.to_alcotest prop_recover_rebuilds ]);
     ]

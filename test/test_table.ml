@@ -58,15 +58,6 @@ let test_update_cell () =
   | Ok _ -> Alcotest.fail "missing row accepted"
   | Error _ -> ()
 
-let test_update_row () =
-  let t = mk_table () in
-  let id = ok (Table.insert t (row 1 2)) in
-  let prev = ok (Table.update_row t id (row 9 8)) in
-  Alcotest.(check bool) "prev row" true (Value.equal prev.(0) (Value.Int 1));
-  match Table.get t id with
-  | Some r -> Alcotest.(check bool) "new" true (Value.equal r.Table.cells.(0) (Value.Int 9))
-  | None -> Alcotest.fail "row missing"
-
 let test_iteration_order () =
   let t = mk_table () in
   let ids = List.init 50 (fun i -> ok (Table.insert t (row i i))) in
@@ -129,7 +120,6 @@ let () =
           Alcotest.test_case "insert isolation" `Quick test_insert_isolation;
           Alcotest.test_case "delete" `Quick test_delete;
           Alcotest.test_case "update_cell" `Quick test_update_cell;
-          Alcotest.test_case "update_row" `Quick test_update_row;
           Alcotest.test_case "iteration order" `Quick test_iteration_order;
           Alcotest.test_case "insert_with_id" `Quick test_insert_with_id;
           Alcotest.test_case "fold" `Quick test_fold;

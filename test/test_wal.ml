@@ -13,11 +13,11 @@ let sample_entries =
     Wal.Insert_row ("t", 0, [| Value.Int 1; Value.Int 2 |]);
     Wal.Insert_row ("t", 1, [| Value.Int 3; Value.Int 4 |]);
     Wal.Update_cell ("t", 0, 1, Value.Int 42);
-    Wal.Update_row ("t", 1, [| Value.Int 5; Value.Int 6 |]);
+    Wal.Update_cell ("t", 1, 0, Value.Int 5);
     Wal.Delete_row ("t", 0);
     Wal.Blob "opaque payload \x00\x01\x02";
     Wal.Commit (String.make 32 '\xab');
-    Wal.Drop_table "missing_is_error";
+    Wal.Aggregate (Value.Text "agg", [ 2; 5 ]);
   ]
 
 let entry_bytes e =
@@ -40,8 +40,24 @@ let test_entry_codec () =
 
 let test_is_relational () =
   Alcotest.(check int)
-    "relational entries" 7
+    "relational entries" 6
     (List.length (List.filter Wal.is_relational sample_entries))
+
+(* 0x02 and 0x06 were Drop_table and Update_row, which nothing wrote;
+   a frame carrying either tag is now corrupt, not a mutation. *)
+let test_retired_tags () =
+  List.iter
+    (fun tag ->
+      let buf = Buffer.create 16 in
+      Buffer.add_char buf tag;
+      Value.add_string buf "t";
+      match Wal.decode_entry (Buffer.contents buf) 0 with
+      | _ -> Alcotest.failf "tag %#x decoded" (Char.code tag)
+      | exception Failure msg ->
+          Alcotest.(check string) "bad tag"
+            (Printf.sprintf "Wal.decode_entry: bad tag %#x" (Char.code tag))
+            msg)
+    [ '\x02'; '\x06' ]
 
 let test_memory_log () =
   let w = Wal.in_memory () in
@@ -54,7 +70,8 @@ let test_memory_log () =
 
 let test_replay () =
   let w = Wal.in_memory () in
-  List.iteri (fun i e -> if i < 8 then wok (Wal.append w e)) sample_entries;
+  (* every sample, the backend-neutral Aggregate included *)
+  List.iter (fun e -> wok (Wal.append w e)) sample_entries;
   let db = Database.create ~name:"replayed" in
   ok (Wal.replay (Wal.entries w) db);
   let t = Database.get_table_exn db "t" in
@@ -352,6 +369,7 @@ let () =
         [
           Alcotest.test_case "entry codec" `Quick test_entry_codec;
           Alcotest.test_case "is_relational" `Quick test_is_relational;
+          Alcotest.test_case "retired tags" `Quick test_retired_tags;
           Alcotest.test_case "memory log" `Quick test_memory_log;
           Alcotest.test_case "replay" `Quick test_replay;
           Alcotest.test_case "replay error" `Quick test_replay_error;

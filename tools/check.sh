@@ -17,9 +17,10 @@
 #     the 32nd row, through a chunked table node) -> tamper -> remote
 #     prove exit 3 -> sampled audit exit 3;
 #   - stale-workspace session: a daemon killed after a remote
-#     checkpoint, or with un-checkpointed WAL frames, must not restart
-#     until `provdb recover`, which brings back the pre-crash root;
-#     `provdb prune` survives `provdb recover`.
+#     checkpoint, or with un-checkpointed WAL frames (an aggregate
+#     among them), must not restart until `provdb recover`, which
+#     brings back the pre-crash root; `provdb prune` survives
+#     `provdb recover`.
 # With TEP_CHAOS_SEED set, the chaos soak also runs once more under
 # that seed (the @chaos gate itself pins tep-chaos-0).
 set -eu
@@ -41,13 +42,14 @@ ws2=$(mktemp -d)/ws
 ws3=$(mktemp -d)/ws
 ws4=$(mktemp -d)/ws
 ws5=$(mktemp -d)/ws
+ws6=$(mktemp -d)/ws
 cleanup() {
   if [ -n "${daemon_pid:-}" ]; then
     kill "$daemon_pid" 2>/dev/null || true
     wait "$daemon_pid" 2>/dev/null || true
   fi
   rm -rf "$(dirname "$ws")" "$(dirname "$ws2")" "$(dirname "$ws3")" \
-    "$(dirname "$ws4")" "$(dirname "$ws5")"
+    "$(dirname "$ws4")" "$(dirname "$ws5")" "$(dirname "$ws6")"
 }
 trap cleanup EXIT
 
@@ -310,25 +312,28 @@ echo "== stale workspace (scripted crash regressions) =="
 "$PROVDB" init "$ws5" --table 'stock:sku,qty@int'
 "$PROVDB" participant "$ws5" alice
 
+# The helpers act on the workspace in $sws.
+sws=$ws5
+
 # SIGKILL the daemon and remove its stale socket, as a crash leaves it.
 crash_daemon() {
   kill -KILL "$daemon_pid"
   wait "$daemon_pid" 2>/dev/null || true
   daemon_pid=
-  rm -f "$ws5/provdbd.sock"
+  rm -f "$sws/provdbd.sock"
 }
 
 # A restart over the crashed workspace must exit 1 without listening
 # and send the operator to `provdb recover`.
 expect_refusal() {
   status=0
-  timeout 20 "$PROVDBD" "$ws5" > /dev/null 2> "$ws5.err" || status=$?
-  cat "$ws5.err"
-  if [ "$status" -ne 1 ] || [ -S "$ws5/provdbd.sock" ]; then
+  timeout 20 "$PROVDBD" "$sws" > /dev/null 2> "$sws.err" || status=$?
+  cat "$sws.err"
+  if [ "$status" -ne 1 ] || [ -S "$sws/provdbd.sock" ]; then
     echo "FAIL: provdbd over a stale workspace ($1) exited $status, expected 1"
     exit 1
   fi
-  if ! grep -q 'provdb recover' "$ws5.err"; then
+  if ! grep -q 'provdb recover' "$sws.err"; then
     echo "FAIL: the stale-workspace refusal ($1) does not name provdb recover"
     exit 1
   fi
@@ -336,10 +341,10 @@ expect_refusal() {
 
 # After recovery, a restarted daemon serves the root from before the crash.
 expect_recovered_root() {
-  "$PROVDB" recover "$ws5" > /dev/null
-  "$PROVDBD" "$ws5" & daemon_pid=$!
-  wait_for_socket "$ws5"
-  root_now=$("$PROVDB" remote root-hash "$ws5" --as alice)
+  "$PROVDB" recover "$sws" > /dev/null
+  "$PROVDBD" "$sws" & daemon_pid=$!
+  wait_for_socket "$sws"
+  root_now=$("$PROVDB" remote root-hash "$sws" --as alice)
   if [ "$root_now" != "$1" ]; then
     echo "FAIL: recovered root differs from the pre-crash root ($2)"
     echo "  before: $1"
@@ -386,7 +391,42 @@ if [ "$after_prune" -ge "$before_prune" ] || \
   exit 1
 fi
 "$PROVDB" verify "$ws5"
+
+# (c) on a fresh workspace, an aggregate and then an insert only in the
+# WAL, then a crash: the insert lands on the pre-crash oids only if
+# recovery redoes the aggregate, and otherwise verify reports tampering
+"$PROVDB" init "$ws6" --table 'stock:sku,qty@int'
+"$PROVDB" participant "$ws6" alice
+sws=$ws6
+"$PROVDBD" "$ws6" & daemon_pid=$!
+wait_for_socket "$ws6"
+"$PROVDB" remote insert "$ws6" --as alice --table stock --values 'WIDGET-1,100'
+"$PROVDB" remote insert "$ws6" --as alice --table stock --values 'WIDGET-2,7'
+# rows 0 and 1 sit at oids 2 and 5, as in the lineage session
+"$PROVDB" remote aggregate "$ws6" --as alice --oids 2,5 --value 107
+"$PROVDB" remote insert "$ws6" --as alice --table stock --values 'WIDGET-3,3'
+root_crash=$("$PROVDB" remote root-hash "$ws6" --as alice)
+crash_daemon
+expect_refusal "an aggregate in the WAL"
+expect_recovered_root "$root_crash" "an aggregate in the WAL"
+status=0
+"$PROVDB" remote verify "$ws6" --as alice || status=$?
+kill -TERM "$daemon_pid"
+wait "$daemon_pid" || true
+daemon_pid=
+if [ "$status" -ne 0 ]; then
+  echo "FAIL: remote verify after recovering an aggregate exited $status, expected 0"
+  exit 1
+fi
+status=0
+recover_out=$("$PROVDB" recover "$ws6") || status=$?
+echo "$recover_out"
+if [ "$status" -ne 0 ] || echo "$recover_out" | grep -q 'MISMATCH'; then
+  echo "FAIL: provdb recover after recovering an aggregate exited $status" \
+    "or reported a MISMATCH"
+  exit 1
+fi
 echo "stale workspace: crashed daemons refused until recover, pre-crash roots \
-restored, prune survives recover"
+restored (also past an aggregate), prune survives recover"
 
 echo "check: OK"
