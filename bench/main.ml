@@ -794,9 +794,8 @@ let run_proof () =
       Server.create
         ~drbg:(Tep_crypto.Drbg.create ~seed:(seed ^ "-srv"))
         ~participants:[ ("alice", alice) ]
-        ~shards:
-          (List.tl (Array.to_list engines) |> List.map (fun e -> (e, None)))
-        ?coord engines.(0)
+        ?coord
+        (List.map (fun e -> (e, None)) (Array.to_list engines))
     in
     let c =
       Client.loopback ~drbg:(Tep_crypto.Drbg.create ~seed:(seed ^ "-cli")) server

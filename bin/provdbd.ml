@@ -42,18 +42,11 @@ let run dir socket port shards_flag io_threads idle_timeout =
       exit_usage
   | Ok ws ->
       let nshards = Array.length ws.shards in
-      (* shard 0 is the positional engine; the rest ride in ~shards,
-         each with its own checkpoint directory + WAL *)
-      let extra =
-        List.tl (Array.to_list ws.shards)
-        |> List.map (fun s -> (s.s_engine, Some (ckpt_dir s.s_dir, s.s_wal)))
-      in
-      let first = ws.shards.(0) in
       let server =
-        Server.create ~pool:(pool ())
-          ~checkpoint:(ckpt_dir first.s_dir, first.s_wal)
-          ~shards:extra ?coord:ws.coord ~io_workers:io_threads ~idle_timeout
-          ~participants:ws.participants first.s_engine
+        Server.create ~pool:(pool ()) ?coord:ws.coord ~io_workers:io_threads
+          ~idle_timeout ~participants:ws.participants
+          (Array.to_list ws.shards
+          |> List.map (fun s -> (s.s_engine, Some (ckpt_dir s.s_dir, s.s_wal))))
       in
       let stop = Atomic.make false in
       let signals = Atomic.make 0 in

@@ -171,6 +171,8 @@ let load_shard ~directory ~label ~recover_hint sdir =
       refuse
         (Printf.sprintf "%d un-checkpointed WAL frame(s)"
            (List.length sv.Wal.entries))
+  | Error e when Sys.file_exists (wal_path sdir) ->
+      fail "%s%s; run `provdb recover %s`" label e recover_hint
   | _ -> (
       let* db = within "backend" (Snapshot.load (sdir // "backend.snap")) in
       let* prov =

@@ -34,9 +34,7 @@ type transport = {
 }
 
 type session = {
-  keyed : Session.keyed; (* precomputed HMAC key schedule *)
-  mutable send_seq : int;
-  mutable recv_seq : int;
+  channel : Session.channel;
   mutable next_cid : int; (* correlation ids; 0 is the server's *)
   stashed : (int, Message.response) Hashtbl.t;
       (* responses that arrived while collecting a different cid *)
@@ -66,9 +64,7 @@ type t = {
   mutable participant : Participant.t option;
       (* who we authenticated as, for transparent re-auth *)
   drbg : Tep_crypto.Drbg.t;
-  max_payload : int;
-  inbox : Buffer.t; (* unconsumed input; compacted once per frame *)
-  mutable need : int; (* skip parse attempts below this many bytes *)
+  reader : Frame.reader;
   mutable session : session option;
   mutable closed : bool;
   inflight : (int, Message.request) Hashtbl.t;
@@ -87,9 +83,7 @@ let make ?(max_payload = Frame.default_max_payload) ?drbg ?reconnect
     reconnect;
     participant = None;
     drbg;
-    max_payload;
-    inbox = Buffer.create 256;
-    need = Frame.header_len;
+    reader = Frame.reader ~max_payload ();
     session = None;
     closed = false;
     inflight = Hashtbl.create 8;
@@ -266,44 +260,18 @@ let connect_tcp ?max_payload ?drbg ?retries ?backoff ?max_replays ~host ~port
 (* Frame exchange                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirrors the server's [feed] buffering: chunks accumulate in a
-   Buffer and the parse window is only materialised once the frame
-   could be complete, so a large response costs O(n), not O(n^2). *)
-let read_frame t =
-  let rec fill () =
-    if Buffer.length t.inbox >= t.need then parse ()
-    else
+let rec read_frame t =
+  match Frame.pull t.reader with
+  | Frame.Frame { kind; payload; _ } -> Ok (kind, payload)
+  | Frame.Need_more _ -> (
       match t.transport.recv () with
       | "" -> Error "connection closed by server"
       | chunk ->
-          Buffer.add_string t.inbox chunk;
-          fill ()
-  and parse () =
-    let buffered = Buffer.contents t.inbox in
-    match Frame.parse ~max_payload:t.max_payload buffered 0 with
-    | Frame.Frame { kind; payload; consumed } ->
-        Buffer.clear t.inbox;
-        Buffer.add_substring t.inbox buffered consumed
-          (String.length buffered - consumed);
-        t.need <- Frame.header_len;
-        Ok (kind, payload)
-    | Frame.Need_more n ->
-        t.need <- String.length buffered + n;
-        fill ()
-    | Frame.Oversized n ->
-        Error (Printf.sprintf "oversized frame from server (%d bytes)" n)
-    | Frame.Corrupt reason -> Error ("corrupt frame from server: " ^ reason)
-  in
-  fill ()
-
-let decode_response_at payload off =
-  match Message.decode_response payload off with
-  | resp, consumed when consumed = String.length payload -> Ok resp
-  | _ -> Error "trailing bytes in server response"
-  | exception (Failure e | Invalid_argument e) ->
-      Error ("malformed server response: " ^ e)
-
-let decode_response payload = decode_response_at payload 0
+          Frame.push t.reader chunk;
+          read_frame t)
+  | Frame.Oversized n ->
+      Error (Printf.sprintf "oversized frame from server (%d bytes)" n)
+  | Frame.Corrupt reason -> Error ("corrupt frame from server: " ^ reason)
 
 let error_of code message =
   Error (Printf.sprintf "%s: %s" (Message.error_code_name code) message)
@@ -316,7 +284,7 @@ let send_clear t req =
    error report (auth failure, corrupt frame); surface it as the
    call's error. *)
 let read_clear_error payload =
-  match decode_response payload with
+  match Message.decode_response_exact payload 0 with
   | Ok (Message.Error_resp { code; message }) -> error_of code message
   | Ok _ -> Error "unexpected clear frame from server"
   | Error e -> Error e
@@ -336,7 +304,7 @@ let authenticate t participant =
     | Error e -> Error e
     | Ok (Frame.Sealed, _) -> Error "unexpected sealed frame during handshake"
     | Ok (Frame.Clear, payload) -> (
-        match decode_response payload with
+        match Message.decode_response_exact payload 0 with
         | Error e -> Error e
         | Ok (Message.Error_resp { code; message }) -> error_of code message
         | Ok (Message.Challenge { nonce = server_nonce }) -> (
@@ -360,12 +328,12 @@ let authenticate t participant =
             let signature = Participant.sign participant transcript in
             send_clear t (Message.Auth { signature; key_share });
             let key = Session.derive_key ~transcript ~signature ~secret in
-            let keyed = Session.keyed ~key in
+            let channel = Session.channel ~key ~sends:Session.To_server in
             match read_frame t with
             | Error e -> Error e
             | Ok (Frame.Clear, payload) -> read_clear_error payload
             | Ok (Frame.Sealed, payload) -> (
-                match Session.open_keyed keyed ~dir:Session.To_client ~seq:0 payload with
+                match Session.open_next channel payload with
                 | Error e -> Error ("server failed key confirmation: " ^ e)
                 | Ok msg -> (
                     (* Auth_ok rides the freshly sealed channel, so it
@@ -373,15 +341,13 @@ let authenticate t participant =
                     match Message.read_cid msg with
                     | None -> Error "auth response missing correlation id"
                     | Some (cid, off) when cid = Message.conn_cid -> (
-                        match decode_response_at msg off with
+                        match Message.decode_response_exact msg off with
                         | Error e -> Error e
                         | Ok (Message.Auth_ok _) ->
                             t.session <-
                               Some
                                 {
-                                  keyed;
-                                  send_seq = 0;
-                                  recv_seq = 1;
+                                  channel;
                                   next_cid = 1;
                                   stashed = Hashtbl.create 8;
                                 };
@@ -401,12 +367,9 @@ let authenticated t = t.session <> None
 (* ------------------------------------------------------------------ *)
 
 let seal_request s ~cid req =
-  let msg = Message.with_cid cid (Message.request_to_string req) in
-  let sealed =
-    Session.seal_keyed s.keyed ~dir:Session.To_server ~seq:s.send_seq msg
-  in
-  s.send_seq <- s.send_seq + 1;
-  Frame.to_string ~kind:Frame.Sealed sealed
+  Frame.to_string ~kind:Frame.Sealed
+    (Session.seal_next s.channel
+       (Message.with_cid cid (Message.request_to_string req)))
 
 (* Socket-level send failures become errors; injected faults
    ({!Tep_fault.Fault.Crash}) still propagate so failpoint tests keep
@@ -454,8 +417,7 @@ let reestablish t =
           | Error e -> go (attempt + 1) ("reconnect failed: " ^ e)
           | Ok tr -> (
               t.transport <- tr;
-              Buffer.clear t.inbox;
-              t.need <- Frame.header_len;
+              Frame.reset t.reader;
               t.session <- None;
               match authenticate t participant with
               | Error e -> go (attempt + 1) ("re-authentication failed: " ^ e)
@@ -594,17 +556,13 @@ let collect t cid =
               | Error e -> recover s replays e
               | Ok _ -> recover s replays "unexpected clear frame from server")
           | Ok (Frame.Sealed, payload) -> (
-              match
-                Session.open_keyed s.keyed ~dir:Session.To_client
-                  ~seq:s.recv_seq payload
-              with
+              match Session.open_next s.channel payload with
               | Error e -> recover s replays ("response rejected: " ^ e)
               | Ok msg -> (
-                  s.recv_seq <- s.recv_seq + 1;
                   match Message.read_cid msg with
                   | None -> finish (Error "response missing correlation id")
                   | Some (rcid, off) -> (
-                      match decode_response_at msg off with
+                      match Message.decode_response_exact msg off with
                       | Error e -> finish (Error e)
                       | Ok resp when rcid = cid -> finish (Ok resp)
                       | Ok (Message.Error_resp { code; message })
@@ -638,12 +596,7 @@ let rpc t req =
    An application-level retry of the *same* operation must reuse the
    rid it drew — that is the idempotency contract. *)
 let fresh_rid t =
-  let raw = Tep_crypto.Drbg.generate t.drbg 12 in
-  let hex = Buffer.create 24 in
-  String.iter
-    (fun ch -> Buffer.add_string hex (Printf.sprintf "%02x" (Char.code ch)))
-    raw;
-  Buffer.contents hex
+  Tep_crypto.Digest_algo.to_hex (Tep_crypto.Drbg.generate t.drbg 12)
 
 (* ------------------------------------------------------------------ *)
 (* Typed wrappers                                                      *)
@@ -786,6 +739,22 @@ let ping t =
 (* Lineage (wire v5)                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* [f] over every element, in order, or the first error. *)
+let map_all f xs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+        match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
+  in
+  go [] xs
+
+(* A polynomial that must fill its whole encoding. *)
+let decode_poly what s =
+  match Tep_prov.Polynomial.decode s 0 with
+  | p, off when off = String.length s -> Ok p
+  | _ -> Error (what ^ ": trailing polynomial bytes")
+  | exception Failure e -> Error e
+
 (* A lineage answer, decoded: the polynomial (when the kind carries
    one), the derivation depth, and the oid list (inputs or impact). *)
 type lineage = {
@@ -797,17 +766,11 @@ type lineage = {
 let lineage t ~kind ~oid =
   rpc t (Message.Lineage { kind; oid })
   |> unwrap (function
-       | Message.Lineage_resp { poly; depth; oids } -> (
-           match
-             if poly = "" then Ok None
-             else
-               match Tep_prov.Polynomial.decode poly 0 with
-               | p, off when off = String.length poly -> Ok (Some p)
-               | _ -> Error "lineage: trailing polynomial bytes"
-               | exception Failure e -> Error e
-           with
-           | Error e -> Error e
-           | Ok l_poly -> Ok { l_poly; l_depth = depth; l_oids = oids })
+       | Message.Lineage_resp { poly; depth; oids } ->
+           Result.map
+             (fun l_poly -> { l_poly; l_depth = depth; l_oids = oids })
+             (if poly = "" then Ok None
+              else Result.map Option.some (decode_poly "lineage" poly))
        | _ -> unexpected)
 
 (* An annotated result row: its row variable (the forest oid under an
@@ -828,25 +791,14 @@ let annotated_query t ~table ?(where = "") ?(agg = "") () =
        | Message.Annotated_resp { arows; avalue; annot } -> (
            match Tep_prov.Annot.of_encoded annot with
            | Error e -> Error ("annotation: " ^ e)
-           | Ok a -> (
-               let decoded =
-                 List.fold_left
-                   (fun acc (v, cells, poly) ->
-                     match acc with
-                     | Error _ as e -> e
-                     | Ok rows -> (
-                         match Tep_prov.Polynomial.decode poly 0 with
-                         | p, off when off = String.length poly ->
-                             Ok
-                               ({ ar_var = v; ar_cells = cells; ar_poly = p }
-                               :: rows)
-                         | _ -> Error "row polynomial: trailing bytes"
-                         | exception Failure e -> Error e))
-                   (Ok []) arows
-               in
-               match decoded with
-               | Error e -> Error e
-               | Ok rows -> Ok (List.rev rows, avalue, a)))
+           | Ok a ->
+               map_all
+                 (fun (v, cells, poly) ->
+                   Result.map
+                     (fun p -> { ar_var = v; ar_cells = cells; ar_poly = p })
+                     (decode_poly "row" poly))
+                 arows
+               |> Result.map (fun rows -> (rows, avalue, a)))
        | _ -> unexpected)
 
 (* ------------------------------------------------------------------ *)
@@ -876,37 +828,24 @@ let prove t ~table ~row ?col () =
   rpc t (Message.Prove { table; row; col })
   |> unwrap (function
        | Message.Proof_resp { shard; shard_roots; items } -> (
-           let decoded =
-             List.fold_left
-               (fun acc (bytes, records) ->
-                 match acc with
-                 | Error _ as e -> e
-                 | Ok out -> (
-                     match Proof.of_encoded bytes with
-                     | Error e -> Error e
-                     | Ok p ->
-                         Ok
-                           ({
-                              pf_proof = p;
-                              pf_encoded = bytes;
-                              pf_records = records;
-                            }
-                           :: out)))
-               (Ok []) items
+           let item (bytes, records) =
+             Result.map
+               (fun p ->
+                 { pf_proof = p; pf_encoded = bytes; pf_records = records })
+               (Proof.of_encoded bytes)
            in
-           match decoded with
+           match map_all item items with
            | Error e -> Error e
            | Ok [] -> Error "proof: empty proof set"
+           | Ok _ when shard < 0 || shard >= List.length shard_roots ->
+               Error "proof: shard index out of range"
            | Ok items ->
-               if shard < 0 || shard >= List.length shard_roots then
-                 Error "proof: shard index out of range"
-               else
-                 Ok
-                   {
-                     pf_shard = shard;
-                     pf_shard_roots = shard_roots;
-                     pf_items = List.rev items;
-                   })
+               Ok
+                 {
+                   pf_shard = shard;
+                   pf_shard_roots = shard_roots;
+                   pf_items = items;
+                 })
        | _ -> unexpected)
 
 let merge_vreports (a : Verifier.report) (b : Verifier.report) =
@@ -988,14 +927,8 @@ let audit_sample t ~seed ~alpha_ppm =
 let submit_async t op =
   request_async t (Message.Submit_idem { rid = fresh_rid t; op })
 
-let submit_idem_async t ~rid op =
-  request_async t (Message.Submit_idem { rid; op })
-
 let insert_async t ~table cells =
   submit_async t (Message.Op_insert { table; cells })
-
-let update_async t ~table ~row ~col value =
-  submit_async t (Message.Op_update { table; row; col; value })
 
 let collect_submitted t cid =
   collect t cid

@@ -228,25 +228,26 @@ let recover ?mode ?pool ?wal_path ?(is_decided = fun _ -> false)
       match pick [] gens with
       | Error e -> Error e
       | Ok (c, rejected) -> (
-          (* 2. salvage the WAL tail past the checkpoint LSN *)
-          let sv =
-            if Sys.file_exists wal_path then
-              match Wal.salvage_file wal_path with
-              | Ok sv -> sv
-              | Error _ ->
-                  {
-                    Wal.entries = [];
-                    skipped_frames = 0;
-                    torn_tail = false;
-                    bytes_salvaged = 0;
-                  }
+          (* 2. salvage the WAL tail past the checkpoint LSN; a log
+             that cannot be read is an error, never an empty tail *)
+          let ( let* ) = Result.bind in
+          let* sv =
+            if not (Sys.file_exists wal_path) then
+              Ok
+                {
+                  Wal.entries = [];
+                  skipped_frames = 0;
+                  torn_tail = false;
+                  bytes_salvaged = 0;
+                }
             else
-              {
-                Wal.entries = [];
-                skipped_frames = 0;
-                torn_tail = false;
-                bytes_salvaged = 0;
-              }
+              Result.map_error
+                (fun e ->
+                  Printf.sprintf
+                    "recover: %s. Moving %s aside recovers the state of \
+                     the last checkpoint, without the writes logged after it"
+                    e wal_path)
+                (Wal.salvage_file wal_path)
           in
           let tail =
             List.filter (fun (s, _) -> s > c.c_lsn) sv.Wal.entries

@@ -43,12 +43,9 @@ let () =
       site_trunc_rename;
     ]
 
-type version = V1 | V2
-
 type file_state = {
   path : string;
   mutable oc : out_channel;
-  mutable version : version;
   sync_every_append : bool;
 }
 
@@ -290,76 +287,36 @@ let salvage_v2 s =
         } )
   | base, header_end -> (base, salvage_v2_frames s ~len ~base ~start:header_end)
 
-(* v1 has no checksums, so there is no reliable way to re-synchronise
-   after damage: salvage everything up to the first bad frame. *)
-let salvage_v1 s =
-  let len = String.length s in
-  let entries = ref [] in
-  let skipped = ref 0 in
-  let torn = ref false in
-  let salvaged = ref 0 in
-  let seq = ref 0 in
-  let off = ref 0 in
-  let stop = ref false in
-  while (not !stop) && !off < len do
-    match Value.read_varint s !off with
-    | exception Failure msg ->
-        if msg = "Value.decode: truncated varint" then torn := true
-        else incr skipped;
-        stop := true
-    | flen, o ->
-        if flen <= 0 || flen > max_frame_len then begin
-          incr skipped;
-          stop := true
-        end
-        else if o + flen > len then begin
-          torn := true;
-          stop := true
-        end
-        else begin
-          match decode_entry s o with
-          | exception (Failure _ | Invalid_argument _) ->
-              incr skipped;
-              stop := true
-          | e, o' ->
-              if o' <> o + flen then begin
-                incr skipped;
-                stop := true
-              end
-              else begin
-                entries := (!seq, e) :: !entries;
-                incr seq;
-                salvaged := !salvaged + (o + flen - !off);
-                off := o + flen
-              end
-        end
-  done;
-  {
-    entries = List.rev !entries;
-    skipped_frames = !skipped;
-    torn_tail = !torn;
-    bytes_salvaged = !salvaged;
-  }
+let empty_salvage =
+  { entries = []; skipped_frames = 0; torn_tail = false; bytes_salvaged = 0 }
 
-let is_v2 s = String.length s >= magic_len && String.sub s 0 magic_len = magic
+(* A fresh log's header: magic · varint(base_seq = 0). *)
+let fresh_header = magic ^ "\x00"
 
-(* (next expected sequence number, salvage) *)
+(* A crash while a fresh log was being stamped leaves a strict prefix
+   of its header (possibly nothing): no frame was ever appended. *)
+let is_header_prefix s =
+  String.length s < String.length fresh_header
+  && String.starts_with ~prefix:s fresh_header
+
+(* (next expected sequence number, salvage), or [Error ()] for a file
+   that is not a v2 log.  A damaged magic is refused rather than
+   salvaged as empty: every acknowledged write in the file would
+   otherwise vanish without a report. *)
 let salvage_with_base s =
-  if s = "" then
-    (0, { entries = []; skipped_frames = 0; torn_tail = false; bytes_salvaged = 0 })
-  else if is_v2 s then begin
+  if is_header_prefix s then Ok (0, empty_salvage)
+  else if String.starts_with ~prefix:magic s then begin
     let base, sv = salvage_v2 s in
     let next =
       match List.rev sv.entries with (seq, _) :: _ -> seq + 1 | [] -> base
     in
-    (next, sv)
+    Ok (next, sv)
   end
-  else begin
-    let sv = salvage_v1 s in
-    (List.length sv.entries, sv)
-  end
+  else Error ()
 
-let salvage_string s = snd (salvage_with_base s)
+let bad_header path =
+  Printf.sprintf "%s is not a write-ahead log: its %S header is damaged" path
+    (String.trim magic)
 
 let read_whole path =
   let ic = open_in_bin path in
@@ -369,10 +326,16 @@ let read_whole path =
 
 let salvage_file path =
   match read_whole path with
-  | s -> Ok (salvage_string s)
   | exception Sys_error e -> Error e
+  | s -> (
+      match salvage_with_base s with
+      | Ok (_, sv) -> Ok sv
+      | Error () -> Error (bad_header path))
 
-let read_file path = List.map snd (salvage_string (read_whole path)).entries
+let read_file path =
+  match salvage_file path with
+  | Ok sv -> List.map snd sv.entries
+  | Error e -> raise (Sys_error e)
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
@@ -389,31 +352,25 @@ let open_append path =
 
 let open_file ?(sync = false) path =
   Tep_fault.Fault.hit site_open;
-  let existing = try read_whole path with Sys_error _ -> "" in
-  if existing = "" then begin
-    (* Fresh log: stamp the v2 header (magic + base seq 0) first. *)
-    let oc = open_append path in
-    output_string oc magic;
-    let hdr = Buffer.create 2 in
-    Value.add_varint hdr 0;
-    Buffer.output_buffer oc hdr;
-    Stdlib.flush oc;
-    {
-      sink = File { path; oc; version = V2; sync_every_append = sync };
-      count = 0;
-      next_seq = 0;
-    }
-  end
-  else begin
-    let version = if is_v2 existing then V2 else V1 in
-    let next_seq, _sv = salvage_with_base existing in
-    let oc = open_append path in
-    {
-      sink = File { path; oc; version; sync_every_append = sync };
-      count = 0;
-      next_seq;
-    }
-  end
+  let existing = if Sys.file_exists path then read_whole path else "" in
+  match salvage_with_base existing with
+  | Error () -> raise (Sys_error (bad_header path))
+  | Ok (next_seq, _) ->
+      let oc =
+        if is_header_prefix existing then begin
+          (* Fresh log: stamp the header (magic + base seq 0) first. *)
+          let oc =
+            open_out_gen
+              [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
+              0o644 path
+          in
+          output_string oc fresh_header;
+          Stdlib.flush oc;
+          oc
+        end
+        else open_append path
+      in
+      { sink = File { path; oc; sync_every_append = sync }; count = 0; next_seq }
 
 let last_seq t = t.next_seq - 1
 
@@ -428,13 +385,7 @@ let append t entry =
   | File fs -> (
       let seq = t.next_seq in
       let frame = Buffer.create 96 in
-      (match fs.version with
-      | V2 -> encode_frame frame ~seq entry
-      | V1 ->
-          let body = Buffer.create 64 in
-          encode_entry body entry;
-          Value.add_varint frame (Buffer.length body);
-          Buffer.add_buffer frame body);
+      encode_frame frame ~seq entry;
       let bytes = Buffer.contents frame in
       match
         Tep_fault.Fault.with_retry (fun () ->
@@ -522,7 +473,6 @@ let truncate t ~upto =
                   match rename () with
                   | () ->
                       fs.oc <- open_append fs.path;
-                      fs.version <- V2;
                       Ok ()
                   | exception Sys_error e ->
                       (try Sys.remove tmp with Sys_error _ -> ());

@@ -5,8 +5,8 @@
 
     {1 On-disk format}
 
-    v2 files (the only format written for new logs) begin with the
-    header ["TEPWAL2\n" · varint(base_seq)] — [base_seq] is the
+    A log file begins with the header
+    ["TEPWAL2\n" · varint(base_seq)] — [base_seq] is the
     sequence number the first frame is expected to carry, so a log
     {!truncate}d to empty still remembers where numbering resumes —
     and contain frames
@@ -15,12 +15,14 @@
 
     where [body_len] covers everything after the length varint, [seq]
     is a monotonically increasing frame sequence number (the log's
-    LSN), and the CRC-32 covers [varint(seq) · entry].  v1 files (no
-    magic, [varint(len) · entry] frames, written by earlier versions)
-    are read transparently, with sequence numbers synthesised by
-    position; {!truncate} upgrades them to v2.
+    LSN), and the CRC-32 covers [varint(seq) · entry].  A non-empty
+    file that does not start with the magic is refused, not salvaged:
+    its frames cannot be told from garbage.  The one exception is a
+    strict prefix of a fresh log's header (a crash while the log was
+    being created), which reads as empty.
 
-    Reading is {e salvage-mode}: corruption never raises.  A torn
+    Reading is {e salvage-mode}: corruption past the header never
+    raises.  A torn
     final frame is reported as [torn_tail]; a corrupt mid-file frame
     is skipped and the reader re-synchronises on the next frame whose
     CRC validates and whose sequence number continues the monotone
@@ -81,13 +83,13 @@ type t
 val in_memory : unit -> t
 
 val open_file : ?sync:bool -> string -> t
-(** Append mode; creates the file (v2) if missing or empty.  Existing
-    files are scanned (salvage-mode) to learn the next sequence
-    number, and keep their format: v1 logs continue to receive v1
-    frames so a mixed-version file never exists.  With [~sync:true]
-    every append is flushed and fsynced before returning (durable but
-    slow); otherwise call {!flush}/{!sync} at commit boundaries.
-    @raise Sys_error if the file cannot be opened. *)
+(** Append mode; creates the file if missing, empty or a header
+    prefix.  Existing files are scanned (salvage-mode) to learn the
+    next sequence number.  With [~sync:true] every append is flushed
+    and fsynced before returning (durable but slow); otherwise call
+    {!flush}/{!sync} at commit boundaries.
+    @raise Sys_error if the file cannot be read or opened, or its
+    header is damaged. *)
 
 val append : t -> entry -> (unit, string) result
 (** Append one entry.  Transient I/O errors are retried a bounded
@@ -114,8 +116,7 @@ val checkpoint : t -> (int, string) result
 val truncate : t -> upto:int -> (unit, string) result
 (** Drop all frames with [seq <= upto] (atomically: rewrite to a temp
     file, fsync, rename, reopen).  Surviving frames keep their
-    sequence numbers, so LSNs remain comparable across truncations.
-    A v1 log is rewritten in v2 format. *)
+    sequence numbers, so LSNs remain comparable across truncations. *)
 
 val entries : t -> entry list
 (** All entries appended so far (for an [open_file] log, re-reads the
@@ -126,12 +127,13 @@ val entry_count : t -> int
     are not counted). *)
 
 val salvage_file : string -> (salvage, string) result
-(** Read a log file in salvage mode.  Never raises on corrupt
-    content; [Error] only for I/O failures (missing file, etc.). *)
+(** Read a log file in salvage mode.  Never raises; [Error] for I/O
+    failures (missing file, etc.) and for a damaged header, with a
+    message naming the file. *)
 
 val read_file : string -> entry list
 (** Salvaged entries of a log file, discarding the damage report.
-    @raise Sys_error on I/O failure. *)
+    @raise Sys_error on the errors of {!salvage_file}. *)
 
 val apply : Database.t -> entry -> (unit, string) result
 (** Apply one entry to a database.  Entries that do not mutate the

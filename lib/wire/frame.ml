@@ -90,3 +90,44 @@ let parse ?(max_payload = default_max_payload) s off =
                 consumed = overhead + len;
               }
         end
+
+(* An incremental reader over a byte stream: [push] whatever bytes
+   arrived, then [pull] frames until it answers [Need_more].  Input
+   accumulates in a Buffer (amortised O(1) per chunk) and the parse
+   window is only materialised once a frame could be complete
+   ([need], maintained from the parser's [Need_more]), so a
+   maximum-size frame arriving in 4 KiB chunks costs O(n), not the
+   O(n^2) of re-concatenating a string per chunk — a peer cannot buy
+   gigabytes of memcpy with one 16 MiB frame.  [Oversized] and
+   [Corrupt] poison the stream: the caller drops the connection. *)
+type reader = {
+  max_payload : int;
+  inbox : Buffer.t; (* unconsumed input; compacted once per frame *)
+  mutable need : int; (* skip parse attempts below this many bytes *)
+}
+
+let reader ?(max_payload = default_max_payload) () =
+  { max_payload; inbox = Buffer.create 256; need = header_len }
+
+let push r data = Buffer.add_string r.inbox data
+let buffered r = Buffer.length r.inbox
+
+let reset r =
+  Buffer.clear r.inbox;
+  r.need <- header_len
+
+let pull r =
+  let avail = Buffer.length r.inbox in
+  if avail < r.need then Need_more (r.need - avail)
+  else
+    let buffered = Buffer.contents r.inbox in
+    match parse ~max_payload:r.max_payload buffered 0 with
+    | Need_more n as more ->
+        r.need <- avail + n;
+        more
+    | Frame { consumed; _ } as frame ->
+        Buffer.clear r.inbox;
+        Buffer.add_substring r.inbox buffered consumed (avail - consumed);
+        r.need <- header_len;
+        frame
+    | (Oversized _ | Corrupt _) as bad -> bad

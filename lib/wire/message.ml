@@ -294,12 +294,6 @@ let lineage_kind_of_tag = function
   | '\x04' -> L_impact
   | c -> failwith (Printf.sprintf "Message: bad lineage kind %#x" (Char.code c))
 
-let lineage_kind_name = function
-  | L_why -> "why"
-  | L_inputs -> "inputs"
-  | L_depth -> "depth"
-  | L_impact -> "impact"
-
 let lineage_kind_of_name s =
   match String.lowercase_ascii s with
   | "why" -> Some L_why
@@ -725,6 +719,19 @@ let response_to_string r =
   let buf = Buffer.create 256 in
   encode_response buf r;
   Buffer.contents buf
+
+(* A whole payload from [off]: every byte must belong to the message,
+   and malformed input is an [Error], never an exception.  Both ends
+   of the wire decode through these. *)
+let exact decode what s off =
+  match decode s off with
+  | v, consumed when consumed = String.length s -> Ok v
+  | _ -> Error ("trailing bytes in " ^ what)
+  | exception (Failure e | Invalid_argument e) ->
+      Error (Printf.sprintf "malformed %s: %s" what e)
+
+let decode_request_exact s off = exact decode_request "request" s off
+let decode_response_exact s off = exact decode_response "response" s off
 
 (* ------------------------------------------------------------------ *)
 (* Correlation ids (sealed-channel framing v2)                         *)

@@ -83,8 +83,6 @@ let tag_input ~dir ~seq msg =
 
 let tag_keyed ctx ~dir ~seq msg = Hmac.mac_with ctx (tag_input ~dir ~seq msg)
 
-let tag ~key ~dir ~seq msg = tag_keyed (keyed ~key) ~dir ~seq msg
-
 let seal_keyed ctx ~dir ~seq msg = tag_keyed ctx ~dir ~seq msg ^ msg
 
 let seal ~key ~dir ~seq msg = seal_keyed (keyed ~key) ~dir ~seq msg
@@ -100,3 +98,32 @@ let open_keyed ctx ~dir ~seq payload =
   end
 
 let open_ ~key ~dir ~seq payload = open_keyed (keyed ~key) ~dir ~seq payload
+
+(* One end of an established session: the key schedule plus the two
+   per-direction sequence numbers.  [seal_next]/[open_next] are the
+   only places a sequence number advances, so both ends of the wire
+   count frames the same way.  A failed open leaves [recv_seq]
+   unchanged; the caller drops the connection. *)
+type channel = {
+  ctx : keyed;
+  sends : direction;
+  receives : direction;
+  mutable send_seq : int;
+  mutable recv_seq : int;
+}
+
+let channel ~key ~sends =
+  let receives =
+    match sends with To_server -> To_client | To_client -> To_server
+  in
+  { ctx = keyed ~key; sends; receives; send_seq = 0; recv_seq = 0 }
+
+let seal_next ch msg =
+  let sealed = seal_keyed ch.ctx ~dir:ch.sends ~seq:ch.send_seq msg in
+  ch.send_seq <- ch.send_seq + 1;
+  sealed
+
+let open_next ch payload =
+  let opened = open_keyed ch.ctx ~dir:ch.receives ~seq:ch.recv_seq payload in
+  if Result.is_ok opened then ch.recv_seq <- ch.recv_seq + 1;
+  opened

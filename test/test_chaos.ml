@@ -84,10 +84,10 @@ let test_chaos_soak () =
       let wal = Wal.open_file (Filename.concat dir "wal.log") in
       let engine = Engine.create ~wal ~directory db in
       let server =
-        Server.create ~checkpoint:(dir, wal)
+        Server.create
           ~drbg:(Tep_crypto.Drbg.create ~seed:"chaos-server")
           ~participants:[ ("alice", alice) ]
-          engine
+          [ (engine, Some (dir, wal)) ]
       in
       let spath = Filename.concat dir "server.sock" in
       let ppath = Filename.concat dir "proxy.sock" in

@@ -44,7 +44,7 @@ let with_unix_server ?idle_timeout ?max_connections body =
     Server.create ~io_workers ?idle_timeout ?max_connections
       ~drbg:(Tep_crypto.Drbg.create ~seed:"evloop-server")
       ~participants:[ ("alice", alice) ]
-      engine
+      [ (engine, None) ]
   in
   let path = Filename.temp_file "tep_evloop" ".sock" in
   Sys.remove path;

@@ -96,10 +96,16 @@ let fuzz_decoders =
       (fun s -> ignore (Tep_crypto.Rsa.private_of_string ("rsa-priv:" ^ s)));
   ]
 
-(* WAL salvage must accept ANY byte string: worst case is an empty
-   entry list plus damage counters, never an exception.  Exercised
-   both bare (v1 parse) and under the v2 magic (framed parse). *)
+(* WAL salvage must accept ANY byte string without an exception.  A
+   log (the v2 magic, or a strict prefix of a fresh header) salvages,
+   worst case to an empty entry list plus damage counters; anything
+   else is refused with an [Error].  Exercised both bare and under the
+   v2 magic (framed parse). *)
 let salvage_tmp = lazy (Filename.temp_file "tep_fuzz_wal" ".log")
+
+let is_v2_log s =
+  String.starts_with ~prefix:"TEPWAL2\n" s
+  || String.starts_with ~prefix:s "TEPWAL2\n\x00"
 
 let salvage_of_bytes s =
   let path = Lazy.force salvage_tmp in
@@ -109,10 +115,11 @@ let salvage_of_bytes s =
   match Wal.salvage_file path with
   | Ok sv ->
       (* sanity of the damage report, not just absence of exceptions *)
-      sv.Wal.bytes_salvaged >= 0
+      is_v2_log s
+      && sv.Wal.bytes_salvaged >= 0
       && sv.Wal.bytes_salvaged <= String.length s
       && sv.Wal.skipped_frames >= 0
-  | Error _ -> false (* the file exists; I/O must succeed *)
+  | Error _ -> not (is_v2_log s) (* the file exists; I/O must succeed *)
 
 let fuzz_salvage =
   [

@@ -43,7 +43,7 @@ let make_server engine alice =
   Server.create
     ~drbg:(Tep_crypto.Drbg.create ~seed:"server")
     ~participants:[ ("alice", alice) ]
-    engine
+    [ (engine, None) ]
 
 let make_client server =
   Client.loopback ~drbg:(Tep_crypto.Drbg.create ~seed:"client") server
@@ -174,7 +174,7 @@ let make_sharded_env () =
     Server.create
       ~drbg:(Tep_crypto.Drbg.create ~seed:"server")
       ~participants:[ ("alice", alice) ]
-      ~shards:[ (e1, None) ] ~coord e0
+      ~coord [ (e0, None); (e1, None) ]
   in
   (server, directory, alice, e0, e1, t0, t1)
 
@@ -527,7 +527,7 @@ let test_audit_sample_pool_independent () =
       Server.create ~pool
         ~drbg:(Tep_crypto.Drbg.create ~seed:"server")
         ~participants:[ ("alice", alice) ]
-        ~shards:[ (e1, None) ] e0
+        [ (e0, None); (e1, None) ]
     in
     let c = make_client server in
     ok (Client.authenticate c alice);

@@ -422,7 +422,7 @@ let test_query_loopback_matches_direct () =
     Tep_server.Server.create
       ~drbg:(Tep_crypto.Drbg.create ~seed:"server")
       ~participants:[ ("alice", alice) ]
-      eng
+      [ (eng, None) ]
   in
   let c = Client.loopback ~drbg:(Tep_crypto.Drbg.create ~seed:"client") server in
   ok (Client.authenticate c alice);

@@ -33,10 +33,10 @@ let make_env () =
   (engine, ca, directory, alice, drbg)
 
 let make_server ?max_payload ?checkpoint engine alice =
-  Server.create ?max_payload ?checkpoint
+  Server.create ?max_payload
     ~drbg:(Tep_crypto.Drbg.create ~seed:"server")
     ~participants:[ ("alice", alice) ]
-    engine
+    [ (engine, checkpoint) ]
 
 let make_client server =
   Client.loopback ~drbg:(Tep_crypto.Drbg.create ~seed:"client") server
@@ -592,7 +592,7 @@ let test_connection_cap () =
     Server.create ~max_connections:1
       ~drbg:(Tep_crypto.Drbg.create ~seed:"cap-server")
       ~participants:[ ("alice", alice) ]
-      engine
+      [ (engine, None) ]
   in
   let path = Filename.temp_file "tep_service_cap" ".sock" in
   Sys.remove path;
@@ -1198,7 +1198,7 @@ let test_capacity_returns_to_zero () =
     Server.create ~max_connections:2
       ~drbg:(Tep_crypto.Drbg.create ~seed:"cap0-server")
       ~participants:[ ("alice", alice) ]
-      engine
+      [ (engine, None) ]
   in
   let path = Filename.temp_file "tep_service_cap0" ".sock" in
   Sys.remove path;

@@ -436,7 +436,7 @@ let make_sharded_server () =
     Server.create
       ~drbg:(Tep_crypto.Drbg.create ~seed:"server")
       ~participants:[ ("alice", alice) ]
-      ~shards:[ (e1, None) ] ~coord e0
+      ~coord [ (e0, None); (e1, None) ]
   in
   (server, e0, e1, t0, t1, coord_file)
 

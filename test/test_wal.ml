@@ -1,7 +1,6 @@
 (* Write-ahead log: entry codec, replay, v2 framing, salvage-mode
-   reading (torn tails, mid-file corruption, resync), v1
-   backward-compatibility, truncation, and exhaustive corruption
-   property tests. *)
+   reading (torn tails, mid-file corruption, resync), damaged-header
+   refusal, truncation, and exhaustive corruption property tests. *)
 open Tep_store
 
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
@@ -185,54 +184,62 @@ let test_midfile_corruption_resync () =
       Alcotest.(check int) "resynced to the tail" 7 max_seq)
 
 (* ------------------------------------------------------------------ *)
-(* v1 backward compatibility                                           *)
+(* Damaged header                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A v1 log as the seed code wrote it: varint(entry_len) · entry,
-   no magic, no CRC, no seq. *)
-let v1_bytes entries =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun e ->
-      let body = Buffer.create 64 in
-      Wal.encode_entry body e;
-      Value.add_varint buf (Buffer.length body);
-      Buffer.add_buffer buf body)
-    entries;
-  Buffer.contents buf
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
 
-let test_v1_read_compat () =
+(* One flipped magic byte must not turn a log of acknowledged writes
+   into an empty one: salvage refuses it with an error naming the
+   file, read_file and open_file raise, and the file is left as it
+   was.  A strict prefix of a fresh header (a crash while the log was
+   being created) reads as empty and reopens as a fresh log. *)
+let test_damaged_magic () =
   with_temp_file (fun path ->
-      let entries = List.filteri (fun i _ -> i < 6) sample_entries in
-      write_bytes path (v1_bytes entries);
-      let got = Wal.read_file path in
-      Alcotest.(check int) "all v1 entries" 6 (List.length got);
-      List.iter2 (fun e g -> check_entry "v1 entry" e g) entries got;
-      let sv = ok (Wal.salvage_file path) in
-      List.iteri
-        (fun i (seq, _) ->
-          Alcotest.(check int) "synthesised seq" i seq)
-        sv.Wal.entries)
-
-let test_v1_append_compat () =
-  with_temp_file (fun path ->
-      write_bytes path (v1_bytes [ List.nth sample_entries 0 ]);
-      (* appending to a v1 log must keep it readable as v1 *)
-      let w = Wal.open_file path in
-      wok (Wal.append w (List.nth sample_entries 1));
-      Wal.close w;
-      let got = Wal.read_file path in
-      Alcotest.(check int) "both entries" 2 (List.length got);
-      check_entry "old frame" (List.nth sample_entries 0) (List.nth got 0);
-      check_entry "new frame" (List.nth sample_entries 1) (List.nth got 1))
-
-let test_v1_torn_tail () =
-  with_temp_file (fun path ->
-      let s = v1_bytes [ List.nth sample_entries 0; List.nth sample_entries 1 ] in
-      write_bytes path (String.sub s 0 (String.length s - 2));
-      let sv = ok (Wal.salvage_file path) in
-      Alcotest.(check int) "intact prefix" 1 (List.length sv.Wal.entries);
-      Alcotest.(check bool) "torn" true sv.Wal.torn_tail)
+      write_log path (List.filteri (fun i _ -> i < 6) sample_entries);
+      let pristine = read_bytes path in
+      for off = 0 to 7 do
+        let b = Bytes.of_string pristine in
+        Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 1));
+        let damaged = Bytes.to_string b in
+        write_bytes path damaged;
+        (match Wal.salvage_file path with
+        | Ok sv ->
+            Alcotest.failf "offset %d: salvaged %d entries past a damaged magic"
+              off (List.length sv.Wal.entries)
+        | Error e ->
+            Alcotest.(check bool) "the error names the file" true
+              (contains e path));
+        (match Wal.read_file path with
+        | _ ->
+            Alcotest.failf "offset %d: read_file accepted a damaged magic" off
+        | exception Sys_error _ -> ());
+        (match Wal.open_file path with
+        | w ->
+            Wal.close w;
+            Alcotest.failf "offset %d: open_file accepted a damaged magic" off
+        | exception Sys_error _ -> ());
+        Alcotest.(check string) "file left as it was" damaged (read_bytes path)
+      done;
+      let fresh_header = "TEPWAL2\n\x00" in
+      for cut = 0 to String.length fresh_header - 1 do
+        write_bytes path (String.sub fresh_header 0 cut);
+        let sv = ok (Wal.salvage_file path) in
+        Alcotest.(check int) "a header prefix reads as empty" 0
+          (List.length sv.Wal.entries);
+        let w = Wal.open_file path in
+        wok (Wal.append w (List.hd sample_entries));
+        Wal.close w;
+        Alcotest.(check int)
+          (Printf.sprintf "cut %d: the reopened log keeps its append" cut)
+          1
+          (List.length (Wal.read_file path))
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Truncation                                                          *)
@@ -282,26 +289,14 @@ let test_truncate_to_empty_preserves_seq () =
       Alcotest.(check (list int)) "new frame above LSN" [ 3 ]
         (List.map fst sv.Wal.entries))
 
-let test_truncate_upgrades_v1 () =
-  with_temp_file (fun path ->
-      let entries = List.filteri (fun i _ -> i < 4) sample_entries in
-      write_bytes path (v1_bytes entries);
-      let w = Wal.open_file path in
-      wok (Wal.truncate w ~upto:1);
-      Wal.close w;
-      let s = read_bytes path in
-      Alcotest.(check string) "upgraded to v2" "TEPWAL2\n" (String.sub s 0 8);
-      let sv = ok (Wal.salvage_file path) in
-      Alcotest.(check (list int)) "kept seqs" [ 2; 3 ]
-        (List.map fst sv.Wal.entries))
-
 (* ------------------------------------------------------------------ *)
 (* Exhaustive corruption properties                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* For EVERY byte offset: flipping that byte must never make salvage
-   raise, and (past the magic) never yield an entry that differs from
-   what was written at that sequence number. *)
+   raise; inside the magic it must make salvage refuse the file, and
+   past it never yield an entry that differs from what was written at
+   that sequence number. *)
 let test_flip_every_byte () =
   with_temp_file (fun path ->
       let entries = List.filteri (fun i _ -> i < 8) sample_entries in
@@ -314,23 +309,27 @@ let test_flip_every_byte () =
           Bytes.set b off
             (Char.chr (Char.code (Bytes.get b off) lxor (1 lsl (bit * 3))));
           write_bytes path (Bytes.to_string b);
-          let sv =
-            try ok (Wal.salvage_file path)
+          match
+            try Wal.salvage_file path
             with e ->
               Alcotest.failf "salvage raised at offset %d: %s" off
                 (Printexc.to_string e)
-          in
-          if off >= 8 then
-            (* with the magic intact, CRC framing guarantees every
-               salvaged (seq, entry) is exactly what was written *)
-            List.iter
-              (fun (seq, e) ->
-                if seq < 0 || seq >= Array.length expected then
-                  Alcotest.failf "offset %d: invented seq %d" off seq;
-                Alcotest.(check string)
-                  (Printf.sprintf "offset %d seq %d" off seq)
-                  expected.(seq) (entry_bytes e))
-              sv.Wal.entries
+          with
+          | Error _ when off < 8 -> ()
+          | Error e -> Alcotest.failf "offset %d: %s" off e
+          | Ok sv ->
+              if off < 8 then
+                Alcotest.failf "offset %d: a damaged magic was salvaged" off;
+              (* with the magic intact, CRC framing guarantees every
+                 salvaged (seq, entry) is exactly what was written *)
+              List.iter
+                (fun (seq, e) ->
+                  if seq < 0 || seq >= Array.length expected then
+                    Alcotest.failf "offset %d: invented seq %d" off seq;
+                  Alcotest.(check string)
+                    (Printf.sprintf "offset %d seq %d" off seq)
+                    expected.(seq) (entry_bytes e))
+                sv.Wal.entries
         done
       done)
 
@@ -381,18 +380,13 @@ let () =
           Alcotest.test_case "mid-file corruption resync" `Quick
             test_midfile_corruption_resync;
         ] );
-      ( "v1-compat",
-        [
-          Alcotest.test_case "read" `Quick test_v1_read_compat;
-          Alcotest.test_case "append" `Quick test_v1_append_compat;
-          Alcotest.test_case "torn tail" `Quick test_v1_torn_tail;
-        ] );
+      ( "header",
+        [ Alcotest.test_case "damaged magic" `Quick test_damaged_magic ] );
       ( "truncate",
         [
           Alcotest.test_case "truncate" `Quick test_truncate;
           Alcotest.test_case "truncate to empty keeps seq" `Quick
             test_truncate_to_empty_preserves_seq;
-          Alcotest.test_case "upgrades v1" `Quick test_truncate_upgrades_v1;
         ] );
       ( "properties",
         [

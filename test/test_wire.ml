@@ -1,5 +1,6 @@
 (* Wire protocol unit + property tests: frame round-trips and
-   incremental parsing, streaming-CRC equivalence, session sealing
+   incremental parsing, the chunked frame reader against one-shot
+   parsing, streaming-CRC equivalence, session sealing
    (tamper / replay / reflection rejection), request/response codec
    round-trips over every variant, and byte-level mutation fuzz —
    a corrupted frame must be rejected, never surface as valid. *)
@@ -90,6 +91,101 @@ let prop_frame_mutation =
       | Frame.Need_more _ | Frame.Oversized _ | Frame.Corrupt _ -> true)
 
 (* ------------------------------------------------------------------ *)
+(* Frame reader                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let reader_max = 256
+
+(* What one-shot [Frame.parse] makes of a whole stream: its frames in
+   order, then the outcome that stopped it ([Need_more] at the end). *)
+let parse_all s =
+  let rec go off acc =
+    match Frame.parse ~max_payload:reader_max s off with
+    | Frame.Frame { kind; payload; consumed } ->
+        go (off + consumed) ((kind, payload) :: acc)
+    | stop -> (List.rev acc, stop)
+  in
+  go 0 []
+
+(* The same stream pushed into a reader in chunks of the given sizes
+   (the rest in one piece once they run out), pulling after each push. *)
+let read_chunked s chunks =
+  let r = Frame.reader ~max_payload:reader_max () in
+  let rec drain acc =
+    match Frame.pull r with
+    | Frame.Frame { kind; payload; _ } -> drain ((kind, payload) :: acc)
+    | stop -> (acc, stop)
+  in
+  let rec go off chunks acc =
+    match drain acc with
+    | acc, Frame.Need_more _ when off < String.length s ->
+        let left = String.length s - off in
+        let n, rest =
+          match chunks with c :: rest -> (min c left, rest) | [] -> (left, [])
+        in
+        Frame.push r (String.sub s off n);
+        go (off + n) rest acc
+    | acc, stop -> (List.rev acc, stop)
+  in
+  go 0 chunks []
+
+(* Valid frames, optionally with one oversized frame inserted or one
+   byte of one frame flipped, split into arbitrary chunks: the reader
+   must yield exactly the frames, and stop with exactly the outcome,
+   of one-shot parsing. *)
+let prop_reader_chunking =
+  QCheck2.Test.make ~name:"chunked reader = one-shot parse" ~count:500
+    QCheck2.Gen.(
+      let frame =
+        pair bool (string_size ~gen:char (int_range 0 reader_max))
+      in
+      let damage =
+        oneof
+          [
+            pure `None;
+            map2 (fun i n -> `Oversized (i, n)) nat (int_range 1 100);
+            map3 (fun i off d -> `Flip (i, off, d)) nat nat (int_range 1 255);
+          ]
+      in
+      triple (list_size (int_range 0 8) frame) damage
+        (list_size (int_range 0 64) (int_range 1 64)))
+    (fun (frames, damage, chunks) ->
+      let encoded =
+        List.map
+          (fun (sealed, p) ->
+            let kind = if sealed then Frame.Sealed else Frame.Clear in
+            Frame.to_string ~kind p)
+          frames
+      in
+      let n = List.length encoded in
+      let encoded =
+        match damage with
+        | `None -> encoded
+        | `Oversized (i, extra) ->
+            let big =
+              Frame.to_string ~kind:Frame.Clear
+                (String.make (reader_max + extra) 'o')
+            in
+            let i = i mod (n + 1) in
+            List.filteri (fun j _ -> j < i) encoded
+            @ (big :: List.filteri (fun j _ -> j >= i) encoded)
+        | `Flip (_, _, _) when n = 0 -> encoded
+        | `Flip (i, off, d) ->
+            List.mapi
+              (fun j f ->
+                if j <> i mod n then f
+                else
+                  let off = off mod String.length f in
+                  String.mapi
+                    (fun k c ->
+                      if k = off then Char.chr (Char.code c lxor d) else c)
+                    f)
+              encoded
+      in
+      let stream = String.concat "" encoded in
+      read_chunked stream chunks = parse_all stream)
+
+(* ------------------------------------------------------------------ *)
 (* Streaming CRC                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -143,6 +239,37 @@ let test_seal_roundtrip () =
   match Session.open_ ~key ~dir:Session.To_server ~seq:0 "short" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "short payload must be rejected"
+
+(* A client and a server channel over one key: each end's seals open
+   at the other end in order, a frame opened twice (a replay) or
+   reflected back to its sender is rejected, and a rejected frame does
+   not advance the receive counter. *)
+let test_channel () =
+  let client = Session.channel ~key ~sends:Session.To_server in
+  let server = Session.channel ~key ~sends:Session.To_client in
+  let opens ch sealed what =
+    match Session.open_next ch sealed with
+    | Ok m -> Alcotest.(check string) what "m" (String.sub m 0 1)
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let rejects ch sealed what =
+    match Session.open_next ch sealed with
+    | Ok _ -> Alcotest.failf "%s was accepted" what
+    | Error _ -> ()
+  in
+  let r0 = Session.seal_next client "m0" in
+  let r1 = Session.seal_next client "m1" in
+  opens server r0 "first request";
+  rejects server r0 "a replayed request";
+  opens server r1 "second request";
+  let a0 = Session.seal_next server "m0" in
+  rejects server a0 "a response reflected to the server";
+  rejects client r1 "a request reflected to the client";
+  opens client a0 "first response";
+  (* the same sequence numbers as the explicit-seq primitives *)
+  Alcotest.(check string) "seq 2 to the server"
+    (Session.seal ~key ~dir:Session.To_server ~seq:2 "m2")
+    (Session.seal_next client "m2")
 
 (* The key derivation hashes in the transported secret: the same
    wire-visible transcript and signature with a wrong secret must
@@ -375,6 +502,29 @@ let test_response_roundtrip () =
       Alcotest.(check string) "stable re-encoding" s
         (Message.response_to_string resp'))
     sample_responses
+
+(* The exact decoders take a whole message from an offset; trailing
+   bytes and malformed input are an [Error], never an exception. *)
+let test_exact_decoders () =
+  let check_exact name encode decode_exact xs =
+    List.iter
+      (fun x ->
+        let s = encode x in
+        (match decode_exact ("xy" ^ s) 2 with
+        | Ok x' -> Alcotest.(check string) (name ^ " at an offset") s (encode x')
+        | Error e -> Alcotest.fail e);
+        match decode_exact (s ^ "\x00") 0 with
+        | Ok _ -> Alcotest.failf "%s: a trailing byte was accepted" name
+        | Error _ -> ())
+      xs;
+    match decode_exact "\xff" 0 with
+    | Ok _ -> Alcotest.failf "%s: a bad tag was accepted" name
+    | Error _ -> ()
+  in
+  check_exact "request" Message.request_to_string Message.decode_request_exact
+    sample_requests;
+  check_exact "response" Message.response_to_string
+    Message.decode_response_exact sample_responses
 
 (* The retired tags must be rejected as malformed, never decoded as
    some other message: the rid-less v1 writes (0x03 Submit, 0x07
@@ -646,6 +796,7 @@ let () =
           Alcotest.test_case "oversized" `Quick test_frame_oversized;
           Alcotest.test_case "bad magic/kind" `Quick test_frame_bad_magic;
           qtest prop_frame_mutation;
+          qtest prop_reader_chunking;
           qtest prop_crc_streaming;
         ] );
       ( "session",
@@ -653,12 +804,14 @@ let () =
           Alcotest.test_case "seal/open" `Quick test_seal_roundtrip;
           Alcotest.test_case "key requires secret" `Quick
             test_key_requires_secret;
+          Alcotest.test_case "channel" `Quick test_channel;
           qtest prop_seal_mutation;
         ] );
       ( "messages",
         [
           Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
           Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
+          Alcotest.test_case "exact decoders" `Quick test_exact_decoders;
           Alcotest.test_case "retired write tags" `Quick
             test_retired_write_tags;
           Alcotest.test_case "known answers" `Quick test_known_answers;

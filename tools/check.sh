@@ -1,5 +1,7 @@
 #!/bin/sh
-# Repository check: `dune build @check-all` (full build, every test
+# Repository check: an interface step (every module under lib/ has an
+# .mli, and no file under lib/server/ is longer than 600 lines), then
+# `dune build @check-all` (full build, every test
 # suite and every named gate: crash-point enumeration, pooled
 # commit-signing determinism, the network chaos soak, shard
 # determinism, the lineage and proof suites with their smoke gates,
@@ -20,11 +22,29 @@
 #     checkpoint, or with un-checkpointed WAL frames (an aggregate
 #     among them), must not restart until `provdb recover`, which
 #     brings back the pre-crash root; `provdb prune` survives
-#     `provdb recover`.
+#     `provdb recover`; a WAL whose magic was damaged after a crash is
+#     refused by both a restart and `provdb recover`.
 # With TEP_CHAOS_SEED set, the chaos soak also runs once more under
 # that seed (the @chaos gate itself pins tep-chaos-0).
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "== interfaces (an .mli per lib/ module, lib/server/ files <= 600 lines) =="
+iface_ok=1
+for ml in $(find lib -name '*.ml' | sort); do
+  if [ ! -f "${ml}i" ]; then
+    echo "FAIL: $ml has no interface file ${ml}i"
+    iface_ok=0
+  fi
+done
+for ml in lib/server/*.ml; do
+  lines=$(wc -l < "$ml")
+  if [ "$lines" -gt 600 ]; then
+    echo "FAIL: $ml is $lines lines long (at most 600)"
+    iface_ok=0
+  fi
+done
+[ "$iface_ok" -eq 1 ] || exit 1
 
 echo "== dune build @check-all =="
 dune build @check-all
@@ -426,7 +446,26 @@ if [ "$status" -ne 0 ] || echo "$recover_out" | grep -q 'MISMATCH'; then
     "or reported a MISMATCH"
   exit 1
 fi
+
+# (d) a crash with an acknowledged write in the WAL, then one flipped
+# byte in the log's magic: both a restart and `provdb recover` must
+# refuse the log, naming it, instead of reading it as empty
+"$PROVDBD" "$ws6" & daemon_pid=$!
+wait_for_socket "$ws6"
+"$PROVDB" remote insert "$ws6" --as alice --table stock --values 'WIDGET-4,4'
+crash_daemon
+printf 'X' | dd of="$ws6/wal.log" bs=1 seek=0 count=1 conv=notrunc 2>/dev/null
+expect_refusal "a damaged WAL magic"
+status=0
+recover_out=$("$PROVDB" recover "$ws6" 2>&1) || status=$?
+echo "$recover_out"
+if [ "$status" -eq 0 ] || ! echo "$recover_out" | grep -q 'wal\.log'; then
+  echo "FAIL: provdb recover over a damaged WAL magic exited $status" \
+    "or did not name the log file"
+  exit 1
+fi
 echo "stale workspace: crashed daemons refused until recover, pre-crash roots \
-restored (also past an aggregate), prune survives recover"
+restored (also past an aggregate), prune survives recover, a damaged WAL \
+magic is refused"
 
 echo "check: OK"
