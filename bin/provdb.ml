@@ -478,24 +478,35 @@ let cmd_ca_key dir =
         (Tep_crypto.Rsa.public_to_string
            (Participant.Directory.ca_key ws.directory)))
 
+(* Each shard's audit checkpoint, living in the shard's own directory
+   (the workspace root for a 1-shard layout).  A missing file means a
+   first audit; a damaged one is refused, since replacing it would drop
+   every anchor. *)
+let audit_checkpoints ws =
+  let load s =
+    let path = s.s_dir // "audit.ckpt" in
+    if not (Sys.file_exists path) then Ok (path, Audit.empty)
+    else
+      match Audit.of_string (read_file path) with
+      | Ok cp -> Ok (path, cp)
+      | Error e ->
+          fail "%s is damaged (%s); deleting it forces a full re-audit" path e
+  in
+  let loaded = Array.map load ws.shards in
+  match Array.find_map (function Error e -> Some e | Ok _ -> None) loaded with
+  | Some e -> Error e
+  | None -> Ok (Array.map Result.get_ok loaded)
+
 let cmd_audit dir =
   with_workspace ~save_after:false dir (fun ws ->
-      (* one audit checkpoint per shard, living in the shard's own
-         directory (the workspace root for a 1-shard layout) *)
+      let* ckpts = audit_checkpoints ws in
       let all_ok = ref true in
       let examined_total = ref 0 in
       let objects_total = ref 0 in
       Array.iteri
         (fun k s ->
           let label = shard_label ~shards:(nshards ws) k in
-          let ckpt_path = s.s_dir // "audit.ckpt" in
-          let cp =
-            if Sys.file_exists ckpt_path then
-              match Audit.of_string (read_file ckpt_path) with
-              | Ok cp -> cp
-              | Error _ -> Audit.empty
-            else Audit.empty
-          in
+          let ckpt_path, cp = ckpts.(k) in
           let report, cp', examined =
             Audit.incremental_audit ~pool:(pool ())
               ~algo:(Engine.algo s.s_engine) ~directory:ws.directory cp
@@ -514,9 +525,12 @@ let cmd_audit dir =
 (* Drop the records of objects no longer in the forest, then rebuild
    each shard's engine over its pruned store so the save below writes
    the pruned store to the flat files and a new checkpoint generation
-   alike — `provdb recover` must not bring the records back. *)
+   alike — `provdb recover` must not bring the records back.  The audit
+   checkpoint forgets the objects whose chains got shorter: their
+   marks may point at records that are gone. *)
 let cmd_prune dir =
   with_workspace dir (fun ws ->
+      let* ckpts = audit_checkpoints ws in
       let before_total = ref 0 in
       let after_total = ref 0 in
       Array.iteri
@@ -531,6 +545,18 @@ let cmd_prune dir =
           let pruned = Provstore.prune prov ~live:!live in
           before_total := !before_total + Provstore.record_count prov;
           after_total := !after_total + Provstore.record_count pruned;
+          let tip st oid =
+            Option.map (fun (r : Record.t) -> r.Record.checksum)
+              (Provstore.latest st oid)
+          in
+          let shortened =
+            List.filter
+              (fun oid -> tip pruned oid <> tip prov oid)
+              (Provstore.objects prov)
+          in
+          let ckpt_path, cp = ckpts.(k) in
+          if Audit.objects cp > 0 then
+            write_file ckpt_path (Audit.to_string (Audit.forget cp shortened));
           ws.shards.(k) <-
             {
               s with
@@ -1140,8 +1166,9 @@ let audit_cmd =
   Cmd.v
     (Cmd.info "audit"
        ~doc:
-         "Incremental audit: verify only records added since the last \
-          audit.  Exits 3 when tampering is detected."
+         "Incremental audit: check signatures only on records added since \
+          the last audit, and every chain's links and audited records.  \
+          Exits 3 when tampering is detected, 1 on a damaged audit.ckpt."
        ~exits)
     Term.(const cmd_audit $ dir_arg)
 

@@ -19,8 +19,6 @@ let zero : t = [||]
 let one : t = [| 1 |]
 let two : t = [| 2 |]
 
-let num_limbs (a : t) = Array.length a
-
 let get_limb (a : t) i = if i < Array.length a then a.(i) else 0
 
 (* Drop leading (most-significant) zero limbs to restore the invariant. *)

@@ -69,11 +69,7 @@ val sub : t -> t -> t
     be negative. *)
 
 val mul : t -> t -> t
-(** Schoolbook multiplication below {!karatsuba_threshold} limbs,
-    Karatsuba above. *)
-
-val mul_int : t -> int -> t
-(** [mul_int a k] with [0 <= k < 2^31]. *)
+(** Schoolbook multiplication below 32 limbs, Karatsuba above. *)
 
 val divmod : t -> t -> t * t
 (** [divmod a b = (q, r)] with [a = q*b + r] and [0 <= r < b]
@@ -98,11 +94,8 @@ val testbit : t -> int -> bool
 val limb_bits : int
 (** Bits per limb (31). *)
 
-val karatsuba_threshold : int
-
-val num_limbs : t -> int
 val get_limb : t -> int -> int
-(** [get_limb n i] is limb [i], or [0] when [i >= num_limbs n]. *)
+(** [get_limb n i] is limb [i], or [0] past the top limb. *)
 
 val of_limbs : int array -> t
 (** Build from little-endian limbs (each in [[0, 2^31)]); trailing

@@ -848,15 +848,6 @@ let prove t ~table ~row ?col () =
                  })
        | _ -> unexpected)
 
-let merge_vreports (a : Verifier.report) (b : Verifier.report) =
-  {
-    Verifier.violations = a.Verifier.violations @ b.Verifier.violations;
-    records_checked = a.Verifier.records_checked + b.Verifier.records_checked;
-    objects_checked = a.Verifier.objects_checked + b.Verifier.objects_checked;
-    signatures_checked =
-      a.Verifier.signatures_checked + b.Verifier.signatures_checked;
-  }
-
 (* Recheck everything a proof answer claims against the ONE hash the
    caller already trusts (a [root_hash] fetched and pinned earlier, or
    a published root from out of band).  Nothing the server said is
@@ -884,16 +875,8 @@ let check_proofs ~algo ~directory ~trusted_root (p : proofs) =
     match List.nth_opt p.pf_shard_roots p.pf_shard with
     | None -> Error "proof: shard index out of range"
     | Some shard_root ->
-        let empty =
-          {
-            Verifier.violations = [];
-            records_checked = 0;
-            objects_checked = 0;
-            signatures_checked = 0;
-          }
-        in
         let rec go acc = function
-          | [] -> Ok acc
+          | [] -> Ok (Verifier.concat (List.rev acc))
           | it :: rest -> (
               match Proof.verify algo ~root_hash:shard_root it.pf_proof with
               | Error e -> Error e
@@ -902,12 +885,10 @@ let check_proofs ~algo ~directory ~trusted_root (p : proofs) =
                     Tep_tree.Subtree.atom it.pf_proof.Proof.leaf_oid
                       it.pf_proof.Proof.leaf_value
                   in
-                  let r =
-                    Verifier.verify ~algo ~directory ~data it.pf_records
-                  in
-                  go (merge_vreports acc r) rest)
+                  let r = Verifier.verify ~algo ~directory ~data it.pf_records in
+                  go (r :: acc) rest)
         in
-        go empty p.pf_items
+        go [] p.pf_items
 
 (* Seed-reproducible sampled audit: the server verifies a DRBG-chosen
    α-fraction (ppm) of live objects.  Returns (report, sampled,

@@ -1,8 +1,8 @@
 open Tep_tree
 
 (* Per-object high-water mark: seq, checksum, and output hash of the
-   last verified record (the hash is needed to validate the boundary
-   link of the next update). *)
+   last verified record — the anchor later audits compare the stored
+   record against. *)
 type hwm = { hw_seq : int; hw_checksum : string; hw_hash : string }
 
 type checkpoint = hwm Oid.Map.t
@@ -14,218 +14,89 @@ let objects cp = Oid.Map.cardinal cp
 let mark cp oid =
   Option.map (fun h -> (h.hw_seq, h.hw_checksum)) (Oid.Map.find_opt oid cp)
 
+let forget cp oids =
+  List.fold_left (fun cp oid -> Oid.Map.remove oid cp) cp oids
+
 (* ------------------------------------------------------------------ *)
 (* Incremental per-object verification                                 *)
 (* ------------------------------------------------------------------ *)
 
-type obj_result = {
-  violations : Verifier.violation list;
-  examined : int;
-  signatures : int;
-  new_hwm : hwm option; (* advance only when the object is clean *)
-}
-
-let check_object ~directory ~store cp oid records : obj_result =
+(* One object's audit: RSA on the records past the mark only, but the
+   verifier's chain rules over the whole stored chain (comparisons, no
+   cryptography), so a record dropped or replaced below the mark still
+   breaks a link.  The anchor check adds what only the auditor knows:
+   the marked record itself is still there, unchanged. *)
+let check_object ~directory ~store cp oid records =
   let prev_hwm = Oid.Map.find_opt oid cp in
-  (* Anchor consistency: the audited record must still be present,
-     unchanged.  A store whose history for this object was rewritten
-     or truncated below the checkpoint fails here even if the
-     replacement chain is internally consistent. *)
-  let anchor_violation =
+  let anchor =
     match prev_hwm with
-    | None -> None
+    | None -> []
     | Some h -> (
         match
           List.find_opt (fun r -> r.Record.seq_id = h.hw_seq) records
         with
-        | Some r when String.equal r.Record.checksum h.hw_checksum -> None
+        | Some r
+          when String.equal r.Record.checksum h.hw_checksum
+               && String.equal r.Record.output_hash h.hw_hash ->
+            []
         | Some r ->
-            Some
-              (Verifier.Broken_link
-                 {
-                   oid;
-                   seq = r.Record.seq_id;
-                   reason = "audited record was replaced (history rewrite)";
-                 })
+            [
+              Verifier.Broken_link
+                {
+                  oid;
+                  seq = r.Record.seq_id;
+                  reason = "audited record was replaced (history rewrite)";
+                };
+            ]
         | None ->
-            Some
-              (Verifier.Seq_gap
-                 { oid; after_seq = h.hw_seq; found_seq = -1 }))
+            [ Verifier.Seq_gap { oid; after_seq = h.hw_seq; found_seq = -1 } ])
   in
-  match anchor_violation with
-  | Some v ->
-      (* keep the old mark so the rewrite keeps being reported *)
-      { violations = [ v ]; examined = 1; signatures = 0; new_hwm = prev_hwm }
-  | None ->
-  let new_records =
+  let fresh =
     match prev_hwm with
     | None -> records
     | Some h -> List.filter (fun r -> r.Record.seq_id > h.hw_seq) records
   in
-  if new_records = [] then
-    { violations = []; examined = 0; signatures = 0; new_hwm = prev_hwm }
-  else begin
-    let violations = ref [] in
-    let add v = violations := v :: !violations in
-    let signatures = ref 0 in
-    (* 1. signatures of new records *)
-    List.iter
-      (fun r ->
-        incr signatures;
+  let bad_signatures =
+    List.filter_map
+      (fun (r : Record.t) ->
         match Checksum.verify_record directory r with
-        | Ok () -> ()
+        | Ok () -> None
         | Error reason ->
-            add (Verifier.Bad_signature { oid; seq = r.Record.seq_id; reason }))
-      new_records;
-    (* 2. boundary + structure *)
-    let check_first (r : Record.t) =
-      match (prev_hwm, r.Record.kind) with
-      | Some h, Record.Update ->
-          if r.Record.seq_id <> h.hw_seq + 1 then
-            add
-              (Verifier.Seq_gap
-                 { oid; after_seq = h.hw_seq; found_seq = r.Record.seq_id })
-          else if r.Record.prev_checksums <> [ h.hw_checksum ] then
-            add
-              (Verifier.Broken_link
-                 {
-                   oid;
-                   seq = r.Record.seq_id;
-                   reason = "does not chain onto the audited checkpoint";
-                 })
-          else if r.Record.input_hashes <> [ h.hw_hash ] then
-            add
-              (Verifier.Broken_link
-                 {
-                   oid;
-                   seq = r.Record.seq_id;
-                   reason = "input hash differs from the audited state";
-                 })
-      | Some _, _ ->
-          add
-            (Verifier.Malformed
-               {
-                 oid;
-                 seq = r.Record.seq_id;
-                 reason = "non-update record after the chain started";
-               })
-      | None, Record.Insert | None, Record.Import ->
-          if r.Record.seq_id <> 0 then
-            add
-              (Verifier.First_record_invalid
-                 { oid; reason = "insert/import must have seq 0" })
-      | None, Record.Aggregate ->
-          (* citations resolve against the whole store; the cited
-             records belong to other objects' (audited) chains *)
-          let n = List.length r.Record.input_hashes in
-          if
-            n = 0
-            || List.length r.Record.prev_checksums <> n
-            || List.length r.Record.input_oids <> n
-          then
-            add
-              (Verifier.Malformed
-                 {
-                   oid;
-                   seq = r.Record.seq_id;
-                   reason = "aggregate arity mismatch";
-                 })
-          else begin
-            let max_seq = ref (-1) in
-            List.iteri
-              (fun i pc ->
-                match Provstore.find_by_checksum store pc with
-                | None ->
-                    add
-                      (Verifier.Dangling_prev
-                         {
-                           oid;
-                           seq = r.Record.seq_id;
-                           missing = Tep_crypto.Digest_algo.to_hex pc;
-                         })
-                | Some cited ->
-                    if !max_seq < cited.Record.seq_id then
-                      max_seq := cited.Record.seq_id;
-                    if
-                      not
-                        (Oid.equal cited.Record.output_oid
-                           (List.nth r.Record.input_oids i))
-                      || not
-                           (String.equal cited.Record.output_hash
-                              (List.nth r.Record.input_hashes i))
-                    then
-                      add
-                        (Verifier.Broken_link
-                           {
-                             oid;
-                             seq = r.Record.seq_id;
-                             reason =
-                               Printf.sprintf "aggregate citation %d mismatch" i;
-                           }))
-              r.Record.prev_checksums;
-            if !max_seq >= 0 && r.Record.seq_id <> !max_seq + 1 then
-              add
-                (Verifier.Broken_link
-                   {
-                     oid;
-                     seq = r.Record.seq_id;
-                     reason = "aggregate seq is not max input seq + 1";
-                   })
-          end
-      | None, Record.Update ->
-          add
-            (Verifier.First_record_invalid
-               { oid; reason = "chain starts with an update record" })
-    in
-    (match new_records with r :: _ -> check_first r | [] -> ());
-    let rec walk = function
-      | (a : Record.t) :: (b : Record.t) :: rest ->
-          if b.Record.seq_id <> a.Record.seq_id + 1 then
-            add
-              (Verifier.Seq_gap
-                 { oid; after_seq = a.Record.seq_id; found_seq = b.Record.seq_id })
-          else if b.Record.kind <> Record.Update then
-            add
-              (Verifier.Malformed
-                 { oid; seq = b.Record.seq_id; reason = "mid-chain non-update" })
-          else begin
-            if b.Record.prev_checksums <> [ a.Record.checksum ] then
-              add
-                (Verifier.Broken_link
-                   { oid; seq = b.Record.seq_id; reason = "prev checksum mismatch" });
-            if b.Record.input_hashes <> [ a.Record.output_hash ] then
-              add
-                (Verifier.Broken_link
-                   { oid; seq = b.Record.seq_id; reason = "input hash mismatch" })
-          end;
-          walk (b :: rest)
-      | _ -> ()
-    in
-    walk new_records;
-    let clean = !violations = [] in
-    let new_hwm =
-      if clean then
-        match List.rev new_records with
-        | last :: _ ->
-            Some
-              {
-                hw_seq = last.Record.seq_id;
-                hw_checksum = last.Record.checksum;
-                hw_hash = last.Record.output_hash;
-              }
-        | [] -> prev_hwm
-      else prev_hwm
-    in
-    {
-      violations = List.rev !violations;
-      examined = List.length new_records;
-      signatures = !signatures;
-      new_hwm;
-    }
-  end
+            Some (Verifier.Bad_signature { oid; seq = r.Record.seq_id; reason }))
+      fresh
+  in
+  let violations =
+    anchor @ bad_signatures
+    @ Verifier.check_chain ~lookup:(Provstore.find_by_checksum store) oid
+        records
+  in
+  let n = List.length fresh in
+  let hwm =
+    match List.rev fresh with
+    | last :: _ when violations = [] ->
+        Some
+          {
+            hw_seq = last.Record.seq_id;
+            hw_checksum = last.Record.checksum;
+            hw_hash = last.Record.output_hash;
+          }
+    | _ -> prev_hwm (* a failed object keeps its old mark *)
+  in
+  ( {
+      Verifier.violations;
+      records_checked = n;
+      objects_checked = 1;
+      signatures_checked = n;
+    },
+    hwm )
 
 let incremental_audit ?pool ~algo:_ ~directory cp store =
-  let objs = Provstore.objects store in
+  (* marked objects too: one whose every record is gone fails its
+     anchor *)
+  let objs =
+    List.sort_uniq Oid.compare
+      (Provstore.objects store @ List.map fst (Oid.Map.bindings cp))
+  in
   (* Per-object checks are independent: they read the (frozen) store
      and the mutex-guarded certificate cache.  Fan the sweep out
      across domains, then fold results back in oid order so the report
@@ -239,28 +110,14 @@ let incremental_audit ?pool ~algo:_ ~directory cp store =
         Tep_parallel.Pool.map_list p check objs
     | _ -> List.map check objs
   in
-  let violations = ref [] in
-  let examined = ref 0 in
-  let signatures = ref 0 in
+  let report = Verifier.concat (List.map fst results) in
   let cp' =
     List.fold_left2
-      (fun acc oid r ->
-        violations := !violations @ r.violations;
-        examined := !examined + r.examined;
-        signatures := !signatures + r.signatures;
-        match r.new_hwm with
-        | Some h -> Oid.Map.add oid h acc
-        | None -> acc)
+      (fun acc oid (_, hwm) ->
+        match hwm with Some h -> Oid.Map.add oid h acc | None -> acc)
       Oid.Map.empty objs results
   in
-  ( {
-      Verifier.violations = !violations;
-      records_checked = !examined;
-      objects_checked = List.length objs;
-      signatures_checked = !signatures;
-    },
-    cp',
-    !examined )
+  (report, cp', report.Verifier.records_checked)
 
 let full_audit ?pool ~algo ~directory store =
   let report, cp, _ = incremental_audit ?pool ~algo ~directory empty store in

@@ -3,12 +3,19 @@
     The paper's recipient re-verifies whole provenance objects from
     their genesis on every delivery.  A standing auditor can do much
     better: after one full verification it records, per object, the
-    last verified (seq, checksum) pair — a {e checkpoint} — and later
-    verifies only the records appended since, checking that the first
-    new record of each object chains onto the checkpointed checksum.
-    Tampering with already-audited history is caught by the chain
-    break at the checkpoint boundary; tampering after the checkpoint
-    is caught by the normal checks.
+    last verified record's (seq, checksum, output hash) — a
+    {e checkpoint} mark — and later audits split the work:
+
+    - the RSA signature check (the dominant cost) runs only on the
+      records past the mark;
+    - the verifier's chain rules ({!Verifier.check_chain}) run over
+      each object's whole stored chain — comparisons, no
+      cryptography — so a record dropped, replaced or re-signed below
+      the mark breaks a seq or a link;
+    - the anchor check requires the marked record to still be stored
+      with the same checksum and output hash, so a chain rewritten
+      from scratch, or a rewritten tip, is reported even when it is
+      internally consistent.
 
     Checkpoints are serialisable so periodic audit jobs can persist
     them between runs. *)
@@ -24,6 +31,11 @@ val objects : checkpoint -> int
 
 val mark : checkpoint -> Oid.t -> (int * string) option
 (** The (seq, checksum) high-water mark for an object, if audited. *)
+
+val forget : checkpoint -> Oid.t list -> checkpoint
+(** Drop the marks of these objects: their next audit starts from
+    genesis.  Pruning shortens dead objects' chains below their marks,
+    so it forgets them. *)
 
 val full_audit :
   ?pool:Tep_parallel.Pool.t ->
@@ -43,10 +55,11 @@ val incremental_audit :
   checkpoint ->
   Provstore.t ->
   Verifier.report * checkpoint * int
-(** Verify only records newer than the checkpoint (plus boundary
-    links).  Returns the report, the advanced checkpoint, and the
-    number of records actually examined — the audit cost, which is
-    proportional to the {e new} work, not to history length.
+(** Verify the signatures of the records newer than the checkpoint,
+    and the chain rules and anchor of every object.  Returns the
+    report, the advanced checkpoint, and the number of records
+    examined (signature-checked) — the RSA cost, which is proportional
+    to the {e new} work, not to history length.
 
     With [?pool] the per-object sweeps run on separate domains (the
     store must not be mutated concurrently); report and checkpoint

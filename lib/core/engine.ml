@@ -543,21 +543,6 @@ let delete_object t p oid =
             Ok ()
       end)
 
-let delete_object_subtree t p oid =
-  in_batch t p (fun b ->
-      if not (Forest.mem t.forest oid) then
-        Error (Printf.sprintf "no object %s" (Oid.to_string oid))
-      else begin
-        capture_existing t b ~direct:true oid;
-        let removed = ref [] in
-        Forest.iter_preorder t.forest oid (fun o _ -> removed := o :: !removed);
-        match Forest.delete_subtree t.forest oid with
-        | Error e -> Error e
-        | Ok n ->
-            List.iter (Tree_view.unregister t.view) !removed;
-            Ok n
-      end)
-
 let aggregate_objects t p ?(value = Value.Text "aggregate") inputs =
   in_batch t p (fun b ->
       if inputs = [] then Error "aggregate: no inputs"

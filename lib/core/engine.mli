@@ -152,9 +152,6 @@ val update_object :
 val delete_object : t -> Participant.t -> Oid.t -> (unit, string) result
 (** Leaf-only, like the paper's primitive delete. *)
 
-val delete_object_subtree : t -> Participant.t -> Oid.t -> (int, string) result
-(** Cascade of leaf deletes, in one complex operation. *)
-
 val aggregate_objects :
   t ->
   Participant.t ->

@@ -79,10 +79,6 @@ let ancestors t oid =
     (closure t oid)
   |> List.sort_uniq Oid.compare
 
-let consumers t oid =
-  Option.value (Oid.Tbl.find_opt t.children oid) ~default:[]
-  |> List.sort Oid.compare
-
 let descendants t oid =
   with_lock t (fun () ->
       match Oid.Tbl.find_opt t.descendants_memo oid with

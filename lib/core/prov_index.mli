@@ -35,10 +35,6 @@ val ancestors : t -> Oid.t -> Oid.t list
 (** Objects the given object transitively derives from (excluding
     itself), sorted — [Prov_query.derived_from] semantics. *)
 
-val consumers : t -> Oid.t -> Oid.t list
-(** Direct forward edges: objects with an [Aggregate] record citing
-    the given object as an input, sorted. *)
-
 val descendants : t -> Oid.t -> Oid.t list
 (** Forward transitive closure over aggregation edges (excluding the
     object itself), sorted — [Prov_query.derivatives] semantics. *)

@@ -75,6 +75,9 @@ let is_decided_from coord_path =
   List.iter (fun txid -> Hashtbl.replace tbl txid ()) (decided_txids coord_path);
   fun txid -> Hashtbl.mem tbl txid
 
+(* The commit point: append [Wal.Decide] to the coordinator log and
+   flush, once every participant's prepare is durable.  [Error] means
+   the decision is not durable, so recovery rolls the prepares back. *)
 let record_decision ~coord ~txid ~shards =
   Tep_fault.Fault.hit site_decide;
   match Tep_store.Wal.append coord (Tep_store.Wal.Decide (txid, shards)) with
@@ -84,6 +87,8 @@ let record_decision ~coord ~txid ~shards =
       | Ok () -> Ok ()
       | Error e -> Error ("2pc decide flush: " ^ e))
 
+(* Phase 2 for one participant; a [Wal_failure] here is harmless for
+   atomicity (the Decide already committed) but surfaced to count. *)
 let finalize_shard engine =
   Tep_fault.Fault.hit site_phase2;
   Engine.write_commit_marker engine

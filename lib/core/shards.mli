@@ -14,12 +14,11 @@
       {!Engine.complex_op_prepare}, journaling
       [Wal.Prepare (txid, root)] + flush instead of [Wal.Commit];
     + {b decide} — after {e every} prepare is durable, the coordinator
-      appends [Wal.Decide (txid, shards)] to its own log
-      ({!record_decision}) and flushes.  That frame is the commit
-      point;
+      appends [Wal.Decide (txid, shards)] to its own log and flushes.
+      That frame is the commit point;
     + {b phase 2} — each shard appends a plain [Wal.Commit] marker
-      ({!finalize_shard}), so later recoveries need not consult the
-      coordinator for this transaction.
+      ({!Engine.write_commit_marker}), so later recoveries need not
+      consult the coordinator for this transaction.
 
     A crash before the Decide is durable rolls the prepared frames
     back on every shard; a crash after it commits them on every shard
@@ -33,14 +32,12 @@ val site_phase2 : string
 (** Failpoint site hit before each shard's phase-2 commit marker
     ("shard.2pc.phase2"). *)
 
-val shard_of_key : shards:int -> string -> int
-(** Stable FNV-1a routing hash folded into [0 .. shards-1].  Not
-    [Hashtbl.hash]: the shard map is durable state, so the function
-    must be identical across OCaml releases and word sizes. *)
-
 val shard_of_table : shards:int -> ?overrides:(string * int) list -> string -> int
 (** Shard owning [table]: the override pin when one names it (and is
-    in range), the routing hash otherwise. *)
+    in range), the routing hash otherwise — a stable FNV-1a hash
+    folded into [0 .. shards-1].  Not [Hashtbl.hash]: the shard map is
+    durable state, so the function must be identical across OCaml
+    releases and word sizes. *)
 
 val decided_txids : string -> string list
 (** All transaction ids with a durable [Wal.Decide] in the coordinator
@@ -51,19 +48,6 @@ val decided_txids : string -> string list
 val is_decided_from : string -> string -> bool
 (** [is_decided_from coord_path] loads the decision set once and
     returns the predicate to pass as [Recovery.recover ~is_decided]. *)
-
-val record_decision :
-  coord:Tep_store.Wal.t -> txid:string -> shards:int list -> (unit, string) result
-(** Append [Wal.Decide (txid, shards)] to the coordinator log and
-    flush.  Only call once every participant's prepare is durable.
-    [Error] means the decision is not durable: the caller must report
-    the transaction failed and let recovery roll the prepares back. *)
-
-val finalize_shard : Engine.t -> unit
-(** Phase 2 for one participant: {!Engine.write_commit_marker}.
-    @raise Tep_core.Engine.Wal_failure on persistent WAL failure —
-    harmless for atomicity (the Decide already committed the
-    transaction) but surfaced so the server can count it. *)
 
 type participant_op = {
   p_shard : int;  (** index in the deployment's shard array *)

@@ -44,7 +44,9 @@ let group_by_object records =
     tbl []
   |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
 
-let check_chain ~by_checksum add (oid, (chain : Record.t list)) =
+let check_chain ~lookup oid (chain : Record.t list) =
+  let violations = ref [] in
+  let add v = violations := v :: !violations in
   (* Duplicate seq / gaps. *)
   let rec seq_check = function
     | (a : Record.t) :: (b : Record.t) :: rest ->
@@ -150,7 +152,7 @@ let check_chain ~by_checksum add (oid, (chain : Record.t list)) =
                 (fun i pc ->
                   let in_oid = List.nth r.Record.input_oids i in
                   let in_hash = List.nth r.Record.input_hashes i in
-                  match Hashtbl.find_opt by_checksum pc with
+                  match lookup pc with
                   | None ->
                       add (Dangling_prev { oid; seq; missing = hex_prefix pc })
                   | Some (pr : Record.t) ->
@@ -198,11 +200,19 @@ let check_chain ~by_checksum add (oid, (chain : Record.t list)) =
             end);
         walk (Some r) rest
   in
-  walk None chain
+  walk None chain;
+  List.rev !violations
+
+let concat reports =
+  let sum f = List.fold_left (fun n r -> n + f r) 0 reports in
+  {
+    violations = List.concat_map (fun r -> r.violations) reports;
+    records_checked = sum (fun r -> r.records_checked);
+    objects_checked = sum (fun r -> r.objects_checked);
+    signatures_checked = sum (fun r -> r.signatures_checked);
+  }
 
 let verify_records ?pool ~algo:_ ~directory records =
-  let violations = ref [] in
-  let add v = violations := v :: !violations in
   let by_checksum = Hashtbl.create (List.length records) in
   List.iter
     (fun (r : Record.t) ->
@@ -223,25 +233,29 @@ let verify_records ?pool ~algo:_ ~directory records =
         List.map (fun (r : Record.t) -> Checksum.verify_record directory r)
           records
   in
-  let signatures = ref 0 in
-  List.iter2
-    (fun (r : Record.t) result ->
-      incr signatures;
-      match result with
-      | Ok () -> ()
-      | Error reason ->
-          add
-            (Bad_signature
-               { oid = r.Record.output_oid; seq = r.Record.seq_id; reason }))
-    records signature_results;
+  let bad_signatures =
+    List.concat
+      (List.map2
+         (fun (r : Record.t) -> function
+           | Ok () -> []
+           | Error reason ->
+               [
+                 Bad_signature
+                   { oid = r.Record.output_oid; seq = r.Record.seq_id; reason };
+               ])
+         records signature_results)
+  in
   (* 2. Per-object chain structure (R2, R3, R6, R7). *)
   let groups = group_by_object records in
-  List.iter (check_chain ~by_checksum add) groups;
+  let lookup = Hashtbl.find_opt by_checksum in
   {
-    violations = List.rev !violations;
+    violations =
+      bad_signatures
+      @ List.concat_map (fun (oid, chain) -> check_chain ~lookup oid chain)
+          groups;
     records_checked = List.length records;
     objects_checked = List.length groups;
-    signatures_checked = !signatures;
+    signatures_checked = List.length records;
   }
 
 let verify ?pool ~algo ~directory ~data records =
@@ -303,15 +317,18 @@ let violation_to_string = function
       Printf.sprintf "malformed record (%s, seq %d): %s" (Oid.to_string oid)
         seq reason
 
-let pp_violation fmt v = Format.pp_print_string fmt (violation_to_string v)
+let render ~records ~objects ~signatures = function
+  | [] ->
+      Printf.sprintf "VERIFIED: %d records, %d objects, %d signatures checked"
+        records objects signatures
+  | violations ->
+      String.concat ""
+        (Printf.sprintf "TAMPERING DETECTED (%d violations):\n"
+           (List.length violations)
+        :: List.map (fun v -> "  - " ^ v ^ "\n") violations)
 
 let pp_report fmt r =
-  if ok r then
-    Format.fprintf fmt
-      "VERIFIED: %d records, %d objects, %d signatures checked"
-      r.records_checked r.objects_checked r.signatures_checked
-  else begin
-    Format.fprintf fmt "TAMPERING DETECTED (%d violations):@\n"
-      (List.length r.violations);
-    List.iter (fun v -> Format.fprintf fmt "  - %a@\n" pp_violation v) r.violations
-  end
+  Format.pp_print_string fmt
+    (render ~records:r.records_checked ~objects:r.objects_checked
+       ~signatures:r.signatures_checked
+       (List.map violation_to_string r.violations))

@@ -62,6 +62,22 @@ val verify_records :
     the pool's domains; the returned report (violations, order,
     counters) is byte-identical to the sequential run. *)
 
-val pp_violation : Format.formatter -> violation -> unit
+val check_chain :
+  lookup:(string -> Record.t option) -> Oid.t -> Record.t list -> violation list
+(** The chain rules (R2, R3, R6, R7) over one object's records, sorted
+    by seq: sequence numbers, the first record's kind, every
+    prev-checksum and input-hash link, and each aggregate citation,
+    resolved through [lookup] (checksum -> record).  Comparisons only,
+    no signature checks.  {!verify_records} runs it on every object;
+    {!Audit} runs it on each stored chain. *)
+
+val concat : report list -> report
+(** Counters summed, violations concatenated in order, in one pass. *)
+
+val render :
+  records:int -> objects:int -> signatures:int -> string list -> string
+(** The report text, given the rendered violations: the one renderer
+    behind {!pp_report} and the wire's [Message.render_report]. *)
+
 val pp_report : Format.formatter -> report -> unit
 val violation_to_string : violation -> string

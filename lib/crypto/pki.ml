@@ -11,7 +11,6 @@ type ca = { name : string; keys : Rsa.keypair; mutable next_serial : int }
 let create_ca ?bits ~name drbg =
   { name; keys = Rsa.generate ?bits drbg; next_serial = 1 }
 
-let ca_name ca = ca.name
 let ca_public_key ca = ca.keys.Rsa.public
 
 (* Length-prefixed fields so no crafted subject can collide with a

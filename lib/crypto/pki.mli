@@ -18,7 +18,6 @@ type ca
 (** A certificate authority (name + keypair + serial counter). *)
 
 val create_ca : ?bits:int -> name:string -> Drbg.t -> ca
-val ca_name : ca -> string
 val ca_public_key : ca -> Rsa.public_key
 
 val issue : ca -> subject:string -> Rsa.public_key -> certificate
@@ -27,9 +26,6 @@ val issue : ca -> subject:string -> Rsa.public_key -> certificate
 
 val verify_certificate : ca_key:Rsa.public_key -> certificate -> bool
 (** Check the CA signature over the to-be-signed encoding. *)
-
-val tbs_encoding : certificate -> string
-(** The deterministic byte string the CA signs (exposed for tests). *)
 
 val certificate_to_string : certificate -> string
 val certificate_of_string : string -> certificate option

@@ -22,8 +22,6 @@ type profile = {
   max_delay_s : float;  (** upper bound for injected delays *)
 }
 
-val default_profile : profile
-
 type t
 
 val start :

@@ -53,7 +53,6 @@ val arm : ?after:int -> string -> action -> unit
     insensitive to earlier traffic.  Re-arming replaces the previous
     action.  Unknown sites are registered implicitly. *)
 
-val disarm : string -> unit
 val reset : unit -> unit
 (** Disarm every site and zero all hit counters (registrations are
     kept). *)

@@ -73,8 +73,6 @@ let vars (p : t) =
 let degree (p : t) =
   List.fold_left (fun acc (m, _) -> max acc (mono_degree m)) (-1) p
 
-let term_count (p : t) = List.length p
-
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
 (* ------------------------------------------------------------------ *)

@@ -40,8 +40,6 @@ val vars : t -> int list
 val degree : t -> int
 (** Total degree (0 for constants; -1 for {!zero} by convention). *)
 
-val term_count : t -> int
-
 (** {1 Evaluation} *)
 
 val eval : (module Semiring.S with type t = 'a) -> (int -> 'a) -> t -> 'a

@@ -22,9 +22,6 @@ let column_at t i = t.cols.(i)
 
 let column_index t name = Hashtbl.find_opt t.index name
 
-let column_index_exn t name =
-  match column_index t name with Some i -> i | None -> raise Not_found
-
 let validate_row t row =
   if Array.length row <> Array.length t.cols then
     Error

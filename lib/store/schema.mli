@@ -15,8 +15,6 @@ val column_at : t -> int -> column
 (** @raise Invalid_argument if out of range. *)
 
 val column_index : t -> string -> int option
-val column_index_exn : t -> string -> int
-(** @raise Not_found if absent. *)
 
 val validate_row : t -> Value.t array -> (unit, string) result
 (** Check arity, types, and nullability. *)

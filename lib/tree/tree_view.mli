@@ -54,7 +54,7 @@ val locate : mapping -> Oid.t -> location option
 
 val unregister : mapping -> Oid.t -> unit
 (** Forget the location of an object the engine deleted outside
-    {!mirror} (the engine's [delete_object] and [delete_object_subtree]). *)
+    {!mirror} (the engine's [delete_object]). *)
 
 (** {1 Persistence} *)
 

@@ -275,8 +275,6 @@ let rec node_of_subtree (t : Subtree.t) =
       | Ok (attrs, children) -> Ok (Element (name, attrs, children))
       | Error e -> Error e)
 
-let of_subtree = node_of_subtree
-
 let of_forest forest oid =
   match Forest.subtree forest oid with
   | Error e -> Error e

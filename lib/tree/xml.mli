@@ -35,8 +35,6 @@ val of_forest : Forest.t -> Oid.t -> (node, string) result
 (** Rebuild a document from a forest subtree produced by
     {!to_forest}.  Fails on nodes that do not follow the mapping. *)
 
-val of_subtree : Subtree.t -> (node, string) result
-
 val element_value : string -> Value.t
 (** The forest value encoding an element node (text of the form [<name>]). *)
 

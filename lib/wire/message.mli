@@ -159,8 +159,9 @@ val report_of_verifier : Verifier.report -> report
 val report_ok : report -> bool
 
 val render_report : report -> string
-(** Byte-identical to [Format.asprintf "%a" Verifier.pp_report] on the
-    report this was built from. *)
+(** {!Verifier.render} on the flattened report, so byte-identical to
+    [Format.asprintf "%a" Verifier.pp_report] on the report this was
+    built from. *)
 
 val error_code_name : error_code -> string
 val lineage_kind_of_name : string -> lineage_kind option

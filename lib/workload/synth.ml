@@ -54,8 +54,6 @@ let paper_database ?(scale_factor = 1.0) n =
   in
   build_database ~name:(Printf.sprintf "paper_db_%d" n) ~seed:"tep-paper-db" specs
 
-let title_table_spec ~rows = { name = "Title"; attrs = 2; rows }
-
 let build_title_database ~rows =
   let db = Database.create ~name:"title_db" in
   let schema =

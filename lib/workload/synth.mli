@@ -26,10 +26,6 @@ val paper_node_counts : int list
 val scale : float -> table_spec -> table_spec
 (** Scale a spec's row count (for reduced-scale benching). *)
 
-val build_table : Tep_crypto.Drbg.t -> Database.t -> table_spec -> (Table.t, string) result
-(** Create and populate one synthetic table with pseudo-random
-    integers. *)
-
 val build_database :
   ?name:string -> seed:string -> table_spec list -> Database.t
 (** Deterministic synthetic database from a seed. *)
@@ -39,9 +35,6 @@ val paper_database : ?scale_factor:float -> int -> Database.t
     tables (n in 1..4), matching a row of Table 1(b).  With
     [scale_factor] < 1 the row counts shrink proportionally. *)
 
-val title_table_spec : rows:int -> table_spec
-(** The "Title" table of the large-database experiment (2 columns:
-    Document ID, Title); the paper used 18,962,041 rows. *)
-
 val build_title_database : rows:int -> Database.t
-(** DocID is an int column, Title a text column. *)
+(** The "Title" table of the large-database experiment: DocumentID an
+    int column, Title a text column; the paper used 18,962,041 rows. *)

@@ -12,7 +12,8 @@
 #   - sharded daemon session: writes on both shards of a 2-shard
 #     workspace, root-of-roots stable across drain + restart, then the
 #     local verify/audit/checkpoint/stats/lineage select on the same
-#     workspace, whose stats root must be the daemon's root-of-roots;
+#     workspace, whose stats root must be the daemon's root-of-roots,
+#     and a damaged audit.ckpt is refused;
 #   - lineage session: insert -> derive -> lineage why -> tamper ->
 #     detect;
 #   - proof session: insert 40 rows -> remote prove VERIFIED (also past
@@ -22,8 +23,9 @@
 #     checkpoint, or with un-checkpointed WAL frames (an aggregate
 #     among them), must not restart until `provdb recover`, which
 #     brings back the pre-crash root; `provdb prune` survives
-#     `provdb recover`; a WAL whose magic was damaged after a crash is
-#     refused by both a restart and `provdb recover`.
+#     `provdb recover`, and an audit after prune stays clean; a WAL
+#     whose magic was damaged after a crash is refused by both a
+#     restart and `provdb recover`.
 # With TEP_CHAOS_SEED set, the chaos soak also runs once more under
 # that seed (the @chaos gate itself pins tep-chaos-0).
 set -eu
@@ -181,6 +183,18 @@ across restart"
 # The local whole-database commands on the drained 2-shard workspace.
 "$PROVDB" verify "$ws2"
 "$PROVDB" audit "$ws2"
+# A damaged audit checkpoint is refused, naming the file, instead of
+# being replaced by a first audit that drops every anchor.
+printf 'X' | dd of="$ws2/shard-000/audit.ckpt" bs=1 seek=0 count=1 \
+  conv=notrunc 2>/dev/null
+status=0
+audit_out=$("$PROVDB" audit "$ws2" 2>&1) || status=$?
+echo "$audit_out"
+if [ "$status" -ne 1 ] || ! echo "$audit_out" | grep -q 'audit\.ckpt'; then
+  echo "FAIL: provdb audit over a damaged audit.ckpt exited $status" \
+    "or did not name the file"
+  exit 1
+fi
 "$PROVDB" checkpoint "$ws2"
 local_stats=$("$PROVDB" stats "$ws2")
 echo "$local_stats"
@@ -444,6 +458,22 @@ echo "$recover_out"
 if [ "$status" -ne 0 ] || echo "$recover_out" | grep -q 'MISMATCH'; then
   echo "FAIL: provdb recover after recovering an aggregate exited $status" \
     "or reported a MISMATCH"
+  exit 1
+fi
+
+# audit across prune: row 0 is audited at seq 1, deleted, and pruned
+# back to the seq-0 record the aggregate cites; prune forgets its audit
+# mark, so the next audit is clean
+"$PROVDB" audit "$ws6"
+"$PROVDB" update "$ws6" --as alice --table stock --row 0 --column qty \
+  --value 90
+"$PROVDB" audit "$ws6"
+"$PROVDB" delete "$ws6" --as alice --table stock --row 0
+"$PROVDB" prune "$ws6"
+status=0
+"$PROVDB" audit "$ws6" || status=$?
+if [ "$status" -ne 0 ]; then
+  echo "FAIL: provdb audit after prune exited $status, expected 0"
   exit 1
 fi
 
