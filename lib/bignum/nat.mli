@@ -89,13 +89,10 @@ val num_bits : t -> int
 val testbit : t -> int -> bool
 (** [testbit n i] is bit [i] (little-endian bit order) of [n]. *)
 
-(** {1 Internals exposed for sibling modules} *)
+(** {1 Internals exposed for tests} *)
 
 val limb_bits : int
 (** Bits per limb (31). *)
-
-val get_limb : t -> int -> int
-(** [get_limb n i] is limb [i], or [0] past the top limb. *)
 
 val of_limbs : int array -> t
 (** Build from little-endian limbs (each in [[0, 2^31)]); trailing

@@ -1,7 +1,3 @@
-let limb_bits = Nat.limb_bits
-let base = 1 lsl limb_bits
-let limb_mask = base - 1
-
 let rec gcd a b = if Nat.is_zero b then a else gcd b (Nat.rem a b)
 
 (* Extended Euclid, tracking only the coefficient of [a] and carrying
@@ -34,118 +30,83 @@ let modinv a m =
 let mod_mul a b m = Nat.rem (Nat.mul a b) m
 
 module Montgomery = struct
+  (* Montgomery-form values are [Bytes] of [n] native-endian 64-bit
+     words, the layout the C kernel (montmul.c) reads. *)
   type ctx = {
     m : Nat.t;
-    n : int; (* limb count, chosen so that 4m < R = base^n *)
-    m_limbs : int array; (* m, zero-padded to n limbs *)
-    m' : int; (* -m^{-1} mod base *)
-    r2 : int array; (* R^2 mod m, as n limbs *)
+    n : int; (* word count, chosen so that 4m < R = 2^(64n) *)
+    m_words : Bytes.t; (* m zero-padded to n words, then -m^{-1} mod 2^64 *)
+    r2 : Bytes.t; (* R^2 mod m, as n words *)
   }
+
+  (* dst <- a*b*R^{-1} mod m, lazily in [0, 2m) for a, b in [0, 2m);
+     t is n words of scratch.  dst may alias a or b.  Every buffer is
+     built here with the context's word count, which the kernel reads
+     off m_words. *)
+  external mont_mul : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+    = "tep_mont_mul"
+  [@@noalloc]
+
+  let mul ctx t dst a b = mont_mul dst a b ctx.m_words t
 
   let modulus ctx = ctx.m
 
-  (* Inverse of x modulo base by Newton iteration (x odd). *)
-  let inv_limb x =
-    let y = ref x in
-    (* y *= 2 - x*y doubles correct bits each step; the seed is good to
-       3 bits (x*x = 1 mod 8 for odd x), so 5 steps reach 96 > 31. *)
-    for _ = 1 to 5 do
-      y := (!y * (2 - (x * !y))) land limb_mask
+  let buffer ctx = Bytes.create (8 * ctx.n)
+
+  (* x < 2^(64n) as n words, least significant first. *)
+  let words n x =
+    let s = Nat.to_bytes_be_padded (8 * n) x in
+    let w = Bytes.create (8 * n) in
+    for i = 0 to n - 1 do
+      Bytes.set_int64_ne w (8 * i) (String.get_int64_be s (8 * (n - 1 - i)))
     done;
-    !y land limb_mask
+    w
+
+  let nat_of_words w =
+    let n = Bytes.length w / 8 in
+    let s = Bytes.create (8 * n) in
+    for i = 0 to n - 1 do
+      Bytes.set_int64_be s (8 * (n - 1 - i)) (Bytes.get_int64_ne w (8 * i))
+    done;
+    Nat.of_bytes_be (Bytes.unsafe_to_string s)
+
+  (* -x^{-1} mod 2^64 for odd x by Newton iteration: y <- y(2 - xy)
+     doubles the correct low bits, and the seed y = x is good to 3
+     bits (x*x = 1 mod 8), so 5 steps reach 96 >= 64. *)
+  let neg_inv_word x =
+    let y = ref x in
+    for _ = 1 to 5 do
+      y := Int64.mul !y (Int64.sub 2L (Int64.mul x !y))
+    done;
+    Int64.neg !y
 
   let create m =
     if Nat.is_even m || Nat.compare m Nat.one <= 0 then
       invalid_arg "Montgomery.create: modulus must be odd and > 1";
     (* Two spare bits give 4m < R, which keeps every product lazily in
-       [0, 2m) with no subtraction per multiply (see mont_mul_into).
-       512- and 1024-bit moduli get no extra limb from this. *)
-    let n = (Nat.num_bits m + 2 + limb_bits - 1) / limb_bits in
-    let m_limbs = Array.init n (Nat.get_limb m) in
-    let m' = (base - inv_limb m_limbs.(0)) land limb_mask in
-    let r = Nat.shift_left Nat.one (n * limb_bits) in
-    let r2 = Nat.rem (Nat.mul r r) m in
-    { m; n; m_limbs; m'; r2 = Array.init n (Nat.get_limb r2) }
-
-  (* Fused-operand-scanning Montgomery multiplication (FIOS):
-     dst <- a*b*R^{-1} mod m, lazily reduced.  Inputs are limb arrays
-     of length n holding values in [0, 2m); the result is again in
-     [0, 2m): a*b + u*m < 4m^2 + R*m and 4m < R give (a*b + u*m)/R < 2m.
-     So no multiply ever compares or subtracts; {!from_mont} does the
-     one final subtraction.  [t] is caller scratch of length n
-     (contents ignored).  [dst] may alias [a] or [b]: the row loop
-     only writes [t], which is copied to [dst] at the end, so a whole
-     exponentiation runs in fixed buffers with no allocation per
-     multiply.
-
-     Each row computes u up front from t_0 + a_i*b_0, then adds
-     a_i*b and u*m in one pass with two independent carry chains,
-     storing slot j at j-1 (the division by the limb base).  Every
-     step is at most limb + limb*limb + limb = 2^62 - 1 = max_int, so
-     nothing overflows; and the running value stays below
-     t/base + 3m < 4m < R, so it fits in n limbs and the top limb
-     c1 + c2 stays below base.  The unsafe accesses are bounds-safe:
-     every index is below n and all five arrays have length >= n. *)
-  let mont_mul_into ctx (t : int array) (dst : int array) (a : int array)
-      (b : int array) : unit =
-    let n = ctx.n in
-    let last = n - 1 in
-    let m = ctx.m_limbs and m' = ctx.m' in
-    let b0 = Array.unsafe_get b 0 and m0 = Array.unsafe_get m 0 in
-    Array.fill t 0 n 0;
-    for i = 0 to last do
-      let ai = Array.unsafe_get a i in
-      let p = Array.unsafe_get t 0 + (ai * b0) in
-      let u = ((p land limb_mask) * m') land limb_mask in
-      (* low limb of q is zero by the choice of u: only its carry *)
-      let q = (p land limb_mask) + (u * m0) in
-      let c1 = ref (p lsr limb_bits) and c2 = ref (q lsr limb_bits) in
-      let j = ref 1 in
-      while !j < last do
-        let j0 = !j in
-        let p = Array.unsafe_get t j0 + (ai * Array.unsafe_get b j0) + !c1 in
-        let q = (p land limb_mask) + (u * Array.unsafe_get m j0) + !c2 in
-        Array.unsafe_set t (j0 - 1) (q land limb_mask);
-        let j1 = j0 + 1 in
-        let p =
-          Array.unsafe_get t j1 + (ai * Array.unsafe_get b j1)
-          + (p lsr limb_bits)
-        in
-        let q =
-          (p land limb_mask) + (u * Array.unsafe_get m j1) + (q lsr limb_bits)
-        in
-        Array.unsafe_set t j0 (q land limb_mask);
-        c1 := p lsr limb_bits;
-        c2 := q lsr limb_bits;
-        j := j0 + 2
-      done;
-      if !j = last then begin
-        let j0 = last in
-        let p = Array.unsafe_get t j0 + (ai * Array.unsafe_get b j0) + !c1 in
-        let q = (p land limb_mask) + (u * Array.unsafe_get m j0) + !c2 in
-        Array.unsafe_set t (j0 - 1) (q land limb_mask);
-        c1 := p lsr limb_bits;
-        c2 := q lsr limb_bits
-      end;
-      Array.unsafe_set t last (!c1 + !c2)
-    done;
-    Array.blit t 0 dst 0 n
+       [0, 2m) with no subtraction per multiply (see montmul.c).
+       512- and 1024-bit moduli get one extra word from this. *)
+    let n = (Nat.num_bits m + 2 + 63) / 64 in
+    let m_words = Bytes.extend (words n m) 0 8 in
+    Bytes.set_int64_ne m_words (8 * n)
+      (neg_inv_word (Bytes.get_int64_ne m_words 0));
+    let r2 = Nat.rem (Nat.shift_left Nat.one (128 * n)) m in
+    { m; n; m_words; r2 = words n r2 }
 
   (* x in Montgomery form: x*R mod m, in [0, 2m). *)
   let to_mont ctx t x =
-    let x = Nat.rem x ctx.m in
-    let res = Array.init ctx.n (Nat.get_limb x) in
-    mont_mul_into ctx t res res ctx.r2;
+    let res = words ctx.n (Nat.rem x ctx.m) in
+    mul ctx t res res ctx.r2;
     res
 
   (* Leave Montgomery form: multiplying by 1 gives x*R^{-1} in
      [0, m] (x < 2m < R), and the one conditional subtraction of the
      whole exponentiation maps m to 0. *)
   let from_mont ctx t x =
-    let one = Array.make ctx.n 0 in
-    one.(0) <- 1;
-    mont_mul_into ctx t one x one;
-    let r = Nat.of_limbs one in
+    let one = Bytes.make (8 * ctx.n) '\000' in
+    Bytes.set_int64_ne one 0 1L;
+    mul ctx t one x one;
+    let r = nat_of_words one in
     if Nat.compare r ctx.m >= 0 then Nat.sub r ctx.m else r
 
   (* Reference left-to-right binary ladder, kept as the oracle the
@@ -154,12 +115,12 @@ module Montgomery = struct
   let pow_binary ctx b e =
     if Nat.is_zero e then Nat.rem Nat.one ctx.m
     else begin
-      let t = Array.make ctx.n 0 in
+      let t = buffer ctx in
       let b_mont = to_mont ctx t b in
-      let acc = Array.copy b_mont in
+      let acc = Bytes.copy b_mont in
       for i = Nat.num_bits e - 2 downto 0 do
-        mont_mul_into ctx t acc acc acc;
-        if Nat.testbit e i then mont_mul_into ctx t acc acc b_mont
+        mul ctx t acc acc acc;
+        if Nat.testbit e i then mul ctx t acc acc b_mont
       done;
       from_mont ctx t acc
     end
@@ -181,33 +142,32 @@ module Montgomery = struct
      squaring, and a window of up to k bits that starts and ends on a
      set bit costs its squarings plus one table multiply.  The first
      window loads the table entry instead of squaring 1.  The
-     accumulator squares in place via {!mont_mul_into} (dst aliasing
-     is safe there), so the ladder allocates only the table and two
+     accumulator squares in place (the kernel lets dst alias both
+     operands), so the ladder allocates only the table and two
      buffers. *)
   let pow ctx b e =
     if Nat.is_zero e then Nat.rem Nat.one ctx.m
     else begin
-      let n = ctx.n in
       let ebits = Nat.num_bits e in
       let k = window_bits ebits in
-      let t = Array.make n 0 in
-      let table = Array.make (1 lsl (k - 1)) [||] in
+      let t = buffer ctx in
+      let table = Array.make (1 lsl (k - 1)) Bytes.empty in
       table.(0) <- to_mont ctx t b;
       if k > 1 then begin
-        let b2 = Array.make n 0 in
-        mont_mul_into ctx t b2 table.(0) table.(0);
+        let b2 = buffer ctx in
+        mul ctx t b2 table.(0) table.(0);
         for i = 1 to Array.length table - 1 do
-          let x = Array.make n 0 in
-          mont_mul_into ctx t x table.(i - 1) b2;
+          let x = buffer ctx in
+          mul ctx t x table.(i - 1) b2;
           table.(i) <- x
         done
       end;
-      let acc = Array.make n 0 in
+      let acc = buffer ctx in
       let first = ref true in
       let i = ref (ebits - 1) in
       while !i >= 0 do
         if not (Nat.testbit e !i) then begin
-          mont_mul_into ctx t acc acc acc;
+          mul ctx t acc acc acc;
           decr i
         end
         else begin
@@ -222,14 +182,14 @@ module Montgomery = struct
           done;
           let entry = table.(!w lsr 1) in
           if !first then begin
-            Array.blit entry 0 acc 0 n;
+            Bytes.blit entry 0 acc 0 (Bytes.length acc);
             first := false
           end
           else begin
             for _ = !l to !i do
-              mont_mul_into ctx t acc acc acc
+              mul ctx t acc acc acc
             done;
-            mont_mul_into ctx t acc acc entry
+            mul ctx t acc acc entry
           end;
           i := !l - 1
         end

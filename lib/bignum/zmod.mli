@@ -2,10 +2,10 @@
 
     Provides the number-theoretic operations RSA needs: GCD, modular
     inverse, and modular exponentiation.  Exponentiation over odd
-    moduli uses a lazily reduced Montgomery kernel (fused operand
-    scanning, values kept in [\[0, 2m)]) under a sliding-window
-    ladder; even moduli fall back to division-based reduction.  See
-    DESIGN.md §9.2. *)
+    moduli uses a lazily reduced Montgomery kernel on 64-bit words
+    (fused operand scanning in C, values kept in [\[0, 2m)]) under a
+    sliding-window ladder; even moduli fall back to division-based
+    reduction.  See DESIGN.md §9.2. *)
 
 val gcd : Nat.t -> Nat.t -> Nat.t
 (** Greatest common divisor; [gcd 0 b = b]. *)
@@ -38,10 +38,11 @@ module Montgomery : sig
   type ctx
 
   val create : Nat.t -> ctx
-  (** [create m] precomputes [-m^{-1} mod 2^31] and [R^2 mod m] (one
-      long division) for R = 2^(31n), where n = ⌈(bits(m) + 2) / 31⌉
-      limbs makes [4m < R]: that bound lets every intermediate value
-      stay in [\[0, 2m)] with no per-multiply subtraction.
+  (** [create m] precomputes [-m^{-1} mod 2^64] and [R^2 mod m] (one
+      long division) for R = 2^(64n), where n = ⌈(bits(m) + 2) / 64⌉
+      words makes [4m < R]: that bound lets every intermediate value
+      stay in [\[0, 2m)] with no per-multiply subtraction.  A context
+      is immutable and may be shared between domains.
       @raise Invalid_argument if the modulus is even or [<= 1]. *)
 
   val modulus : ctx -> Nat.t

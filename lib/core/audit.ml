@@ -1,9 +1,9 @@
 open Tep_tree
 
-(* Per-object high-water mark: seq, checksum, and output hash of the
-   last verified record — the anchor later audits compare the stored
-   record against. *)
-type hwm = { hw_seq : int; hw_checksum : string; hw_hash : string }
+(* Per-object high-water mark: seq and checksum of the last verified
+   record, and a SHA-256 over the encodings of the object's records
+   through it — the anchor later audits recompute from the store. *)
+type hwm = { hw_seq : int; hw_checksum : string; hw_digest : string }
 
 type checkpoint = hwm Oid.Map.t
 
@@ -25,36 +25,42 @@ let forget cp oids =
    verifier's chain rules over the whole stored chain (comparisons, no
    cryptography), so a record dropped or replaced below the mark still
    breaks a link.  The anchor check adds what only the auditor knows:
-   the marked record itself is still there, unchanged. *)
+   the records through the mark are still there, byte for byte, so an
+   edit that breaks only an audited record's signature is reported
+   too.  One running digest covers the records through the mark and
+   then the fresh ones, giving the next mark's digest. *)
 let check_object ~directory ~store cp oid records =
   let prev_hwm = Oid.Map.find_opt oid cp in
+  let audited, fresh =
+    match prev_hwm with
+    | None -> ([], records)
+    | Some h -> List.partition (fun r -> r.Record.seq_id <= h.hw_seq) records
+  in
+  let digest = Tep_crypto.Sha256.init () in
+  let feed =
+    List.iter (fun r -> Tep_crypto.Sha256.update digest (Record.encoded r))
+  in
+  feed audited;
   let anchor =
     match prev_hwm with
     | None -> []
-    | Some h -> (
-        match
-          List.find_opt (fun r -> r.Record.seq_id = h.hw_seq) records
-        with
-        | Some r
-          when String.equal r.Record.checksum h.hw_checksum
-               && String.equal r.Record.output_hash h.hw_hash ->
-            []
-        | Some r ->
-            [
-              Verifier.Broken_link
-                {
-                  oid;
-                  seq = r.Record.seq_id;
-                  reason = "audited record was replaced (history rewrite)";
-                };
-            ]
-        | None ->
-            [ Verifier.Seq_gap { oid; after_seq = h.hw_seq; found_seq = -1 } ])
-  in
-  let fresh =
-    match prev_hwm with
-    | None -> records
-    | Some h -> List.filter (fun r -> r.Record.seq_id > h.hw_seq) records
+    | Some h ->
+        if not (List.exists (fun r -> r.Record.seq_id = h.hw_seq) audited) then
+          [ Verifier.Seq_gap { oid; after_seq = h.hw_seq; found_seq = -1 } ]
+        else if
+          String.equal
+            (Tep_crypto.Sha256.final (Tep_crypto.Sha256.copy digest))
+            h.hw_digest
+        then []
+        else
+          [
+            Verifier.Broken_link
+              {
+                oid;
+                seq = h.hw_seq;
+                reason = "audited records were changed (history rewrite)";
+              };
+          ]
   in
   let bad_signatures =
     List.filter_map
@@ -74,11 +80,12 @@ let check_object ~directory ~store cp oid records =
   let hwm =
     match List.rev fresh with
     | last :: _ when violations = [] ->
+        feed fresh;
         Some
           {
             hw_seq = last.Record.seq_id;
             hw_checksum = last.Record.checksum;
-            hw_hash = last.Record.output_hash;
+            hw_digest = Tep_crypto.Sha256.final digest;
           }
     | _ -> prev_hwm (* a failed object keeps its old mark *)
   in
@@ -127,7 +134,7 @@ let full_audit ?pool ~algo ~directory store =
 (* Serialisation                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let magic = "TEPAUD1"
+let magic = "TEPAUD2"
 
 let to_string cp =
   let buf = Buffer.create 1024 in
@@ -138,13 +145,16 @@ let to_string cp =
       Tep_store.Value.add_varint buf (Oid.to_int oid);
       Tep_store.Value.add_varint buf h.hw_seq;
       Tep_store.Value.add_string buf h.hw_checksum;
-      Tep_store.Value.add_string buf h.hw_hash)
+      Tep_store.Value.add_string buf h.hw_digest)
     cp;
   Buffer.contents buf
 
 let of_string s =
   try
-    if String.length s < 7 || String.sub s 0 7 <> magic then
+    if String.starts_with ~prefix:"TEPAUD1" s then
+      (* its marks bind only the anchor record, not the chain *)
+      Error "checkpoint: TEPAUD1 marks do not bind the audited chains"
+    else if String.length s < 7 || String.sub s 0 7 <> magic then
       Error "checkpoint: bad magic"
     else begin
       let count, off = Tep_store.Value.read_varint s 7 in
@@ -154,11 +164,11 @@ let of_string s =
         let oid, o = Tep_store.Value.read_varint s !off in
         let seq, o = Tep_store.Value.read_varint s o in
         let cksum, o = Tep_store.Value.read_string s o in
-        let hash, o = Tep_store.Value.read_string s o in
+        let digest, o = Tep_store.Value.read_string s o in
         off := o;
         cp :=
           Oid.Map.add (Oid.of_int oid)
-            { hw_seq = seq; hw_checksum = cksum; hw_hash = hash }
+            { hw_seq = seq; hw_checksum = cksum; hw_digest = digest }
             !cp
       done;
       Ok !cp

@@ -3,8 +3,9 @@
     The paper's recipient re-verifies whole provenance objects from
     their genesis on every delivery.  A standing auditor can do much
     better: after one full verification it records, per object, the
-    last verified record's (seq, checksum, output hash) — a
-    {e checkpoint} mark — and later audits split the work:
+    last verified record's seq and checksum and a SHA-256 over the
+    encodings of the object's records through it — a {e checkpoint}
+    mark — and later audits split the work:
 
     - the RSA signature check (the dominant cost) runs only on the
       records past the mark;
@@ -13,12 +14,14 @@
       cryptography — so a record dropped, replaced or re-signed below
       the mark breaks a seq or a link;
     - the anchor check requires the marked record to still be stored
-      with the same checksum and output hash, so a chain rewritten
-      from scratch, or a rewritten tip, is reported even when it is
-      internally consistent.
+      and recomputes the digest over the stored records up to it, so
+      any change to an audited record is reported: a chain rewritten
+      from scratch or a rewritten tip, even when internally
+      consistent, and an edit that breaks only an audited record's
+      signature.  This costs hashing, no RSA.
 
-    Checkpoints are serialisable so periodic audit jobs can persist
-    them between runs. *)
+    Checkpoints are serialisable (format [TEPAUD2]) so periodic audit
+    jobs can persist them between runs. *)
 
 open Tep_tree
 
@@ -67,3 +70,5 @@ val incremental_audit :
 
 val to_string : checkpoint -> string
 val of_string : string -> (checkpoint, string) result
+(** Errors on a damaged checkpoint, and on one in the older [TEPAUD1]
+    format, whose marks do not bind the audited chains. *)

@@ -61,8 +61,14 @@ let test_checkpoint_roundtrip () =
   let report, _, examined = audit eng dir cp' in
   Alcotest.(check bool) "resumed checkpoint works" true (Verifier.ok report);
   Alcotest.(check int) "delta only" 4 examined;
-  match Audit.of_string "garbage" with
+  (match Audit.of_string "garbage" with
   | Ok _ -> Alcotest.fail "garbage accepted"
+  | Error _ -> ());
+  (* a TEPAUD1 checkpoint (marks without a chain digest) is refused *)
+  let v2 = Audit.to_string cp in
+  let v1 = "TEPAUD1" ^ String.sub v2 7 (String.length v2 - 7) in
+  match Audit.of_string v1 with
+  | Ok _ -> Alcotest.fail "TEPAUD1 accepted"
   | Error _ -> ()
 
 let test_mark_accessor () =
@@ -297,6 +303,12 @@ let test_dropped_below_mark () = check_below_mark_rewrite (fun _ _ -> None)
 let test_resigned_below_mark () =
   check_below_mark_rewrite (fun alice r -> Some (resign alice r))
 
+(* Only the signature breaks: the chain rules pass, so only the mark's
+   chain digest can catch it. *)
+let test_participant_below_mark () =
+  check_below_mark_rewrite (fun _ r ->
+      Some { r with Record.participant = "mallory" })
+
 let live_objects eng =
   let forest = Engine.forest eng in
   List.concat_map
@@ -406,11 +418,8 @@ let run_prop_op eng alice op =
 
 (* After one mutation at any record, the incremental audit from the
    checkpoint reports tampering exactly when the verifier does, save
-   for two documented cases that follow from the auditor's contract:
-   - a participant edit at or below the mark breaks only the record's
-     signature, and signatures are checked once, past the mark;
-   - dropping or re-signing the marked record itself fails the anchor,
-     which the memoryless verifier lacks.
+   that dropping or re-signing the marked record itself fails the
+   anchor, which the memoryless verifier lacks.
    A full audit reports the same violations (as a multiset) and
    counters as the verifier. *)
 let prop_auditor_agrees =
@@ -456,7 +465,6 @@ let prop_auditor_agrees =
       let seq = target.Record.seq_id in
       let expected =
         match (mutation, mark) with
-        | Edit_participant, Some m when seq <= m -> true
         | (Drop | Resign), Some m when seq = m -> false
         | _ -> Verifier.ok vreport
       in
@@ -496,6 +504,8 @@ let () =
             test_dropped_below_mark;
           Alcotest.test_case "record re-signed below the mark" `Quick
             test_resigned_below_mark;
+          Alcotest.test_case "participant edited below the mark" `Quick
+            test_participant_below_mark;
           Alcotest.test_case "prune, then forget" `Quick test_prune_then_forget;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest prop_auditor_agrees ]);

@@ -109,48 +109,91 @@ let test_window_sizes () =
         (Zmod.Montgomery.pow ctx b e))
     (window_widths @ [ 2048 ])
 
-(* pow = pow_binary = modpow_naive on moduli of 31k-2 .. 31k+2 bits:
-   the 4m < R rule adds a limb between 31k-2 and 31k-1 bits, so both
-   limb counts meet values lazily held in [0, 2m).  Bases cover the
-   reductions at the edges (0, 1, m-1, m, >= m, >= 2m), exponents the
-   degenerate 0, 1, 2 and every window-size threshold. *)
+(* pow = pow_binary = modpow_naive modulo [m].  Bases cover the
+   reductions at the edges (0, 1, m-1, m, >= m, >= 2m) plus [extra],
+   exponents the degenerate 0, 1, 2 and every window-size threshold. *)
+let check_modulus ?(extra = []) next m =
+  let bits = Nat.num_bits m in
+  let ctx = Zmod.Montgomery.create m in
+  let check what b e =
+    let want = Zmod.modpow_naive b e m in
+    let name =
+      Printf.sprintf "%d-bit m, %s, %d-bit e" bits what (Nat.num_bits e)
+    in
+    Alcotest.check nat (name ^ " (pow)") want (Zmod.Montgomery.pow ctx b e);
+    Alcotest.check nat (name ^ " (binary)") want
+      (Zmod.Montgomery.pow_binary ctx b e)
+  in
+  let r = Nat.rem (rand_nat next bits) m in
+  let bases =
+    [
+      ("b=0", Nat.zero);
+      ("b=1", Nat.one);
+      ("b=m-1", Nat.sub m Nat.one);
+      ("b=m", m);
+      ("b>=m", Nat.add m r);
+      ("b>=2m", Nat.add (Nat.add m m) r);
+    ]
+    @ extra
+  in
+  List.iter
+    (fun (what, b) ->
+      List.iter (fun e -> check what b (n e)) [ 0; 1; 2 ];
+      check what b (rand_exponent next 24))
+    bases;
+  let b = rand_nat next bits in
+  List.iter (fun w -> check "random b" b (rand_exponent next w)) window_widths
+
+(* Random moduli of 31k-2 .. 31k+2 bits (the limb width of Nat) and of
+   64k-2 .. 64k+2 bits up to 17 words (the word width of the kernel):
+   the 4m < R rule adds a word between 64k-2 and 64k-1 bits, so both
+   word counts meet values lazily held in [0, 2m). *)
 let test_limb_boundaries () =
   let next = lcg 4321 in
+  let around w ks =
+    List.concat_map (fun k -> List.init 5 (fun d -> (w * k) - 2 + d)) ks
+  in
   List.iter
-    (fun k ->
-      for bits = (31 * k) - 2 to (31 * k) + 2 do
-        let m = rand_odd_modulus next bits in
-        let ctx = Zmod.Montgomery.create m in
-        let check what b e =
-          let want = Zmod.modpow_naive b e m in
-          let name =
-            Printf.sprintf "%d-bit m, %s, %d-bit e" bits what (Nat.num_bits e)
-          in
-          Alcotest.check nat (name ^ " (pow)") want (Zmod.Montgomery.pow ctx b e);
-          Alcotest.check nat (name ^ " (binary)") want
-            (Zmod.Montgomery.pow_binary ctx b e)
-        in
-        let r = Nat.rem (rand_nat next bits) m in
-        let bases =
-          [
-            ("b=0", Nat.zero);
-            ("b=1", Nat.one);
-            ("b=m-1", Nat.sub m Nat.one);
-            ("b=m", m);
-            ("b>=m", Nat.add m r);
-            ("b>=2m", Nat.add (Nat.add m m) r);
-          ]
-        in
-        List.iter
-          (fun (what, b) ->
-            List.iter (fun e -> check what b (n e)) [ 0; 1; 2 ];
-            check what b (rand_exponent next 24))
-          bases;
-        let b = rand_nat next bits in
-        List.iter (fun w -> check "random b" b (rand_exponent next w))
-          window_widths
-      done)
-    [ 1; 2; 3; 17; 33 ]
+    (fun bits -> check_modulus next (rand_odd_modulus next bits))
+    (around 31 [ 1; 2; 3; 17; 33 ] @ around 64 (List.init 17 succ))
+
+(* The smallest modulus, and moduli just below and above 2^62 (the
+   largest one-word modulus under 4m < R) and 2^64; the powers of 3
+   around 2^64 also take the nilpotent base 3. *)
+let test_word_edges () =
+  let next = lcg 2718 in
+  let pow2 k = Nat.shift_left Nat.one k in
+  let three = n 3 in
+  List.iter (check_modulus next)
+    [
+      three;
+      Nat.sub (pow2 62) Nat.one;
+      Nat.add (pow2 62) Nat.one;
+      Nat.sub (pow2 64) Nat.one;
+      Nat.add (pow2 64) Nat.one;
+    ];
+  List.iter
+    (fun a ->
+      let m = Zmod.modpow_naive three (n a) (pow2 128) in
+      check_modulus ~extra:[ ("b=3", three) ] next m)
+    [ 39; 40; 41 ]
+
+(* A squaring through pow: the accumulator is both operands and the
+   destination of the kernel call. *)
+let test_aliased_squaring () =
+  let next = lcg 31337 in
+  List.iter
+    (fun bits ->
+      let m = rand_odd_modulus next bits in
+      let ctx = Zmod.Montgomery.create m in
+      let b = rand_nat next bits in
+      let b2 = Zmod.mod_mul b b m in
+      Alcotest.check nat (Printf.sprintf "%d-bit b^2" bits) b2
+        (Zmod.Montgomery.pow ctx b (n 2));
+      Alcotest.check nat (Printf.sprintf "%d-bit b^4" bits)
+        (Zmod.mod_mul b2 b2 m)
+        (Zmod.Montgomery.pow ctx b (n 4)))
+    [ 2; 62; 63; 64; 65; 512; 1024; 2046 ]
 
 (* Nilpotent bases: modulo m = 3^a, any b with 3 | b has b^e = 0 once
    e >= a, and the ladder can then hold the zero residue lazily as m
@@ -236,6 +279,8 @@ let () =
           Alcotest.test_case "modpow edge cases" `Quick test_modpow_edges;
           Alcotest.test_case "window sizes" `Quick test_window_sizes;
           Alcotest.test_case "limb boundaries" `Quick test_limb_boundaries;
+          Alcotest.test_case "word edges" `Quick test_word_edges;
+          Alcotest.test_case "aliased squaring" `Quick test_aliased_squaring;
           Alcotest.test_case "nilpotent bases" `Quick test_nilpotent_bases;
         ] );
       ( "properties",

@@ -1,12 +1,16 @@
 #!/bin/sh
 # Repository check: an interface step (every module under lib/ has an
 # .mli, and no file under lib/server/ is longer than 600 lines), then
-# `dune build @check-all` (full build, every test
-# suite and every named gate: crash-point enumeration, pooled
-# commit-signing determinism, the network chaos soak, shard
-# determinism, the lineage and proof suites with their smoke gates,
-# the event-loop service gate and the toy-scale end-to-end benchmark
-# of the real daemon), then five scripted provdbd sessions:
+# `dune build @check-all` (full build, every test suite and every
+# named gate).  The build compiles the one C file,
+# lib/bignum/montmul.c, with -Wall -Wextra -Werror, and the test suites
+# run test_zmod both native and as bytecode, so that the Montgomery
+# kernel's bytecode entry point is linked and exercised.  The gates:
+# crash-point enumeration, pooled commit-signing determinism, the
+# network chaos soak, shard determinism, the lineage and proof suites
+# with their smoke gates, the event-loop service gate and the
+# toy-scale end-to-end benchmark of the real daemon.  Then five
+# scripted provdbd sessions:
 #   - daemon session: insert -> query -> verify, SIGTERM drain with a
 #     stable root across restart, tamper -> remote verify exit 3;
 #   - sharded daemon session: writes on both shards of a 2-shard
