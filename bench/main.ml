@@ -192,82 +192,63 @@ let modpow_micro_tests () =
       (Staged.stage (fun () -> ignore (Zmod.Montgomery.pow ctx512 b512 e512)));
   ]
 
+(* One engine over a 400-row, 8-column table and a participant to
+   write as; [pooled] engines run on the daemon's pool ([Pool.default]:
+   one domain per core unless TEP_DOMAINS says otherwise).  Allocated
+   by Bechamel before the test's first sample, so key generation and
+   the cold tree hash stay out of the timings. *)
+let engine_state ~seed ~pooled () =
+  let pool = if pooled then Some (Tep_parallel.Pool.default ()) else None in
+  let env = Scenario.make_env ~seed () in
+  let cfg = Experiments.config_of_env () in
+  let p =
+    Participant.create ~bits:cfg.Experiments.rsa_bits ~ca:env.Scenario.ca
+      ~name:"bench-engine" env.Scenario.drbg
+  in
+  Participant.Directory.register env.Scenario.directory p;
+  let db =
+    Synth.build_database ~seed:(seed ^ "-db")
+      [ { Synth.name = "t1"; attrs = 8; rows = 400 } ]
+  in
+  (Engine.create ?pool ~directory:env.Scenario.directory db, p, ref 0)
+
 let engine_micro_tests () =
   let open Bechamel in
+  let engine_test name ~pooled run =
+    Test.make_with_resource ~name Test.uniq
+      ~allocate:(engine_state ~seed:("bench-micro-" ^ name) ~pooled)
+      ~free:ignore (Staged.stage run)
+  in
   [
-    Test.make ~name:"engine-update-cell"
-      (* All state lives behind [lazy] so it is created when this
-         test first runs, not when another test in the suite does. *)
-      (let state =
-         lazy
-           (let env = Scenario.make_env ~seed:"bench-micro-engine" () in
-            let cfg = Experiments.config_of_env () in
-            let p =
-              Participant.create ~bits:cfg.Experiments.rsa_bits
-                ~ca:env.Scenario.ca ~name:"bench-engine" env.Scenario.drbg
-            in
-            Participant.Directory.register env.Scenario.directory p;
-            let db =
-              Synth.build_database ~seed:"bench-micro-db"
-                [ { Synth.name = "t1"; attrs = 8; rows = 400 } ]
-            in
-            let eng = Engine.create ~directory:env.Scenario.directory db in
-            (eng, p, ref 0))
-       in
-       Staged.stage (fun () ->
-           let eng, p, counter = Lazy.force state in
-           incr counter;
-           ignore
-             (Engine.update_cell eng p ~table:"t1" ~row:(!counter mod 400)
-                ~col:(!counter mod 8)
-                (Value.Int !counter))));
+    engine_test "engine-update-cell" ~pooled:false (fun (eng, p, counter) ->
+        incr counter;
+        ignore
+          (Engine.update_cell eng p ~table:"t1" ~row:(!counter mod 400)
+             ~col:(!counter mod 8) (Value.Int !counter)));
     (* The pooled write path.  A singleton commit never fans out (one
        record signs on the caller), so each iteration is a complex op
-       staging four updates — the smallest batch where the signing
-       stage actually spreads across the 4-domain pool. *)
-    Test.make ~name:"engine-update-cell-pooled"
-      (let state =
-         lazy
-           (let env =
-              Scenario.make_env ~seed:"bench-micro-engine-pooled" ()
-            in
-            let cfg = Experiments.config_of_env () in
-            let p =
-              Participant.create ~bits:cfg.Experiments.rsa_bits
-                ~ca:env.Scenario.ca ~name:"bench-engine" env.Scenario.drbg
-            in
-            Participant.Directory.register env.Scenario.directory p;
-            let db =
-              Synth.build_database ~seed:"bench-micro-db-pooled"
-                [ { Synth.name = "t1"; attrs = 8; rows = 400 } ]
-            in
-            let pool = Tep_parallel.Pool.create ~domains:4 () in
-            let eng =
-              Engine.create ~pool ~directory:env.Scenario.directory db
-            in
-            (eng, p, ref 0))
-       in
-       Staged.stage (fun () ->
-           let eng, p, counter = Lazy.force state in
-           incr counter;
-           let base = !counter * 4 in
-           match
-             Engine.complex_op eng p (fun () ->
-                 let rec go i =
-                   if i >= 4 then Ok ()
-                   else
-                     match
-                       Engine.update_cell eng p ~table:"t1"
-                         ~row:((base + i) mod 400) ~col:((base + i) mod 8)
-                         (Value.Int (base + i))
-                     with
-                     | Ok () -> go (i + 1)
-                     | Error _ as e -> e
-                 in
-                 go 0)
-           with
-           | Ok _ -> ()
-           | Error e -> failwith ("pooled bench: " ^ e)));
+       staging four updates. *)
+    engine_test "engine-update-cell-pooled" ~pooled:true
+      (fun (eng, p, counter) ->
+        incr counter;
+        let base = !counter * 4 in
+        match
+          Engine.complex_op eng p (fun () ->
+              let rec go i =
+                if i >= 4 then Ok ()
+                else
+                  match
+                    Engine.update_cell eng p ~table:"t1"
+                      ~row:((base + i) mod 400) ~col:((base + i) mod 8)
+                      (Value.Int (base + i))
+                  with
+                  | Ok () -> go (i + 1)
+                  | Error _ as e -> e
+              in
+              go 0)
+        with
+        | Ok _ -> ()
+        | Error e -> failwith ("pooled bench: " ^ e));
   ]
 
 let run_micro () =

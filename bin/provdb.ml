@@ -932,7 +932,7 @@ let cmd_remote_root_hash remote =
       Ok (Tep_crypto.Digest_algo.to_hex hash))
 
 (* Daemon counters, one line per shard: batching, signing, queue
-   depth, root cache and proof path. *)
+   depth and proofs served. *)
 let cmd_remote_stats remote =
   remote (fun c ->
       let* stats = lift (Client.shard_stats c) in
@@ -940,13 +940,10 @@ let cmd_remote_stats remote =
         (fun k s ->
           Printf.printf
             "shard %d: batches=%d ops=%d sign_wall_us=%d sign_cpu_us=%d \
-             queued=%d root_recomputes=%d root_hits=%d proofs_served=%d \
-             proof_cache_hits=%d proof_cache_misses=%d proof_bytes=%d\n"
+             queued=%d proofs_served=%d proof_bytes=%d\n"
             k s.Message.ss_batches s.Message.ss_ops s.Message.ss_sign_wall_us
             s.Message.ss_sign_cpu_us s.Message.ss_queued
-            s.Message.ss_root_recomputes s.Message.ss_root_hits
-            s.Message.ss_proofs_served s.Message.ss_proof_cache_hits
-            s.Message.ss_proof_cache_misses s.Message.ss_proof_bytes)
+            s.Message.ss_proofs_served s.Message.ss_proof_bytes)
         stats;
       Ok "")
 
@@ -1375,7 +1372,7 @@ let remote_cmd =
         (Cmd.info "stats"
            ~doc:
              "Print the daemon's counters, one line per shard: batching, \
-              signing, queue depth, root cache and proof path"
+              signing, queue depth and proofs served"
            ~exits)
         Term.(const cmd_remote_stats $ remote_arg);
       Cmd.v

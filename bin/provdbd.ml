@@ -15,7 +15,10 @@
    commit, then checkpoints the workspace and exits 0.  A second
    signal during the drain aborts immediately with exit code 4
    ([Workspace.exit_forced]); the WAL tail is replayed by `provdb
-   recover` on the next start.
+   recover` on the next start.  A shard fenced by a failed commit
+   skips the checkpoint too, with exit code 1: its memory holds writes
+   its WAL does not, and `provdb recover` restores the durable
+   state.
 
    Clients authenticate as PKI-registered participants (`provdb
    remote --as NAME ...`); the daemon signs the operations they submit
@@ -25,21 +28,11 @@ open Cmdliner
 open Workspace
 module Server = Tep_server.Server
 
-let run dir socket port shards_flag io_threads idle_timeout =
+let run dir socket port io_threads idle_timeout =
   match load dir with
   | Error f ->
       report_failure f;
       code_of_failure f
-  | Ok ws when
-      (match shards_flag with
-      | Some m -> m <> Array.length ws.shards
-      | None -> false) ->
-      Printf.eprintf
-        "error: workspace %s has %d shard(s), not %d (the shard count is \
-         fixed at `provdb init --shards`)\n"
-        dir (Array.length ws.shards)
-        (Option.get shards_flag);
-      exit_usage
   | Ok ws ->
       let nshards = Array.length ws.shards in
       let server =
@@ -95,13 +88,20 @@ let run dir socket port shards_flag io_threads idle_timeout =
       if not (Server.quiesce ~timeout:10. server) then
         prerr_endline
           "provdbd: warning: drain timed out with batches still queued";
-      let saved = save ws in
+      (* a fenced shard's memory holds writes its log does not: saving
+         it would make them durable *)
+      let fenced = Server.fenced server in
+      let saved = if fenced = [] then Some (save ws) else None in
       (try Unix.unlink sock with Unix.Unix_error _ | Sys_error _ -> ());
       match saved with
-      | Error e ->
+      | None ->
+          List.iter (fun m -> prerr_endline ("provdbd: " ^ m)) fenced;
+          prerr_endline "provdbd: the workspace was not saved";
+          exit_fail
+      | Some (Error e) ->
           report_failure (Fail ("saving the workspace: " ^ e));
           exit_fail
-      | Ok () ->
+      | Some (Ok ()) ->
           print_endline "provdbd: drained, checkpointed, workspace saved";
           exit_ok
 
@@ -119,14 +119,6 @@ let () =
     Arg.(value & opt (some int) None
          & info [ "port" ] ~docv:"PORT"
              ~doc:"Additionally listen on 127.0.0.1:PORT")
-  in
-  let shards =
-    Arg.(value & opt (some int) None
-         & info [ "shards" ] ~docv:"N"
-             ~doc:
-               "Assert the workspace shard count (informational: the \
-                on-disk layout from `provdb init --shards` is \
-                authoritative; a mismatch is an error)")
   in
   let io_threads =
     Arg.(value & opt int 4
@@ -147,7 +139,8 @@ let () =
   let exits =
     Cmd.Exit.info exit_fail
       ~doc:"on operational errors (unloadable or stale workspace, I/O \
-            failures)."
+            failures), and when a failed commit fenced a shard: the workspace \
+            is then not saved; run `provdb recover`."
     :: Cmd.Exit.info exit_forced
          ~doc:"on forced shutdown: a second signal arrived while draining, so \
                the checkpoint was skipped; run `provdb recover` to replay the \
@@ -162,4 +155,4 @@ let () =
     (Cmd.eval'
        (Cmd.v info
           Term.(
-            const run $ dir $ socket $ port $ shards $ io_threads $ idle_timeout)))
+            const run $ dir $ socket $ port $ io_threads $ idle_timeout)))

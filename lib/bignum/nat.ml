@@ -163,49 +163,8 @@ let mul_school (a : int array) (b : int array) : int array =
   done;
   r
 
-let karatsuba_threshold = 32
-
-let rec mul_limbs (a : int array) (b : int array) : int array =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 || lb = 0 then [||]
-  else if la < karatsuba_threshold || lb < karatsuba_threshold then
-    mul_school a b
-  else begin
-    (* Karatsuba split at half of the longer operand. *)
-    let m = (if la > lb then la else lb) / 2 in
-    let lo x = if Array.length x <= m then Array.copy x else Array.sub x 0 m in
-    let hi x =
-      if Array.length x <= m then [||] else Array.sub x m (Array.length x - m)
-    in
-    let a0 = normalize (lo a) and a1 = normalize (hi a) in
-    let b0 = normalize (lo b) and b1 = normalize (hi b) in
-    let z0 = normalize (mul_limbs a0 b0) in
-    let z2 = normalize (mul_limbs a1 b1) in
-    let z1 =
-      (* (a0+a1)(b0+b1) - z0 - z2 *)
-      let s = mul_limbs (add a0 a1) (add b0 b1) in
-      sub (sub (normalize s) z0) z2
-    in
-    let r = Array.make (la + lb + 1) 0 in
-    let add_at (x : t) off =
-      let carry = ref 0 in
-      let lx = Array.length x in
-      let i = ref 0 in
-      while !i < lx || !carry <> 0 do
-        let s = r.(off + !i) + (if !i < lx then x.(!i) else 0) + !carry in
-        r.(off + !i) <- s land limb_mask;
-        carry := s lsr limb_bits;
-        incr i
-      done
-    in
-    add_at z0 0;
-    add_at z1 m;
-    add_at z2 (2 * m);
-    r
-  end
-
 let mul (a : t) (b : t) : t =
-  if is_zero a || is_zero b then zero else normalize (mul_limbs a b)
+  if is_zero a || is_zero b then zero else normalize (mul_school a b)
 
 let shift_left (a : t) bits : t =
   if bits < 0 then invalid_arg "Nat.shift_left";

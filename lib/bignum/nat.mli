@@ -69,7 +69,9 @@ val sub : t -> t -> t
     be negative. *)
 
 val mul : t -> t -> t
-(** Schoolbook multiplication below 32 limbs, Karatsuba above. *)
+(** Schoolbook multiplication.  With the default 1024-bit keys the RSA
+    code multiplies 17-limb operands (p, q and the CRT products), too
+    short for Karatsuba to pay off. *)
 
 val divmod : t -> t -> t * t
 (** [divmod a b = (q, r)] with [a = q*b + r] and [0 <= r < b]

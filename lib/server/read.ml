@@ -1,8 +1,10 @@
 (* The read-side dispatch.  Read-only requests run concurrently with
    each other: nothing here may mutate any engine.  Each shard's audit
-   checkpoint and root cache are the read-side mutables; each sits
-   behind its own per-shard mutex.  Per-shard read locks are taken as
-   close to each shard access as possible. *)
+   checkpoint and its Merkle cache (which a proof walk memoises into)
+   are the read-side mutables; each sits behind its own per-shard
+   mutex, taken inside the read lock.  Per-shard read locks are taken
+   as close to each shard access as possible.  Roots are atomics and
+   take no lock at all. *)
 
 module Message = Tep_wire.Message
 module Engine = Tep_core.Engine
@@ -20,7 +22,6 @@ module Tree_view = Tep_tree.Tree_view
 module Fault = Tep_fault.Fault
 
 let error_resp = State.error_resp
-let locked = Shard.locked
 
 (* Hit on the read-side dispatch of every Verify request; arming it
    with [Fault.Delay] holds a verification in flight, which is how the
@@ -50,6 +51,12 @@ let concat_reports (reports : Message.report list) =
     rp_violations = List.concat_map (fun r -> r.Message.rp_violations) reports;
   }
 
+(* A fenced shard answers every read with wal-failed.  The check runs
+   under the shard's read lock, after any commit that fenced it. *)
+exception Fenced of string
+
+let check_fence s = Option.iter (fun m -> raise (Fenced m)) (Shard.refusal s)
+
 (* [f shard] for every shard in index order, each under its own read
    lock.  Sequential, not nested: no read lock is held while another
    shard's is awaited, so a fan-out read can never participate in a
@@ -57,7 +64,10 @@ let concat_reports (reports : Message.report list) =
 let map_shards (t : State.t) f =
   Array.to_list
     (Array.map
-       (fun (s : Shard.t) -> Rwlock.with_read s.s_rwlock (fun () -> f s))
+       (fun (s : Shard.t) ->
+         Rwlock.with_read s.s_rwlock (fun () ->
+             check_fence s;
+             f s))
        t.shards)
 
 (* The per-shard results, or the first shard's error. *)
@@ -69,7 +79,11 @@ let all_ok results =
 (* Oid-addressed reads resolve against the owning shard and run under
    its read lock in one step. *)
 let with_owning_shard t oid f =
-  match State.probe_owner t oid f with
+  match
+    State.probe_owner t oid (fun s ->
+        check_fence s;
+        f s)
+  with
   | Some resp -> resp
   | None -> error_resp Message.Not_found "object not found in any shard"
 
@@ -90,11 +104,11 @@ let pong (t : State.t) =
       reaped = Atomic.get t.reaped;
     }
 
-(* The hash the service publishes, from the cached per-shard roots. *)
+(* The hash the service publishes, from the per-shard committed roots. *)
 let published_root (t : State.t) =
   Shards.published_root
     (Engine.algo (State.engine t))
-    (Array.to_list (Array.map Shard.root t.shards))
+    (List.map Shard.root (State.all_shards t))
 
 let lineage (s : Shard.t) kind oid =
   let idx = Prov_index.of_store (Engine.provstore s.s_engine) in
@@ -117,19 +131,16 @@ let lineage (s : Shard.t) kind oid =
       Message.Lineage_resp
         { poly = ""; depth = 0; oids = Lineage.impact idx oid }
 
-(* The annotation binds the published root, so compute it BEFORE
-   taking the shard read lock: [Shard.root] re-enters this shard's
-   rwlock, and the writer-preferring lock is not reentrant —
-   root-then-lock keeps the path deadlock-free.  A write landing
-   between the two makes the annotation cite the root preceding it,
-   which is still a root the result rows are consistent with under the
-   shard read lock's snapshot. *)
+(* The annotation binds the published root, read inside the shard's
+   read lock: the owning shard's part of it is the root of exactly the
+   rows signed. *)
 let annotated_query (t : State.t) participant ~table ~where ~agg =
-  let root = published_root t in
   let (s : Shard.t) =
     t.shards.(Shards.shard_of_table ~shards:(State.shard_count t) table)
   in
   Rwlock.with_read s.s_rwlock (fun () ->
+      check_fence s;
+      let root = published_root t in
       match Tep_store.Database.get_table (Engine.backend s.s_engine) table with
       | None -> error_resp Message.Not_found ("no such table " ^ table)
       | Some tbl -> (
@@ -160,65 +171,53 @@ let annotated_query (t : State.t) participant ~table ~where ~agg =
                 }))
 
 (* Everything the client will recheck must come from ONE committed
-   state of the owning shard: shard k's root and the proofs are taken
-   inside a single root_lock → read-lock critical section — the same
-   acquisition order [Shard.root] uses; the reverse would deadlock
-   against writer preference.  The OTHER shards' roots come first,
-   each through its own cache and locks, so no two shards' locks are
-   ever held together.  A commit elsewhere in the gap only means the
-   root-of-roots the client recomputes no longer matches a trusted
-   root fetched earlier still — the client re-fetches Root_hash and
-   retries, like any stale read. *)
+   state of the owning shard: shard k's root and the proofs are read
+   inside its read lock, where no commit can land in between.  The
+   other shards' roots are read there too, from their atomics.  A
+   commit elsewhere only means the root-of-roots the client recomputes
+   no longer matches a trusted root fetched earlier — the client
+   re-fetches Root_hash and retries, like any stale read. *)
 let prove (t : State.t) ~table ~row ~col =
-  let n = State.shard_count t in
-  let k = Shards.shard_of_table ~shards:n table in
+  let k = Shards.shard_of_table ~shards:(State.shard_count t) table in
   let (s : Shard.t) = t.shards.(k) in
-  let roots =
-    Array.init n (fun i -> if i = k then "" else Shard.root t.shards.(i))
-  in
-  locked s.s_root_lock (fun () ->
-      Rwlock.with_read s.s_rwlock (fun () ->
-          roots.(k) <-
-            Shard.root_cached s (fun () -> Engine.root_hash s.s_engine);
-          let mapping = Engine.mapping s.s_engine in
-          let leaves =
-            match col with
-            | Some c -> (
-                match Tree_view.cell_oid mapping table row c with
-                | Some oid -> Ok [ oid ]
-                | None ->
-                    Error (Printf.sprintf "no cell %s[%d].%d" table row c))
-            | None -> (
-                match Tree_view.row_oid mapping table row with
-                | None -> Error (Printf.sprintf "no row %s[%d]" table row)
-                | Some oid -> (
-                    (* every cell of the row; a cell-less row is itself
-                       atomic and proves directly *)
-                    match Forest.children (Engine.forest s.s_engine) oid with
-                    | [] -> Ok [ oid ]
-                    | cells -> Ok cells))
+  Rwlock.with_read s.s_rwlock (fun () ->
+      check_fence s;
+      let shard_roots = List.map Shard.root (State.all_shards t) in
+      let mapping = Engine.mapping s.s_engine in
+      let leaves =
+        match col with
+        | Some c -> (
+            match Tree_view.cell_oid mapping table row c with
+            | Some oid -> Ok [ oid ]
+            | None -> Error (Printf.sprintf "no cell %s[%d].%d" table row c))
+        | None -> (
+            match Tree_view.row_oid mapping table row with
+            | None -> Error (Printf.sprintf "no row %s[%d]" table row)
+            | Some oid -> (
+                (* every cell of the row; a cell-less row is itself
+                   atomic and proves directly *)
+                match Forest.children (Engine.forest s.s_engine) oid with
+                | [] -> Ok [ oid ]
+                | cells -> Ok cells))
+      in
+      match leaves with
+      | Error e -> error_resp Message.Not_found e
+      | Ok leaves -> (
+          let rec build acc = function
+            | [] -> Ok (List.rev acc)
+            | oid :: rest -> (
+                match Shard.serve_proof s oid with
+                | Error e -> Error e
+                | Ok bytes ->
+                    let records =
+                      Provstore.provenance_object (Engine.provstore s.s_engine)
+                        oid
+                    in
+                    build ((bytes, records) :: acc) rest)
           in
-          match leaves with
-          | Error e -> error_resp Message.Not_found e
-          | Ok leaves -> (
-              let epoch = Atomic.get s.s_proof_epoch in
-              let rec build acc = function
-                | [] -> Ok (List.rev acc)
-                | oid :: rest -> (
-                    match Shard.serve_proof s ~epoch oid with
-                    | Error e -> Error e
-                    | Ok bytes ->
-                        let records =
-                          Provstore.provenance_object
-                            (Engine.provstore s.s_engine) oid
-                        in
-                        build ((bytes, records) :: acc) rest)
-              in
-              match build [] leaves with
-              | Ok items ->
-                  Message.Proof_resp
-                    { shard = k; shard_roots = Array.to_list roots; items }
-              | Error e -> error_resp Message.Failed e)))
+          match build [] leaves with
+          | Ok items -> Message.Proof_resp { shard = k; shard_roots; items }
+          | Error e -> error_resp Message.Failed e))
 
 (* One DRBG, drawn in shard-then-oid order over the sorted live object
    lists, makes the sweep reproducible from the seed alone: any
@@ -253,7 +252,7 @@ let audit_sample (t : State.t) ~seed ~alpha_ppm =
       population = sum snd per_shard;
     }
 
-let dispatch (t : State.t) participant (req : Message.request) =
+let dispatch_read (t : State.t) participant (req : Message.request) =
   match req with
   | Message.Hello _ | Message.Auth _ ->
       error_resp Message.Bad_request "already authenticated"
@@ -308,7 +307,7 @@ let dispatch (t : State.t) participant (req : Message.request) =
       let directory = State.directory t in
       let audits =
         map_shards t (fun s ->
-            locked s.s_audit_lock (fun () ->
+            Shard.locked s.s_audit_lock (fun () ->
                 let r, cp, examined =
                   Audit.incremental_audit ?pool:t.pool ~algo ~directory
                     !(s.s_audit_cp)
@@ -323,7 +322,9 @@ let dispatch (t : State.t) participant (req : Message.request) =
           examined = sum (fun (_, e, _) -> e) audits;
           objects = sum (fun (_, _, o) -> o) audits;
         }
-  | Message.Root_hash -> Message.Root { hash = published_root t }
+  | Message.Root_hash ->
+      List.iter check_fence (State.all_shards t);
+      Message.Root { hash = published_root t }
   | Message.Shard_stats ->
       Message.Shard_stats_resp (List.map Shard.stat (Array.to_list t.shards))
   | Message.Lineage { kind; oid } ->
@@ -336,3 +337,7 @@ let dispatch (t : State.t) participant (req : Message.request) =
         error_resp Message.Bad_request
           "sample fraction must be in (0, 1] (1..1000000 ppm)"
       else audit_sample t ~seed ~alpha_ppm
+
+let dispatch t participant req =
+  try dispatch_read t participant req
+  with Fenced m -> error_resp Message.Wal_failed m

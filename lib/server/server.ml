@@ -12,15 +12,16 @@
    - Read-only requests ({!Read}) run concurrently across connections
      under the shared side of each shard's writer-preferring
      {!Rwlock}.  The engine itself is never mutated by these paths;
-     the two stateful read-side resources (the Merkle root cache and
-     the incremental-audit checkpoint) each sit behind a small
-     dedicated mutex.
+     the two stateful read-side resources (the Merkle cache a proof
+     walks and the incremental-audit checkpoint) each sit behind a
+     small dedicated mutex.  Roots are atomics, read without a lock.
    - Submits ({!Write}) from any number of connections funnel into a
      per-shard group-commit {!Batcher}: one signing pass, one Merkle
      dirty-path rehash, one WAL append+flush per batch instead of per
      op.  Every client still receives its own per-op response; a WAL
-     failure mid-batch fails that whole batch atomically (recovery
-     replays to the last commit marker).
+     failure mid-batch fails that whole batch atomically and fences
+     the shard until `provdb recover` (recovery replays to the last
+     commit marker).
    - Checkpoint takes every shard's write lock directly.
 
    Sharding: the service can own several engines, each a {!Shard} of
@@ -111,6 +112,7 @@ let create ?(max_payload = Frame.default_max_payload) ?(request_timeout = 30.)
 let conn t = Conn.create t.state
 let feed = Conn.feed
 let submit_ops t = Write.submit_ops t.state
+let fenced t = List.filter_map Shard.refusal (State.all_shards t.state)
 
 let set_admission ?max_queue_ops ?max_session_inflight ?retry_after_ms t =
   let a = t.state.admission in

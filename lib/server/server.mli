@@ -48,6 +48,11 @@ val submit_ops :
 (** Commit ops as the participant, bypassing the wire: one response
     per op. *)
 
+val fenced : t -> string list
+(** One message per fenced shard (it names [provdb recover]): a commit
+    failed there after changing the engine, which must then not be
+    saved. *)
+
 val set_admission :
   ?max_queue_ops:int ->
   ?max_session_inflight:int ->

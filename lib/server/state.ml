@@ -44,6 +44,8 @@ let directory t = Engine.directory (engine t)
 let draining t = Atomic.get t.draining
 let error_resp code message = Message.Error_resp { code; message }
 
+let all_shards t = Array.to_list t.shards
+
 (* Fresh coordinator transaction id.  The per-boot random epoch keeps
    txids from different daemon lifetimes distinct even though the
    coordinator log survives restarts — a replayed Prepare from a dead

@@ -39,6 +39,8 @@ val draining : t -> bool
 val error_resp :
   Tep_wire.Message.error_code -> string -> Tep_wire.Message.response
 
+val all_shards : t -> Shard.t list
+
 val fresh_txid : t -> string
 (** A coordinator transaction id unique across daemon lifetimes. *)
 

@@ -14,7 +14,7 @@ let error_resp = State.error_resp
 (* Hit by a cross-shard commit right after it releases the shards'
    write locks; arming it with [Fault.Delay] holds the commit in that
    window, which is how the tests check that a concurrent Prove already
-   sees the commit's root and proof-epoch marks. *)
+   sees the commit's published roots. *)
 let cross_committed_site = "server.cross.committed"
 let () = Fault.register cross_committed_site
 
@@ -71,9 +71,11 @@ let apply_each engine participant slots ~op ~store =
    Failure semantics: an op the engine rejects (bad table, missing
    row) gets its own error response while the rest of the batch
    commits — same per-op outcome a singleton submit would see.  If the
-   commit itself fails (WAL error, simulated crash), every op of the
+   commit itself raises (WAL error, simulated crash), every op of the
    group fails atomically: nothing was durably recorded, and recovery
-   rolls the store back to the last commit marker. *)
+   rolls the store back to the last commit marker.  The engine's
+   memory still holds the group's ops, so the shard is fenced: every
+   later group is refused. *)
 let run_batch (t : State.t) (shard : Shard.t) (jobs : job list) =
   Shard.note_batch shard
     ~ops:(List.fold_left (fun n j -> n + Array.length j.j_ops) 0 jobs);
@@ -103,19 +105,26 @@ let run_batch (t : State.t) (shard : Shard.t) (jobs : job list) =
           let entries = List.rev !(Hashtbl.find groups name) in
           let participant = (fst (List.hd entries)).j_participant in
           let outcome =
-            match
-              Engine.complex_op shard.s_engine participant (fun () ->
-                  apply_each shard.s_engine participant entries
-                    ~op:(fun (job, i) -> job.j_ops.(i))
-                    ~store:(fun (job, i) r -> job.j_results.(i) <- r))
-            with
-            | Ok v -> Ok v
-            | Error e -> Error (F_failed e)
-            | exception Engine.Wal_failure e ->
-                Atomic.incr t.wal_failures;
-                Error (F_wal ("wal: " ^ e))
-            | exception e ->
-                Error (F_failed ("commit failed: " ^ Printexc.to_string e))
+            match Shard.refusal shard with
+            | Some m -> Error (F_wal m)
+            | None -> (
+                match
+                  Engine.complex_op shard.s_engine participant (fun () ->
+                      apply_each shard.s_engine participant entries
+                        ~op:(fun (job, i) -> job.j_ops.(i))
+                        ~store:(fun (job, i) r -> job.j_results.(i) <- r))
+                with
+                | Ok v -> Ok v
+                | Error e -> Error (F_failed e)
+                | exception Engine.Wal_failure e ->
+                    let m = "wal: " ^ e in
+                    Atomic.incr t.wal_failures;
+                    Shard.fence shard m;
+                    Error (F_wal m)
+                | exception e ->
+                    let m = "commit failed: " ^ Printexc.to_string e in
+                    Shard.fence shard m;
+                    Error (F_failed m))
           in
           match outcome with
           | Ok ((), m) ->
@@ -210,7 +219,10 @@ let shard_of_op t (op : Message.op) : (int, string) result =
    order (the same order every other multi-lock path uses), and
    {!Shards.commit_cross} runs prepare → decide → phase 2.  Abort —
    any WAL trouble before the Decide is durable — voids every op of
-   the job atomically, exactly like a single-shard commit failure. *)
+   the job atomically, exactly like a single-shard commit failure, and
+   fences every shard whose engine it had already changed.  A
+   coordinator log that failed refuses the job before any shard
+   prepares. *)
 let submit_cross (t : State.t) participant (ops : Message.op array)
     (groups : (int * int array) list) (responses : Message.response option array)
     =
@@ -225,6 +237,11 @@ let submit_cross (t : State.t) participant (ops : Message.op array)
       fill_all
         (error_resp Message.Failed
            "no coordinator log: cross-shard writes unavailable")
+  | Some coord when Tep_store.Wal.fenced coord ->
+      fill_all
+        (error_resp Message.Wal_failed
+           "the coordinator log failed a write: cross-shard writes are \
+            refused; stop provdbd and run `provdb recover`")
   | Some coord ->
       Mutex.lock t.coord_lock;
       Atomic.set t.cross_busy true;
@@ -235,6 +252,9 @@ let submit_cross (t : State.t) participant (ops : Message.op array)
           State.signal_idle t)
         (fun () ->
           let results = Array.make (Array.length ops) R_pending in
+          (* [changed.(k)]: shard k's body ran and did not reject every
+             op, so its engine holds the job's writes *)
+          let changed = Array.make (Array.length t.shards) false in
           let parts =
             List.map
               (fun (k, slots) ->
@@ -245,9 +265,14 @@ let submit_cross (t : State.t) participant (ops : Message.op array)
                   p_by = participant;
                   p_body =
                     (fun () ->
-                      apply_each engine participant (Array.to_list slots)
-                        ~op:(fun i -> ops.(i))
-                        ~store:(fun i r -> results.(i) <- r));
+                      changed.(k) <- true;
+                      let r =
+                        apply_each engine participant (Array.to_list slots)
+                          ~op:(fun i -> ops.(i))
+                          ~store:(fun i r -> results.(i) <- r)
+                      in
+                      changed.(k) <- Result.is_ok r;
+                      r);
                 })
               groups
           in
@@ -258,17 +283,33 @@ let submit_cross (t : State.t) participant (ops : Message.op array)
             groups;
           let txid = State.fresh_txid t in
           let records = Array.make (Array.length t.shards) 0 in
-          (* Mark every participant before its write lock is released,
-             whatever the commit's outcome: a Prove admitted after the
-             unlock must never pair a stale cached root with a proof of
-             the new tree.  After an abort this costs one rehash. *)
+          let fence_changed reason =
+            List.iter
+              (fun (k, _) -> if changed.(k) then Shard.fence t.shards.(k) reason)
+              groups
+          in
+          (* Publish or fence every participant before its write lock is
+             released: a request admitted after the unlock must see the
+             commit's roots, or the fence. *)
           let commit () =
-            Fun.protect
-              ~finally:(fun () ->
-                List.iter
-                  (fun (k, _) -> Shard.mark_committed t.shards.(k))
-                  groups)
-              (fun () -> Shards.commit_cross ~coord ~txid parts)
+            match
+              List.find_map (fun (k, _) -> Shard.refusal t.shards.(k)) groups
+            with
+            | Some m -> Error (`Refused m)
+            | None -> (
+                match Shards.commit_cross ~coord ~txid parts with
+                | Ok (committed, _) as r ->
+                    List.iter
+                      (fun (k, _) -> Shard.mark_committed t.shards.(k))
+                      committed;
+                    r
+                | Error e ->
+                    fence_changed e;
+                    Error (`Aborted e)
+                | exception e ->
+                    fence_changed
+                      ("cross-shard commit failed: " ^ Printexc.to_string e);
+                    raise e)
           in
           match
             let r = State.with_writes t (List.map fst groups) commit in
@@ -292,7 +333,8 @@ let submit_cross (t : State.t) participant (ops : Message.op array)
                           (response_of_result ~records:records.(k) results.(i)))
                     slots)
                 groups
-          | Error e ->
+          | Error (`Refused m) -> fill_all (error_resp Message.Wal_failed m)
+          | Error (`Aborted e) ->
               Atomic.incr t.wal_failures;
               fill_all (error_resp Message.Wal_failed e)
           | exception e ->
@@ -359,10 +401,13 @@ let checkpoint (t : State.t) =
     error_resp Message.Failed "checkpointing not configured"
   else
     State.with_writes t (List.init (State.shard_count t) Fun.id) (fun () ->
-        try
-          match Shards.checkpoint_all ~coord:t.coord parts with
-          | Ok gens ->
-              let generation, lsn = List.hd gens in
-              Message.Checkpointed { generation; lsn }
-          | Error e -> error_resp Message.Failed e
-        with e -> error_resp Message.Failed (Printexc.to_string e))
+        match List.find_map Shard.refusal (State.all_shards t) with
+        | Some m -> error_resp Message.Wal_failed m
+        | None -> (
+            try
+              match Shards.checkpoint_all ~coord:t.coord parts with
+              | Ok gens ->
+                  let generation, lsn = List.hd gens in
+                  Message.Checkpointed { generation; lsn }
+              | Error e -> error_resp Message.Failed e
+            with e -> error_resp Message.Failed (Printexc.to_string e)))

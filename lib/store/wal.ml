@@ -47,6 +47,7 @@ type file_state = {
   path : string;
   mutable oc : out_channel;
   sync_every_append : bool;
+  mutable fenced : bool; (* a write failed persistently: refuse all *)
 }
 
 type sink = Memory of (int * entry) list ref | File of file_state
@@ -370,9 +371,38 @@ let open_file ?(sync = false) path =
         end
         else open_append path
       in
-      { sink = File { path; oc; sync_every_append = sync }; count = 0; next_seq }
+      {
+        sink = File { path; oc; sync_every_append = sync; fenced = false };
+        count = 0;
+        next_seq;
+      }
 
 let last_seq t = t.next_seq - 1
+
+let fenced t = match t.sink with Memory _ -> false | File fs -> fs.fenced
+
+(* A write that failed persistently fences the handle.  Its commit is
+   answered as failed, so the frames still buffered in the channel
+   must never reach the file: not at close, and not when the runtime
+   flushes every channel at exit.  Pointing the descriptor at
+   /dev/null before closing discards them. *)
+let fence fs e =
+  fs.fenced <- true;
+  (try
+     let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+     Unix.dup2 null (Unix.descr_of_out_channel fs.oc);
+     Unix.close null
+   with Unix.Unix_error _ -> ());
+  close_out_noerr fs.oc;
+  Error e
+
+(* [f ()] with transient errors retried; a persistent one fences. *)
+let guarded fs f =
+  if fs.fenced then Error "the log is fenced after a failed write"
+  else
+    match Tep_fault.Fault.with_retry f with
+    | Ok () -> Ok ()
+    | Error e -> fence fs e
 
 let append t entry =
   match t.sink with
@@ -388,7 +418,7 @@ let append t entry =
       encode_frame frame ~seq entry;
       let bytes = Buffer.contents frame in
       match
-        Tep_fault.Fault.with_retry (fun () ->
+        guarded fs (fun () ->
             Tep_fault.Fault.output site_append fs.oc bytes;
             if fs.sync_every_append then begin
               Tep_fault.Fault.hit site_flush;
@@ -407,7 +437,7 @@ let flush t =
   match t.sink with
   | Memory _ -> Ok ()
   | File fs ->
-      Tep_fault.Fault.with_retry (fun () ->
+      guarded fs (fun () ->
           Tep_fault.Fault.hit site_flush;
           Stdlib.flush fs.oc)
 
@@ -415,7 +445,7 @@ let sync t =
   match t.sink with
   | Memory _ -> Ok ()
   | File fs ->
-      Tep_fault.Fault.with_retry (fun () ->
+      guarded fs (fun () ->
           Tep_fault.Fault.hit site_flush;
           Stdlib.flush fs.oc;
           Tep_fault.Fault.hit site_sync;

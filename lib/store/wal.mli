@@ -100,7 +100,15 @@ val append : t -> entry -> (unit, string) result
 val flush : t -> (unit, string) result
 val sync : t -> (unit, string) result
 (** [flush] pushes buffered frames to the OS; [sync] additionally
-    fsyncs to the device. *)
+    fsyncs to the device.
+
+    A persistent failure of {!append}, [flush] or [sync] fences the
+    handle: the frames it had not yet pushed to the OS are dropped and
+    never written, neither by {!close} nor at exit, and every later
+    write through it (also {!truncate}) returns [Error]. *)
+
+val fenced : t -> bool
+(** A write through this handle failed persistently. *)
 
 val close : t -> unit
 

@@ -65,23 +65,21 @@ type request =
 
 and lineage_kind = L_why | L_inputs | L_depth | L_impact
 
-(* One shard's counters: its group-commit batcher plus the server-side
-   root-cache behaviour (a write to shard k must invalidate only shard
-   k's cached root — recomputes/hits make that observable). *)
+(* One shard's counters: its group-commit batcher and its proof path.
+   The four cache fields are retired and always 0: the server keeps no
+   root cache and no proof cache.  They stay on the wire only until a
+   name→value Metrics RPC replaces Shard_stats. *)
 type shard_stat = {
   ss_batches : int;
   ss_ops : int;
   ss_sign_wall_us : int; (* wall-clock µs inside this shard's commit signing *)
   ss_sign_cpu_us : int; (* cumulative per-signature µs across domains *)
   ss_queued : int; (* submit ops sitting in this shard's batcher queue *)
-  ss_root_recomputes : int; (* root-cache misses: engine root rehashed *)
-  ss_root_hits : int; (* root served from the per-shard cache *)
-  (* -- v6: proof-path observability.  A write to shard k must
-     invalidate only shard k's hot leaf→root proof cache — the
-     hit/miss split makes that observable remotely. *)
-  ss_proofs_served : int; (* membership proofs built or replayed *)
-  ss_proof_cache_hits : int; (* proofs answered from the LRU path cache *)
-  ss_proof_cache_misses : int; (* proofs rebuilt off the Merkle cache *)
+  ss_root_recomputes : int; (* retired: 0 *)
+  ss_root_hits : int; (* retired: 0 *)
+  ss_proofs_served : int; (* membership proofs built *)
+  ss_proof_cache_hits : int; (* retired: 0 *)
+  ss_proof_cache_misses : int; (* retired: 0 *)
   ss_proof_bytes : int; (* cumulative encoded proof bytes served *)
 }
 

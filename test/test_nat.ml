@@ -121,8 +121,8 @@ let test_compare () =
     "big gt small" true
     (Nat.compare (Nat.shift_left Nat.one 100) (Nat.of_int max_int) > 0)
 
-let test_karatsuba_agrees () =
-  (* force both paths: numbers above/below the threshold *)
+let test_wide_products_divide_back () =
+  (* 70x64-limb products (over 2000 bits each) divide back exactly *)
   let src = ref 17 in
   let next () =
     src := (!src * 1103515245 + 12345) land 0x3FFFFFFF;
@@ -216,7 +216,8 @@ let () =
           Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
           Alcotest.test_case "decimal" `Quick test_decimal;
           Alcotest.test_case "compare" `Quick test_compare;
-          Alcotest.test_case "karatsuba agrees" `Quick test_karatsuba_agrees;
+          Alcotest.test_case "wide products divide back" `Quick
+            test_wide_products_divide_back;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

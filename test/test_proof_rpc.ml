@@ -238,49 +238,41 @@ let test_cross_shard_root_moves () =
   Client.close c
 
 (* ------------------------------------------------------------------ *)
-(* Proof cache: replay on repeat, invalidation on write                 *)
+(* Proofs across a write                                               *)
 (* ------------------------------------------------------------------ *)
 
-let proof_counters c =
+let proofs_served c =
   match ok (Client.shard_stats c) with
-  | [ s ] ->
-      ( s.Message.ss_proofs_served,
-        s.Message.ss_proof_cache_hits,
-        s.Message.ss_proof_cache_misses )
+  | [ s ] -> s.Message.ss_proofs_served
   | l -> Alcotest.fail (Printf.sprintf "expected 1 shard, got %d" (List.length l))
 
-let test_proof_cache_hit_and_invalidate () =
+(* Every Prove builds its proof off the warm Merkle cache.  A repeat
+   proves the same leaf against the same root; a write to the shard
+   moves the root, the next proof carries the new value, and the
+   earlier proof no longer chains. *)
+let test_proof_after_write () =
   let engine, directory, alice = make_env () in
   let server = make_server engine alice in
   let c = make_client server in
   ok (Client.authenticate c alice);
   let row, _ = ok (Client.insert c ~table:"stock" [| Value.Int 1; Value.Int 10 |]) in
-  (* first prove: a cache miss that populates the LRU *)
-  ignore (ok (Client.prove c ~table:"stock" ~row ~col:1 ()));
-  let served1, hits1, misses1 = proof_counters c in
-  Alcotest.(check int) "first proof served" 1 served1;
-  Alcotest.(check int) "first proof missed the cache" 1 misses1;
-  Alcotest.(check int) "no hits yet" 0 hits1;
-  (* second prove of the same cell: replayed from the LRU *)
+  let old_root = ok (Client.root_hash c) in
+  let p1 = ok (Client.prove c ~table:"stock" ~row ~col:1 ()) in
   let p2 = ok (Client.prove c ~table:"stock" ~row ~col:1 ()) in
-  let _, hits2, misses2 = proof_counters c in
-  Alcotest.(check int) "replayed from cache" 1 hits2;
-  Alcotest.(check int) "no extra miss" misses1 misses2;
+  Alcotest.(check int) "both proofs served" 2 (proofs_served c);
+  Alcotest.(check bool) "a repeat proves the same leaf" true
+    (p1.Client.pf_items = p2.Client.pf_items);
   ignore (check_ok engine directory c p2);
-  (* a write to the shard invalidates the cached path: the next prove
-     is a miss again and chains to the NEW root *)
   ignore (ok (Client.update c ~table:"stock" ~row ~col:1 (Value.Int 99)));
+  let new_root = ok (Client.root_hash c) in
+  Alcotest.(check bool) "the write moved the root" true (new_root <> old_root);
   let p3 = ok (Client.prove c ~table:"stock" ~row ~col:1 ()) in
-  let _, hits3, misses3 = proof_counters c in
-  Alcotest.(check int) "write invalidated the cached path" (misses2 + 1) misses3;
-  Alcotest.(check int) "no stale replay" hits2 hits3;
   let report = check_ok engine directory c p3 in
   Alcotest.(check bool) "post-update proof clean" true (Verifier.ok report);
   Alcotest.(check bool) "proves the NEW value" true
     ((List.hd p3.Client.pf_items).Client.pf_proof.Proof.leaf_value
     = Value.Int 99);
   (* the pre-update proof no longer chains to the fresh root *)
-  let new_root = ok (Client.root_hash c) in
   (match
      Client.check_proofs ~algo:(Engine.algo engine) ~directory
        ~trusted_root:new_root p2
@@ -578,10 +570,10 @@ let () =
           Alcotest.test_case "root moves on remote write" `Quick
             test_cross_shard_root_moves;
         ] );
-      ( "cache",
+      ( "write",
         [
-          Alcotest.test_case "hit, then invalidate on write" `Quick
-            test_proof_cache_hit_and_invalidate;
+          Alcotest.test_case "repeat, then a new proof after a write" `Quick
+            test_proof_after_write;
         ] );
       ( "tamper",
         [ Alcotest.test_case "tamper matrix" `Quick test_tamper_matrix ] );

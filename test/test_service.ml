@@ -56,6 +56,20 @@ let counters server alice =
 
 let health server alice = fst (counters server alice)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let op_insert sku qty =
+  Message.Op_insert
+    { table = "stock"; cells = [| Value.Int sku; Value.Int qty |] }
+
+let stock_rows engine =
+  Table.row_count (Database.get_table_exn (Engine.backend engine) "stock")
+
 let local_report engine oid =
   Format.asprintf "%a" Verifier.pp_report (ok (Engine.verify_object engine oid))
 
@@ -825,12 +839,58 @@ let test_ping_during_commit () =
   Client.close c1;
   Client.close c2
 
-(* Group commit atomicity: while every WAL flush fails, submits from
-   two concurrent connections must all be rejected — durability cannot
-   be confirmed for any op of a failing batch — and the engine must
-   come back clean: usable immediately, recoverable from disk. *)
-let test_group_commit_wal_failure_atomic () =
-  let drbg = Tep_crypto.Drbg.create ~seed:"service-gc" in
+(* Root_hash reads each shard's published root without a lock, so it
+   answers while a commit holds the write lock, with the root of the
+   last commit.  Set up like "ping during commit", after an earlier
+   write whose root no read has fetched yet. *)
+let test_root_hash_during_commit () =
+  let engine, _, _, alice, _ = make_env () in
+  let server = make_server engine alice in
+  let c1 = make_client server in
+  let c2 =
+    Client.loopback ~drbg:(Tep_crypto.Drbg.create ~seed:"client-root") server
+  in
+  ok (Client.authenticate c1 alice);
+  ok (Client.authenticate c2 alice);
+  ignore (ok (Client.insert c1 ~table:"stock" [| Value.Int 1; Value.Int 10 |]));
+  let committed_root = Engine.root_hash engine in
+  let site = "engine.commit.sign" in
+  Fault.reset ();
+  Fault.arm site (Fault.Delay 1.0);
+  let committed = Stdlib.Atomic.make false in
+  let inserted = ref (Error "the writer never ran") in
+  let writer =
+    Thread.create
+      (fun () ->
+        inserted :=
+          Client.insert c1 ~table:"stock" [| Value.Int 2; Value.Int 20 |];
+        Stdlib.Atomic.set committed true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while Fault.hit_count site < 1 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.002
+  done;
+  let reached = Fault.hit_count site >= 1 in
+  let root = ok (Client.root_hash c2) in
+  let answered_first = not (Stdlib.Atomic.get committed) in
+  Thread.join writer;
+  Fault.reset ();
+  Alcotest.(check bool) "commit reached its signing stage" true reached;
+  Alcotest.(check bool) "Root_hash answered before the commit finished" true
+    answered_first;
+  Alcotest.(check string) "the root of the last commit" committed_root root;
+  ignore (ok !inserted);
+  Alcotest.(check string) "then the new commit's root" (Engine.root_hash engine)
+    (ok (Client.root_hash c2));
+  Client.close c1;
+  Client.close c2
+
+(* A server that owns its durability: one shard over a WAL in a fresh
+   directory, checkpointed once while empty so that recovery has a
+   generation to start from. *)
+let durable_env seed =
+  let drbg = Tep_crypto.Drbg.create ~seed in
   let ca = Tep_crypto.Pki.create_ca ~bits:512 ~name:"CA" drbg in
   let directory =
     Participant.Directory.create ~ca_key:(Tep_crypto.Pki.ca_public_key ca)
@@ -840,11 +900,41 @@ let test_group_commit_wal_failure_atomic () =
   let db = Database.create ~name:"svc" in
   ignore
     (Database.create_table db ~name:"stock" (Schema.all_int [ "sku"; "qty" ]));
-  let dir = Filename.temp_file "tep_service_gc" "" in
+  let dir = Filename.temp_file seed "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let wal = Wal.open_file (Filename.concat dir "wal.log") in
   let engine = Engine.create ~wal ~directory db in
+  ignore (ok (Recovery.checkpoint ~dir ~wal engine));
+  (directory, alice, dir, wal, engine)
+
+(* What `provdb recover` does once the daemon is gone: close the old
+   log, then rebuild the engine from the newest generation and the WAL
+   tail. *)
+let recover_from ~directory ~dir wal =
+  Wal.close wal;
+  let engine, wal, report = ok (Recovery.recover ~dir ~directory ()) in
+  Alcotest.(check bool) "recovered hash verified" true
+    report.Recovery.hash_verified;
+  (engine, wal)
+
+(* A fenced shard refuses the request as wal-failed, naming the way
+   out. *)
+let check_fenced what = function
+  | Ok _ -> Alcotest.failf "%s answered by a fenced shard" what
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s refused naming provdb recover, got: %s" what e)
+        true
+        (contains e "wal-failed" && contains e "provdb recover")
+
+(* Group commit atomicity: while every WAL flush fails, submits from
+   two concurrent connections must all be rejected — durability cannot
+   be confirmed for any op of a failing batch.  The engine's memory
+   already holds them, so the shard is fenced until recovery, which
+   comes back without them and takes new writes. *)
+let test_group_commit_wal_failure_atomic () =
+  let directory, alice, dir, wal, engine = durable_env "service-gc" in
   let server = make_server ~checkpoint:(dir, wal) engine alice in
   let c1 = make_client server in
   let c2 =
@@ -873,25 +963,27 @@ let test_group_commit_wal_failure_atomic () =
   (match (!r1, !r2) with
   | Error _, Error _ -> ()
   | _ -> Alcotest.fail "a submit survived a failing WAL flush");
-  (* not wedged: the next submit commits cleanly *)
+  (* fenced: the next submit and a read are refused *)
+  check_fenced "insert"
+    (Client.insert c1 ~table:"stock" [| Value.Int 3; Value.Int 30 |]);
+  check_fenced "verify" (Client.verify c1 ());
+  Client.close c1;
+  Client.close c2;
+  (* recovered: neither failed op, and the rebuilt engine is usable *)
+  let recovered, rwal = recover_from ~directory ~dir wal in
+  Alcotest.(check int) "no failed op recovered" 0 (stock_rows recovered);
+  let server = make_server ~checkpoint:(dir, rwal) recovered alice in
+  let c = make_client server in
+  ok (Client.authenticate c alice);
   let _row, records =
-    ok (Client.insert c1 ~table:"stock" [| Value.Int 3; Value.Int 30 |])
+    ok (Client.insert c ~table:"stock" [| Value.Int 3; Value.Int 30 |])
   in
-  Alcotest.(check bool) "engine usable after batch failure" true (records > 0);
-  let report, _ = ok (Client.verify c1 ()) in
-  Alcotest.(check bool) "verify clean after batch failure" true
+  Alcotest.(check bool) "recovered engine takes writes" true (records > 0);
+  let report, _ = ok (Client.verify c ()) in
+  Alcotest.(check bool) "verify clean after recovery" true
     (Message.report_ok report);
-  (* and recoverable: checkpoint, then rebuild the engine from disk *)
-  let _generation = ok (Client.checkpoint c1) in
-  match Recovery.recover ~final_checkpoint:false ~dir ~directory () with
-  | Error e -> Alcotest.fail ("recovery failed: " ^ e)
-  | Ok (recovered, rwal, rep) ->
-      Wal.close rwal;
-      Alcotest.(check bool) "recovered hash verified" true
-        rep.Recovery.hash_verified;
-      Alcotest.(check string) "recovered root matches the live engine"
-        (Engine.root_hash engine)
-        (Engine.root_hash recovered)
+  Client.close c;
+  Wal.close rwal
 
 (* Connect retry backoff: reproducible from the client's DRBG seed,
    decorrelated between seeds, pinned to the historical 2^i schedule
@@ -923,20 +1015,6 @@ let test_retry_jitter_deterministic () =
 (* ------------------------------------------------------------------ *)
 (* Fault tolerance: dedup, admission, breaker, drain, capacity         *)
 (* ------------------------------------------------------------------ *)
-
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
-let op_insert sku qty =
-  Message.Op_insert
-    { table = "stock"; cells = [| Value.Int sku; Value.Int qty |] }
-
-let stock_rows engine =
-  Table.row_count (Database.get_table_exn (Engine.backend engine) "stock")
 
 (* A blind client retry of a write it already got an answer for: the
    dedup table must replay the cached response, not the operation. *)
@@ -1004,23 +1082,11 @@ let test_duplicate_rid_in_one_batch () =
 
 (* A WAL flush failure must surface as its typed wire error and tick
    the wal_failures counter — an operator can tell a sick disk from a
-   logic bug without reading logs. *)
+   logic bug without reading logs.  The shard is then fenced: Ping and
+   Shard_stats still answer, every other request is refused naming
+   `provdb recover`, and recovery comes back without the failed op. *)
 let test_wal_failure_typed_and_counted () =
-  let drbg = Tep_crypto.Drbg.create ~seed:"service-walfail" in
-  let ca = Tep_crypto.Pki.create_ca ~bits:512 ~name:"CA" drbg in
-  let directory =
-    Participant.Directory.create ~ca_key:(Tep_crypto.Pki.ca_public_key ca)
-  in
-  let alice = Participant.create ~bits:512 ~ca ~name:"alice" drbg in
-  Participant.Directory.register directory alice;
-  let db = Database.create ~name:"svc" in
-  ignore
-    (Database.create_table db ~name:"stock" (Schema.all_int [ "sku"; "qty" ]));
-  let dir = Filename.temp_file "tep_service_walfail" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let wal = Wal.open_file (Filename.concat dir "wal.log") in
-  let engine = Engine.create ~wal ~directory db in
+  let directory, alice, dir, wal, engine = durable_env "service-walfail" in
   let server = make_server ~checkpoint:(dir, wal) engine alice in
   let c = make_client server in
   ok (Client.authenticate c alice);
@@ -1035,16 +1101,51 @@ let test_wal_failure_typed_and_counted () =
   Fault.reset ();
   let h = ok (Client.ping c) in
   Alcotest.(check int) "wal failure counted in Ping" 1 h.Client.wal_failures;
+  ignore (ok (Client.shard_stats c));
   (* a wal-failed outcome must NOT be cached in the dedup table: the
      client was told nothing durable happened, so the same rid retried
-     must re-execute — and now succeed *)
-  ignore (ok (Client.submit_idem c ~rid:"wal-0" (op_insert 1 10)));
+     re-executes — and meets the fence *)
+  check_fenced "retry" (Client.submit_idem c ~rid:"wal-0" (op_insert 1 10));
   let h = ok (Client.ping c) in
   Alcotest.(check int) "the retry re-executed (no dedup replay)" 0
     h.Client.dedup_hits;
-  let report, _ = ok (Client.verify c ()) in
-  Alcotest.(check bool) "verify clean after the wal failure" true
-    (Message.report_ok report)
+  Alcotest.(check int) "a refusal is not a WAL failure" 1 h.Client.wal_failures;
+  check_fenced "root hash" (Client.root_hash c);
+  check_fenced "verify" (Client.verify c ());
+  check_fenced "checkpoint" (Client.checkpoint c);
+  Client.close c;
+  Alcotest.(check int) "the fenced engine still holds the failed op" 1
+    (stock_rows engine);
+  let recovered, rwal = recover_from ~directory ~dir wal in
+  Alcotest.(check int) "recovery drops the failed op" 0 (stock_rows recovered);
+  Wal.close rwal
+
+(* Exactly once across a WAL failure: the failed attempt's frames
+   never reach the log, so after recovery the same rid retried against
+   a fresh server applies the write once, and a second recovery finds
+   that one row. *)
+let test_wal_failed_retry_applies_once () =
+  let directory, alice, dir, wal, engine = durable_env "service-walonce" in
+  let server = make_server ~checkpoint:(dir, wal) engine alice in
+  let c = make_client server in
+  ok (Client.authenticate c alice);
+  Fault.reset ();
+  Fault.arm "wal.flush" (Fault.Transient 10);
+  (match Client.submit_idem c ~rid:"wal-0" (op_insert 1 10) with
+  | Ok _ -> Alcotest.fail "a submit survived a failing WAL flush"
+  | Error _ -> ());
+  Fault.reset ();
+  Client.close c;
+  let recovered, rwal = recover_from ~directory ~dir wal in
+  let server = make_server ~checkpoint:(dir, rwal) recovered alice in
+  let c = make_client server in
+  ok (Client.authenticate c alice);
+  ignore (ok (Client.submit_idem c ~rid:"wal-0" (op_insert 1 10)));
+  Client.close c;
+  Alcotest.(check int) "one row after the retry" 1 (stock_rows recovered);
+  let again, wal2 = recover_from ~directory ~dir rwal in
+  Alcotest.(check int) "one row after a second recovery" 1 (stock_rows again);
+  Wal.close wal2
 
 (* Admission control: a shed write carries the typed overload error
    with the retry hint, ticks the shed counter, and never blocks
@@ -1397,6 +1498,8 @@ let () =
           Alcotest.test_case "concurrent readers" `Quick
             test_concurrent_readers_not_serialised;
           Alcotest.test_case "ping during commit" `Quick test_ping_during_commit;
+          Alcotest.test_case "root hash during commit" `Quick
+            test_root_hash_during_commit;
           Alcotest.test_case "group-commit WAL failure" `Quick
             test_group_commit_wal_failure_atomic;
           Alcotest.test_case "retry jitter" `Quick
@@ -1410,6 +1513,8 @@ let () =
             test_duplicate_request_id;
           Alcotest.test_case "duplicate rid in one batch" `Quick
             test_duplicate_rid_in_one_batch;
+          Alcotest.test_case "wal-failed retry applies once" `Quick
+            test_wal_failed_retry_applies_once;
           Alcotest.test_case "wal failure typed + counted" `Quick
             test_wal_failure_typed_and_counted;
           Alcotest.test_case "admission shedding" `Quick

@@ -2,8 +2,8 @@
    root-of-roots, the cross-shard two-phase commit protocol (including
    crash-point enumeration over every interleaving of shard flushes),
    server-side shard routing, concurrent per-shard pipelined clients
-   against a serial re-execution, per-shard root-cache invalidation (also
-   in the window after a cross-shard commit unlocks), and the adaptive
+   against a serial re-execution, per-shard root publication (also in
+   the window after a cross-shard commit unlocks), and the adaptive
    pool work-size gate.
 
    Everything is deterministic: participants come from fixed DRBG
@@ -469,36 +469,89 @@ let test_server_routes_shards () =
   Client.close c;
   Sys.remove coord_file
 
-let test_server_shard_cache_invalidation () =
-  let server, _, _, t0, t1, coord_file = make_sharded_server () in
+(* Each shard publishes its own root: a write to shard 1 moves the
+   published root and shard 1's root, and leaves shard 0's root as it
+   was.  The per-shard roots are read off a proof answer, which carries
+   all of them. *)
+let test_server_shard_roots_independent () =
+  let server, e0, e1, t0, t1, coord_file = make_sharded_server () in
   let c = Client.loopback ~drbg:(Tep_crypto.Drbg.create ~seed:"client") server in
   ok (Client.authenticate c alice);
   ignore (ok (Client.insert c ~table:t0 [| Value.Int 1; Value.Int 10 |]));
   ignore (ok (Client.insert c ~table:t1 [| Value.Int 2; Value.Int 20 |]));
-  let stats () =
-    List.map
-      (fun s -> (s.Message.ss_root_recomputes, s.Message.ss_root_hits))
-      (ok (Client.shard_stats c))
+  let shard_roots () =
+    (ok (Client.prove c ~table:t0 ~row:0 ~col:0 ())).Client.pf_shard_roots
   in
-  (* first root-hash computes both shards; second hits both caches *)
-  ignore (ok (Client.root_hash c));
-  let s1 = stats () in
-  ignore (ok (Client.root_hash c));
-  let s2 = stats () in
-  List.iteri
-    (fun k ((rc1, _), (rc2, h2)) ->
-      Alcotest.(check int) (Printf.sprintf "shard %d cached" k) rc1 rc2;
-      Alcotest.(check bool) (Printf.sprintf "shard %d hit" k) true (h2 > 0))
-    (List.combine s1 s2);
-  (* a write to shard 1 must invalidate ONLY shard 1's entry *)
+  let root1 = ok (Client.root_hash c) and before = shard_roots () in
+  Alcotest.(check (list string)) "roots before"
+    [ Engine.root_hash e0; Engine.root_hash e1 ] before;
   ignore (ok (Client.insert c ~table:t1 [| Value.Int 3; Value.Int 30 |]));
-  ignore (ok (Client.root_hash c));
-  let s3 = stats () in
-  (match (s2, s3) with
-  | [ (rc0_before, _); (rc1_before, _) ], [ (rc0_after, _); (rc1_after, _) ] ->
-      Alcotest.(check int) "shard 0 cache survives" rc0_before rc0_after;
-      Alcotest.(check int) "shard 1 recomputed" (rc1_before + 1) rc1_after
-  | _ -> Alcotest.fail "expected 2 shard stats");
+  let root2 = ok (Client.root_hash c) and after = shard_roots () in
+  Alcotest.(check bool) "published root moved" true (root1 <> root2);
+  (match (before, after) with
+  | [ r0; r1 ], [ r0'; r1' ] ->
+      Alcotest.(check string) "shard 0 root unchanged" r0 r0';
+      Alcotest.(check bool) "shard 1 root moved" true (r1 <> r1');
+      Alcotest.(check string) "shard 1 root is its engine's"
+        (Engine.root_hash e1) r1'
+  | _ -> Alcotest.fail "expected 2 shard roots");
+  Client.close c;
+  Sys.remove coord_file
+
+(* The root-publication rule under random traffic: after every
+   acknowledged write, single-shard or cross-shard, Root_hash is the
+   root-of-roots of the engines' roots, and a proof of the cell just
+   written chains to it. *)
+let test_server_published_root_follows_writes () =
+  let server, e0, e1, t0, t1, coord_file = make_sharded_server () in
+  let c = Client.loopback ~drbg:(Tep_crypto.Drbg.create ~seed:"client") server in
+  ok (Client.authenticate c alice);
+  let rng = Random.State.make [| 24 |] in
+  let tables = [| t0; t1 |] and rows = [| 0; 0 |] in
+  let value () = Value.Int (Random.State.int rng 1000) in
+  let submitted_row = function
+    | Message.Submitted { row = Some r; _ } -> r
+    | _ -> Alcotest.fail "cross-shard insert not committed"
+  in
+  let write () =
+    let k = Random.State.int rng 2 in
+    match Random.State.int rng 3 with
+    | 0 ->
+        let r, _ = ok (Client.insert c ~table:tables.(k) [| value (); value () |]) in
+        rows.(k) <- rows.(k) + 1;
+        (tables.(k), r, 0)
+    | 1 when rows.(k) > 0 ->
+        let r = Random.State.int rng rows.(k) in
+        ignore (ok (Client.update c ~table:tables.(k) ~row:r ~col:1 (value ())));
+        (tables.(k), r, 1)
+    | _ ->
+        let insert table =
+          Message.Op_insert { table; cells = [| value (); value () |] }
+        in
+        let resps = Server.submit_ops server alice [| insert t0; insert t1 |] in
+        rows.(0) <- rows.(0) + 1;
+        rows.(1) <- rows.(1) + 1;
+        let r = submitted_row resps.(k) in
+        ignore (submitted_row resps.(1 - k));
+        (tables.(k), r, 0)
+  in
+  for step = 1 to 24 do
+    let table, row, col = write () in
+    let label = Printf.sprintf "step %d (%s[%d].%d)" step table row col in
+    let root = ok (Client.root_hash c) in
+    Alcotest.(check string) (label ^ ": published root")
+      (Shards.published_root (Engine.algo e0)
+         [ Engine.root_hash e0; Engine.root_hash e1 ])
+      root;
+    let p = ok (Client.prove c ~table ~row ~col ()) in
+    let report =
+      ok
+        (Client.check_proofs ~algo:(Engine.algo e0) ~directory ~trusted_root:root
+           p)
+    in
+    Alcotest.(check bool) (label ^ ": proof chains to it") true
+      (Verifier.ok report)
+  done;
   Client.close c;
   Sys.remove coord_file
 
@@ -658,8 +711,8 @@ let test_server_counters () =
   Client.close c;
   Sys.remove coord_file
 
-(* A cross-shard commit must mark every participant's root cache and
-   proof epoch before it releases the shards' write locks.  The commit
+(* A cross-shard commit must publish every participant's root before
+   it releases the shards' write locks.  The commit
    is held just after the unlock (the [server.cross.committed] site,
    armed with a delay) while a Prove lands on a participating shard:
    every proof item must chain to the shard root of the same response,
@@ -670,8 +723,8 @@ let test_server_cross_shard_prove_window () =
   ok (Client.authenticate c alice);
   ignore (ok (Client.insert c ~table:t0 [| Value.Int 1; Value.Int 10 |]));
   ignore (ok (Client.insert c ~table:t1 [| Value.Int 2; Value.Int 20 |]));
-  (* warm both cached roots: a stale cached root is what the window
-     would serve *)
+  (* the roots before the commit are what a late publication would
+     serve *)
   ignore (ok (Client.root_hash c));
   let site = "server.cross.committed" in
   Fault.reset ();
@@ -828,8 +881,10 @@ let () =
       ( "server",
         [
           Alcotest.test_case "routes" `Quick test_server_routes_shards;
-          Alcotest.test_case "cache invalidation" `Quick
-            test_server_shard_cache_invalidation;
+          Alcotest.test_case "shard roots independent" `Quick
+            test_server_shard_roots_independent;
+          Alcotest.test_case "published root follows writes" `Quick
+            test_server_published_root_follows_writes;
           Alcotest.test_case "concurrent clients = serial" `Quick
             test_server_concurrent_clients_vs_serial;
           Alcotest.test_case "cross-shard batch" `Quick

@@ -154,6 +154,32 @@ let test_torn_tail () =
       Alcotest.(check int) "resumes at seq 1" 0 (Wal.last_seq w);
       Wal.close w)
 
+(* A flush that fails past its retries fences the handle: the frames
+   it held back never reach the file — not through close, and not
+   through the flush of every channel that exit performs — and later
+   appends are refused. *)
+let test_failed_flush_dropped () =
+  with_temp_file (fun path ->
+      Sys.remove path;
+      let w = Wal.open_file path in
+      wok (Wal.append w (List.nth sample_entries 0));
+      wok (Wal.flush w);
+      wok (Wal.append w (List.nth sample_entries 1));
+      Tep_fault.Fault.reset ();
+      Tep_fault.Fault.arm "wal.flush" (Tep_fault.Fault.Transient 10);
+      let flushed = Wal.flush w in
+      Tep_fault.Fault.reset ();
+      (match flushed with
+      | Ok () -> Alcotest.fail "the flush survived its fault"
+      | Error _ -> ());
+      (match Wal.append w (List.nth sample_entries 2) with
+      | Ok () -> Alcotest.fail "an append after the failed flush was taken"
+      | Error _ -> ());
+      Wal.close w;
+      flush_all ();
+      Alcotest.(check int) "only the frame flushed before the failure" 1
+        (List.length (Wal.read_file path)))
+
 (* Corrupt one byte in the middle of the log: every frame before the
    damage and every intact frame after it must be recovered; exactly
    one damaged region is reported and nothing raises. *)
@@ -379,6 +405,8 @@ let () =
           Alcotest.test_case "torn tail" `Quick test_torn_tail;
           Alcotest.test_case "mid-file corruption resync" `Quick
             test_midfile_corruption_resync;
+          Alcotest.test_case "failed flush never written" `Quick
+            test_failed_flush_dropped;
         ] );
       ( "header",
         [ Alcotest.test_case "damaged magic" `Quick test_damaged_magic ] );

@@ -146,7 +146,7 @@ echo "== sharded daemon session (scripted multi-shard provdbd session) =="
   --table 'stock:sku,qty@int' --table 'orders:id@int,amount@int'
 "$PROVDB" participant "$ws2" alice
 
-TEP_DOMAINS=4 "$PROVDBD" "$ws2" --shards 2 & daemon_pid=$!
+TEP_DOMAINS=4 "$PROVDBD" "$ws2" & daemon_pid=$!
 wait_for_socket "$ws2"
 "$PROVDB" remote insert "$ws2" --as alice --table stock --values 'WIDGET-1,100'
 "$PROVDB" remote insert "$ws2" --as alice --table orders --values '1,250'
