@@ -148,6 +148,8 @@ let crypto_micro_tests cfg =
       (Staged.stage (fun () -> ignore (Tep_crypto.Sha1.digest payload_4k)));
     Test.make ~name:"sha256-256B"
       (Staged.stage (fun () -> ignore (Tep_crypto.Sha256.digest payload)));
+    Test.make ~name:"sha256-4KiB"
+      (Staged.stage (fun () -> ignore (Tep_crypto.Sha256.digest payload_4k)));
     Test.make ~name:"md5-256B"
       (Staged.stage (fun () -> ignore (Tep_crypto.Md5.digest payload)));
     Test.make ~name:"hmac-sha256"
@@ -157,6 +159,11 @@ let crypto_micro_tests cfg =
                 ~key:"key" payload)));
     Test.make ~name:"drbg-32B"
       (Staged.stage (fun () -> ignore (Tep_crypto.Drbg.generate drbg 32)));
+    (* one coin flip of a sampled audit sweep, drawn per live object *)
+    (let coins = Tep_crypto.Drbg.create ~seed:"bench-coins" in
+     Test.make ~name:"drbg-uniform-int"
+       (Staged.stage (fun () ->
+            ignore (Tep_crypto.Drbg.uniform_int coins 1_000_000))));
   ]
   @ rsa_micro_tests cfg.Experiments.rsa_bits ~suffix:""
   (* the key size provdbd and the end-to-end benchmark sign with *)

@@ -13,18 +13,13 @@ let of_name s =
 
 let size = function MD5 -> 16 | SHA1 -> 20 | SHA256 -> 32
 
-let digest algo s =
-  match algo with
-  | MD5 -> Md5.digest s
-  | SHA1 -> Sha1.digest s
-  | SHA256 -> Sha256.digest s
+let spec = function
+  | MD5 -> Block_hash.md5
+  | SHA1 -> Block_hash.sha1
+  | SHA256 -> Block_hash.sha256
 
-let to_hex s =
-  let buf = Buffer.create (String.length s * 2) in
-  String.iter
-    (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-    s;
-  Buffer.contents buf
+let digest algo s = Block_hash.digest (spec algo) s
+let to_hex = Block_hash.to_hex
 
 let of_hex s =
   let len = String.length s in
@@ -41,31 +36,10 @@ let of_hex s =
 
 let hex algo s = to_hex (digest algo s)
 
-type ctx = Cmd5 of Md5.ctx | Csha1 of Sha1.ctx | Csha256 of Sha256.ctx
+type ctx = Block_hash.ctx
 
-let init = function
-  | MD5 -> Cmd5 (Md5.init ())
-  | SHA1 -> Csha1 (Sha1.init ())
-  | SHA256 -> Csha256 (Sha256.init ())
-
-let copy = function
-  | Cmd5 c -> Cmd5 (Md5.copy c)
-  | Csha1 c -> Csha1 (Sha1.copy c)
-  | Csha256 c -> Csha256 (Sha256.copy c)
-
-let update ctx s =
-  match ctx with
-  | Cmd5 c -> Md5.update c s
-  | Csha1 c -> Sha1.update c s
-  | Csha256 c -> Sha256.update c s
-
-let update_sub ctx s off len =
-  match ctx with
-  | Cmd5 c -> Md5.update_sub c s off len
-  | Csha1 c -> Sha1.update_sub c s off len
-  | Csha256 c -> Sha256.update_sub c s off len
-
-let final = function
-  | Cmd5 c -> Md5.final c
-  | Csha1 c -> Sha1.final c
-  | Csha256 c -> Sha256.final c
+let init algo = Block_hash.init (spec algo)
+let copy = Block_hash.copy
+let update = Block_hash.update
+let update_sub = Block_hash.update_sub
+let final = Block_hash.final

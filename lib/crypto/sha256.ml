@@ -1,185 +1,13 @@
-(* SHA-256 over 32-bit words emulated in native ints. *)
+(* SHA-256 (FIPS 180-2) on the shared Merkle–Damgård layer, Block_hash. *)
+
+type ctx = Block_hash.ctx
 
 let digest_size = 32
-let mask32 = 0xffffffff
-
-let k =
-  [|
-    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
-    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
-    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
-    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
-    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
-    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
-    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
-    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
-    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
-    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
-    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
-  |]
-
-type ctx = {
-  h : int array; (* 8 state words *)
-  buf : Bytes.t;
-  mutable buf_len : int;
-  mutable total : int;
-  w : int array; (* 64-entry schedule *)
-}
-
-let init () =
-  {
-    h =
-      [|
-        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-        0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
-      |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0;
-    w = Array.make 64 0;
-  }
-
-let reset ctx =
-  let h = ctx.h in
-  h.(0) <- 0x6a09e667;
-  h.(1) <- 0xbb67ae85;
-  h.(2) <- 0x3c6ef372;
-  h.(3) <- 0xa54ff53a;
-  h.(4) <- 0x510e527f;
-  h.(5) <- 0x9b05688c;
-  h.(6) <- 0x1f83d9ab;
-  h.(7) <- 0x5be0cd19;
-  ctx.buf_len <- 0;
-  ctx.total <- 0
-
-let copy ctx =
-  { ctx with h = Array.copy ctx.h; buf = Bytes.copy ctx.buf; w = Array.make 64 0 }
-
-(* Words live in 63-bit ints, and [+], [lxor], [land], [lor] and [lsl]
-   leave the low 32 bits of a result exact whatever sits above them,
-   overflow included.  Only a right shift pulls high bits down, so only
-   the inputs of [rotr] and [lsr] must be clean words: the working
-   variables [a] and [e], the schedule words and the chaining state are
-   masked; rotation results and the round sums are not. *)
-let[@inline] rotr x n = (x lsr n) lor (x lsl (32 - n))
-
-(* The caller guarantees [off + 64 <= Bytes.length block], making all
-   accesses below in bounds. *)
-let compress ctx block off =
-  let w = ctx.w in
-  for i = 0 to 15 do
-    let j = off + (i * 4) in
-    Array.unsafe_set w i
-      ((Char.code (Bytes.unsafe_get block j) lsl 24)
-      lor (Char.code (Bytes.unsafe_get block (j + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get block (j + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (j + 3)))
-  done;
-  for i = 16 to 63 do
-    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
-    Array.unsafe_set w i
-      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
-      land mask32)
-  done;
-  let h = ctx.h in
-  let a = ref h.(0)
-  and b = ref h.(1)
-  and c = ref h.(2)
-  and d = ref h.(3)
-  and e = ref h.(4)
-  and f = ref h.(5)
-  and g = ref h.(6)
-  and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let e' = !e and a' = !a in
-    let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
-    let ch = (e' land !f) lxor (lnot e' land !g) in
-    let t1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
-    let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
-    let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
-    hh := !g;
-    g := !f;
-    f := e';
-    e := (!d + t1) land mask32;
-    d := !c;
-    c := !b;
-    b := a';
-    a := (t1 + s0 + maj) land mask32
-  done;
-  h.(0) <- (h.(0) + !a) land mask32;
-  h.(1) <- (h.(1) + !b) land mask32;
-  h.(2) <- (h.(2) + !c) land mask32;
-  h.(3) <- (h.(3) + !d) land mask32;
-  h.(4) <- (h.(4) + !e) land mask32;
-  h.(5) <- (h.(5) + !f) land mask32;
-  h.(6) <- (h.(6) + !g) land mask32;
-  h.(7) <- (h.(7) + !hh) land mask32
-
-let update_sub ctx s off len =
-  if off < 0 || len < 0 || off + len > String.length s then
-    invalid_arg "Sha256.update_sub";
-  ctx.total <- ctx.total + len;
-  let pos = ref off and remaining = ref len in
-  if ctx.buf_len > 0 then begin
-    let take = min !remaining (64 - ctx.buf_len) in
-    Bytes.blit_string s !pos ctx.buf ctx.buf_len take;
-    ctx.buf_len <- ctx.buf_len + take;
-    pos := !pos + take;
-    remaining := !remaining - take;
-    if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
-      ctx.buf_len <- 0
-    end
-  end;
-  (* Whole blocks compressed in place from the input, no copy. *)
-  let raw = Bytes.unsafe_of_string s in
-  while !remaining >= 64 do
-    compress ctx raw !pos;
-    pos := !pos + 64;
-    remaining := !remaining - 64
-  done;
-  if !remaining > 0 then begin
-    Bytes.blit_string s !pos ctx.buf 0 !remaining;
-    ctx.buf_len <- !remaining
-  end
-
-let update ctx s = update_sub ctx s 0 (String.length s)
-
-let final ctx =
-  let total_bits = ctx.total * 8 in
-  let pad_len =
-    let r = (ctx.total + 1) mod 64 in
-    if r <= 56 then 56 - r else 120 - r
-  in
-  let tail = Bytes.make (1 + pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set tail
-      (1 + pad_len + i)
-      (Char.chr ((total_bits lsr ((7 - i) * 8)) land 0xff))
-  done;
-  update ctx (Bytes.unsafe_to_string tail);
-  let out = Bytes.create 32 in
-  Array.iteri
-    (fun i v ->
-      Bytes.set out (i * 4) (Char.chr ((v lsr 24) land 0xff));
-      Bytes.set out ((i * 4) + 1) (Char.chr ((v lsr 16) land 0xff));
-      Bytes.set out ((i * 4) + 2) (Char.chr ((v lsr 8) land 0xff));
-      Bytes.set out ((i * 4) + 3) (Char.chr (v land 0xff)))
-    ctx.h;
-  Bytes.unsafe_to_string out
-
-(* One-shot digests allocate a fresh context: they run concurrently
-   from sys-threads sharing a domain, so no shared mutable state. *)
-let digest s =
-  let ctx = init () in
-  update ctx s;
-  final ctx
-
-let hex s =
-  let d = digest s in
-  let buf = Buffer.create 64 in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
+let init () = Block_hash.init Block_hash.sha256
+let reset = Block_hash.reset
+let copy = Block_hash.copy
+let update = Block_hash.update
+let update_sub = Block_hash.update_sub
+let final = Block_hash.final
+let digest = Block_hash.digest Block_hash.sha256
+let hex s = Block_hash.to_hex (digest s)

@@ -256,11 +256,423 @@ let sha256_by_length =
     "8e3f3819b4f1b1f71c011c6b854c43601f132c3c88b8982b20733d2b1695c593";
   |]
 
-let test_sha256_lengths () =
+(* SHA-1 and MD5 of the same inputs, by the same recipe with
+   hashlib.sha1 and hashlib.md5. *)
+let sha1_by_length =
+  [|
+    "da39a3ee5e6b4b0d3255bfef95601890afd80709";
+    "bf8b4530d8d246dd74ac53a13471bba17941dff7";
+    "9c674f1be4f5bcd440ea74b28ef13345eb68f71d";
+    "4201de9f98cb0a9b8cf52398be7802b55d45266a";
+    "e8780d9ec384e7a26db2a77bb177d51238bf7573";
+    "f0b8aa0751d458ad4da40c062efc1d7f4f221630";
+    "7e40133ca10729056a2ff9c8be4a67d4abdb7a6e";
+    "eab18589a2bbf56454e158191489980a134f04bc";
+    "fc1bbedc70772da6ffc4c111c3512a8af859de42";
+    "17d7a67c31955125ff049fa41e2d489bb1f47ad0";
+    "426cc3ee6e3359feb7b997cf2e8ca58fb230ab7d";
+    "11954da11eea38e4d96d9c63e5987faf48b2f88e";
+    "0342934a0fee0fbee8e386fd8f6719376c331133";
+    "8bf437c8bda2ff4d604fdfab47265dbf749861e5";
+    "e183f9ad5bf8d3dacbf29d80b88b5df78704ed03";
+    "8e52e3f5aa693be76838f0212719572d6bbbfaa3";
+    "f522cd172fd6c35afa066822cf04f49079d11b12";
+    "1072b13029e9620a51175ef5caae6502a61336f3";
+    "9f6e531090d64016e64b5dc5bbe255b0823db87b";
+    "e114bef957ae49d1b85d39b99b2b83c1b5ce650c";
+    "e268fedef6a92518c93eaf5dcc5c38ed07b65b93";
+    "bffa8ee0977f79b4852b3da2979f24cee3f67101";
+    "ba185089611616b1c31388f053273469e78b7439";
+    "7f19f945d69aa9fb8b091db62f28e4f96a897e46";
+    "f8166601be219467ee1338075caa9a7df33c0ac1";
+    "222adba9a33c1a2c45fec92fd4b76e00cbd4352b";
+    "ced4d5db11f362f8810f1d8291f98614eb9aaa9a";
+    "369bcc40c527ff9b4de264abbbc0a8abb9791a2f";
+    "8cb582cbdaa770c992d9c47402dee81bc071f5e4";
+    "fd17cdfb069d6cffeccebaefae56d187cd5c37bc";
+    "bca758b91d3a5a27cf8d7a0f0f364c8781c6086e";
+    "fa8eab37d81e63ebb5fa34279b4db0c337b17f79";
+    "42e4282067b7d9f26b4a0de765d01994c3863346";
+    "4548cde7e1d55f7130fd11f58dc4cf711d581654";
+    "f3e333a535da8a0c36e37138328d8adf587ddd65";
+    "b26b12db9587fff97165e2492a241ea91b35a639";
+    "ffd047397233343ed36db4ebc024ca5e757065ee";
+    "5bf22c010afce90e59419604e76be102989b0aa0";
+    "e27b5dae25b93bc3788235664960a90ea342c069";
+    "931dd0ff29112eaa3f834bebdb0457520eb57d69";
+    "a1c2b0e6d66c55aac1bf3800372be7a6d925df52";
+    "23d0d7b03d55d58755897ff57302d7ec20695f20";
+    "28a0d38ab3688ef97ed84487d5520ba505b18846";
+    "64c775f1b84111764879e46225d80b4ba8137a94";
+    "4a0db127694c1fe213714234ea3df0ba1ae9e3a8";
+    "ded1dd29a62bc924a1f495a5a9d93a8483c56f56";
+    "b3809326ed80da0a431ea72525a5a935b930dc9b";
+    "e3c0d2f1f30a3b8eea5976b5a1c5e19e17753d16";
+    "6d8cc5322c3af02c112dd544504fb38e0f490aae";
+    "d6b66c5ec029578e7c14702e694fff5caeed1a32";
+    "1a43edcf668703d9a666eb9296c1c01ccef30f86";
+    "34a67efa590b34d2ef7fccaa81c0558eafc2114e";
+    "786b7c8c7efafe94c36c6971d62bd624c138812b";
+    "149ffa914a5b51f423613d51505dda3be50183fc";
+    "7fe50979b12cf9232dda5ca196ac5d968090bc2c";
+    "63ac9708fb581dd150d3647549f9e0cb51dcf1df";
+    "5a0c4d0eb2f15e05bbbff6b8dada9ae767fc03f0";
+    "4e77d3077d2ab5167db3434c31cac3d15a3afc12";
+    "55325ac57306e539c8bfc36d94136a2e5bda2da7";
+    "a364139f40b5c4ad38c3fd993803d4538fb7b5df";
+    "d7e650ba4354d622ad7739885081b6e56d28ebf3";
+    "2094fd0ac77de53c995a75375105027c1769df29";
+    "13c7fa27348fc42cb0624aac3abfb9cadf2a8ebb";
+    "d94ff3ad53f9b9327704b812ee9c1f3abbba3d48";
+    "5f55a35e13f1865e7ffc22dca1275b1a49b0ff56";
+    "d7f8931010f8342a97383e1410a58c47d057708b";
+    "2e593ea39a6f3f350b18d8aa7a9f09e32f4770ba";
+    "07d3bdf334f84e144003fde1826f7688d05e78ca";
+    "30db91e7fe89e6f0911f3cac435e7b96787cf65c";
+    "859251f6fb81a83ee8c3512a7ec4dd64ffd39bc4";
+    "51f8c08e5b8c740b0c33415eed63c32a1bde6b47";
+    "7b80059797fcf45bff78f6a1d9509a5debd04e0a";
+    "e29544303d9102d1879e96f85e12cad82a29c5bc";
+    "8daa97233fb281c0468b915b0c376ff64098fbd1";
+    "edc763a73f7a469f5b6cd2d6dd9a1783c2d8fe97";
+    "301c815b331aa80235efd7f660d17c8e61a15856";
+    "71f778d5148a981ca28819d25d6d2da6e372ff2c";
+    "9b9dc6a8ff8b0bee626bbeaf2271967a7395eafc";
+    "7be79d04d98b7b4ab552e05b500ca67e666b8686";
+    "d42b434bd76dcfc06be4d558bb0fe0eef8e738e6";
+    "5ccb4ae7af140e34d903c9df74ba4a90c74df0ce";
+    "4e14fda34c8f9f56d0e4ad057ad4398c5841c3f7";
+    "cf6155f05721b84ee7e806f02c5c2fb6b224f36d";
+    "0c997d53f30ae88075ba9879d385d65f024f2fe0";
+    "4a9c5d0e2ecb32e4a4e51d16327f013f4486d214";
+    "600165117c39a8b4a7f204c93c75c1a3c107b135";
+    "42345a38cfadc3e67b7052f2e817d6e4e50344a2";
+    "ef5da92afe0c09b721953bdcc46169d1f83af0d2";
+    "924304c46036824e08de0762bf10e04ba6b2f523";
+    "3c8abb764e778c348ba7c3176bea5e5b93fd37ab";
+    "1a0529f4167c6efbc1ea335502ccd582729e7305";
+    "a92902b8c8f4630b85afccb2483137b3147d6bd7";
+    "eb532751285a8c025a9f36bfc57020b6fcd4d504";
+    "52764dbd44a148011229c756d5c604b48b4f9ce0";
+    "0b0650f648c45efcf8be410087d0e912dd5e63ce";
+    "41d7a8caab2fce3cc9d34ffdde161b2eaf3149e5";
+    "94cfe5af72ded7897b1b89a57b05a4c5eeac8f54";
+    "d51d8b93aec391d6e38ed19e8799c557613bdcb0";
+    "73d79e30a775402af62b27fa6e3d68e782b8a65f";
+    "9a1585dc67cea97799cb7f4468ede544bc8f4383";
+    "058eb7c24cba6e7097617c65e057ab7927f39a04";
+    "f4c2c29feb7db2102201c7926274cb8d716f4fd2";
+    "3351549c2ff983a4f79b25cac001d9db15d118ad";
+    "6abecdd328053fd1ed265c2503f5d0e5508ba0dc";
+    "019ac9b1f8986aeb233cf9137165da5279d266fb";
+    "14a80b496ab11dd9c85f3f045d08d9cdd36787f6";
+    "65edf3f40da691e2f30faa74fa68d1a15c42c6af";
+    "e0862c37c1300b85c2650b4d1143c2f3a1d20ce8";
+    "799c952631e05937262dfef25156fa0b3e01a61e";
+    "7b16ec73763385fd34574ee304d5e8098361973f";
+    "5a690ddf44d017e5478ba95f9cc217b549022885";
+    "6f3940d34dd76944c03f3ba2825a385c92d8300e";
+    "8968f10b24861960792c092aced440e6838b7c3a";
+    "bb8c69020b9ab5873a33d9b54d721bd60d8562cc";
+    "a76bf91326dc8ad255a950d13872a9d80ddbd68e";
+    "4b58f2ceabddecc92be6a35eb72ec612c879ab0e";
+    "fa0fa3613efb14b9de0852fb707b2935abdada56";
+    "1d610d16990baa55a06d44f39ef69c168f7280b5";
+    "b348b9a103899a241372402cdc7b44c9bf3a8fcd";
+    "774001b5ad1f46b40c48e1b94cb092c593ead25b";
+    "6ebf3111dc761f11b13f29df0484848785385973";
+    "467945c0e868aaff130a18a6ff44c3963010999f";
+    "c502ad37e0c15196eb80d270013a8dc4c1037885";
+    "7807cd8a4b8c18466382b58433eea7639b9a1274";
+    "8011b2798dde294b64f61ff446694029b17815fc";
+    "4b20490737b3301e1f8fb0bc858ba31378f5dde2";
+    "7fb49dd181a906b26af8aeb1638fe71f9aaaf7d9";
+    "82d007f6e7e5672722c0717b6bea2ba6f17cd35c";
+    "0a44ac02432f6ead67d86fcb70a4d8ce589e50ec";
+    "461b146c523c63566b8bf8852dc8462116cf2e3f";
+    "a6a487bdefc7a46ff7948429b7217238f67a9141";
+    "e520d05625b76dbb8c9adec976a40134ee9df17f";
+    "c354a0f7b1c1af56f762cd9d51622624b55b3016";
+    "7311cee95677a68a4bff3d768df960d23b78c367";
+    "75aeacb285a62d69c4977ff9b99b2e03caed389c";
+    "39efa73461141b7823dea473f4b34c5abcae24ad";
+    "ff2002b8e87a6cc25c32bb9b95f99a8145e54b4c";
+    "fd3b5015331174ae31dd125d3df8100910ad34bd";
+    "50b4f3e785ea545fa9c0459812582f6ba8e694bf";
+    "043d3838d54bbeb7eb1f1bf07dfad9927d07bd19";
+    "d1b15b1a9fc870a55d3112276c70a8a72bf7e434";
+    "599946776f8ad7ddcddb049a40b098efc575a4c3";
+    "fab0e8037aeb265034ce115ec8e20ac45a65ce80";
+    "cdddd8557885d4bd291f18d5b818d33c61f34a30";
+    "681a34c10c73bf43022c802b3045fb2b4bcc9bfd";
+    "37b7b0bed067ff5451e59e076b06c33976928a6f";
+    "43ce11f502089a20b9d4832232c6c44ad0fd0e2d";
+    "117198173e705169ac70fbef729fdcafe1f3e39c";
+    "543c4e2a365390e0180b7d6d099b627c9e07c7bd";
+    "88839b8bed90057ba3a9e0cada7098c6c9c34fe3";
+    "e1277f6071746a25e1c2c4d0202b267a500fc8bc";
+    "ce22b26d8f02083b0bbfebb3836a263bcc77437f";
+    "f0e8bc06f0fecf2cfdb481c51d5f96883f8a297b";
+    "782129662a82bbd0a610d28c75de3fb2ccbab84d";
+    "9f4491c7abb4e3af12e6b88d5ca28456b7e6a510";
+    "fd3dfb2defc06d1f4b84cda9f646f876eb029a62";
+    "82abffa6b02084a9d4524ccf0d6a1ae2a672e548";
+    "bd695a5997f6077e7708769da3ba03f66b51f79a";
+    "19937f57323f9caf86a6f21a8fd0b80144e43f97";
+    "7afbc9c0fb9ba229a55fe48a361c8d2a269b847f";
+    "abf90f48cc58fa6fded67e91091d0c8250fe1c7a";
+    "5618753145686ac3420d0292577686889932d852";
+    "fd141bd09b4ee56d46a0bc620efed0f4bf60916b";
+    "84febff8bc707a448b21359de3591c7cbd70e8f4";
+    "9eef95d370e23e6d3313ecc328b410759caaa4cf";
+    "2363dec4a66b0f405521d8fe438497a4e2f14446";
+    "d2ac19ee3a01acee24555c62ab55ada37fe9128b";
+    "7d92120e43a071bb5452a00fcf4875f97de4b92d";
+    "62d521dbf4127960745b17c3d4a72e08f6bfeec1";
+    "8543486e419481112b14e01a47af953d0b610ea4";
+    "ea5364ffe859c31459f52d73d4c9ac0021fac8aa";
+    "a162be0b30f99413e6a8313af805e72f1a032fe6";
+    "fd9b12e30b15730a5f425f3ce465b6f9e0bdaa4e";
+    "af6883a40fcc0d8ea6544cba5bbf1304c8b8cc3e";
+    "b33d04efe827122b76203ffb7c517b237bfc750f";
+    "732e6f76d0fb1e54f4943fe46929783dc27fca68";
+    "da2a1727f9a60663f9626b283493b63a4ba2448e";
+    "9ed00bbbcafa0283f21e36133ac1237a917a9381";
+    "ca7c4c10a84406ebd19c8e0a83caa17254b150e5";
+    "fd36e06eb7833196c0e76b13e9b2c9ac178d0e58";
+    "636fb18f0685448bddc7126c96cfed6b15fed9a0";
+    "77a57778e2f186626132a08d103f3b8ab83b4d9b";
+    "8b654c3ec56f5bc66a82fddb5d456d8c76db6e88";
+    "e56e91fe2d789eafdbc219ec16bf41d6d7adbd6e";
+    "d5ee0963bc8663a79fa7d3cac5a9d506e8eb2963";
+    "00da4ca9f65dfd068765911040226954236e66ae";
+    "264c1d20f04e8baff71a4f41639df3ee2417cb99";
+    "9f0623c724d89cb10109e03850819b82af6d5344";
+    "63909a43a407e554c542ffc917da58a873a4b0af";
+    "c15d6a322aea2619ade7d6331938b0b60ff2f6a4";
+    "144d64eb93b4e8f3997ac662a9e184a9d22f781f";
+    "23197991c9724f0f6b62914d589fcc14f4b1ec66";
+    "7f1fe25f3fa1bd65998ecd66bd359cc5054a5ec1";
+    "5f0e877666a7e4efb8f518ba70f76c6bba63819b";
+    "827c5fb3f814df8d6e7e71a9be16c5db51e691b3";
+    "8470739c92b2fcb951d01e4608da56c01d2e4453";
+    "a2fc6922aec2eaa6d2f47c89eb1def62addec0d5";
+    "745f132a9f4a562490e0124753c628613eb5e01f";
+    "2b3a911f6eea536176a13b53ebd7cb904d9b0fa2";
+    "640a4b970f110e0401ab4f4f5b69adf344b0dd0d";
+    "bafd66c677716439f129c10ff429fa9d431408ec";
+  |]
+
+let md5_by_length =
+  [|
+    "d41d8cd98f00b204e9800998ecf8427e";
+    "55a54008ad1ba589aa210d2629c1df41";
+    "f44d7fab86866af3bc1ed8af69d7a87d";
+    "c9aee4810523ef8658121b8d492c6b41";
+    "7b31cea375d4e548ef05d513710c9b32";
+    "8f8b32bbebe2ae8072a68d94c6664c8f";
+    "68fb9e3f167a7da59ae0c85747282163";
+    "adf5384dcda0e6fe7da8c78e48eaaf6d";
+    "915ec04d8618cc48a239e56cbcc2fcba";
+    "762a8203663870695cadb49ebe7a1e84";
+    "989fd0a1c0a7630afa7b739a8549f685";
+    "448eac1a43b25320c6d51d15d811792e";
+    "bf96dccfcaeaa2c46dfc9e3545e55437";
+    "973864451161daa48ed87cd7cef14e1d";
+    "63c6158611269bf7f9667e970c02229a";
+    "7fb1346d8b2f017253571e374e79eac0";
+    "2bdb3d1861c3275b8ab5c2123a8d5db3";
+    "01244a77f184157a851b1badb589e526";
+    "d37d117964ff3871e3f24daf4db291c6";
+    "e2eadc7b4a496cbf56027bc342b7bad8";
+    "4ef5b04fdbbd1af34a179eb26d569abc";
+    "b1d2aa3b046d10e163d0b876cfa7e61d";
+    "f6e278b2bac37e87ecdbc179b9f28d97";
+    "b1d36a274dfc02cdee62564bfc9c378d";
+    "02b4cca3366f638be40631b24778c060";
+    "64845a6ef487fa83b05a547aa012417f";
+    "9255f05275845785df47d98675fca42f";
+    "3e978c034a10f179b34efc837a6b42d3";
+    "41f2788c45e2797577f3a558bdf79c69";
+    "426e36ee996985a2aee5c2fd7537fe57";
+    "4755bc9a72dc24c7a337a9174b6501cd";
+    "8eee3e71fe74437fa960b57deb2a52a9";
+    "aace3cb31caaa3396c05bb6eac3c7c1a";
+    "7ac99edacaa8b24cb019ac7c7f88c87e";
+    "530ab203998defc479a8a9fd9b0e6b0d";
+    "7ab44bc55c77ce185d4ab6f790f84de0";
+    "28f7150374307deac0422e5e5d1a57f9";
+    "3d7c141f1ce54ffa1fea540a63a73a58";
+    "ecdf327cde893e9669e820253e51783f";
+    "7ed1845570e6e0e6a70784d7b6663b28";
+    "5fc95c21b90da699e7fcdfdc0b57ce57";
+    "c8963c06d9982bd462c7da4a74710f90";
+    "08e80a4b0a61acfd84ccbfa4e551ab4b";
+    "9628620d2596dfdf7f139093207cf4b4";
+    "15e1d6e38f858eff101559f0d6ee885f";
+    "53a462e0cec318e76559986da3b96202";
+    "5802d08ff0774a744d253d0e05002c0d";
+    "29faa25931b4dbe24dd1a26d6b8d15c3";
+    "9a04881b54370d27adf9328d451269ab";
+    "f1af5f4a34451642a3cec481375b1986";
+    "947ffdc24b967d0387ac4ae19a2bb298";
+    "cf118a8ec7dd8abdacfc6f1cb214415d";
+    "8f5f8c79c2d26ad6e670c3ec3d80f68a";
+    "a7d723c5b8dffd9c2825d2669c75544f";
+    "c6c0fc662f5f7f53209bd2676b345662";
+    "f1289732253518750e22b62a571a1748";
+    "179e3b9fa272a23e2a8b32bde1015414";
+    "d5f0a59aa9d6d8164d3754fb91f67809";
+    "0e21cc91b4ddd85d9ff2f026a4fd1790";
+    "98233c11949b49f0358ee5124e00a3d9";
+    "2591108aff8fb810320f8a04e7d2b18d";
+    "ee2edb4e578348e98fd4184250b54851";
+    "f3b2082af4e3f1fb1b9ff5a2108ff0f6";
+    "dd785945d1d6b87eca0d276dbb8756fd";
+    "e3ab394ce4eb7da020a27d2e2443143c";
+    "28a6b0f918d9aea03e979a1657d8d0f6";
+    "ece825e0758c603345b30a64debda4c7";
+    "bb284481de7fc80dbb6667b47faa5d47";
+    "cce41232105a15569fe8c145f5b819c9";
+    "f071e699bc5a16372a8b7177c6ce5b9f";
+    "3fda55753ae3d84943c5e28ad3ac64a8";
+    "527f0d23c82606621d19bd676404cf35";
+    "9db9853e76820f57e4b00f1c2b37b95b";
+    "64b6fea57cf432d20e2b7204f495f3be";
+    "3001bcefae4fb998931cd7bde70c2d1f";
+    "3947c857a23cb3a7ee42b2c88a23b171";
+    "32bb2706f3383236d6dfcccbf979aaf1";
+    "ac4c3b2bf2d24cf5aa0cc53ee3518797";
+    "1b67497944b00153e0a461bdb9a0f8fc";
+    "0d7c26c3ef5410bb7acd39b0807092ae";
+    "6ba4c47d9d4f3fff38977bd15f97db5e";
+    "b4ac62165ad7ecafab2f719de4a584c6";
+    "76fa4f07ae5c3dc911d962f09fa4b2f0";
+    "cfa9681caeca02cafc6dc531fe0a4e3c";
+    "6df5fd9dfe41592a3a18b5fd53bb043c";
+    "681f878e6a12a3532eef0ce8a33c6d17";
+    "18dcb70612244aa38ba8688066f4f34e";
+    "7b4b4c323c644cb232ee9807347f85a9";
+    "5f623685d9ba4d6f87decc325264516a";
+    "a2b688aac795bc2f5f25ac9e150db53f";
+    "60d00e2d8aea91a0bb6299d41587fcde";
+    "7c48af536ef69d31afaa461570b03e3b";
+    "564b6d99033c525bb784bf6b2618ce77";
+    "b09d51e368ac401e247b200ca32c29df";
+    "5e5dc7a3e92e2b244903c9d0bb66111e";
+    "933182e62c8535cf7f5446db65f913b6";
+    "f82a2897d22eb8d563d1ff75df6ba12e";
+    "aa23d8c28fa1b6b02ab1da246f2ef488";
+    "822da0509d429e7cf58280cdcecc256d";
+    "39ba667b64cd64d8725e96e228ad5016";
+    "7ba9582a10b992925940d6b95f60c3ca";
+    "ebfde74855082dca3615e61710b2aab8";
+    "2ded848ced4570e400a7910eeff9c596";
+    "3471fa52714f2d541dc420badd1d52b4";
+    "87c39cda708b6d722f6e39b473169665";
+    "9e349bc953f6ab1cf30b3e3d5337f262";
+    "6736d4f943c7fd6e67e6d3e385734c8c";
+    "f521a0c2a04453033f36b4d401817156";
+    "8909ebf52eb35d704f14b83e42c257a0";
+    "0e6ec934559bf187985c386eb274c2b7";
+    "1c9c7836df4d0a4c9ea89a26699f6725";
+    "d54c1b85b05a0800af2c6d01394f0421";
+    "80ddd4569b593235048eb5e2cdc38c8d";
+    "e67d4fad620e75e8a485cb3a83abaf7f";
+    "12abee7ffbd2b531d1d1ee63724e665d";
+    "78e7eeb2cf746aef1242909450ee4e27";
+    "f931f5e1ed481707e55f2ac3156e2a1b";
+    "9eb6adb364e8e244ce7ac51dc819031d";
+    "42a01c09c0e7349354695155b02c9b92";
+    "d49720530a386a3191eac0dc840dd1bd";
+    "8a440004b569286a42c722295ce1c5a6";
+    "1f6329f06fb62076bef2278b7007e60f";
+    "e1a3bf4f51fc2303e9a9e539b8c0d391";
+    "4933c92034023989fc2aa04312ff1f4e";
+    "310f261b36527c273d4996fd2f62a956";
+    "6565d1a082d551bc7b36c711f5874b99";
+    "2e8a7df351a8045c88e05eaa6684c212";
+    "36d03458e8a745e61afcf02257826e12";
+    "52cc29caecfd9380a2261a80c58e6787";
+    "0fa5eac15b498f879494809c74939fc7";
+    "30fa8fcebd7db5bf9aa8471419c8c7bc";
+    "5f3b484a9ea7b265a6a60e6c1dd1bb7b";
+    "eb41968e5a68ab69971aa492b902b41f";
+    "9085568a1bd2d858f5ac2ffc6c10b91c";
+    "ce6c904de83d58f3a11814828927f7ba";
+    "e9a8a40e69f9c82ccb4e6b97f8a93e2f";
+    "de636ba00ab76d397bf0e709e22b88c1";
+    "31ab357f78327a0a5345a4722d2454fb";
+    "805ca8181a697b0c1e4930d1f651d1f3";
+    "b194b68b7b830f5a37633a3f9ea94eb3";
+    "8ac3a04fee5905098664ae4ad4490bfb";
+    "508209690426aeead403c9d211586fbc";
+    "5bd886288220a35fdeb73b4b05f38250";
+    "c316ead28c6ef0cfa20ea163bfd10a7d";
+    "024d3632bc8f2a2feb783f898fe7c004";
+    "93f8ffdfcfe36af3d591cb14c16ce46a";
+    "17e8316b19c7e3e453406e28f94a8bd5";
+    "cfe07d978b8e5771551218382b68fb6b";
+    "d9106a89c03f1e251ea048f4237f6d78";
+    "cb061cf4d79e0cfe0fdf62500d848a31";
+    "faec0240acb483dc847add09f70e09d3";
+    "683db19152aee195c51e310430243ecc";
+    "e9a59a03cc550f19127864313f5de98c";
+    "44128ed8cf0d80f382f82ede2dca4705";
+    "39befbacaadae6baea8a0db74add955f";
+    "0a0fe1951267f3888269324cb41cf5e2";
+    "42fc05e8187caa4421906ee8f01f4d0c";
+    "91d4c550cebb4f90d07b01e7d1cf7ef8";
+    "bfc19d9f0d5b64aeb9cbb1edffe7dec9";
+    "829bb52c21a1f5aebab0f0af0d055d06";
+    "6dca6aac40fb716551e5ca6aa12643cd";
+    "f746e29b8a3a41aeea4a7c361b8a1ee1";
+    "3a5c7fb2d2d23d874f161dcfd2945249";
+    "d9de30e4be43b37114b0bce200db23fd";
+    "0ea5c8ee7c7ef2ed61db2ea65e170214";
+    "51651c610761a8400fc0dbaf6051ef56";
+    "0bd44f7919fc6d20c191a234a6b1a341";
+    "85f66198751d47af050fef965556e1e5";
+    "c30e1d774fcc2ed970b9c952aa0fcf55";
+    "5c2c88a792fa721a19c0e8052433b73c";
+    "f01721099a3a5f5083e5456350a83ec4";
+    "ef7913c9535deebfe2c8d84cbf5653a7";
+    "e52f89a8d9ee0214d61bba4f401e6f2f";
+    "27c7abcc4458afab5f68d28b996779e6";
+    "e3d3120d4b5698d7cca697c79b780066";
+    "23f401172b88eea0435c70305fa98d46";
+    "71a208faa06671965dd4cc32637f7981";
+    "077f81f5eed7e3b66b3ab29b1897ad3e";
+    "64bb4a5650614561f5ce2f2397c0bebd";
+    "3e6d9b9c9a54a9a3f18e993caa86bc2e";
+    "7f6fc001b1304bdb8885a8e151bb13b3";
+    "bec18a0c11cca78586491ea88ead1e6c";
+    "80f9c9de39e7b417aafa697ddcf85641";
+    "e9f525589145227d3957ad4759c9744a";
+    "6b12fc99080a2f7a6c26ac4a40b00f87";
+    "d3572bf472110794e7a3d6a2832e96c1";
+    "0e212d02691d22bf00236d112200bc46";
+    "66bc98ebaaf3725ef3f7c6a5e52e933f";
+    "6eb4484a10b8e83e47a09283166e085c";
+    "ca65d65d1aa0d0947ec57f5ef627d32e";
+    "f68481954c7f0304ee1606db8e8d2dc4";
+    "050b3327d0ba3f19af2611aaad6df1d7";
+    "ef204c6d4d11c8124b4f50a9c73d6cfc";
+    "e6f959a0098b4ff7595064998feaaf90";
+    "7d6e997fb5a8a8dffbb53a7920d1e68d";
+    "0973ecca11ef37836f9990f5c91e3d9c";
+    "dd1447010fb932ff197fde7fad8ac67a";
+    "1cdc6243b93847efa9dae1ee739a8e1f";
+    "b0bb38e9fe2d897ba83c176807ff511b";
+    "4a80ba0482ee4283ca8053e025df5d63";
+    "b0983ae447d393f829763d5b1a27d8f1";
+  |]
+
+let test_lengths hex table () =
   Array.iteri
     (fun n expected ->
-      check (Printf.sprintf "%d bytes" n) expected (Sha256.hex (length_input n)))
-    sha256_by_length
+      check (Printf.sprintf "%d bytes" n) expected (hex (length_input n)))
+    table
 
 let vec_tests name hex vectors =
   List.mapi
@@ -347,6 +759,28 @@ let prop_update_sub algo =
       Digest_algo.update_sub ctx padded 2 (String.length s);
       String.equal (Digest_algo.final ctx) (Digest_algo.digest algo s))
 
+(* Property: a copy taken mid-stream shares no state with its source.
+   Both are extended with different suffixes, and each must give the
+   one-shot digest of its own whole input. *)
+let prop_copy algo =
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "%s copy is independent" (Digest_algo.name algo))
+    ~count:200
+    QCheck2.Gen.(
+      triple
+        (string_size ~gen:char (int_range 0 200))
+        (string_size ~gen:char (int_range 0 200))
+        (string_size ~gen:char (int_range 0 200)))
+    (fun (prefix, a, b) ->
+      let src = Digest_algo.init algo in
+      Digest_algo.update src prefix;
+      let dup = Digest_algo.copy src in
+      Digest_algo.update dup b;
+      Digest_algo.update src a;
+      String.equal (Digest_algo.final src) (Digest_algo.digest algo (prefix ^ a))
+      && String.equal (Digest_algo.final dup)
+           (Digest_algo.digest algo (prefix ^ b)))
+
 let prop_distinct =
   QCheck2.Test.make ~name:"distinct inputs hash apart (sha256)" ~count:300
     QCheck2.Gen.(pair (string_size ~gen:char (int_range 0 40)) (string_size ~gen:char (int_range 0 40)))
@@ -367,11 +801,17 @@ let () =
           Alcotest.test_case "algo names" `Quick test_algo_names;
           Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
           Alcotest.test_case "reset reuse" `Quick test_reset_reuse;
-          Alcotest.test_case "sha256 lengths 0..200" `Quick test_sha256_lengths;
+          Alcotest.test_case "sha256 lengths 0..200" `Quick
+            (test_lengths Sha256.hex sha256_by_length);
+          Alcotest.test_case "sha1 lengths 0..200" `Quick
+            (test_lengths Sha1.hex sha1_by_length);
+          Alcotest.test_case "md5 lengths 0..200" `Quick
+            (test_lengths Md5.hex md5_by_length);
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           ([ prop_distinct ]
           @ List.map prop_incremental Digest_algo.all
-          @ List.map prop_update_sub Digest_algo.all) );
+          @ List.map prop_update_sub Digest_algo.all
+          @ List.map prop_copy Digest_algo.all) );
     ]

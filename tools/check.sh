@@ -2,10 +2,12 @@
 # Repository check: an interface step (every module under lib/ has an
 # .mli, and no file under lib/server/ is longer than 600 lines), then
 # `dune build @check-all` (full build, every test suite and every
-# named gate).  The build compiles the one C file,
-# lib/bignum/montmul.c, with -Wall -Wextra -Werror, and the test suites
-# run test_zmod both native and as bytecode, so that the Montgomery
-# kernel's bytecode entry point is linked and exercised.  The gates:
+# named gate).  The build compiles the two C files,
+# lib/bignum/montmul.c (the Montgomery multiply) and
+# lib/crypto/compress.c (the hash compressions), with -Wall -Wextra
+# -Werror, and the test suites run test_zmod and test_digest both
+# native and as bytecode, so that the kernels' bytecode entry points
+# are linked and exercised.  The gates:
 # crash-point enumeration, pooled commit-signing determinism, the
 # network chaos soak, shard determinism, the lineage and proof suites
 # with their smoke gates, the event-loop service gate and the
