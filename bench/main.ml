@@ -134,6 +134,12 @@ let rsa_micro_tests bits ~suffix =
                 verifier_pk ~msg:payload ~signature:verifier_sig)));
   ]
 
+(* The portable SHA-256 compression, declared here so that it can be
+   timed beside the kernel Block_hash selected. *)
+external sha256_compress_portable : Bytes.t -> Bytes.t -> int -> unit
+  = "tep_sha256_compress"
+[@@noalloc]
+
 let crypto_micro_tests cfg =
   let open Bechamel in
   let payload = String.make 256 'x' in
@@ -150,6 +156,15 @@ let crypto_micro_tests cfg =
       (Staged.stage (fun () -> ignore (Tep_crypto.Sha256.digest payload)));
     Test.make ~name:"sha256-4KiB"
       (Staged.stage (fun () -> ignore (Tep_crypto.Sha256.digest payload_4k)));
+    (* one 64-byte compression, on the selected kernel (the SHA
+       extensions when the CPU has them) and on the portable one *)
+    (let state = Bytes.make 32 '\001' and block = Bytes.make 64 'x' in
+     let selected = Tep_crypto.Block_hash.(compress sha256) in
+     Test.make ~name:"sha256-block"
+       (Staged.stage (fun () -> selected state block 0)));
+    (let state = Bytes.make 32 '\001' and block = Bytes.make 64 'x' in
+     Test.make ~name:"sha256-block-portable"
+       (Staged.stage (fun () -> sha256_compress_portable state block 0)));
     Test.make ~name:"md5-256B"
       (Staged.stage (fun () -> ignore (Tep_crypto.Md5.digest payload)));
     Test.make ~name:"hmac-sha256"
@@ -302,6 +317,11 @@ let run_micro () =
   print_newline ();
   emit ~experiment:"micro" ~cfg
     ~runs_per_point:(List.fold_left (fun m (n, _) -> min m n) max_int measured)
+    ~fields:
+      [
+        ( "sha256_kernel",
+          Str (if Tep_crypto.Block_hash.sha_ni then "sha-ni" else "portable") );
+      ]
     ~points:(List.map snd measured) ()
 
 (* ------------------------------------------------------------------ *)

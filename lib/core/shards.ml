@@ -191,10 +191,12 @@ let verify_shard ?pool ~shards engine =
    one [uniform_int drbg 1_000_000] per live object in oid order, so an
    auditor holding the seed replays the same sample — and they thread
    one DRBG, so they run serially.  The sampled objects are independent
-   reads, so they fan out over the pool one object per item: an object's
-   closure is one or two records, too few to split further.  [map_list]
-   keeps input order, so the results come back in oid order whatever
-   the scheduling. *)
+   reads, so they fan out over the pool one object per item.  Each
+   object's verify gets the pool as well: a cell's closure of one to
+   three records stays on its domain (Verifier's serial gate), but the
+   root's or a table's is every record below it and spreads over the
+   pool from inside its item.  [map_list] keeps input order, so the
+   results come back in oid order whatever the scheduling. *)
 let sample_shard ?pool ~drbg ~alpha_ppm engine =
   let live =
     List.filter
@@ -214,7 +216,7 @@ let sample_shard ?pool ~drbg ~alpha_ppm engine =
     ( oid,
       Result.map
         (fun (data, records) ->
-          Verifier.verify ~algo:(Engine.algo engine)
+          Verifier.verify ?pool ~algo:(Engine.algo engine)
             ~directory:(Engine.directory engine) ~data records)
         (Engine.deliver engine oid) )
   in

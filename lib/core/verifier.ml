@@ -212,6 +212,12 @@ let concat reports =
     signatures_checked = sum (fun r -> r.signatures_checked);
   }
 
+(* Below this many records the signature checks stay on the caller.
+   An object's closure is mostly one to three records, and a handoff
+   to other domains costs more than it saves; the closure of the root
+   or of a table, every record below it, still spreads over the pool. *)
+let verify_serial_below = 4
+
 let verify_records ?pool ~algo:_ ~directory records =
   let by_checksum = Hashtbl.create (List.length records) in
   List.iter
@@ -226,7 +232,7 @@ let verify_records ?pool ~algo:_ ~directory records =
   let signature_results =
     match pool with
     | Some p when Tep_parallel.Pool.size p > 1 ->
-        Tep_parallel.Pool.map_list p
+        Tep_parallel.Pool.map_list ~serial_below:verify_serial_below p
           (fun (r : Record.t) -> Checksum.verify_record directory r)
           records
     | _ ->

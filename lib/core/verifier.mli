@@ -59,8 +59,14 @@ val verify_records :
     auditing a provenance store in place.
 
     With [?pool] the per-record RSA signature checks fan out across
-    the pool's domains; the returned report (violations, order,
-    counters) is byte-identical to the sequential run. *)
+    the pool's domains, from {!verify_serial_below} records up; the
+    returned report (violations, order, counters) is byte-identical to
+    the sequential run. *)
+
+val verify_serial_below : int
+(** Fewer records than this are checked on the caller even with a
+    pool: an object's closure of one to three records costs less than
+    a handoff to other domains. *)
 
 val check_chain :
   lookup:(string -> Record.t option) -> Oid.t -> Record.t list -> violation list

@@ -1,5 +1,5 @@
 (** HMAC-DRBG (NIST SP 800-90A style) deterministic random bit
-    generator.
+    generator, over HMAC-SHA256.
 
     All randomness in this repository flows through a DRBG so that key
     generation, workload generation and experiments are reproducible
@@ -7,6 +7,12 @@
     real entropy is wanted. *)
 
 type t
+(** A DRBG owns its state and its scratch buffers (the key's HMAC
+    midstates, V, the pad blocks), reused by every call so that
+    {!uniform_int} allocates nothing.  It therefore has a single owner:
+    two threads or domains must not call it at once.  A shared one is
+    used under a lock, as the daemon's handshake DRBG is under
+    [drbg_lock] in [State.gen_nonce]. *)
 
 val create : seed:string -> t
 (** Instantiate from arbitrary seed material. *)
@@ -26,4 +32,6 @@ val byte_source : t -> Tep_bignum.Prime.byte_source
 
 val uniform_int : t -> int -> int
 (** [uniform_int t bound] draws uniformly from [[0, bound)] without
-    modulo bias. @raise Invalid_argument if [bound <= 0]. *)
+    modulo bias, from the first 8 bytes of a [generate t 8] (rejection
+    sampling may draw again).  Allocates nothing.
+    @raise Invalid_argument if [bound <= 0]. *)

@@ -788,6 +788,96 @@ let prop_distinct =
       QCheck2.assume (not (String.equal a b));
       not (String.equal (Sha256.digest a) (Sha256.digest b)))
 
+(* The two SHA-256 kernels against each other, and each against the
+   FIPS vectors: the portable C one is the oracle for the one on the
+   x86 SHA extensions, which Block_hash selects when the CPU has them.
+   Both are declared here, so that each is tested whichever one
+   Sha256 runs on. *)
+external sha256_portable : Bytes.t -> Bytes.t -> int -> unit
+  = "tep_sha256_compress"
+[@@noalloc]
+
+external sha256_ni : Bytes.t -> Bytes.t -> int -> unit
+  = "tep_sha256_compress_ni"
+[@@noalloc]
+
+(* SHA-256 of [msg] on [kernel] alone: FIPS 180 padding, then every
+   block compressed from the initial state. *)
+let sha256_with kernel msg =
+  let n = String.length msg in
+  let padded = Bytes.make ((n + 9 + 63) / 64 * 64) '\000' in
+  Bytes.blit_string msg 0 padded 0 n;
+  Bytes.set padded n '\x80';
+  Bytes.set_int64_be padded (Bytes.length padded - 8) (Int64.of_int (8 * n));
+  let state = Bytes.create 32 in
+  List.iteri
+    (fun i w -> Bytes.set_int32_ne state (4 * i) w)
+    [ 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
+      0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l ];
+  for b = 0 to (Bytes.length padded / 64) - 1 do
+    kernel state padded (64 * b)
+  done;
+  let out = Bytes.create 32 in
+  for i = 0 to 7 do
+    Bytes.set_int32_be out (4 * i) (Bytes.get_int32_ne state (4 * i))
+  done;
+  Bytes.to_string out
+
+let test_kernel_vectors kernel () =
+  List.iter
+    (fun (input, expected) ->
+      check input expected (Digest_algo.to_hex (sha256_with kernel input)))
+    (sha256_vectors
+    @ List.map (fun n -> (length_input n, sha256_by_length.(n))) [ 55; 56; 64; 200 ])
+
+(* Random chaining states and blocks at every offset 0..63 of a
+   127-byte buffer: one compression each, the same result from both. *)
+let prop_kernels_agree =
+  QCheck2.Test.make ~name:"sha256 kernels agree at every offset" ~count:200
+    QCheck2.Gen.(
+      pair (string_size ~gen:char (return 32)) (string_size ~gen:char (return 127)))
+    (fun (state, buf) ->
+      let buf = Bytes.of_string buf in
+      List.for_all
+        (fun off ->
+          let a = Bytes.of_string state and b = Bytes.of_string state in
+          sha256_portable a buf off;
+          sha256_ni b buf off;
+          Bytes.equal a b)
+        (List.init 64 Fun.id))
+
+(* Chains of 1..16 blocks from a random state: the two states agree
+   after every block. *)
+let prop_kernel_chains =
+  QCheck2.Test.make ~name:"sha256 kernels agree along block chains" ~count:200
+    QCheck2.Gen.(
+      pair
+        (string_size ~gen:char (return 32))
+        (int_range 1 16 >>= fun n -> string_size ~gen:char (return (64 * n))))
+    (fun (state, msg) ->
+      let msg = Bytes.of_string msg in
+      let a = Bytes.of_string state and b = Bytes.of_string state in
+      List.for_all
+        (fun blk ->
+          sha256_portable a msg (64 * blk);
+          sha256_ni b msg (64 * blk);
+          Bytes.equal a b)
+        (List.init (Bytes.length msg / 64) Fun.id))
+
+(* Without the SHA extensions the kernel cannot run: its checks are
+   listed as skipped, not dropped. *)
+let sha_ni_tests =
+  if Block_hash.sha_ni then
+    Alcotest.test_case "fips vectors, sha-ni kernel" `Quick
+      (test_kernel_vectors sha256_ni)
+    :: List.map QCheck_alcotest.to_alcotest
+         [ prop_kernels_agree; prop_kernel_chains ]
+  else
+    [
+      Alcotest.test_case "sha-ni kernel (no SHA extensions on this CPU)"
+        `Quick (fun () -> Alcotest.skip ());
+    ]
+
 let () =
   Alcotest.run "digest"
     [
@@ -808,6 +898,10 @@ let () =
           Alcotest.test_case "md5 lengths 0..200" `Quick
             (test_lengths Md5.hex md5_by_length);
         ] );
+      ( "sha256-kernels",
+        Alcotest.test_case "fips vectors, portable kernel" `Quick
+          (test_kernel_vectors sha256_portable)
+        :: sha_ni_tests );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           ([ prop_distinct ]

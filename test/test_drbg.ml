@@ -158,6 +158,21 @@ let test_known_answers () =
     "7e6b83126f2f78eb8c4c37d64a697797fba25cca49fe7c4bc3572864bf020c3c"
     (Sha256.hex (Buffer.contents buf))
 
+(* A draw allocates nothing: V, the key's midstates and the scratch
+   are the DRBG's own buffers.  The bound leaves room for the
+   measurement itself, not for a word per draw. *)
+let test_uniform_int_no_alloc () =
+  let d = Drbg.create ~seed:"alloc" in
+  ignore (Drbg.uniform_int d 1_000_000);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Drbg.uniform_int d 1_000_000)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "10000 draws allocated %.0f minor words (at most 64)" words)
+    true (words <= 64.)
+
 let () =
   Alcotest.run "drbg"
     [
@@ -173,5 +188,7 @@ let () =
           Alcotest.test_case "byte distribution" `Quick test_byte_distribution;
           Alcotest.test_case "system seeding" `Quick test_system_seeding;
           Alcotest.test_case "known answers" `Quick test_known_answers;
+          Alcotest.test_case "uniform_int allocates nothing" `Quick
+            test_uniform_int_no_alloc;
         ] );
     ]

@@ -385,6 +385,78 @@ let test_verify_shard () =
            root.Verifier.violations)
   | None -> Alcotest.fail "a written shard is not empty"
 
+(* A sampled sweep's results do not depend on the pool: the sample is
+   drawn before any verify runs, and a verify fanned out from inside its
+   item (at alpha = 1 the root's, whose closure runs past the serial
+   gate) folds its signature checks back in record order.  One cell is
+   changed behind the engine and one record's output hash is flipped, so
+   the reports carry violations of both kinds. *)
+let test_sample_shard_pool () =
+  let t0 = table_for_shard ~shards:1 0 in
+  let eng = make_engine t0 in
+  for i = 1 to 12 do
+    ignore
+      (ok (Engine.insert_row eng alice ~table:t0 [| Value.Int i; Value.Int (i * 10) |]))
+  done;
+  List.iter
+    (fun row ->
+      ok (Engine.update_cell eng alice ~table:t0 ~row ~col:1 (Value.Int (100 + row))))
+    [ 1; 5; 9 ];
+  let cell row =
+    Option.get (Tep_tree.Tree_view.cell_oid (Engine.mapping eng) t0 row 1)
+  in
+  ignore (ok (Tep_tree.Forest.update (Engine.forest eng) (cell 3) (Value.Int 999)));
+  let tampered = Provstore.create ~algo:(Engine.algo eng) () in
+  List.iter
+    (fun (r : Record.t) ->
+      Provstore.append tampered
+        (if Tep_tree.Oid.equal r.Record.output_oid (cell 5) && r.Record.seq_id = 1
+         then { r with Record.output_hash = "evil" }
+         else r))
+    (Provstore.all (Engine.provstore eng));
+  let eng =
+    Engine.of_parts ~directory ~provstore:tampered ~forest:(Engine.forest eng)
+      ~view:(Engine.mapping eng) (Engine.backend eng)
+  in
+  let pool = Pool.create ~domains:4 () in
+  let sweep ?pool alpha_ppm =
+    Shards.sample_shard ?pool
+      ~drbg:(Tep_crypto.Drbg.create ~seed:"sample-pool")
+      ~alpha_ppm eng
+  in
+  List.iter
+    (fun alpha_ppm ->
+      let serial = sweep alpha_ppm and pooled = sweep ~pool alpha_ppm in
+      Alcotest.(check int)
+        (Printf.sprintf "%d ppm: sampled" alpha_ppm)
+        (List.length (fst serial))
+        (List.length (fst pooled));
+      Alcotest.(check bool)
+        (Printf.sprintf "%d ppm: identical results" alpha_ppm)
+        true (serial = pooled))
+    [ 300_000; 1_000_000 ];
+  let results, population = sweep ~pool 1_000_000 in
+  Pool.shutdown pool;
+  Alcotest.(check int) "alpha = 1 samples every live object" population
+    (List.length results);
+  let root =
+    match List.assoc (Engine.root_oid eng) results with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "the root's closure is past the serial gate" true
+    (root.Verifier.records_checked >= 2 * Verifier.verify_serial_below);
+  let has f =
+    List.exists
+      (function
+        | _, Ok r -> List.exists f r.Verifier.violations | _, Error _ -> false)
+      results
+  in
+  Alcotest.(check bool) "flipped record reported" true
+    (has (function Verifier.Bad_signature _ -> true | _ -> false));
+  Alcotest.(check bool) "changed cell reported" true
+    (has (function Verifier.Object_mismatch _ -> true | _ -> false))
+
 let newest_generation d =
   match Recovery.generations ~dir:d with (g, _) :: _ -> g | [] -> -1
 
@@ -876,6 +948,8 @@ let () =
       ( "whole-database",
         [
           Alcotest.test_case "verify_shard" `Quick test_verify_shard;
+          Alcotest.test_case "sample_shard pool-independent" `Quick
+            test_sample_shard_pool;
           Alcotest.test_case "checkpoint_all" `Quick test_checkpoint_all;
         ] );
       ( "server",

@@ -4,10 +4,14 @@
 # `dune build @check-all` (full build, every test suite and every
 # named gate).  The build compiles the two C files,
 # lib/bignum/montmul.c (the Montgomery multiply) and
-# lib/crypto/compress.c (the hash compressions), with -Wall -Wextra
-# -Werror, and the test suites run test_zmod and test_digest both
-# native and as bytecode, so that the kernels' bytecode entry points
-# are linked and exercised.  The gates:
+# lib/crypto/compress.c (the hash compressions, with a SHA-256 kernel
+# on the x86 SHA extensions compiled through a function-level target
+# attribute), with -Wall -Wextra -Werror, and the test suites run
+# test_zmod and test_digest both native and as bytecode, so that the
+# kernels' bytecode entry points are linked and exercised.
+# test_digest checks the SHA-extension kernel against the portable one
+# and shows those checks as skipped on a CPU without the extensions.
+# The gates:
 # crash-point enumeration, pooled commit-signing determinism, the
 # network chaos soak, shard determinism, the lineage and proof suites
 # with their smoke gates, the event-loop service gate and the
