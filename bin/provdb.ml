@@ -508,8 +508,7 @@ let cmd_audit dir =
           let label = shard_label ~shards:(nshards ws) k in
           let ckpt_path, cp = ckpts.(k) in
           let report, cp', examined =
-            Audit.incremental_audit ~pool:(pool ())
-              ~algo:(Engine.algo s.s_engine) ~directory:ws.directory cp
+            Audit.incremental_audit ~pool:(pool ()) ~directory:ws.directory cp
               (Engine.provstore s.s_engine)
           in
           Format.printf "%s%a@." label Verifier.pp_report report;

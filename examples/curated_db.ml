@@ -70,7 +70,7 @@ let () =
     (Provstore.record_count (Engine.provstore eng));
   (* the auditor takes a checkpoint at end of session *)
   let audit_report, ckpt =
-    Audit.full_audit ~algo:(Engine.algo eng) ~directory:dir (Engine.provstore eng)
+    Audit.full_audit ~directory:dir (Engine.provstore eng)
   in
   assert (Verifier.ok audit_report);
   let ckpt_bytes = Audit.to_string ckpt in
@@ -104,7 +104,7 @@ let () =
   (* --- the auditor wakes up: incremental audit --- *)
   let ckpt = ok (Audit.of_string ckpt_bytes) in
   let report, ckpt, examined =
-    Audit.incremental_audit ~algo:(Engine.algo eng) ~directory:dir ckpt
+    Audit.incremental_audit ~directory:dir ckpt
       (Engine.provstore eng)
   in
   Printf.printf "auditor: %s — examined %d new records (of %d total)\n"

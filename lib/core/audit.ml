@@ -98,7 +98,7 @@ let check_object ~directory ~store cp oid records =
     },
     hwm )
 
-let incremental_audit ?pool ~algo:_ ~directory cp store =
+let incremental_audit ?pool ~directory cp store =
   (* marked objects too: one whose every record is gone fails its
      anchor *)
   let objs =
@@ -127,8 +127,8 @@ let incremental_audit ?pool ~algo:_ ~directory cp store =
   in
   (report, cp', report.Verifier.records_checked)
 
-let full_audit ?pool ~algo ~directory store =
-  let report, cp, _ = incremental_audit ?pool ~algo ~directory empty store in
+let full_audit ?pool ~directory store =
+  let report, cp, _ = incremental_audit ?pool ~directory empty store in
   (report, cp)
 
 (* ------------------------------------------------------------------ *)

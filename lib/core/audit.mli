@@ -42,7 +42,6 @@ val forget : checkpoint -> Oid.t list -> checkpoint
 
 val full_audit :
   ?pool:Tep_parallel.Pool.t ->
-  algo:Tep_crypto.Digest_algo.algo ->
   directory:Participant.Directory.t ->
   Provstore.t ->
   Verifier.report * checkpoint
@@ -53,7 +52,6 @@ val full_audit :
 
 val incremental_audit :
   ?pool:Tep_parallel.Pool.t ->
-  algo:Tep_crypto.Digest_algo.algo ->
   directory:Participant.Directory.t ->
   checkpoint ->
   Provstore.t ->

@@ -1,35 +1,25 @@
-(** Memoized closures over the provenance DAG.
+(** Lineage walks over the derivation DAG a {!Provstore} owns.
 
     {!Prov_query} and the lineage engine both walk the same two edge
-    sets — backward over predecessor checksums and forward over
-    aggregation inputs.  Recomputing those walks per query is
-    quadratic on deep derivation chains (the old [derivatives]
-    rescanned every record per frontier node); this index builds the
-    forward adjacency once per store generation and memoizes the
-    closures, so repeated lineage questions over an unchanged store
-    are amortised linear.
+    sets — backward over predecessor checksums
+    ({!Provstore.find_by_checksum}) and forward over aggregation
+    inputs ({!Provstore.aggregated_into}).  The store records both as
+    records arrive, so a walk never scans the store: each one visits
+    only the objects it reaches, keeps its memo for the length of the
+    call, and is linear on a 10 000-deep derivation chain.
 
-    An index is a snapshot: it answers over the records present when
-    it was built.  {!of_store} keeps a one-slot cache keyed on the
-    store's identity and record count, so callers can re-request the
-    index per query and still share the memo tables until the store
-    grows.  All entry points are thread-safe (the server asks lineage
-    questions from concurrent reader threads). *)
+    An index is the store itself, with no state of its own: it
+    answers over the records present when a walk runs, and concurrent
+    walks need no lock as long as nobody writes to the store. *)
 
 open Tep_tree
 
 type t
 
 val of_store : Provstore.t -> t
-(** The index for the store's current generation.  Cheap when the
-    cached index is still valid; otherwise one linear scan to rebuild
-    the forward adjacency. *)
+(** O(1): the index is a view of the store. *)
 
 val store : t -> Provstore.t
-
-val closure : t -> Oid.t -> Record.t list
-(** Memoized {!Provstore.provenance_object}: the backward transitive
-    closure, sorted by [seq_id]. *)
 
 val ancestors : t -> Oid.t -> Oid.t list
 (** Objects the given object transitively derives from (excluding

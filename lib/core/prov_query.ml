@@ -28,7 +28,7 @@ let contributors store oid =
         Option.value (Hashtbl.find_opt counts r.Record.participant) ~default:0
       in
       Hashtbl.replace counts r.Record.participant (c + 1))
-    (Prov_index.closure (Prov_index.of_store store) oid);
+    (Provstore.provenance_object store oid);
   Hashtbl.fold (fun p c acc -> (p, c) :: acc) counts []
   |> List.sort (fun (pa, ca) (pb, cb) ->
          let c = compare cb ca in

@@ -5,10 +5,10 @@ type t = {
   algo : Tep_crypto.Digest_algo.algo;
   by_object : Record.t list ref Oid.Tbl.t; (* newest first *)
   by_checksum : (string, Record.t) Hashtbl.t;
+  aggregated_into : Oid.t list Oid.Tbl.t;
+      (* aggregate input -> outputs citing it, each once, newest first *)
   mutable arrival : Record.t list; (* newest first *)
   mutable count : int;
-  relation : Table.t;
-  participant_ids : (string, int) Hashtbl.t;
 }
 
 let relation_schema =
@@ -25,21 +25,15 @@ let create ?(algo = Tep_crypto.Digest_algo.SHA1) () =
     algo;
     by_object = Oid.Tbl.create 1024;
     by_checksum = Hashtbl.create 1024;
+    aggregated_into = Oid.Tbl.create 256;
     arrival = [];
     count = 0;
-    relation = Table.create ~name:"provenance" relation_schema;
-    participant_ids = Hashtbl.create 16;
   }
 
 let algo t = t.algo
 
-let participant_id t name =
-  match Hashtbl.find_opt t.participant_ids name with
-  | Some i -> i
-  | None ->
-      let i = Hashtbl.length t.participant_ids in
-      Hashtbl.replace t.participant_ids name i;
-      i
+let aggregated_into t oid =
+  Option.value (Oid.Tbl.find_opt t.aggregated_into oid) ~default:[]
 
 let append t (r : Record.t) =
   let chain =
@@ -61,16 +55,16 @@ let append t (r : Record.t) =
   | _ -> ());
   chain := r :: !chain;
   Hashtbl.replace t.by_checksum r.Record.checksum r;
+  if r.Record.kind = Record.Aggregate then
+    List.iter
+      (fun input ->
+        let outs = aggregated_into t input in
+        let out = r.Record.output_oid in
+        if not (List.exists (Oid.equal out) outs) then
+          Oid.Tbl.replace t.aggregated_into input (out :: outs))
+      r.Record.input_oids;
   t.arrival <- r :: t.arrival;
-  t.count <- t.count + 1;
-  ignore
-    (Table.insert t.relation
-       [|
-         Value.Int r.Record.seq_id;
-         Value.Int (participant_id t r.Record.participant);
-         Value.Int (Oid.to_int r.Record.output_oid);
-         Value.Blob r.Record.checksum;
-       |])
+  t.count <- t.count + 1
 
 let latest t oid =
   match Oid.Tbl.find_opt t.by_object oid with
@@ -112,11 +106,34 @@ let objects t =
   Oid.Tbl.fold (fun oid _ acc -> oid :: acc) t.by_object []
   |> List.sort Oid.compare
 
-let relation t = t.relation
+let relation t =
+  let rel = Table.create ~name:"provenance" relation_schema in
+  (* participants numbered by first appearance *)
+  let ids = Hashtbl.create 16 in
+  let participant_id name =
+    match Hashtbl.find_opt ids name with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length ids in
+        Hashtbl.replace ids name i;
+        i
+  in
+  List.iter
+    (fun (r : Record.t) ->
+      ignore
+        (Table.insert rel
+           [|
+             Value.Int r.Record.seq_id;
+             Value.Int (participant_id r.Record.participant);
+             Value.Int (Oid.to_int r.Record.output_oid);
+             Value.Blob r.Record.checksum;
+           |]))
+    (all t);
+  rel
 
 let space_bytes t =
   let buf = Buffer.create 4096 in
-  Table.encode buf t.relation;
+  Table.encode buf (relation t);
   Buffer.length buf
 
 let paper_row_bytes = 4 + 4 + 4 + 128

@@ -1,10 +1,17 @@
 (** The provenance database.
 
-    Stores provenance records indexed by output object and by
-    checksum, and mirrors each record into a relational table with the
-    paper's experimental schema
+    Stores provenance records and owns the derivation DAG they form,
+    indexed three ways as records arrive: by output object (each
+    object's chain), by checksum (the backward predecessor edges of
+    Definition 1) and by aggregate input (the forward edges from an
+    input to every object aggregated from it).  Every lineage walk
+    ({!Prov_index}, {!Prov_query}) reads these indexes; none keeps a
+    copy.
+
+    The paper's experimental relation
     ⟨SeqID(int), Participant(int), Oid(int), Checksum(binary 128)⟩ —
-    the artifact whose space overhead Section 5 measures. *)
+    the artifact whose space overhead Section 5 measures — is built
+    from the records when asked ({!relation}). *)
 
 open Tep_store
 open Tep_tree
@@ -29,6 +36,11 @@ val records_for : t -> Oid.t -> Record.t list
 
 val find_by_checksum : t -> string -> Record.t option
 
+val aggregated_into : t -> Oid.t -> Oid.t list
+(** The outputs of every [Aggregate] record that cites the object as
+    an input, each output once (newest first) — the forward edges of
+    the derivation DAG. *)
+
 val provenance_object : t -> Oid.t -> Record.t list
 (** The full provenance object of [oid] (Definition 1): the
     transitive closure over predecessor-checksum edges, i.e. the
@@ -48,10 +60,11 @@ val objects : t -> Oid.t list
 (** {1 Space accounting (Figures 9 and 11)} *)
 
 val relation : t -> Table.t
-(** The mirrored relational table of checksums. *)
+(** A fresh relational table of the records, in arrival order, with
+    participants numbered by first appearance. *)
 
 val space_bytes : t -> int
-(** Bytes of the encoded relational representation. *)
+(** Bytes of the encoded {!relation}. *)
 
 val paper_row_bytes : int
 (** 140 = 4 (SeqID) + 4 (Participant) + 4 (Oid) + 128 (Checksum),

@@ -183,8 +183,8 @@ let verify_shard ?pool ~shards engine =
       (fun root ->
         Some
           ( root,
-            Verifier.verify_records ?pool ~algo:(Engine.algo engine)
-              ~directory:(Engine.directory engine) (Provstore.all prov) ))
+            Verifier.verify_records ?pool ~directory:(Engine.directory engine)
+              (Provstore.all prov) ))
       (Engine.verify_object engine (Engine.root_oid engine))
 
 (* Two phases.  The draws are the sweep's reproducibility contract —

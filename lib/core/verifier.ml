@@ -218,7 +218,7 @@ let concat reports =
    or of a table, every record below it, still spreads over the pool. *)
 let verify_serial_below = 4
 
-let verify_records ?pool ~algo:_ ~directory records =
+let verify_records ?pool ~directory records =
   let by_checksum = Hashtbl.create (List.length records) in
   List.iter
     (fun (r : Record.t) ->
@@ -265,7 +265,7 @@ let verify_records ?pool ~algo:_ ~directory records =
   }
 
 let verify ?pool ~algo ~directory ~data records =
-  let base = verify_records ?pool ~algo ~directory records in
+  let base = verify_records ?pool ~directory records in
   let oid = data.Subtree.oid in
   (* 3. Delivered object vs latest record (R4, R5). *)
   let latest =

@@ -51,7 +51,6 @@ val verify :
 
 val verify_records :
   ?pool:Tep_parallel.Pool.t ->
-  algo:Tep_crypto.Digest_algo.algo ->
   directory:Participant.Directory.t ->
   Record.t list ->
   report

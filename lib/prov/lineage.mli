@@ -7,8 +7,9 @@
     ({!which_inputs}), cost ({!min_support}) and trust questions all
     fall out by semiring evaluation.
 
-    All functions take a {!Tep_core.Prov_index.t} so repeated
-    questions over one store share closures. *)
+    All functions take a {!Tep_core.Prov_index.t}: every walk reads
+    the derivation edges the store owns, with a memo local to the
+    call. *)
 
 open Tep_tree
 open Tep_core

@@ -303,13 +303,12 @@ let dispatch_read (t : State.t) participant (req : Message.request) =
             }
       | Error e -> error_resp Message.Failed e)
   | Message.Audit ->
-      let algo = Engine.algo (State.engine t) in
       let directory = State.directory t in
       let audits =
         map_shards t (fun s ->
             Shard.locked s.s_audit_lock (fun () ->
                 let r, cp, examined =
-                  Audit.incremental_audit ?pool:t.pool ~algo ~directory
+                  Audit.incremental_audit ?pool:t.pool ~directory
                     !(s.s_audit_cp)
                     (Engine.provstore s.s_engine)
                 in

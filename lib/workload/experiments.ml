@@ -491,7 +491,6 @@ let ablation_audit cfg =
   in
   let eng = Engine.create ~directory:env.Scenario.directory db in
   let dir = env.Scenario.directory in
-  let algo = Engine.algo eng in
   let cp = ref Audit.empty in
   List.init rounds (fun round ->
       for i = 0 to ops_per_round - 1 do
@@ -502,10 +501,10 @@ let ablation_audit cfg =
       done;
       let store = Engine.provstore eng in
       let (full_report, _), au_full_s =
-        time (fun () -> Audit.full_audit ~algo ~directory:dir store)
+        time (fun () -> Audit.full_audit ~directory:dir store)
       in
       let (incr_report, cp', incr_records), au_incr_s =
-        time (fun () -> Audit.incremental_audit ~algo ~directory:dir !cp store)
+        time (fun () -> Audit.incremental_audit ~directory:dir !cp store)
       in
       assert (Verifier.ok full_report && Verifier.ok incr_report);
       cp := cp';

@@ -22,13 +22,13 @@ let fixture () =
   (eng, alice, dir)
 
 let audit eng dir cp =
-  Audit.incremental_audit ~algo:(Engine.algo eng) ~directory:dir cp
+  Audit.incremental_audit ~directory:dir cp
     (Engine.provstore eng)
 
 let test_full_audit_clean () =
   let eng, _, dir = fixture () in
   let report, cp =
-    Audit.full_audit ~algo:(Engine.algo eng) ~directory:dir
+    Audit.full_audit ~directory:dir
       (Engine.provstore eng)
   in
   Alcotest.(check bool) "clean" true (Verifier.ok report);
@@ -38,7 +38,7 @@ let test_full_audit_clean () =
 
 let test_incremental_cost () =
   let eng, alice, dir = fixture () in
-  let _, cp = Audit.full_audit ~algo:(Engine.algo eng) ~directory:dir (Engine.provstore eng) in
+  let _, cp = Audit.full_audit ~directory:dir (Engine.provstore eng) in
   (* no new work -> zero records examined *)
   let report, cp, examined = audit eng dir cp in
   Alcotest.(check bool) "clean" true (Verifier.ok report);
@@ -54,7 +54,7 @@ let test_incremental_cost () =
 
 let test_checkpoint_roundtrip () =
   let eng, alice, dir = fixture () in
-  let _, cp = Audit.full_audit ~algo:(Engine.algo eng) ~directory:dir (Engine.provstore eng) in
+  let _, cp = Audit.full_audit ~directory:dir (Engine.provstore eng) in
   let cp' = ok (Audit.of_string (Audit.to_string cp)) in
   Alcotest.(check int) "objects preserved" (Audit.objects cp) (Audit.objects cp');
   ok (Engine.update_cell eng alice ~table:"t" ~row:1 ~col:1 (Value.Int 9));
@@ -80,7 +80,7 @@ let test_checkpoint_trailing_bytes () =
 
 let test_mark_accessor () =
   let eng, _, dir = fixture () in
-  let _, cp = Audit.full_audit ~algo:(Engine.algo eng) ~directory:dir (Engine.provstore eng) in
+  let _, cp = Audit.full_audit ~directory:dir (Engine.provstore eng) in
   let root = Engine.root_oid eng in
   match Audit.mark cp root with
   | Some (seq, _) ->
@@ -94,7 +94,7 @@ let test_mark_accessor () =
 let test_pre_checkpoint_rewrite_detected () =
   let eng, alice, dir = fixture () in
   ok (Engine.update_cell eng alice ~table:"t" ~row:0 ~col:0 (Value.Int 1));
-  let _, cp = Audit.full_audit ~algo:(Engine.algo eng) ~directory:dir (Engine.provstore eng) in
+  let _, cp = Audit.full_audit ~directory:dir (Engine.provstore eng) in
   ok (Engine.update_cell eng alice ~table:"t" ~row:0 ~col:0 (Value.Int 2));
   (* simulate a store whose history diverges below the checkpoint: an
      attacker (with alice's key!) rebuilt the cell chain from scratch *)
@@ -125,7 +125,7 @@ let test_pre_checkpoint_rewrite_detected () =
       checksum = Checksum.sign alice payload;
     };
   let report, _, _ =
-    Audit.incremental_audit ~algo:(Engine.algo eng) ~directory:dir cp rebuilt
+    Audit.incremental_audit ~directory:dir cp rebuilt
   in
   (* the rebuilt chain is internally consistent, but the auditor's
      checkpoint says the cell was at seq >= 1 with a different
@@ -134,7 +134,7 @@ let test_pre_checkpoint_rewrite_detected () =
 
 let test_post_checkpoint_tamper_detected () =
   let eng, alice, dir = fixture () in
-  let _, cp = Audit.full_audit ~algo:(Engine.algo eng) ~directory:dir (Engine.provstore eng) in
+  let _, cp = Audit.full_audit ~directory:dir (Engine.provstore eng) in
   ok (Engine.update_cell eng alice ~table:"t" ~row:0 ~col:0 (Value.Int 1));
   (* tamper with a NEW record: copy the store, flip a hash *)
   let tampered = Provstore.create ~algo:(Engine.algo eng) () in
@@ -149,13 +149,13 @@ let test_post_checkpoint_tamper_detected () =
       Provstore.append tampered r)
     (Provstore.all (Engine.provstore eng));
   let report, _, _ =
-    Audit.incremental_audit ~algo:(Engine.algo eng) ~directory:dir cp tampered
+    Audit.incremental_audit ~directory:dir cp tampered
   in
   Alcotest.(check bool) "detected" false (Verifier.ok report)
 
 let test_checkpoint_not_advanced_on_failure () =
   let eng, alice, dir = fixture () in
-  let _, cp0 = Audit.full_audit ~algo:(Engine.algo eng) ~directory:dir (Engine.provstore eng) in
+  let _, cp0 = Audit.full_audit ~directory:dir (Engine.provstore eng) in
   ok (Engine.update_cell eng alice ~table:"t" ~row:0 ~col:0 (Value.Int 1));
   let cell = Option.get (Tree_view.cell_oid (Engine.mapping eng) "t" 0 0) in
   let tampered = Provstore.create ~algo:(Engine.algo eng) () in
@@ -169,7 +169,7 @@ let test_checkpoint_not_advanced_on_failure () =
       Provstore.append tampered r)
     (Provstore.all (Engine.provstore eng));
   let _, cp1, _ =
-    Audit.incremental_audit ~algo:(Engine.algo eng) ~directory:dir cp0 tampered
+    Audit.incremental_audit ~directory:dir cp0 tampered
   in
   (* the tampered object's mark must not move past the checkpoint *)
   Alcotest.(check bool) "mark frozen" true
@@ -177,7 +177,7 @@ let test_checkpoint_not_advanced_on_failure () =
 
 let test_aggregate_across_checkpoint () =
   let eng, alice, dir = fixture () in
-  let _, cp = Audit.full_audit ~algo:(Engine.algo eng) ~directory:dir (Engine.provstore eng) in
+  let _, cp = Audit.full_audit ~directory:dir (Engine.provstore eng) in
   (* aggregate two rows AFTER the checkpoint: the new aggregate record
      cites pre-checkpoint records of other objects *)
   let r0 = Option.get (Tree_view.row_oid (Engine.mapping eng) "t" 0) in
@@ -200,11 +200,11 @@ let test_parallel_matches_sequential () =
   done;
   let store = Engine.provstore eng in
   (* a mid-history checkpoint so the incremental pass has real deltas *)
-  let _, cp0 = Audit.full_audit ~algo ~directory:dir store in
+  let _, cp0 = Audit.full_audit ~directory:dir store in
   ok (Engine.update_cell eng alice ~table:"t" ~row:0 ~col:0 (Value.Int 999));
-  let seq_report, seq_cp = Audit.full_audit ~algo ~directory:dir store in
+  let seq_report, seq_cp = Audit.full_audit ~directory:dir store in
   let seq_ireport, seq_icp, seq_examined =
-    Audit.incremental_audit ~algo ~directory:dir cp0 store
+    Audit.incremental_audit ~directory:dir cp0 store
   in
   (* tampered store for the failure path *)
   let cell = Option.get (Tree_view.cell_oid (Engine.mapping eng) "t" 0 0) in
@@ -218,26 +218,26 @@ let test_parallel_matches_sequential () =
       in
       Provstore.append tampered r)
     (Provstore.all store);
-  let seq_treport, seq_tcp = Audit.full_audit ~algo ~directory:dir tampered in
+  let seq_treport, seq_tcp = Audit.full_audit ~directory:dir tampered in
   Alcotest.(check bool) "tampered baseline fails" false (Verifier.ok seq_treport);
   List.iter
     (fun domains ->
       let pool = Tep_parallel.Pool.create ~domains () in
       let name fmt = Printf.sprintf fmt domains in
-      let report, cp = Audit.full_audit ~pool ~algo ~directory:dir store in
+      let report, cp = Audit.full_audit ~pool ~directory:dir store in
       Alcotest.(check bool) (name "full report @%d") true (report = seq_report);
       Alcotest.(check string)
         (name "full checkpoint @%d")
         (Audit.to_string seq_cp) (Audit.to_string cp);
       let ireport, icp, examined =
-        Audit.incremental_audit ~pool ~algo ~directory:dir cp0 store
+        Audit.incremental_audit ~pool ~directory:dir cp0 store
       in
       Alcotest.(check bool) (name "incr report @%d") true (ireport = seq_ireport);
       Alcotest.(check int) (name "incr examined @%d") seq_examined examined;
       Alcotest.(check string)
         (name "incr checkpoint @%d")
         (Audit.to_string seq_icp) (Audit.to_string icp);
-      let treport, tcp = Audit.full_audit ~pool ~algo ~directory:dir tampered in
+      let treport, tcp = Audit.full_audit ~pool ~directory:dir tampered in
       Alcotest.(check bool) (name "tampered report @%d") true (treport = seq_treport);
       Alcotest.(check string)
         (name "tampered checkpoint @%d")
@@ -279,12 +279,11 @@ let resign p (r : Record.t) =
    chain must catch the rewrite, as the verifier does. *)
 let check_below_mark_rewrite f =
   let eng, alice, dir = fixture () in
-  let algo = Engine.algo eng in
   for v = 1 to 3 do
     ok (Engine.update_cell eng alice ~table:"t" ~row:0 ~col:0 (Value.Int v))
   done;
   let cell = Option.get (Tree_view.cell_oid (Engine.mapping eng) "t" 0 0) in
-  let report, cp = Audit.full_audit ~algo ~directory:dir (Engine.provstore eng) in
+  let report, cp = Audit.full_audit ~directory:dir (Engine.provstore eng) in
   Alcotest.(check bool) "clean before" true (Verifier.ok report);
   Alcotest.(check (option int)) "marked at seq 3" (Some 3)
     (Option.map fst (Audit.mark cp cell));
@@ -295,11 +294,11 @@ let check_below_mark_rewrite f =
         else Some r)
   in
   let vreport =
-    Verifier.verify_records ~algo ~directory:dir (Provstore.all tampered)
+    Verifier.verify_records ~directory:dir (Provstore.all tampered)
   in
   Alcotest.(check bool) "verifier reports" false (Verifier.ok vreport);
   let report, cp', examined =
-    Audit.incremental_audit ~algo ~directory:dir cp tampered
+    Audit.incremental_audit ~directory:dir cp tampered
   in
   Alcotest.(check bool) "auditor reports" false (Verifier.ok report);
   Alcotest.(check int) "no signature rechecked" 0 examined;
@@ -331,13 +330,12 @@ let live_objects eng =
    of the objects whose chains prune shortened are forgotten. *)
 let test_prune_then_forget () =
   let eng, alice, dir = fixture () in
-  let algo = Engine.algo eng in
   let m = Engine.mapping eng in
   let row0 = Option.get (Tree_view.row_oid m "t" 0) in
   let row1 = Option.get (Tree_view.row_oid m "t" 1) in
   ignore (ok (Engine.aggregate_objects eng alice [ row0; row1 ]));
   ok (Engine.update_cell eng alice ~table:"t" ~row:0 ~col:0 (Value.Int 1));
-  let _, cp = Audit.full_audit ~algo ~directory:dir (Engine.provstore eng) in
+  let _, cp = Audit.full_audit ~directory:dir (Engine.provstore eng) in
   Alcotest.(check (option int)) "row 0 marked at seq 1" (Some 1)
     (Option.map fst (Audit.mark cp row0));
   ok (Engine.delete_row eng alice ~table:"t" 0);
@@ -347,8 +345,8 @@ let test_prune_then_forget () =
     (List.length (Provstore.records_for pruned row0));
   Alcotest.(check bool) "verifier clean" true
     (Verifier.ok
-       (Verifier.verify_records ~algo ~directory:dir (Provstore.all pruned)));
-  let report, _, _ = Audit.incremental_audit ~algo ~directory:dir cp pruned in
+       (Verifier.verify_records ~directory:dir (Provstore.all pruned)));
+  let report, _, _ = Audit.incremental_audit ~directory:dir cp pruned in
   Alcotest.(check bool) "truncation below the mark reported" false
     (Verifier.ok report);
   let tip st oid =
@@ -359,7 +357,7 @@ let test_prune_then_forget () =
   in
   Alcotest.(check bool) "row 0 shortened" true (List.mem row0 shortened);
   let report, _, _ =
-    Audit.incremental_audit ~algo ~directory:dir (Audit.forget cp shortened)
+    Audit.incremental_audit ~directory:dir (Audit.forget cp shortened)
       pruned
   in
   Alcotest.(check bool) "clean once forgotten" true (Verifier.ok report)
@@ -437,16 +435,15 @@ let prop_auditor_agrees =
       ignore (ok (Database.create_table db ~name:"t" (Schema.all_int [ "a"; "b" ])));
       let eng = Engine.create ~directory:dir db in
       ignore (ok (Engine.insert_row eng alice ~table:"t" [| Value.Int 0; Value.Int 0 |]));
-      let algo = Engine.algo eng in
       let cp = ref Audit.empty in
       List.iteri
         (fun n op ->
           if n = k then
-            cp := snd (Audit.full_audit ~algo ~directory:dir (Engine.provstore eng));
+            cp := snd (Audit.full_audit ~directory:dir (Engine.provstore eng));
           run_prop_op eng alice op)
         ops;
       if k = List.length ops then
-        cp := snd (Audit.full_audit ~algo ~directory:dir (Engine.provstore eng));
+        cp := snd (Audit.full_audit ~directory:dir (Engine.provstore eng));
       let cp = !cp in
       let records = Provstore.all (Engine.provstore eng) in
       let target = List.nth records (i mod List.length records) in
@@ -464,10 +461,10 @@ let prop_auditor_agrees =
               | Edit_participant -> Some { r with Record.participant = "mallory" })
       in
       let vreport =
-        Verifier.verify_records ~algo ~directory:dir (Provstore.all mutated)
+        Verifier.verify_records ~directory:dir (Provstore.all mutated)
       in
-      let ireport, _, _ = Audit.incremental_audit ~algo ~directory:dir cp mutated in
-      let freport, _ = Audit.full_audit ~algo ~directory:dir mutated in
+      let ireport, _, _ = Audit.incremental_audit ~directory:dir cp mutated in
+      let freport, _ = Audit.full_audit ~directory:dir mutated in
       let mark = Option.map fst (Audit.mark cp target.Record.output_oid) in
       let seq = target.Record.seq_id in
       let expected =

@@ -186,7 +186,7 @@ let test_known_answers () =
     view
     (encode_with Tree_view.encode (fst (Tree_view.decode view 0)));
   let _, marks =
-    Audit.full_audit ~algo:(Engine.algo f.eng) ~directory:f.dir
+    Audit.full_audit ~directory:f.dir
       (Engine.provstore f.eng)
   in
   let aud = Audit.to_string marks in
@@ -597,7 +597,7 @@ let formats =
       gen =
         from_samples (fun s ->
             let _, marks =
-              Audit.full_audit ~algo:(Engine.algo s.s_eng) ~directory:s.s_dir
+              Audit.full_audit ~directory:s.s_dir
                 (Engine.provstore s.s_eng)
             in
             Audit.to_string marks);

@@ -121,14 +121,26 @@ let salvage_of_bytes s =
       && sv.Wal.skipped_frames >= 0
   | Error _ -> not (is_v2_log s) (* the file exists; I/O must succeed *)
 
+(* Each property removes the scratch log when it ends, pass or fail,
+   so a run leaves no file behind. *)
+let removing_salvage_tmp (name, speed, run) =
+  ( name,
+    speed,
+    fun () ->
+      Fun.protect run ~finally:(fun () ->
+          let path = Lazy.force salvage_tmp in
+          if Sys.file_exists path then Sys.remove path) )
+
 let fuzz_salvage =
-  [
-    QCheck2.Test.make ~name:"Wal.salvage arbitrary bytes" ~count:2000 gen_bytes
-      salvage_of_bytes;
-    QCheck2.Test.make ~name:"Wal.salvage v2 magic + arbitrary bytes"
-      ~count:2000 gen_bytes
-      (fun s -> salvage_of_bytes ("TEPWAL2\n" ^ s));
-  ]
+  List.map
+    (fun t -> removing_salvage_tmp (QCheck_alcotest.to_alcotest t))
+    [
+      QCheck2.Test.make ~name:"Wal.salvage arbitrary bytes" ~count:2000
+        gen_bytes salvage_of_bytes;
+      QCheck2.Test.make ~name:"Wal.salvage v2 magic + arbitrary bytes"
+        ~count:2000 gen_bytes
+        (fun s -> salvage_of_bytes ("TEPWAL2\n" ^ s));
+    ]
 
 (* Corrupting a valid encoding must either fail to parse or parse to
    something the verifier/integrity layer rejects — never silently
@@ -318,7 +330,7 @@ let () =
           Alcotest.test_case "Polynomial.decode sum overflow" `Quick
             test_poly_sum_overflow;
         ] );
-      ("salvage", List.map QCheck_alcotest.to_alcotest fuzz_salvage);
+      ("salvage", fuzz_salvage);
       ( "integrity",
         List.map QCheck_alcotest.to_alcotest
           [ prop_bundle_bitflip; prop_any_field_tamper_detected ] );

@@ -128,18 +128,297 @@ let deep_chain n =
 let test_deep_chain_linear () =
   let n = 10_000 in
   let store = deep_chain n in
-  let t0 = Unix.gettimeofday () in
-  Alcotest.(check int) "all downstream" n
-    (List.length (Prov_query.derivatives store (Oid.of_int 0)));
-  Alcotest.(check int) "all upstream" n
-    (List.length (Prov_query.derived_from store (Oid.of_int n)));
   let idx = Prov_index.of_store store in
-  Alcotest.(check int) "depth = chain length" n
-    (Prov_index.depth idx (Oid.of_int n));
-  let elapsed = Unix.gettimeofday () -. t0 in
-  if elapsed >= 5.0 then
+  (* A linear walk takes milliseconds here; a quadratic one (a rescan
+     of the store, or a search of a visited list, per node) takes about
+     a second or more. *)
+  let elapsed = ref 0. in
+  let walk name check =
+    let t0 = Unix.gettimeofday () in
+    check ();
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt >= 0.5 then
+      Alcotest.failf
+        "%s took %.2fs on the deep chain (expected well under 0.5s)" name dt;
+    elapsed := !elapsed +. dt
+  in
+  walk "derivatives" (fun () ->
+      Alcotest.(check int) "all downstream" n
+        (List.length (Prov_query.derivatives store (Oid.of_int 0))));
+  walk "derived_from" (fun () ->
+      Alcotest.(check int) "all upstream" n
+        (List.length (Prov_query.derived_from store (Oid.of_int n))));
+  walk "depth" (fun () ->
+      Alcotest.(check int) "depth = chain length" n
+        (Prov_index.depth idx (Oid.of_int n)));
+  walk "impact" (fun () ->
+      Alcotest.(check int) "impact reaches the chain's end" n
+        (List.length (Tep_prov.Lineage.impact idx (Oid.of_int 0))));
+  walk "contributors" (fun () ->
+      Alcotest.(check (list (pair string int)))
+        "every record contributes"
+        [ ("p", n + 1) ]
+        (Prov_query.contributors store (Oid.of_int n)));
+  if !elapsed >= 5.0 then
     Alcotest.failf "deep-chain traversals took %.2fs (expected well under 5s)"
-      elapsed
+      !elapsed
+
+(* ---- every lineage walk against a brute-force oracle ---- *)
+
+(* A random aggregate DAG, built straight into a store.  Each op is
+   (kind, pick, input picks): kind 0 inserts a base object, 1 updates
+   an existing object, 2 aggregates into a fresh object and 3 adds a
+   further aggregate record to an existing aggregate output, citing
+   only objects created before that output so the DAG stays acyclic.
+   Inputs are drawn from a small pool, so several aggregate records
+   cite the same input and some records cite one input twice. *)
+let random_store ops =
+  let store = Provstore.create () in
+  let created = ref [||] (* oids in creation order *)
+  and agg_outputs = ref [] (* (oid, rank) *)
+  and latest = Hashtbl.create 16 (* oid -> checksum *)
+  and seq = ref 0 in
+  let emit kind ~inputs oid =
+    let checksum = "c" ^ string_of_int !seq in
+    let input_oids = List.map Oid.of_int inputs in
+    Provstore.append store
+      {
+        Record.seq_id = !seq;
+        participant = "p" ^ string_of_int (!seq mod 3);
+        kind;
+        inherited = false;
+        input_oids;
+        input_hashes = List.map (fun _ -> "h") inputs;
+        output_oid = Oid.of_int oid;
+        output_hash = "h";
+        output_value = None;
+        prev_checksums = List.filter_map (Hashtbl.find_opt latest) inputs;
+        checksum;
+      };
+    Hashtbl.replace latest oid checksum;
+    incr seq
+  in
+  let create () =
+    let oid = Array.length !created in
+    created := Array.append !created [| oid |];
+    oid
+  in
+  let pick_inputs rank picks =
+    List.map (fun p -> !created.(p mod rank)) picks
+  in
+  List.iter
+    (fun (kind, pick, picks) ->
+      let n = Array.length !created in
+      match kind with
+      | 1 when n > 0 ->
+          let oid = !created.(pick mod n) in
+          emit Record.Update ~inputs:[ oid ] oid
+      | 2 when n > 0 ->
+          let inputs = pick_inputs n picks in
+          let oid = create () in
+          agg_outputs := (oid, n) :: !agg_outputs;
+          emit Record.Aggregate ~inputs oid
+      | 3 when !agg_outputs <> [] ->
+          let oid, rank =
+            List.nth !agg_outputs (pick mod List.length !agg_outputs)
+          in
+          emit Record.Aggregate ~inputs:(pick_inputs rank picks) oid
+      | _ -> emit Record.Insert ~inputs:[] (create ()))
+    ops;
+  store
+
+(* The oracle answers every question by rescanning [Provstore.all]. *)
+let oracle_aggs store o =
+  List.filter
+    (fun (r : Record.t) ->
+      r.Record.kind = Record.Aggregate && Oid.equal r.Record.output_oid o)
+    (Provstore.all store)
+
+let oracle_children store o =
+  List.filter_map
+    (fun (r : Record.t) ->
+      if
+        r.Record.kind = Record.Aggregate
+        && List.exists (Oid.equal o) r.Record.input_oids
+      then Some r.Record.output_oid
+      else None)
+    (Provstore.all store)
+  |> List.sort_uniq Oid.compare
+
+let oracle_descendants store o =
+  let rec grow seen = function
+    | [] -> seen
+    | x :: rest ->
+        if List.exists (Oid.equal x) seen then grow seen rest
+        else grow (x :: seen) (oracle_children store x @ rest)
+  in
+  grow [] (oracle_children store o)
+  |> List.filter (fun x -> not (Oid.equal x o))
+  |> List.sort Oid.compare
+
+(* Records reachable over predecessor checksums, to a fixed point. *)
+let oracle_closure store o =
+  let all = Provstore.all store in
+  let rec grow closure =
+    let cited =
+      List.concat_map (fun (r : Record.t) -> r.Record.prev_checksums) closure
+    in
+    let next =
+      List.filter
+        (fun (r : Record.t) ->
+          Oid.equal r.Record.output_oid o
+          || List.mem r.Record.checksum cited)
+        all
+    in
+    if List.length next = List.length closure then closure else grow next
+  in
+  grow []
+
+let oracle_ancestors store o =
+  List.filter_map
+    (fun (r : Record.t) ->
+      if Oid.equal r.Record.output_oid o then None
+      else Some r.Record.output_oid)
+    (oracle_closure store o)
+  |> List.sort_uniq Oid.compare
+
+let oracle_contributors store o =
+  let ps =
+    List.map
+      (fun (r : Record.t) -> r.Record.participant)
+      (oracle_closure store o)
+  in
+  List.sort_uniq compare ps
+  |> List.map (fun p -> (p, List.length (List.filter (String.equal p) ps)))
+  |> List.sort (fun (pa, ca) (pb, cb) ->
+         if ca <> cb then compare cb ca else compare pa pb)
+
+(* Per-question memo: a DAG can reach one object along exponentially
+   many paths. *)
+let memo_rec f =
+  let tbl = Oid.Tbl.create 16 in
+  let rec g o =
+    match Oid.Tbl.find_opt tbl o with
+    | Some v -> v
+    | None ->
+        let v = f g o in
+        Oid.Tbl.replace tbl o v;
+        v
+  in
+  g
+
+let oracle_depth store =
+  memo_rec (fun depth o ->
+      match oracle_aggs store o with
+      | [] -> 0
+      | aggs ->
+          1
+          + List.fold_left
+              (fun acc (r : Record.t) ->
+                List.fold_left (fun acc i -> max acc (depth i)) acc
+                  r.Record.input_oids)
+              0 aggs)
+
+let oracle_why store =
+  memo_rec (fun why o ->
+      match oracle_aggs store o with
+      | [] -> Tep_prov.Polynomial.var (Oid.to_int o)
+      | aggs ->
+          Tep_prov.Polynomial.sum
+            (List.map
+               (fun (r : Record.t) ->
+                 Tep_prov.Polynomial.product (List.map why r.Record.input_oids))
+               aggs))
+
+(* Base objects reachable over aggregate inputs. *)
+let oracle_bases store =
+  memo_rec (fun bases o ->
+      match oracle_aggs store o with
+      | [] -> [ o ]
+      | aggs ->
+          List.concat_map
+            (fun (r : Record.t) -> List.concat_map bases r.Record.input_oids)
+            aggs
+          |> List.sort_uniq Oid.compare)
+
+let check_walks label store o =
+  let module L = Tep_prov.Lineage in
+  let idx = Prov_index.of_store store in
+  let expect what eq pp got want =
+    if not (eq got want) then
+      QCheck2.Test.fail_reportf "%s: %s of o%d: got %s, oracle %s" label what
+        (Oid.to_int o) (pp got) (pp want)
+  in
+  let oids l = String.concat "," (List.map Oid.to_string l) in
+  (* sorted, not deduplicated: a duplicate edge shows *)
+  expect "aggregated_into" ( = ) oids
+    (List.sort Oid.compare (Provstore.aggregated_into store o))
+    (oracle_children store o);
+  let descendants = oracle_descendants store o in
+  expect "descendants" ( = ) oids (Prov_index.descendants idx o) descendants;
+  expect "derivatives" ( = ) oids (Prov_query.derivatives store o) descendants;
+  expect "impact" ( = ) oids (L.impact idx o) descendants;
+  let ancestors = oracle_ancestors store o in
+  expect "ancestors" ( = ) oids (Prov_index.ancestors idx o) ancestors;
+  expect "derived_from" ( = ) oids (Prov_query.derived_from store o) ancestors;
+  expect "contributors" ( = )
+    (fun l ->
+      String.concat ","
+        (List.map (fun (p, c) -> Printf.sprintf "%s:%d" p c) l))
+    (Prov_query.contributors store o)
+    (oracle_contributors store o);
+  expect "depth" ( = ) string_of_int (L.depth idx o) (oracle_depth store o);
+  expect "why" Tep_prov.Polynomial.equal L.poly_to_string (L.why idx o)
+    (oracle_why store o);
+  expect "which_inputs" ( = ) oids (L.which_inputs idx o) (oracle_bases store o)
+
+(* Small DAGs: a why-polynomial multiplies its inputs' sums out, so its
+   size grows exponentially with depth and fan-in. *)
+let gen_dag =
+  QCheck2.Gen.(
+    pair
+      (list_size (int_range 1 24)
+         (triple (int_bound 3) (int_bound 1000)
+            (list_size (int_range 1 3) (int_bound 1000))))
+      (int_bound 1023))
+
+let print_dag (ops, mask) =
+  Printf.sprintf "live mask %d, ops [%s]" mask
+    (String.concat "; "
+       (List.map
+          (fun (k, p, ps) ->
+            Printf.sprintf "(%d,%d,[%s])" k p
+              (String.concat "," (List.map string_of_int ps)))
+          ops))
+
+let prop_walks_match_oracle =
+  QCheck2.Test.make ~name:"lineage walks = rescan oracle" ~count:500
+    ~print:print_dag gen_dag (fun (ops, mask) ->
+      let live = random_store ops in
+      let reloaded =
+        match Provstore.of_string (Provstore.to_string live) with
+        | Ok s -> s
+        | Error e -> QCheck2.Test.fail_reportf "round trip: %s" e
+      in
+      let pruned =
+        Provstore.prune live
+          ~live:
+            (List.filter
+               (fun o -> (mask lsr (Oid.to_int o mod 10)) land 1 = 1)
+               (Provstore.objects live))
+      in
+      (* one oid past every object: a base with no record at all *)
+      let oids =
+        Oid.of_int (Provstore.object_count live) :: Provstore.objects live
+      in
+      List.iter (check_walks "reloaded" reloaded) oids;
+      (* two stores queried in turn, one question each *)
+      List.iter
+        (fun o ->
+          check_walks "live" live o;
+          check_walks "pruned" pruned o)
+        oids;
+      true)
 
 let () =
   Alcotest.run "prov_query"
@@ -154,6 +433,7 @@ let () =
           Alcotest.test_case "touched_by" `Quick test_touched_by;
           Alcotest.test_case "state_hash_at" `Quick test_state_hash_at;
         ] );
+      ( "oracle", [ QCheck_alcotest.to_alcotest prop_walks_match_oracle ] );
       ( "perf",
         [ Alcotest.test_case "10k deep chain" `Quick test_deep_chain_linear ] );
     ]

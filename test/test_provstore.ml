@@ -1,4 +1,4 @@
-(* Provenance store: chains, DAG closure, relational mirror, codec. *)
+(* Provenance store: chains, DAG closure, relational view, codec. *)
 open Tep_store
 open Tep_tree
 open Tep_core
@@ -75,6 +75,28 @@ let test_relation_mirror () =
   (* space accounting *)
   Alcotest.(check int) "paper bytes" (2 * 140) (Provstore.paper_space_bytes s);
   Alcotest.(check bool) "encoded bytes positive" true (Provstore.space_bytes s > 0)
+
+(* The relation is built from the records on demand; its encoded size
+   is pinned, so a change to the rows it builds (their order, the
+   participant numbering, a column) shows. *)
+let test_space_bytes_pinned () =
+  let s = Provstore.create () in
+  let add ?kind ?prevs ?inputs ~participant ~seq ~oid ~checksum () =
+    Provstore.append s
+      { (mk_rec ?kind ?prevs ?inputs ~seq ~oid ~checksum ()) with
+        Record.participant }
+  in
+  add ~kind:Record.Insert ~participant:"alice" ~seq:0 ~oid:1 ~checksum:"a0" ();
+  add ~kind:Record.Insert ~participant:"bob" ~seq:0 ~oid:2 ~checksum:"b0" ();
+  add ~participant:"carol" ~seq:1 ~oid:1 ~checksum:"a1" ~prevs:[ "a0" ]
+    ~inputs:[ (Oid.of_int 1, "h-1-0") ] ();
+  add ~kind:Record.Aggregate ~participant:"bob" ~seq:2 ~oid:300
+    ~checksum:(String.make 20 '\xab') ~prevs:[ "a1"; "b0" ]
+    ~inputs:[ (Oid.of_int 1, "h-1-1"); (Oid.of_int 2, "h-2-0") ] ();
+  add ~participant:"alice" ~seq:70_000 ~oid:2 ~checksum:"b1" ~prevs:[ "b0" ]
+    ~inputs:[ (Oid.of_int 2, "h-2-0") ] ();
+  Alcotest.(check int) "rows" 5 (Table.row_count (Provstore.relation s));
+  Alcotest.(check int) "encoded bytes" 129 (Provstore.space_bytes s)
 
 let test_serialisation () =
   let s = Provstore.create () in
@@ -157,6 +179,8 @@ let () =
           Alcotest.test_case "seq monotonic" `Quick test_seq_monotonic;
           Alcotest.test_case "closure" `Quick test_provenance_object_closure;
           Alcotest.test_case "relation mirror" `Quick test_relation_mirror;
+          Alcotest.test_case "space_bytes pinned" `Quick
+            test_space_bytes_pinned;
           Alcotest.test_case "serialisation" `Quick test_serialisation;
           Alcotest.test_case "garbage" `Quick test_serialisation_garbage;
           Alcotest.test_case "trailing bytes" `Quick test_trailing_bytes;

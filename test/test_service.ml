@@ -138,7 +138,7 @@ let test_loopback_session () =
   (* audit: byte-identical to a local incremental audit from empty *)
   let remote_audit, examined, objects = ok (Client.audit c) in
   let local_audit, local_cp, local_examined =
-    Audit.incremental_audit ~algo:(Engine.algo engine) ~directory Audit.empty
+    Audit.incremental_audit ~directory Audit.empty
       (Engine.provstore engine)
   in
   Alcotest.(check string) "audit report byte-identical"

@@ -216,7 +216,7 @@ let test_verify_records_only () =
   history f;
   let _, records = deliver_root f in
   let report =
-    Verifier.verify_records ~algo:(Engine.algo f.eng) ~directory:f.dir records
+    Verifier.verify_records ~directory:f.dir records
   in
   Alcotest.(check bool) "audit ok" true (Verifier.ok report)
 
@@ -231,8 +231,8 @@ let test_parallel_determinism () =
   let render r = Format.asprintf "%a" Verifier.pp_report r in
   let algo = Engine.algo f.eng in
   let seq_data = verify f data records in
-  let seq_clean = Verifier.verify_records ~algo ~directory:f.dir records in
-  let seq_bad = Verifier.verify_records ~algo ~directory:f.dir tampered in
+  let seq_clean = Verifier.verify_records ~directory:f.dir records in
+  let seq_bad = Verifier.verify_records ~directory:f.dir tampered in
   Alcotest.(check bool) "tampered baseline fails" false (Verifier.ok seq_bad);
   List.iter
     (fun domains ->
@@ -241,8 +241,8 @@ let test_parallel_determinism () =
       let par_data =
         Verifier.verify ~pool ~algo ~directory:f.dir ~data records
       in
-      let par_clean = Verifier.verify_records ~pool ~algo ~directory:f.dir records in
-      let par_bad = Verifier.verify_records ~pool ~algo ~directory:f.dir tampered in
+      let par_clean = Verifier.verify_records ~pool ~directory:f.dir records in
+      let par_bad = Verifier.verify_records ~pool ~directory:f.dir tampered in
       Alcotest.(check bool) (name "verify equal @%d") true (par_data = seq_data);
       Alcotest.(check bool) (name "clean equal @%d") true (par_clean = seq_clean);
       Alcotest.(check bool) (name "tampered equal @%d") true (par_bad = seq_bad);
