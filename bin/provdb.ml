@@ -706,12 +706,15 @@ let cmd_checkpoint dir keep =
    plus the WAL tail — the path to take after a crash, or after
    `tamper --attack provenance` wrecks prov.dat. *)
 let cmd_recover dir =
-  match load_identity dir with
+  match
+    let* identity = load_identity dir in
+    let* n = shard_count dir in
+    Ok (identity, n)
+  with
   | Error f ->
       report_failure f;
       code_of_failure f
-  | Ok (ca, directory, participants) -> (
-      let n = shard_count dir in
+  | Ok ((ca, directory, participants), n) -> (
       (* the coordinator log resolves prepared-but-unmarked cross-shard
          transactions: decided ⇒ commit, undecided ⇒ roll back *)
       let is_decided =

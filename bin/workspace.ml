@@ -81,13 +81,15 @@ let coord_path dir = dir // "coord.wal"
 let annot_path dir = dir // "annot.dat"
 
 (* The on-disk shard count.  A missing meta file is the legacy flat
-   single-shard layout. *)
+   single-shard layout; one that does not hold 1..64 is damaged. *)
 let shard_count dir =
-  if Sys.file_exists (shards_meta_path dir) then
-    match int_of_string_opt (String.trim (read_file (shards_meta_path dir))) with
-    | Some n when n >= 1 && n <= 64 -> n
-    | _ -> 1
-  else 1
+  let path = shards_meta_path dir in
+  if Sys.file_exists path then
+    match int_of_string_opt (String.trim (read_file path)) with
+    | Some n when n >= 1 && n <= 64 -> Ok n
+    | _ | (exception Sys_error _) ->
+        fail "%s: damaged shard count (expected an integer in 1..64)" path
+  else Ok 1
 
 let shard_dir dir ~shards k =
   if shards <= 1 then dir else dir // Printf.sprintf "shard-%03d" k
@@ -197,7 +199,7 @@ let load_shard ~directory ~label ~recover_hint sdir =
 
 let load dir =
   let* ca, directory, participants = load_identity dir in
-  let n = shard_count dir in
+  let* n = shard_count dir in
   let rec load_all k acc =
     if k = n then Ok (Array.of_list (List.rev acc))
     else

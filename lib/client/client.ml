@@ -69,12 +69,13 @@ type t = {
   mutable closed : bool;
   inflight : (int, Message.request) Hashtbl.t;
       (* sent but not yet answered, by cid — the replay set *)
-  max_replays : int; (* reconnect-and-replay rounds per collect *)
   breaker : breaker;
 }
 
-let make ?(max_payload = Frame.default_max_payload) ?drbg ?reconnect
-    ?(max_replays = 3) transport =
+(* reconnect-and-replay rounds per collect *)
+let max_replays = 3
+
+let make ?drbg ?reconnect transport =
   let drbg =
     match drbg with Some d -> d | None -> Tep_crypto.Drbg.create_system ()
   in
@@ -83,11 +84,10 @@ let make ?(max_payload = Frame.default_max_payload) ?drbg ?reconnect
     reconnect;
     participant = None;
     drbg;
-    reader = Frame.reader ~max_payload ();
+    reader = Frame.reader ();
     session = None;
     closed = false;
     inflight = Hashtbl.create 8;
-    max_replays;
     breaker =
       {
         b_state = B_closed;
@@ -124,7 +124,7 @@ let close t =
    through the server's [feed]; its response bytes queue for [recv].
    Reconnecting opens a fresh server-side connection state machine
    against the same server — the loopback analogue of redialing. *)
-let loopback ?max_payload ?drbg ?max_replays server =
+let loopback ?drbg server =
   let fresh () =
     let conn = Tep_server.Server.conn server in
     let pending = Buffer.create 256 in
@@ -140,9 +140,7 @@ let loopback ?max_payload ?drbg ?max_replays server =
       close = ignore;
     }
   in
-  make ?max_payload ?drbg ?max_replays
-    ~reconnect:(fun () -> Ok (fresh ()))
-    (fresh ())
+  make ?drbg ~reconnect:(fun () -> Ok (fresh ())) (fresh ())
 
 let write_all fd s =
   let len = String.length s in
@@ -213,7 +211,7 @@ let connect_with_retry ?(retries = 5) ?(backoff = 0.05) ?drbg make_fd =
   in
   go 0 backoff
 
-let connect_unix ?max_payload ?drbg ?retries ?backoff ?max_replays path =
+let connect_unix ?drbg ?retries ?backoff path =
   let make_fd () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     try
@@ -226,12 +224,9 @@ let connect_unix ?max_payload ?drbg ?retries ?backoff ?max_replays path =
   let dial () =
     Result.map fd_transport (connect_with_retry ?retries ?backoff ?drbg make_fd)
   in
-  Result.map
-    (fun tr -> make ?max_payload ?drbg ?max_replays ~reconnect:dial tr)
-    (dial ())
+  Result.map (fun tr -> make ?drbg ~reconnect:dial tr) (dial ())
 
-let connect_tcp ?max_payload ?drbg ?retries ?backoff ?max_replays ~host ~port
-    () =
+let connect_tcp ?drbg ?retries ?backoff ~host ~port () =
   let make_fd () =
     let addr =
       try Unix.inet_addr_of_string host
@@ -252,9 +247,7 @@ let connect_tcp ?max_payload ?drbg ?retries ?backoff ?max_replays ~host ~port
   let dial () =
     Result.map fd_transport (connect_with_retry ?retries ?backoff ?drbg make_fd)
   in
-  Result.map
-    (fun tr -> make ?max_payload ?drbg ?max_replays ~reconnect:dial tr)
-    (dial ())
+  Result.map (fun tr -> make ?drbg ~reconnect:dial tr) (dial ())
 
 (* ------------------------------------------------------------------ *)
 (* Frame exchange                                                      *)
@@ -576,7 +569,7 @@ let collect t cid =
                           Hashtbl.remove t.inflight rcid;
                           read_loop s replays)))
         and recover _s replays err =
-          if replays >= t.max_replays then finish (Error err)
+          if replays >= max_replays then finish (Error err)
           else
             match reestablish t with
             | Error e -> finish (Error (err ^ "; " ^ e))

@@ -7,41 +7,32 @@
     ([insert], [verify], ...) and the pipelined {!request_async} /
     {!collect} pair, several requests in flight under distinct
     correlation ids.  A client that dialed its endpoint redials,
-    re-authenticates and replays its in-flight requests when the
-    connection dies; writes carry request ids, so a replay is never
-    applied twice.  Failures come back as [Error msg], never
-    exceptions. *)
+    re-authenticates and replays its in-flight requests (at most 3
+    rounds per response) when the connection dies; writes carry
+    request ids, so a replay is never applied twice.  Failures come
+    back as [Error msg], never exceptions. *)
 
 type t
 
 (** {1 Connecting} *)
 
-val loopback :
-  ?max_payload:int ->
-  ?drbg:Tep_crypto.Drbg.t ->
-  ?max_replays:int ->
-  Tep_server.Server.t ->
-  t
+val loopback : ?drbg:Tep_crypto.Drbg.t -> Tep_server.Server.t -> t
 (** Feeds the server's connection state machine directly; reconnecting
     opens a fresh server-side connection. *)
 
 val connect_unix :
-  ?max_payload:int ->
   ?drbg:Tep_crypto.Drbg.t ->
   ?retries:int ->
   ?backoff:float ->
-  ?max_replays:int ->
   string ->
   (t, string) result
 (** Dial a socket path, retrying with jittered exponential backoff
     ({!retry_delays}). *)
 
 val connect_tcp :
-  ?max_payload:int ->
   ?drbg:Tep_crypto.Drbg.t ->
   ?retries:int ->
   ?backoff:float ->
-  ?max_replays:int ->
   host:string ->
   port:int ->
   unit ->

@@ -40,8 +40,6 @@ type admission = {
   mutable max_queue_ops : int;
       (* shed a job when a leader is active and the queued-op backlog
          would exceed this; < 0 sheds every write (admission closed) *)
-  mutable max_session_inflight : int;
-      (* cap on one connection's buffered pipelined submits *)
   mutable retry_after_ms : int; (* backoff hint carried by the shed *)
 }
 

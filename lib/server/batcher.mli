@@ -26,8 +26,6 @@ type admission = {
   mutable max_queue_ops : int;
       (** shed a job when a leader is busy and the queued-op backlog
           would exceed this; [< 0] sheds every write *)
-  mutable max_session_inflight : int;
-      (** cap on one connection's buffered pipelined submits *)
   mutable retry_after_ms : int;  (** backoff hint carried by a shed *)
 }
 

@@ -219,12 +219,14 @@ let flush_pending c out =
   | _, _ -> c.pending <- []
 
 (* Buffer one pipelined submit, enforcing the per-session in-flight
-   cap: past [admission.max_session_inflight] buffered ops the submit
-   is shed immediately with a typed Overloaded response (its own cid),
-   leaving the already-buffered ops untouched. *)
+   cap: past [max_session_inflight] buffered ops the submit is shed
+   immediately with a typed Overloaded response (its own cid), leaving
+   the already-buffered ops untouched. *)
+let max_session_inflight = 64
+
 let buffer_submit c out ~cid ~rid op =
   let t = c.server in
-  if List.length c.pending >= t.admission.max_session_inflight then begin
+  if List.length c.pending >= max_session_inflight then begin
     Atomic.incr t.shed;
     Buffer.add_string out
       (frame_response ~cid c (Write.overloaded t (List.length c.pending)))

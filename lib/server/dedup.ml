@@ -17,17 +17,18 @@ type t = {
   cond : Condition.t; (* Pending -> Done transitions *)
   tbl : (string, state) Hashtbl.t;
   order : string Queue.t; (* completed rids, oldest first (eviction) *)
-  cap : int; (* completed entries kept; pendings are never evicted *)
   hits : int Atomic.t; (* retried writes answered without executing *)
 }
 
-let create ~capacity =
+(* completed entries kept; pendings are never evicted *)
+let capacity = 1024
+
+let create () =
   {
     mutex = Mutex.create ();
     cond = Condition.create ();
     tbl = Hashtbl.create 64;
     order = Queue.create ();
-    cap = max 1 capacity;
     hits = Atomic.make 0;
   }
 
@@ -73,7 +74,7 @@ let resolve t rid resp =
   if cacheable resp then begin
     Hashtbl.replace t.tbl rid (Done resp);
     Queue.push rid t.order;
-    while Queue.length t.order > t.cap do
+    while Queue.length t.order > capacity do
       Hashtbl.remove t.tbl (Queue.pop t.order)
     done
   end

@@ -5,8 +5,8 @@
 
 type t
 
-val create : capacity:int -> t
-(** Keeps at most [capacity] (at least 1) completed outcomes. *)
+val create : unit -> t
+(** Keeps at most 1024 completed outcomes. *)
 
 val claim : t -> string -> [ `Run | `Hit of Tep_wire.Message.response ]
 (** [`Run]: the caller owns the rid and must {!resolve} it.

@@ -24,18 +24,16 @@
        their offset and the fd stays in the write interest set
        (POLLOUT re-arming).  The [evloop.conn.write] failpoint shapes
        attempts (partial write / EAGAIN storm) for tests.
-     - timers: a coarse wheel (1 s granularity) holds one entry per
-       connection.  Entries are hints: on expiry the true deadline is
-       recomputed — request timeout while a frame is partially read or
-       output is pending, idle timeout otherwise — and the entry is
-       either re-armed or the connection reaped.
+     - deadlines: every tick (at most 1 s apart) the reactor sweeps
+       all connections and reaps each one that is not busy and whose
+       deadline has passed — request timeout while a frame is
+       partially read or output is pending, idle timeout otherwise.
 
-   Portability note: this is the C-free fallback tier.  [Unix.select]
-   on this platform rejects fds >= FD_SETSIZE (1024); such "overflow"
-   fds are simply treated as ready every capped tick (<= 25 ms) and
-   the non-blocking syscalls sort out the truth via EAGAIN.  That
-   degrades high-fd connections from event-driven to fine polling
-   without a cliff, and keeps the module free of C stubs. *)
+   Portability note: [Unix.select] rejects fds >= FD_SETSIZE (1024);
+   such "overflow" fds are simply treated as ready every capped tick
+   (<= 25 ms) and the non-blocking syscalls sort out the truth via
+   EAGAIN.  That degrades high-fd connections from event-driven to
+   fine polling without a cliff. *)
 
 module Fault = Tep_fault.Fault
 
@@ -53,34 +51,29 @@ type accept_decision =
 
 type config = {
   workers : int;
-  read_chunk : int;  (** bytes per read(2) attempt *)
-  read_burst : int;  (** per-connection bytes per tick (fairness) *)
-  in_cap : int;  (** pause reads above this much unfed input *)
-  write_cap : int;  (** pause reads above this much unsent output *)
-  accept_burst : int;  (** accepts per tick *)
   request_timeout : float;  (** midframe / undrained-output deadline *)
   idle_timeout : float;  (** quiet-connection deadline *)
-  drain_grace : float;  (** max wait for in-flight work after stop *)
   on_accept : Unix.file_descr -> accept_decision;
   on_close : unit -> unit;  (** once per accepted connection *)
-  on_reap : unit -> unit;  (** subset of closes: idle-timeout reaps *)
+  on_reap : unit -> unit;  (** subset of closes: deadline reaps *)
 }
 
 let default_config ~on_accept =
   {
     workers = 4;
-    read_chunk = 16384;
-    read_burst = 65536;
-    in_cap = 256 * 1024;
-    write_cap = 1024 * 1024;
-    accept_burst = 64;
     request_timeout = 30.;
     idle_timeout = 300.;
-    drain_grace = 5.;
     on_accept;
     on_close = (fun () -> ());
     on_reap = (fun () -> ());
   }
+
+let read_chunk = 16384 (* bytes per read(2) attempt *)
+let read_burst = 65536 (* per-connection bytes per tick (fairness) *)
+let in_cap = 256 * 1024 (* pause reads above this much unfed input *)
+let write_cap = 1024 * 1024 (* pause reads above this much unsent output *)
+let accept_burst = 64 (* accepts per tick *)
+let drain_grace = 5. (* max wait for in-flight work after stop *)
 
 let write_site = "evloop.conn.write"
 let read_site = "evloop.conn.read"
@@ -125,11 +118,7 @@ type t = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   mutable wake_dead : bool;  (* wake pipe closed; no more nudges *)
-  wheel : cstate list array;  (* 1 s slots, entries are hints *)
-  mutable wheel_last : int;  (* last integral second advanced to *)
 }
-
-let wheel_slots = 512
 
 let create cfg =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
@@ -145,8 +134,6 @@ let create cfg =
     wake_r;
     wake_w;
     wake_dead = false;
-    wheel = Array.make wheel_slots [];
-    wheel_last = 0;
   }
 
 (* Safe from any thread, any time between create and after run has
@@ -165,22 +152,13 @@ let wake t =
 
 let now () = Unix.gettimeofday ()
 
-(* ---- timer wheel ------------------------------------------------ *)
+(* ---- deadlines -------------------------------------------------- *)
 
 let deadline_of cfg c =
   if c.busy then infinity (* the engine is working; no I/O clock runs *)
   else if c.midframe || c.out_bytes > 0 || c.inq <> [] then
     c.last_progress +. cfg.request_timeout
   else c.last_progress +. cfg.idle_timeout
-
-let wheel_add t ~at c =
-  let sec = int_of_float at in
-  (* never park an entry in a slot the advance cursor already passed
-     this rotation — it would wait a full turn of the wheel *)
-  let sec = if sec <= t.wheel_last then t.wheel_last + 1 else sec in
-  let slot = sec mod wheel_slots in
-  let slot = if slot < 0 then 0 else slot in
-  t.wheel.(slot) <- c :: t.wheel.(slot)
 
 (* ---- connection lifecycle (reactor lock held) -------------------
 
@@ -394,15 +372,14 @@ let accept_one t lfd =
             }
           in
           Hashtbl.replace t.conns c.id c;
-          wheel_add t ~at:(deadline_of t.cfg c) c;
           true)
 
 let accept_burst t lfd =
   let rec go n = if n > 0 && accept_one t lfd then go (n - 1) in
-  go t.cfg.accept_burst
+  go accept_burst
 
 let read_conn t c buf =
-  let budget = ref t.cfg.read_burst in
+  let budget = ref read_burst in
   let more = ref true in
   while !more && !budget > 0 && not c.killed do
     let want = min (Bytes.length buf) !budget in
@@ -429,42 +406,6 @@ let read_conn t c buf =
   enqueue_work t c;
   maybe_close t c
 
-(* Advance the wheel to [t_now]; expired entries are re-checked
-   against their true deadline and either re-armed or reaped. *)
-let wheel_advance t t_now =
-  let nsec = int_of_float t_now in
-  if t.wheel_last = 0 then t.wheel_last <- nsec - 1;
-  if nsec > t.wheel_last then begin
-    (* visiting more than the whole wheel once is pointless *)
-    let from = max (t.wheel_last + 1) (nsec - wheel_slots + 1) in
-    for s = from to nsec do
-      (* move the cursor first: a re-arm during this slot's scan must
-         land strictly ahead of it (wheel_add clamps against the
-         cursor), never back into the slot being emptied *)
-      t.wheel_last <- s;
-      let slot = s mod wheel_slots in
-      let entries = t.wheel.(slot) in
-      t.wheel.(slot) <- [];
-      List.iter
-        (fun c ->
-          if not c.closed then begin
-            let dl = deadline_of t.cfg c in
-            if dl > t_now then
-              (* hint was stale (progress happened, or conn is busy):
-                 re-arm; busy conns re-check a request-timeout later *)
-              wheel_add t
-                ~at:
-                  (if dl = infinity then t_now +. t.cfg.request_timeout else dl)
-                c
-            else begin
-              t.cfg.on_reap ();
-              close_conn t c
-            end
-          end)
-        entries
-    done
-  end
-
 (* ---- main loop -------------------------------------------------- *)
 
 let run t ~listen ~stop =
@@ -473,7 +414,7 @@ let run t ~listen ~stop =
   let workers =
     List.init t.cfg.workers (fun _ -> Thread.create worker_loop t)
   in
-  let buf = Bytes.create t.cfg.read_chunk in
+  let buf = Bytes.create read_chunk in
   let stopping = ref false in
   let drain_deadline = ref infinity in
   let running = ref true in
@@ -488,15 +429,14 @@ let run t ~listen ~stop =
         if not c.closed then begin
           if
             (not c.rx_eof) && (not c.killed) && (not c.want_close)
-            && c.in_bytes < t.cfg.in_cap
-            && c.out_bytes <= t.cfg.write_cap
+            && c.in_bytes < in_cap && c.out_bytes <= write_cap
           then rs := c.fd :: !rs;
           if c.out_bytes > 0 && not c.killed then ws := c.fd :: !ws
         end)
       t.conns;
     Mutex.unlock t.lock;
-    (* 1 s cap = the wheel tick; also bounds stop-flag latency when a
-       caller forgets to wake *)
+    (* 1 s cap = the deadline sweep's tick; also bounds stop-flag
+       latency when a caller forgets to wake *)
     let r, w = poll_wait ~read:!rs ~write:!ws ~timeout:1.0 in
     Mutex.lock t.lock;
     let t_now = now () in
@@ -510,37 +450,32 @@ let run t ~listen ~stop =
           | _ -> ())
       r;
     ignore w;
-    (* eager flush + deferred closes — covers every fd the poll
-       reported writable, plus output a worker queued right before
-       this tick's wakeup, which would otherwise wait one more poll
-       round for POLLOUT.  Sockets are almost always writable; EAGAIN
-       just leaves the fd in the write interest set for the slow
-       path.  This sweep is also where worker-requested closes
-       ([killed] / [want_close] / EOF) are carried out: only this
-       thread ever closes a client fd, so the pollset can never see a
-       stale one.  Collected first because a close mutates the table
-       mid-iteration. *)
-    let sweep =
-      Hashtbl.fold
-        (fun _ c acc ->
-          if
-            (not c.closed)
-            && (c.out_bytes > 0 || c.killed || c.want_close || c.rx_eof)
-          then c :: acc
-          else acc)
-        t.conns []
-    in
+    (* eager flush + deferred closes + reaping — covers every fd the
+       poll reported writable, plus output a worker queued right
+       before this tick's wakeup, which would otherwise wait one more
+       poll round for POLLOUT.  Sockets are almost always writable;
+       EAGAIN just leaves the fd in the write interest set for the
+       slow path.  This sweep is also where worker-requested closes
+       ([killed] / [want_close] / EOF) are carried out and where a
+       connection past its deadline is reaped (a busy one has none):
+       only this thread ever closes a client fd, so the pollset can
+       never see a stale one.  Collected first because a close
+       mutates the table mid-iteration. *)
+    let sweep = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
     List.iter
       (fun c ->
         if not c.closed then begin
           if (not c.killed) && c.out_bytes > 0 then flush_conn c;
-          maybe_close t c
+          maybe_close t c;
+          if (not c.closed) && deadline_of t.cfg c <= t_now then begin
+            t.cfg.on_reap ();
+            close_conn t c
+          end
         end)
       sweep;
-    wheel_advance t t_now;
     if (not !stopping) && Atomic.get stop then begin
       stopping := true;
-      drain_deadline := t_now +. t.cfg.drain_grace
+      drain_deadline := t_now +. drain_grace
     end;
     if !stopping then begin
       let pending =

@@ -2,7 +2,10 @@
     in non-blocking mode and a small worker pool runs the embedder's
     protocol handler, one worker per connection at a time.  Reads
     pause under backpressure, partial writes resume on POLLOUT, and a
-    coarse timer wheel enforces the request and idle timeouts.
+    sweep over every connection on each tick (at most 1 s apart) reaps
+    those past their request or idle timeout.  Fixed limits: 256 KiB of
+    unfed input or 1 MiB of unsent output pauses a connection's reads,
+    at most 64 accepts per tick, and at most 5 s of drain after stop.
 
     Fault sites: ["evloop.conn.write"] (every write attempt) and
     ["evloop.conn.read"] (every chunk read). *)
@@ -21,17 +24,11 @@ type accept_decision =
 
 type config = {
   workers : int;
-  read_chunk : int;  (** bytes per read(2) attempt *)
-  read_burst : int;  (** per-connection bytes per tick (fairness) *)
-  in_cap : int;  (** pause reads above this much unfed input *)
-  write_cap : int;  (** pause reads above this much unsent output *)
-  accept_burst : int;  (** accepts per tick *)
   request_timeout : float;  (** midframe / undrained-output deadline *)
   idle_timeout : float;  (** quiet-connection deadline *)
-  drain_grace : float;  (** max wait for in-flight work after stop *)
   on_accept : Unix.file_descr -> accept_decision;
   on_close : unit -> unit;  (** once per accepted connection *)
-  on_reap : unit -> unit;  (** subset of closes: idle-timeout reaps *)
+  on_reap : unit -> unit;  (** subset of closes: deadline reaps *)
 }
 
 val default_config : on_accept:(Unix.file_descr -> accept_decision) -> config
@@ -43,7 +40,7 @@ val create : config -> t
 
 val run : t -> listen:Unix.file_descr -> stop:bool Atomic.t -> unit
 (** Listen on the bound socket and serve until [stop] is set, then
-    drain in-flight work (bounded by [drain_grace]) and close every
+    drain in-flight work (for at most 5 s) and close every
     connection. *)
 
 val wake : t -> unit

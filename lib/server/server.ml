@@ -63,10 +63,9 @@ type t = {
 type conn = Conn.t
 
 let create ?(max_payload = Frame.default_max_payload) ?(request_timeout = 30.)
-    ?(max_connections = 64) ?(max_queue_ops = 512)
-    ?(max_session_inflight = 64) ?(retry_after_ms = 25)
-    ?(dedup_capacity = 1024) ?drbg ?pool ?coord ?(io_workers = 4)
-    ?(idle_timeout = 300.) ~participants shards =
+    ?(max_connections = 64) ?(max_queue_ops = 512) ?(retry_after_ms = 25)
+    ?drbg ?pool ?coord ?(io_workers = 4) ?(idle_timeout = 300.) ~participants
+    shards =
   if List.is_empty shards then invalid_arg "Server.create: no shards";
   let drbg =
     match drbg with Some d -> d | None -> Tep_crypto.Drbg.create_system ()
@@ -91,8 +90,8 @@ let create ?(max_payload = Frame.default_max_payload) ?(request_timeout = 30.)
       reaped = Atomic.make 0;
       shed = Atomic.make 0;
       wal_failures = Atomic.make 0;
-      dedup = Dedup.create ~capacity:dedup_capacity;
-      admission = { max_queue_ops; max_session_inflight; retry_after_ms };
+      dedup = Dedup.create ();
+      admission = { max_queue_ops; retry_after_ms };
       draining = Atomic.make false;
       idle_mutex = Mutex.create ();
       idle_cond = Condition.create ();
@@ -114,10 +113,9 @@ let feed = Conn.feed
 let submit_ops t = Write.submit_ops t.state
 let fenced t = List.filter_map Shard.refusal (State.all_shards t.state)
 
-let set_admission ?max_queue_ops ?max_session_inflight ?retry_after_ms t =
+let set_admission ?max_queue_ops ?retry_after_ms t =
   let a = t.state.admission in
   Option.iter (fun v -> a.max_queue_ops <- v) max_queue_ops;
-  Option.iter (fun v -> a.max_session_inflight <- v) max_session_inflight;
   Option.iter (fun v -> a.retry_after_ms <- v) retry_after_ms
 
 let active_connections t = Atomic.get t.state.active

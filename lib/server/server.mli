@@ -17,9 +17,7 @@ val create :
   ?request_timeout:float ->
   ?max_connections:int ->
   ?max_queue_ops:int ->
-  ?max_session_inflight:int ->
   ?retry_after_ms:int ->
-  ?dedup_capacity:int ->
   ?drbg:Tep_crypto.Drbg.t ->
   ?pool:Tep_parallel.Pool.t ->
   ?coord:Tep_store.Wal.t ->
@@ -55,7 +53,6 @@ val fenced : t -> string list
 
 val set_admission :
   ?max_queue_ops:int ->
-  ?max_session_inflight:int ->
   ?retry_after_ms:int ->
   t ->
   unit
@@ -79,4 +76,4 @@ val serve_tcp : t -> port:int -> stop:bool Atomic.t -> unit
 
 val active_connections : t -> int
 val reaped_connections : t -> int
-(** Connections closed by the idle reaper. *)
+(** Connections reaped past their request or idle deadline. *)

@@ -22,7 +22,7 @@ type t = {
          nonces *)
   max_payload : int;
   active : int Atomic.t; (* concurrent socket connections *)
-  reaped : int Atomic.t; (* idle-timeout reaps, reported in Ping *)
+  reaped : int Atomic.t; (* deadline reaps, reported in Ping *)
   shed : int Atomic.t; (* ops refused by admission control *)
   wal_failures : int Atomic.t; (* commits voided by WAL errors *)
   dedup : Dedup.t;

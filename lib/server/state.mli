@@ -18,7 +18,7 @@ type t = {
   drbg_lock : Mutex.t;
   max_payload : int;
   active : int Atomic.t;  (** concurrent socket connections *)
-  reaped : int Atomic.t;  (** idle-timeout reaps *)
+  reaped : int Atomic.t;  (** deadline reaps *)
   shed : int Atomic.t;  (** ops refused by admission control *)
   wal_failures : int Atomic.t;  (** commits voided by WAL errors *)
   dedup : Dedup.t;

@@ -3,7 +3,8 @@
    Everything here runs over real Unix-domain sockets against the
    {!Evloop} reactor: protocol correctness, isolation of well-behaved
    neighbours from slow-loris tricklers and malformed peers, the
-   idle-connection reaper, connection-slot accounting at three-digit
+   deadline reaper (idle and request timeouts; a busy connection is
+   never reaped), connection-slot accounting at three-digit
    connection counts, and the partial-write / EAGAIN-storm failpoints
    on the reactor's write path. *)
 open Tep_store
@@ -38,10 +39,10 @@ let io_workers = 2
 (* Serve a fresh single-shard server on a temp socket, hand the body
    the pieces, and tear the loop down through the wake path (no
    reliance on the 1 s housekeeping backstop). *)
-let with_unix_server ?idle_timeout ?max_connections body =
+let with_unix_server ?request_timeout ?idle_timeout ?max_connections body =
   let engine, alice = make_env () in
   let server =
-    Server.create ~io_workers ?idle_timeout ?max_connections
+    Server.create ~io_workers ?request_timeout ?idle_timeout ?max_connections
       ~drbg:(Tep_crypto.Drbg.create ~seed:"evloop-server")
       ~participants:[ ("alice", alice) ]
       [ (engine, None) ]
@@ -232,7 +233,8 @@ let test_idle_reaper () =
         "both connections held" 2
         (Server.active_connections server);
       (* keep one connection busy well past the idle deadline (the
-         wheel has 1 s granularity, so give it headroom) *)
+         reactor sweeps deadlines at most 1 s apart, so give it
+         headroom) *)
       let deadline = Unix.gettimeofday () +. 6.0 in
       let rec churn () =
         ignore (ok (Client.root_hash active));
@@ -258,6 +260,82 @@ let test_idle_reaper () =
       (* the active connection was never reaped *)
       ignore (ok (Client.root_hash active));
       Client.close active)
+
+(* ------------------------------------------------------------------ *)
+(* Request deadline                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Block until [fd] reads EOF (or a reset); [false] after [secs]. *)
+let await_eof fd secs =
+  let buf = Bytes.create 256 in
+  let deadline = Unix.gettimeofday () +. secs in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then false
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> false
+      | _ -> (
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | 0 -> true
+          | _ -> go ()
+          | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
+            ->
+              true)
+  in
+  go ()
+
+(* A peer that sends half a frame and stalls is reaped about
+   [request_timeout] after its last byte, long before the 300 s idle
+   timeout: its slot is released and the reap is counted. *)
+let test_midframe_reaped () =
+  with_unix_server ~request_timeout:0.5 (fun ~engine:_ ~alice:_ ~server ~path ->
+      let fd = raw_connect path in
+      let half = String.length hello_frame / 2 in
+      ignore (Unix.write_substring fd hello_frame 0 half);
+      let t0 = Unix.gettimeofday () in
+      let eof = await_eof fd 5.0 in
+      let waited = Unix.gettimeofday () -. t0 in
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Alcotest.(check bool) "stalled half-frame peer disconnected" true eof;
+      Alcotest.(check bool)
+        (Printf.sprintf "reaped after %.2f s (request timeout 0.5 s)" waited)
+        true
+        (waited >= 0.4 && waited < 3.0);
+      Alcotest.(check int)
+        "reap counted" 1
+        (Server.reaped_connections server);
+      (* the slot is released right after the fd is closed *)
+      let rec settle n =
+        if Server.active_connections server > 0 && n > 0 then begin
+          Thread.delay 0.01;
+          settle (n - 1)
+        end
+      in
+      settle 100;
+      Alcotest.(check int)
+        "slot released" 0
+        (Server.active_connections server))
+
+(* A connection whose Verify holds a worker past both deadlines is
+   busy, and a busy connection has no deadline: it is not reaped and
+   receives its answer. *)
+let test_busy_not_reaped () =
+  with_unix_server ~request_timeout:0.5 ~idle_timeout:1.0
+    (fun ~engine ~alice ~server ~path ->
+      Fun.protect ~finally:Fault.reset (fun () ->
+          let c = connect path in
+          ok (Client.authenticate c alice);
+          Fault.arm "server.dispatch.verify" (Fault.Delay 2.5);
+          let report, _ = ok (Client.verify c ()) in
+          Alcotest.(check int)
+            "busy connection not reaped" 0
+            (Server.reaped_connections server);
+          Alcotest.(check string)
+            "Verified after the held dispatch"
+            (local_report engine (Engine.root_oid engine))
+            (Message.render_report report);
+          Client.close c))
 
 (* ------------------------------------------------------------------ *)
 (* Write-path failpoints                                               *)
@@ -402,6 +480,10 @@ let () =
           Alcotest.test_case "malformed frame mid-stream" `Quick
             test_malformed_midstream;
           Alcotest.test_case "idle reaper" `Quick test_idle_reaper;
+          Alcotest.test_case "stalled half frame reaped" `Quick
+            test_midframe_reaped;
+          Alcotest.test_case "busy connection not reaped" `Quick
+            test_busy_not_reaped;
           Alcotest.test_case "write failpoints" `Quick test_write_failpoints;
           Alcotest.test_case "100 idle connections" `Quick
             test_many_connections;

@@ -25,8 +25,9 @@
 #     workspace, root-of-roots stable across drain + restart, then the
 #     local verify/audit/checkpoint/stats/lineage select on the same
 #     workspace, whose stats root must be the daemon's root-of-roots,
-#     and a damaged audit.ckpt (also one holding a negative length)
-#     and a truncated forest.dat are refused naming the file;
+#     and a damaged audit.ckpt (also one holding a negative length),
+#     a truncated forest.dat and a damaged shards file (under load and
+#     recover) are refused naming the file;
 #   - lineage session: insert -> derive -> lineage why -> tamper ->
 #     detect, also an annot.dat holding a negative length;
 #   - proof session: insert 40 rows -> remote prove VERIFIED (also past
@@ -244,6 +245,27 @@ if [ "$status" -ne 1 ] || ! echo "$stats_out" | grep -q 'forest\.dat'; then
     "or did not name the file"
   exit 1
 fi
+# A shards meta file that does not hold 1..64, or a directory in its
+# place, is refused naming it by loads and by recover, not read as the
+# 1-shard layout.
+cp "$ws2/shards" "$ws2.shards"
+for damage in text dir; do
+  rm -rf "$ws2/shards"
+  if [ "$damage" = text ]; then printf 'two\n' > "$ws2/shards"
+  else mkdir "$ws2/shards"; fi
+  for cmd in stats recover; do
+    status=0
+    meta_out=$("$PROVDB" "$cmd" "$ws2" 2>&1) || status=$?
+    echo "$meta_out"
+    if [ "$status" -ne 1 ] || ! echo "$meta_out" | grep -q '/shards:'; then
+      echo "FAIL: provdb $cmd over a damaged shards file ($damage) exited" \
+        "$status or did not name the file"
+      exit 1
+    fi
+  done
+done
+rm -rf "$ws2/shards"
+mv "$ws2.shards" "$ws2/shards"
 "$PROVDB" checkpoint "$ws2"
 local_stats=$("$PROVDB" stats "$ws2")
 echo "$local_stats"
