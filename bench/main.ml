@@ -338,6 +338,34 @@ let decode_micro_tests () =
            ignore (Tep_wire.Message.decode_response response 0)));
   ]
 
+(* Phase 1 of every sampled audit sweep: [Provstore.objects] over
+   12,000 objects, the size of the end-to-end benchmark's B1 base,
+   one record each, created out of oid order. *)
+let provstore_micro_tests () =
+  let open Bechamel in
+  let store = Provstore.create () in
+  for i = 0 to 11_999 do
+    let oid = Tep_tree.Oid.of_int (i * 7_919 mod 12_000) in
+    Provstore.append store
+      {
+        Record.seq_id = 0;
+        participant = "bench";
+        kind = Record.Insert;
+        inherited = false;
+        input_oids = [];
+        input_hashes = [];
+        output_oid = oid;
+        output_hash = "";
+        output_value = None;
+        prev_checksums = [];
+        checksum = Tep_tree.Oid.to_string oid;
+      }
+  done;
+  [
+    Test.make ~name:"provstore-objects"
+      (Staged.stage (fun () -> ignore (Provstore.objects store)));
+  ]
+
 let run_micro () =
   let open Bechamel in
   print_endline "## micro — Bechamel micro-benchmarks (ns per run)";
@@ -349,7 +377,7 @@ let run_micro () =
   let suite =
     Test.make_grouped ~name:"tep"
       (crypto_micro_tests cfg @ modpow_micro_tests () @ engine_micro_tests ()
-     @ decode_micro_tests ())
+     @ decode_micro_tests () @ provstore_micro_tests ())
   in
   let raw = Benchmark.all bench_cfg [ instance ] suite in
   let ols =

@@ -4,6 +4,13 @@ open Tep_tree
 type t = {
   algo : Tep_crypto.Digest_algo.algo;
   by_object : Record.t list ref Oid.Tbl.t; (* newest first *)
+  (* The keys of [by_object], in two ordered parts: [newest] holds,
+     descending, each object whose oid was above every object's before
+     it; [older], the rest (late objects: mostly imports of objects
+     older than the store).  Oids are allocated in increasing order,
+     so most objects go on [newest] in O(1). *)
+  mutable newest : Oid.t list;
+  mutable older : Oid.Set.t;
   by_checksum : (string, Record.t) Hashtbl.t;
   aggregated_into : Oid.t list Oid.Tbl.t;
       (* aggregate input -> outputs citing it, each once, newest first *)
@@ -24,6 +31,8 @@ let create ?(algo = Tep_crypto.Digest_algo.SHA1) () =
   {
     algo;
     by_object = Oid.Tbl.create 1024;
+    newest = [];
+    older = Oid.Set.empty;
     by_checksum = Hashtbl.create 1024;
     aggregated_into = Oid.Tbl.create 256;
     arrival = [];
@@ -42,6 +51,10 @@ let append t (r : Record.t) =
     | None ->
         let c = ref [] in
         Oid.Tbl.replace t.by_object r.Record.output_oid c;
+        (match t.newest with
+        | top :: _ when Oid.compare r.Record.output_oid top < 0 ->
+            t.older <- Oid.Set.add r.Record.output_oid t.older
+        | _ -> t.newest <- r.Record.output_oid :: t.newest);
         c
   in
   (match !chain with
@@ -102,9 +115,17 @@ let record_count t = t.count
 
 let object_count t = Oid.Tbl.length t.by_object
 
+(* Both parts walked from the largest oid down, so the merge conses
+   its result in ascending order. *)
 let objects t =
-  Oid.Tbl.fold (fun oid _ acc -> oid :: acc) t.by_object []
-  |> List.sort Oid.compare
+  let rec merge acc newest older =
+    match (newest, older) with
+    | [], rest | rest, [] -> List.rev_append rest acc
+    | a :: n, b :: o ->
+        if Oid.compare a b > 0 then merge (a :: acc) n older
+        else merge (b :: acc) newest o
+  in
+  merge [] t.newest (Oid.Set.fold List.cons t.older [])
 
 let relation t =
   let rel = Table.create ~name:"provenance" relation_schema in

@@ -2,7 +2,7 @@
 
     Stores provenance records and owns the derivation DAG they form,
     indexed three ways as records arrive: by output object (each
-    object's chain), by checksum (the backward predecessor edges of
+    object's chain, and the objects in oid order), by checksum (the backward predecessor edges of
     Definition 1) and by aggregate input (the forward edges from an
     input to every object aggregated from it).  Every lineage walk
     ({!Prov_index}, {!Prov_query}) reads these indexes; none keeps a
@@ -55,7 +55,9 @@ val record_count : t -> int
 val object_count : t -> int
 
 val objects : t -> Oid.t list
-(** Every object with at least one record, sorted by oid. *)
+(** Every object with at least one record, sorted by oid: read off an
+    ordered index that {!append} extends when an object's first record
+    arrives, so a call sorts nothing. *)
 
 (** {1 Space accounting (Figures 9 and 11)} *)
 

@@ -98,11 +98,6 @@ let absorb ctx src off len =
     ctx.buf_len <- stop - !pos
   end
 
-let update_bytes ctx b off len =
-  if off < 0 || len < 0 || off > Bytes.length b - len then
-    invalid_arg "Block_hash.update_bytes";
-  absorb ctx b off len
-
 let update_sub ctx s off len =
   if off < 0 || len < 0 || off > String.length s - len then
     invalid_arg "Block_hash.update_sub";
@@ -110,18 +105,11 @@ let update_sub ctx s off len =
 
 let update ctx s = update_sub ctx s 0 (String.length s)
 
-let blit ~src ~dst =
-  if src.spec != dst.spec then invalid_arg "Block_hash.blit";
-  Bytes.blit src.state 0 dst.state 0 (Bytes.length src.state);
-  Bytes.blit src.buf 0 dst.buf 0 src.buf_len;
-  dst.buf_len <- src.buf_len;
-  dst.total <- src.total
-
 (* Padding: 0x80, zeros, then the message length in bits as 8 bytes
    at the end of a block; a second block when the first has no room.
    The stdlib accessors used here are inlined, so no Int32 or Int64 is
    boxed. *)
-let final_into ctx dst off =
+let final ctx =
   (* Destructured here, not in the parameter: a pattern there would
      split the function and allocate a closure per call. *)
   let { spec; state; buf; buf_len; total } = ctx in
@@ -136,15 +124,12 @@ let final_into ctx dst off =
   if spec.big_endian then Bytes.set_int64_be buf 56 bits
   else Bytes.set_int64_le buf 56 bits;
   spec.compress state buf 0;
+  let out = Bytes.create (Bytes.length state) in
   for i = 0 to (Bytes.length state / 4) - 1 do
     let w = Bytes.get_int32_ne state (4 * i) in
-    if spec.big_endian then Bytes.set_int32_be dst (off + (4 * i)) w
-    else Bytes.set_int32_le dst (off + (4 * i)) w
-  done
-
-let final ctx =
-  let out = Bytes.create (Bytes.length ctx.state) in
-  final_into ctx out 0;
+    if spec.big_endian then Bytes.set_int32_be out (4 * i) w
+    else Bytes.set_int32_le out (4 * i) w
+  done;
   Bytes.unsafe_to_string out
 
 (* One-shot digests allocate a fresh context: they run concurrently

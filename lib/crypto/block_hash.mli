@@ -43,21 +43,9 @@ val update_sub : ctx -> string -> int -> int -> unit
 (** [update_sub ctx s off len] feeds [len] bytes of [s] from [off].
     @raise Invalid_argument if the window is not inside [s]. *)
 
-val update_bytes : ctx -> Bytes.t -> int -> int -> unit
-(** {!update_sub} on a [Bytes.t]; the context keeps no reference to it. *)
-
-val blit : src:ctx -> dst:ctx -> unit
-(** Put [dst] in the state of [src], without allocating: the
-    allocation-free {!copy}, for a midstate extended over and over.
-    @raise Invalid_argument if the two contexts are of different specs. *)
-
 val final : ctx -> string
 (** Pad, finalise and return the digest.  The context must not be
-    updated afterwards (it may be {!reset} or {!blit} into). *)
-
-val final_into : ctx -> Bytes.t -> int -> unit
-(** [final_into ctx dst off] is {!final} writing the digest into [dst]
-    from [off], without allocating. *)
+    updated afterwards (it may be {!reset}). *)
 
 val digest : spec -> string -> string
 (** One-shot digest, on a fresh context. *)

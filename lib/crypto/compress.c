@@ -17,6 +17,11 @@
      little-endian for MD5.
    The caller guarantees off + 64 <= length of src.
 
+   The SHA-256 kernels are also called from C, by the HMAC-DRBG draw
+   step at the end of the SHA-256 part (see DESIGN.md §9.6), so each is
+   a static function on the words and the block, under a stub that
+   unpacks the OCaml values.
+
    No mutable state (the round constants are read-only), no allocation
    and no runtime calls: the OCaml side declares them [@@noalloc], and
    domains may call them concurrently on their own states.  With three
@@ -24,6 +29,7 @@
    native entry point. */
 
 #include <stdint.h>
+#include <string.h>
 #include <caml/mlvalues.h>
 
 #define ROTR(x, n) (((x) >> (n)) | ((x) << (32 - (n))))
@@ -56,10 +62,8 @@ static const uint32_t sha256_k[64] = {
   0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 };
 
-value tep_sha256_compress(value vstate, value vsrc, value voff)
+static void sha256_portable(uint32_t *h, const unsigned char *p)
 {
-  uint32_t *h = (uint32_t *)Bytes_val(vstate);
-  const unsigned char *p = Bytes_val(vsrc) + Long_val(voff);
   uint32_t w[64], a, b, c, d, e, f, g, hh;
   int i;
 
@@ -94,6 +98,12 @@ value tep_sha256_compress(value vstate, value vsrc, value voff)
 #undef ROUND
   h[0] += a; h[1] += b; h[2] += c; h[3] += d;
   h[4] += e; h[5] += f; h[6] += g; h[7] += hh;
+}
+
+value tep_sha256_compress(value vstate, value vsrc, value voff)
+{
+  sha256_portable((uint32_t *)Bytes_val(vstate),
+                  Bytes_val(vsrc) + Long_val(voff));
   return Val_unit;
 }
 
@@ -115,10 +125,8 @@ value tep_sha256_compress(value vstate, value vsrc, value voff)
 #include <immintrin.h>
 
 __attribute__((target("sha,ssse3,sse4.1")))
-value tep_sha256_compress_ni(value vstate, value vsrc, value voff)
+static void sha256_ni(uint32_t *h, const unsigned char *p)
 {
-  uint32_t *h = (uint32_t *)Bytes_val(vstate);
-  const unsigned char *p = Bytes_val(vsrc) + Long_val(voff);
   /* byte order within each 32-bit lane reversed: big-endian words */
   const __m128i bswap =
     _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
@@ -159,6 +167,11 @@ value tep_sha256_compress_ni(value vstate, value vsrc, value voff)
   cdgh = _mm_shuffle_epi32(cdgh, 0xb1);
   _mm_storeu_si128((__m128i *)h, _mm_blend_epi16(tmp, cdgh, 0xf0));
   _mm_storeu_si128((__m128i *)(h + 4), _mm_alignr_epi8(cdgh, tmp, 8));
+}
+
+value tep_sha256_compress_ni(value vstate, value vsrc, value voff)
+{
+  sha256_ni((uint32_t *)Bytes_val(vstate), Bytes_val(vsrc) + Long_val(voff));
   return Val_unit;
 }
 
@@ -177,8 +190,13 @@ value tep_sha_ni_available(value unit)
   return Val_bool(ebx & (1u << 29));
 }
 #else
-/* Not x86: there are no SHA extensions to use.  The kernel's symbol
-   exists so that the OCaml side links; it is never selected. */
+/* Not x86: there are no SHA extensions to use.  The kernel exists so
+   that the OCaml side links; it is never selected. */
+static void sha256_ni(uint32_t *h, const unsigned char *p)
+{
+  sha256_portable(h, p);
+}
+
 value tep_sha256_compress_ni(value vstate, value vsrc, value voff)
 {
   return tep_sha256_compress(vstate, vsrc, voff);
@@ -190,6 +208,101 @@ value tep_sha_ni_available(value unit)
   return Val_false;
 }
 #endif
+
+/* The SHA-256 initial state, where the key schedule below starts. */
+static const uint32_t sha256_iv[8] = {
+  0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+  0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+};
+
+/* The bytes after an n-byte message that starts a hash's second block
+   (the first is the key block): 0x80, zeros, then the length in bits,
+   (64 + n) * 8 < 2^16, big-endian in the last eight bytes. */
+static inline void hmac_pad(unsigned char *blk, int n)
+{
+  unsigned bits = (64 + n) * 8;
+  blk[n] = 0x80;
+  memset(blk + n + 1, 0, 63 - n);
+  blk[62] = (unsigned char)(bits >> 8);
+  blk[63] = (unsigned char)bits;
+}
+
+/* Written byte by byte, so that it is right on any host; gcc merges
+   the four stores into one byte-swapped store. */
+static inline void store_be32(unsigned char *p, uint32_t x)
+{
+  p[0] = (unsigned char)(x >> 24);
+  p[1] = (unsigned char)(x >> 16);
+  p[2] = (unsigned char)(x >> 8);
+  p[3] = (unsigned char)x;
+}
+
+/* The eight words of h as 32 big-endian bytes at p: the digest. */
+static inline void store_be(unsigned char *p, const uint32_t *h)
+{
+  store_be32(p, h[0]); store_be32(p + 4, h[1]);
+  store_be32(p + 8, h[2]); store_be32(p + 12, h[3]);
+  store_be32(p + 16, h[4]); store_be32(p + 20, h[5]);
+  store_be32(p + 24, h[6]); store_be32(p + 28, h[7]);
+}
+
+/* One HMAC-SHA256 of HMAC-DRBG (Drbg, DESIGN.md §9.6), whole, on the
+   DRBG's own state: the 128 bytes of vstate are
+   - bytes 0..31: the key's inner midstate, the SHA-256 state after the
+     block key xor ipad, eight native-endian uint32 words;
+   - bytes 32..63: its outer midstate, after key xor opad;
+   - bytes 64..95: the key K;
+   - bytes 96..127: V.
+   vop (an OCaml int) says which step:
+   - -1: V = HMAC(K, V);
+   - 0..255: K = HMAC(K, V || the byte vop), then the key schedule;
+   - -2: the key schedule alone.
+   The key schedule rebuilds the two midstates from K: one compression
+   of K xor ipad (0x36s past K's 32 bytes) from the SHA-256 initial
+   state, one of K xor opad (0x5cs).  The message is 32 or 33 bytes,
+   so with the 64 of the key block before it the inner hash is one
+   padded block, and the outer hash, over the 32-byte inner digest, is
+   one more: an HMAC is two compressions, a rekey four.  vni (an OCaml
+   bool) picks the SHA-extension kernel; the caller passes
+   Block_hash.sha_ni.  The blocks are laid out on the stack. */
+value tep_hmac_drbg_step(value vstate, value vop, value vni)
+{
+  uint32_t *mid = (uint32_t *)Bytes_val(vstate);
+  unsigned char *key = Bytes_val(vstate) + 64, *v = key + 32;
+  long op = Long_val(vop);
+  void (*compress)(uint32_t *, const unsigned char *) =
+    Bool_val(vni) ? sha256_ni : sha256_portable;
+  unsigned char blk[64];
+  uint32_t h[8];
+  int i, n;
+
+  if (op != -2) {
+    n = op == -1 ? 32 : 33;
+    memcpy(blk, v, 32);
+    blk[32] = (unsigned char)op;
+    hmac_pad(blk, n);
+    memcpy(h, mid, 32);
+    compress(h, blk);
+    store_be(blk, h);
+    hmac_pad(blk, 32);
+    memcpy(h, mid + 8, 32);
+    compress(h, blk);
+    if (op == -1) {
+      store_be(v, h);
+      return Val_unit;
+    }
+    store_be(key, h);
+  }
+  for (i = 0; i < 32; i++) blk[i] = key[i] ^ 0x36;
+  memset(blk + 32, 0x36, 32);
+  memcpy(mid, sha256_iv, 32);
+  compress(mid, blk);
+  for (i = 0; i < 32; i++) blk[i] = key[i] ^ 0x5c;
+  memset(blk + 32, 0x5c, 32);
+  memcpy(mid + 8, sha256_iv, 32);
+  compress(mid + 8, blk);
+  return Val_unit;
+}
 
 value tep_sha1_compress(value vstate, value vsrc, value voff)
 {

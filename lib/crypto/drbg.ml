@@ -2,87 +2,58 @@
    no explicit reseed counter limit — callers reseed at will), over
    HMAC-SHA256.
 
-   A draw allocates nothing.  The key K is kept only as its two HMAC
-   midstates, the SHA-256 contexts after its ipad and its opad block;
-   V and the scratch are buffers allocated with the DRBG, and every
-   HMAC runs on one working context: blit a midstate in, absorb,
-   finish into a buffer.  A message of at most 55 bytes fits one
-   padded block, so its HMAC is two compressions (inner and outer),
-   and setting a key is two more.  [uniform_int]'s draw, [generate]
-   of 8 bytes and then [update ""], is eight. *)
-
-module H = Block_hash
+   The whole state is one 128-byte buffer: the key K's two HMAC
+   midstates (the SHA-256 states after its ipad and its opad block),
+   K and V.  Every HMAC whose message is V, or V and a separator byte,
+   is one call of the C step in compress.c, which lays out its padded
+   blocks on the stack: V = HMAC(K, V) is two compressions, and K =
+   HMAC(K, V || sep) four, the key schedule of the new K included.  So
+   a draw allocates nothing, and [uniform_int]'s, [generate] of 8
+   bytes and then [update ""], is eight compressions in three calls.
+   Only [update] with non-empty data, at [create] and [reseed], hashes
+   a longer message: it runs on {!Hmac}. *)
 
 let outlen = 32
 
-type t = {
-  inner : H.ctx; (* after the key's ipad block *)
-  outer : H.ctx; (* after the key's opad block *)
-  h : H.ctx; (* the hash being computed *)
-  v : Bytes.t; (* V *)
-  key : Bytes.t; (* the new key *)
-  ipad : Bytes.t; (* the key block xor ipad: the key, then 0x36s *)
-  opad : Bytes.t; (* the key block xor opad: the key, then 0x5cs *)
-  tag : Bytes.t; (* the inner digest *)
-}
+type t = Bytes.t
 
-(* [mac t sep provided dst]: HMAC(K, V || sep || provided) into the
-   first [outlen] bytes of [dst].  [dst] may be [t.v]: V is read in
-   full before the tag is written. *)
-let mac t sep provided dst =
-  H.blit ~src:t.inner ~dst:t.h;
-  H.update_bytes t.h t.v 0 outlen;
-  H.update t.h sep;
-  H.update t.h provided;
-  H.final_into t.h t.tag 0;
-  H.blit ~src:t.outer ~dst:t.h;
-  H.update_bytes t.h t.tag 0 outlen;
-  H.final_into t.h dst 0
+let state_bytes = 128
+let key_off = 64
+let v_off = 96
 
-(* Hash the key block xor [pad] into [ctx]; [pad] repeats the byte of
-   the padding in both halves of an int, so the key is xored two bytes
-   at a time. *)
-let absorb_key t ctx blk pad =
-  for i = 0 to (outlen / 2) - 1 do
-    Bytes.set_uint16_ne blk (2 * i) (Bytes.get_uint16_ne t.key (2 * i) lxor pad)
-  done;
-  H.reset ctx;
-  H.update_bytes ctx blk 0 64
+external step : Bytes.t -> int -> sha_ni:bool -> unit = "tep_hmac_drbg_step"
+[@@noalloc]
 
-let set_key t =
-  absorb_key t t.inner t.ipad 0x3636;
-  absorb_key t t.outer t.opad 0x5c5c
+(* The step's three ops: V = HMAC(K, V); K = HMAC(K, V || sep), then
+   the key schedule; the key schedule alone. *)
+let next_v t = step t (-1) ~sha_ni:Block_hash.sha_ni
+let rekey t sep = step t sep ~sha_ni:Block_hash.sha_ni
+let set_key t = step t (-2) ~sha_ni:Block_hash.sha_ni
 
-(* K = HMAC(K, V || sep || provided). *)
-let rekey t sep provided =
-  mac t sep provided t.key;
+(* K = HMAC(K, V || sep || provided) for a non-empty [provided]. *)
+let seed_key t sep provided =
+  let key = Bytes.sub_string t key_off outlen in
+  let msg = Bytes.sub_string t v_off outlen ^ sep ^ provided in
+  Bytes.blit_string (Hmac.mac ~algo:Digest_algo.SHA256 ~key msg) 0 t key_off
+    outlen;
   set_key t
-
-(* V = HMAC(K, V). *)
-let next_v t = mac t "" "" t.v
 
 (* The SP 800-90A update function. *)
 let update t provided =
-  rekey t "\x00" provided;
-  next_v t;
-  if provided <> "" then begin
-    rekey t "\x01" provided;
+  if provided = "" then begin
+    rekey t 0;
+    next_v t
+  end
+  else begin
+    seed_key t "\x00" provided;
+    next_v t;
+    seed_key t "\x01" provided;
     next_v t
   end
 
 let create ~seed =
-  let t =
-    {
-      inner = H.init H.sha256;
-      outer = H.init H.sha256;
-      h = H.init H.sha256;
-      v = Bytes.make outlen '\001';
-      key = Bytes.make outlen '\000';
-      ipad = Bytes.make 64 '\x36';
-      opad = Bytes.make 64 '\x5c';
-      tag = Bytes.create outlen;
-    }
-  in
+  let t = Bytes.make state_bytes '\000' in
+  Bytes.fill t v_off outlen '\001';
   set_key t;
   update t seed;
   t
@@ -109,7 +80,7 @@ let generate t n =
   while !pos < n do
     next_v t;
     let take = min outlen (n - !pos) in
-    Bytes.blit t.v 0 out !pos take;
+    Bytes.blit t v_off out !pos take;
     pos := !pos + take
   done;
   update t "";
@@ -119,11 +90,17 @@ let byte_source t n = generate t n
 
 (* Rejection sampling on 62-bit draws: the first 8 bytes of
    [generate t 8], big-endian, top two bits dropped.  Read straight
-   from V (the inlined accessor boxes no Int64), so that a draw
-   allocates nothing. *)
+   from V, 16 bits at a time (an int64 read would box in bytecode),
+   so that a draw allocates nothing. *)
 let rec draw t bound limit =
   next_v t;
-  let x = Int64.to_int (Bytes.get_int64_be t.v 0) land max_int in
+  let x =
+    ((Bytes.get_uint16_be t v_off lsl 48)
+    lor (Bytes.get_uint16_be t (v_off + 2) lsl 32)
+    lor (Bytes.get_uint16_be t (v_off + 4) lsl 16)
+    lor Bytes.get_uint16_be t (v_off + 6))
+    land max_int
+  in
   update t "";
   if x >= limit then draw t bound limit else x mod bound
 

@@ -3,8 +3,8 @@ let block_size (_ : Digest_algo.algo) = 64
 
 (* The digest states after absorbing the ipad and opad key blocks.
    They depend only on (algo, key), so a session that MACs thousands
-   of frames under one key, or a DRBG that MACs several messages under
-   each key, hashes the two padded blocks once instead of per tag.
+   of frames under one key hashes the two padded blocks once instead
+   of per tag.
    Tagging copies a midstate and never writes to it, so a context is
    immutable and may be shared by concurrent taggers. *)
 type ctx = { inner : Digest_algo.ctx; outer : Digest_algo.ctx }

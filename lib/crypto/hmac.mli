@@ -1,5 +1,6 @@
-(** HMAC (RFC 2104) over any {!Digest_algo.algo}.  Used by
-    {!Drbg} and available for keyed provenance-store MACs. *)
+(** HMAC (RFC 2104) over any {!Digest_algo.algo}.  Used by the
+    seeding of {!Drbg} (its draws run on their own C step) and by the
+    sealed sessions. *)
 
 val mac : algo:Digest_algo.algo -> key:string -> string -> string
 (** [mac ~algo ~key msg] is the HMAC tag (same width as the digest). *)
@@ -15,7 +16,7 @@ val context : algo:Digest_algo.algo -> key:string -> ctx
 val mac_with : ctx -> string -> string
 (** Same tag as {!mac} with the context's algo and key, without
     re-hashing the padded key blocks — the per-frame path for sealed
-    sessions and the per-draw path of {!Drbg}. *)
+    sessions. *)
 
 val hex : algo:Digest_algo.algo -> key:string -> string -> string
 

@@ -1,6 +1,6 @@
 type t = int
 
-let compare = Stdlib.compare
+let compare = Int.compare
 let equal (a : t) b = a = b
 let hash (a : t) = Hashtbl.hash a
 let to_int t = t

@@ -173,6 +173,85 @@ let test_uniform_int_no_alloc () =
     (Printf.sprintf "10000 draws allocated %.0f minor words (at most 64)" words)
     true (words <= 64.)
 
+(* HMAC-SHA256 composed from Block_hash: the key block (the key, then
+   zeros) xor ipad and the message on one context, the key block xor
+   opad and the inner digest on another. *)
+let hmac key msg =
+  let hash pad rest =
+    let h = Block_hash.init Block_hash.sha256 in
+    Block_hash.update h
+      (String.init 64 (fun i ->
+           Char.chr
+             ((if i < String.length key then Char.code key.[i] else 0)
+             lxor pad)));
+    Block_hash.update h rest;
+    Block_hash.final h
+  in
+  hash 0x5c (hash 0x36 msg)
+
+(* The draw step on one kernel against [hmac], from a state of random
+   midstates, K and V: the key schedule must replace whatever
+   midstates the state held, a V step must read the key from the
+   midstates alone (K is scribbled over first) and leave them and K as
+   they were, and a rekey must leave V as it was and key the next V
+   step with the new K. *)
+let prop_step ~sha_ni =
+  QCheck2.Test.make ~count:300
+    ~name:
+      (Printf.sprintf "draw step = Block_hash HMAC (%s kernel)"
+         (if sha_ni then "sha-ni" else "portable"))
+    QCheck2.Gen.(
+      quad
+        (string_size ~gen:char (return 64))
+        (string_size ~gen:char (return 32))
+        (string_size ~gen:char (return 32))
+        (int_range (-1) 255))
+    (fun (mids, key, v, op) ->
+      let st = Bytes.of_string (mids ^ key ^ v) in
+      let part off = Bytes.sub_string st off 32 in
+      Drbg.step st (-2) ~sha_ni;
+      let inner = part 0 and outer = part 32 in
+      if op = -1 then begin
+        Bytes.blit_string mids 0 st 64 32;
+        Drbg.step st op ~sha_ni;
+        part 96 = hmac key v
+        && part 0 = inner && part 32 = outer
+        && part 64 = String.sub mids 0 32
+      end
+      else begin
+        Drbg.step st op ~sha_ni;
+        let key' = hmac key (v ^ String.make 1 (Char.chr op)) in
+        let keyed = part 64 = key' && part 96 = v in
+        Drbg.step st (-1) ~sha_ni;
+        keyed && part 96 = hmac key' v
+      end)
+
+(* Both kernels lay out the same blocks, so they leave the same bytes,
+   midstates included. *)
+let prop_kernels_agree =
+  QCheck2.Test.make ~count:300 ~name:"draw step: sha-ni = portable"
+    QCheck2.Gen.(
+      pair (string_size ~gen:char (return Drbg.state_bytes)) (int_range (-2) 255))
+    (fun (state, op) ->
+      let a = Bytes.of_string state and b = Bytes.of_string state in
+      Drbg.step a op ~sha_ni:false;
+      Drbg.step b op ~sha_ni:true;
+      Bytes.equal a b)
+
+(* Without the SHA extensions that kernel cannot run: its checks are
+   listed as skipped, not dropped. *)
+let step_tests =
+  QCheck_alcotest.to_alcotest (prop_step ~sha_ni:false)
+  ::
+  (if Block_hash.sha_ni then
+     List.map QCheck_alcotest.to_alcotest
+       [ prop_step ~sha_ni:true; prop_kernels_agree ]
+   else
+     [
+       Alcotest.test_case "sha-ni kernel (no SHA extensions on this CPU)"
+         `Quick (fun () -> Alcotest.skip ());
+     ])
+
 let () =
   Alcotest.run "drbg"
     [
@@ -191,4 +270,5 @@ let () =
           Alcotest.test_case "uniform_int allocates nothing" `Quick
             test_uniform_int_no_alloc;
         ] );
+      ("draw-step", step_tests);
     ]

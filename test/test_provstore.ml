@@ -170,6 +170,45 @@ let test_prune () =
   let full = Provstore.prune s ~live:(Provstore.objects s) in
   Alcotest.(check int) "identity" 6 (Provstore.record_count full)
 
+(* [objects] is read off the ordered index that [append] keeps, so it
+   must agree with the records themselves however the store was
+   built: objects created out of oid order, reloaded (a reload
+   rebuilds by appending) and pruned to a random live set.  Each
+   record cites its object's previous one, so a pruned store keeps
+   every chain of a live object whole. *)
+let prop_objects_index =
+  QCheck2.Test.make ~name:"objects = the records' oids, sorted" ~count:200
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 80) (int_range 0 200))
+        (list_size (int_range 0 20) (int_range 0 200)))
+    (fun (events, live) ->
+      let s = Provstore.create () in
+      let next = Hashtbl.create 16 in
+      List.iter
+        (fun oid ->
+          let seq = Option.value (Hashtbl.find_opt next oid) ~default:0 in
+          Hashtbl.replace next oid (seq + 1);
+          let checksum seq = Printf.sprintf "c-%d-%d" oid seq in
+          Provstore.append s
+            (mk_rec
+               ~kind:(if seq = 0 then Record.Insert else Record.Update)
+               ~prevs:(if seq = 0 then [] else [ checksum (seq - 1) ])
+               ~seq ~oid ~checksum:(checksum seq) ()))
+        events;
+      let agrees s =
+        Provstore.objects s
+        = List.sort_uniq Oid.compare
+            (List.map (fun r -> r.Record.output_oid) (Provstore.all s))
+      in
+      let reloaded =
+        match Provstore.of_string (Provstore.to_string s) with
+        | Ok s' -> s'
+        | Error e -> QCheck2.Test.fail_report e
+      in
+      agrees s && agrees reloaded
+      && agrees (Provstore.prune s ~live:(List.map Oid.of_int live)))
+
 let () =
   Alcotest.run "provstore"
     [
@@ -187,4 +226,5 @@ let () =
           Alcotest.test_case "arrival order" `Quick test_all_arrival_order;
           Alcotest.test_case "prune" `Quick test_prune;
         ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_objects_index ]);
     ]

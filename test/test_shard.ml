@@ -457,6 +457,50 @@ let test_sample_shard_pool () =
   Alcotest.(check bool) "changed cell reported" true
     (has (function Verifier.Object_mismatch _ -> true | _ -> false))
 
+(* The sweep's contract, replayed here without [Provstore.objects]:
+   the live objects are the oids of the store's records that are still
+   in the forest, in ascending order, and each gets one
+   [uniform_int 1_000_000] from a DRBG of the same seed, the object
+   sampled when its draw is below alpha.  Rows are deleted at random,
+   so the store holds the records of objects that are gone. *)
+let prop_sample_contract =
+  QCheck2.Test.make ~name:"sample_shard = the replayed draws" ~count:12
+    QCheck2.Gen.(
+      quad (int_range 1 10)
+        (list_size (int_range 0 6) (int_range 0 9))
+        (int_range 0 1_000_000) (string_size ~gen:printable (int_range 0 8)))
+    (fun (rows, deletes, alpha_ppm, seed) ->
+      let t0 = table_for_shard ~shards:1 0 in
+      let eng = make_engine t0 in
+      let ids =
+        List.init rows (fun i ->
+            ok (Engine.insert_row eng alice ~table:t0 [| Value.Int i; Value.Int (-i) |]))
+      in
+      let deleted = List.sort_uniq compare (List.filter (fun i -> i < rows) deletes) in
+      List.iter
+        (fun i -> ok (Engine.delete_row eng alice ~table:t0 (List.nth ids i)))
+        deleted;
+      let results, population =
+        Shards.sample_shard
+          ~drbg:(Tep_crypto.Drbg.create ~seed)
+          ~alpha_ppm eng
+      in
+      let live =
+        Provstore.all (Engine.provstore eng)
+        |> List.map (fun (r : Record.t) -> r.Record.output_oid)
+        |> List.sort_uniq Tep_tree.Oid.compare
+        |> List.filter (Tep_tree.Forest.mem (Engine.forest eng))
+      in
+      let drbg = Tep_crypto.Drbg.create ~seed in
+      let expected =
+        List.filter
+          (fun _ -> Tep_crypto.Drbg.uniform_int drbg 1_000_000 < alpha_ppm)
+          live
+      in
+      population = List.length live
+      && (deleted = [] || population < Provstore.object_count (Engine.provstore eng))
+      && List.map fst results = expected)
+
 let newest_generation d =
   match Recovery.generations ~dir:d with (g, _) :: _ -> g | [] -> -1
 
@@ -950,6 +994,7 @@ let () =
           Alcotest.test_case "verify_shard" `Quick test_verify_shard;
           Alcotest.test_case "sample_shard pool-independent" `Quick
             test_sample_shard_pool;
+          QCheck_alcotest.to_alcotest prop_sample_contract;
           Alcotest.test_case "checkpoint_all" `Quick test_checkpoint_all;
         ] );
       ( "server",

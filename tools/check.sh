@@ -8,9 +8,10 @@
 # lib/bignum/montmul.c (the Montgomery multiply) and
 # lib/crypto/compress.c (the hash compressions, with a SHA-256 kernel
 # on the x86 SHA extensions compiled through a function-level target
-# attribute), with -Wall -Wextra -Werror, and the test suites run
-# test_zmod and test_digest both native and as bytecode, so that the
-# kernels' bytecode entry points are linked and exercised.
+# attribute, and the HMAC-DRBG draw step), with -Wall -Wextra
+# -Werror, and the test suites run test_zmod, test_digest and test_drbg
+# both native and as bytecode, so that the kernels' bytecode entry
+# points are linked and exercised.
 # test_digest checks the SHA-extension kernel against the portable one
 # and shows those checks as skipped on a CPU without the extensions.
 # The gates:
