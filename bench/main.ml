@@ -214,6 +214,66 @@ let modpow_micro_tests () =
       (Staged.stage (fun () -> ignore (Zmod.Montgomery.pow ctx512 b512 e512)));
   ]
 
+(* The two Montgomery kernels of montmul.c, declared here so that the
+   one Zmod selects can be timed beside the portable one. *)
+external mont_mul_portable :
+  Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit = "tep_mont_mul"
+[@@noalloc]
+
+external mont_mul_adx : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  = "tep_mont_mul_adx"
+[@@noalloc]
+
+external mont_adx_available : unit -> bool = "tep_mont_adx_available"
+[@@noalloc]
+
+let mont_adx = mont_adx_available ()
+
+(* One Montgomery multiply at 9 and 17 words, the CRT half and the
+   modulus of a 1024-bit key, on the selected kernel and on the
+   portable one.  Buffers are laid out as Zmod lays them out: n
+   native-endian words, the modulus followed by -m^{-1} mod 2^64, and
+   2n words of scratch. *)
+let montmul_micro_tests () =
+  let open Bechamel in
+  let open Tep_bignum in
+  let drbg = Tep_crypto.Drbg.create ~seed:"bench-montmul" in
+  let words n x =
+    let s = Nat.to_bytes_be_padded (8 * n) x in
+    let w = Bytes.create (8 * n) in
+    for i = 0 to n - 1 do
+      Bytes.set_int64_ne w (8 * i) (String.get_int64_be s (8 * (n - 1 - i)))
+    done;
+    w
+  in
+  let operands bits =
+    let n = (bits + 2 + 63) / 64 in
+    let rand () =
+      let x = Nat.of_bytes_be (Tep_crypto.Drbg.generate drbg (bits / 8)) in
+      Nat.rem x (Nat.shift_left Nat.one (bits - 1))
+    in
+    let m = Nat.add (Nat.shift_left Nat.one (bits - 1)) (rand ()) in
+    let m = if Nat.is_even m then Nat.add m Nat.one else m in
+    let r64 = Nat.shift_left Nat.one 64 in
+    let m' = Nat.sub r64 (Option.get (Zmod.modinv m r64)) in
+    let m_words = Bytes.cat (words n m) (words 1 m') in
+    (n, m_words, words n (Nat.rem (rand ()) m), words n (Nat.rem (rand ()) m))
+  in
+  List.concat_map
+    (fun bits ->
+      let n, m_words, a, b = operands bits in
+      let dst = Bytes.create (8 * n) and t = Bytes.create (16 * n) in
+      let name = Printf.sprintf "mont-mul-%dw" n in
+      [
+        Test.make ~name
+          (if mont_adx then
+             Staged.stage (fun () -> mont_mul_adx dst a b m_words t)
+           else Staged.stage (fun () -> mont_mul_portable dst a b m_words t));
+        Test.make ~name:(name ^ "-portable")
+          (Staged.stage (fun () -> mont_mul_portable dst a b m_words t));
+      ])
+    [ 512; 1024 ]
+
 (* One engine over a 400-row, 8-column table and a participant to
    write as; [pooled] engines run on the daemon's pool ([Pool.default]:
    one domain per core unless TEP_DOMAINS says otherwise).  Allocated
@@ -376,7 +436,8 @@ let run_micro () =
   in
   let suite =
     Test.make_grouped ~name:"tep"
-      (crypto_micro_tests cfg @ modpow_micro_tests () @ engine_micro_tests ()
+      (crypto_micro_tests cfg @ modpow_micro_tests () @ montmul_micro_tests ()
+     @ engine_micro_tests ()
      @ decode_micro_tests () @ provstore_micro_tests ())
   in
   let raw = Benchmark.all bench_cfg [ instance ] suite in
@@ -415,6 +476,7 @@ let run_micro () =
       [
         ( "sha256_kernel",
           Str (if Tep_crypto.Block_hash.sha_ni then "sha-ni" else "portable") );
+        ("montmul_kernel", Str (if mont_adx then "adx" else "portable"));
       ]
     ~points:(List.map snd measured) ()
 

@@ -37,21 +37,40 @@ module Montgomery = struct
     n : int; (* word count, chosen so that 4m < R = 2^(64n) *)
     m_words : Bytes.t; (* m zero-padded to n words, then -m^{-1} mod 2^64 *)
     r2 : Bytes.t; (* R^2 mod m, as n words *)
+    adx : bool; (* multiply on the ADX kernel *)
   }
 
   (* dst <- a*b*R^{-1} mod m, lazily in [0, 2m) for a, b in [0, 2m);
-     t is n words of scratch.  dst may alias a or b.  Every buffer is
-     built here with the context's word count, which the kernel reads
-     off m_words. *)
-  external mont_mul : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+     t is 2n words of scratch.  dst may alias a or b.  Every buffer is
+     built here with the context's word count, which the kernels read
+     off m_words.  Both give the same words (montmul.c). *)
+  external mont_mul_portable :
+    Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
     = "tep_mont_mul"
   [@@noalloc]
 
-  let mul ctx t dst a b = mont_mul dst a b ctx.m_words t
+  external mont_mul_adx :
+    Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+    = "tep_mont_mul_adx"
+  [@@noalloc]
+
+  external adx_available : unit -> bool = "tep_mont_adx_available"
+  [@@noalloc]
+
+  (* The kernel is chosen once, here: the one on the x86-64 BMI2/ADX
+     carry chains when the CPU has them, for every modulus of at most
+     17 words (1,086 bits); the portable one otherwise. *)
+  let adx_words = if adx_available () then 17 else 0
+
+  let[@inline] mul ctx t dst a b =
+    if ctx.adx then mont_mul_adx dst a b ctx.m_words t
+    else mont_mul_portable dst a b ctx.m_words t
 
   let modulus ctx = ctx.m
 
   let buffer ctx = Bytes.create (8 * ctx.n)
+
+  let scratch ctx = Bytes.create (16 * ctx.n)
 
   (* x < 2^(64n) as n words, least significant first. *)
   let words n x =
@@ -91,7 +110,7 @@ module Montgomery = struct
     Bytes.set_int64_ne m_words (8 * n)
       (neg_inv_word (Bytes.get_int64_ne m_words 0));
     let r2 = Nat.rem (Nat.shift_left Nat.one (128 * n)) m in
-    { m; n; m_words; r2 = words n r2 }
+    { m; n; m_words; r2 = words n r2; adx = n <= adx_words }
 
   (* x in Montgomery form: x*R mod m, in [0, 2m). *)
   let to_mont ctx t x =
@@ -115,7 +134,7 @@ module Montgomery = struct
   let pow_binary ctx b e =
     if Nat.is_zero e then Nat.rem Nat.one ctx.m
     else begin
-      let t = buffer ctx in
+      let t = scratch ctx in
       let b_mont = to_mont ctx t b in
       let acc = Bytes.copy b_mont in
       for i = Nat.num_bits e - 2 downto 0 do
@@ -150,7 +169,7 @@ module Montgomery = struct
     else begin
       let ebits = Nat.num_bits e in
       let k = window_bits ebits in
-      let t = buffer ctx in
+      let t = scratch ctx in
       let table = Array.make (1 lsl (k - 1)) Bytes.empty in
       table.(0) <- to_mont ctx t b;
       if k > 1 then begin

@@ -2,10 +2,12 @@
 
     Provides the number-theoretic operations RSA needs: GCD, modular
     inverse, and modular exponentiation.  Exponentiation over odd
-    moduli uses a lazily reduced Montgomery kernel on 64-bit words
-    (fused operand scanning in C, values kept in [\[0, 2m)]) under a
-    sliding-window ladder; even moduli fall back to division-based
-    reduction.  See DESIGN.md §9.2. *)
+    moduli uses a lazily reduced Montgomery multiply on 64-bit words
+    (values kept in [\[0, 2m)]) under a sliding-window ladder: on the
+    x86-64 BMI2/ADX carry chains when CPUID reports them and the
+    modulus has at most 17 words, and by portable fused operand
+    scanning in C otherwise.  Both give the same words.  Even moduli
+    fall back to division-based reduction.  See DESIGN.md §9.2. *)
 
 val gcd : Nat.t -> Nat.t -> Nat.t
 (** Greatest common divisor; [gcd 0 b = b]. *)

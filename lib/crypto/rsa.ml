@@ -13,6 +13,7 @@ type private_key = {
   qinv : Nat.t; (* q^{-1} mod p *)
   mont_p : Zmod.Montgomery.ctx;
   mont_q : Zmod.Montgomery.ctx;
+  mont_n : Zmod.Montgomery.ctx; (* for the fault check of raw_sign *)
 }
 
 type keypair = { public : public_key; private_ : private_key }
@@ -45,6 +46,7 @@ let make_private ~n ~e ~d ~p ~q =
     qinv;
     mont_p = Zmod.Montgomery.create p;
     mont_q = Zmod.Montgomery.create q;
+    mont_n = Zmod.Montgomery.create n;
   }
 
 let generate ?(bits = default_bits) ?(e = 65537) drbg =
@@ -78,7 +80,8 @@ let generate ?(bits = default_bits) ?(e = 65537) drbg =
   in
   attempt ()
 
-(* CRT exponentiation: m^d mod n from residues mod p and q. *)
+(* CRT exponentiation: m^d mod n from residues mod p and q, checked
+   against the public exponent before it is returned. *)
 let raw_sign key m =
   let m = Nat.rem m key.pn in
   let m1 = Zmod.Montgomery.pow key.mont_p m key.dp in
@@ -89,7 +92,14 @@ let raw_sign key m =
     else Nat.sub key.p (Nat.rem (Nat.sub m2 m1) key.p)
   in
   let h = Nat.rem (Nat.mul key.qinv diff) key.p in
-  Nat.add m2 (Nat.mul h key.q)
+  let s = Nat.add m2 (Nat.mul h key.q) in
+  (* A wrong half (a damaged dp or dq, or a fault in either
+     exponentiation) would make s right mod one prime and wrong mod the
+     other, and gcd(s^e - m, n) would then give anyone holding s that
+     prime (Boneh, DeMillo & Lipton).  So s never leaves unchecked. *)
+  if not (Nat.equal (Zmod.Montgomery.pow key.mont_n s key.pe) m) then
+    failwith "Rsa.raw_sign: fault check failed (s^e <> m mod n)";
+  s
 
 (* Montgomery contexts of recently used public moduli, so a verify
    skips the long division for R^2 mod n that building one costs.

@@ -3,8 +3,10 @@
     The paper signs provenance checksums with 1024-bit RSA producing
     128-byte signatures; that is the default here.  Signing uses the
     Chinese-Remainder-Theorem optimisation with precomputed Montgomery
-    contexts; verification reuses each public modulus's context from a
-    small per-domain cache keyed by the modulus value. *)
+    contexts, and checks every result against the public exponent
+    before {!raw_sign} returns it; verification reuses each public
+    modulus's context from a small per-domain cache keyed by the
+    modulus value. *)
 
 type public_key = {
   n : Tep_bignum.Nat.t;  (** modulus *)
@@ -35,7 +37,9 @@ val key_bytes : public_key -> int
 val sign : ?algo:Digest_algo.algo -> private_key -> string -> string
 (** [sign key msg] hashes [msg] (default {!Digest_algo.SHA1}), wraps
     the digest in a DER [DigestInfo], applies PKCS#1 v1.5 padding and
-    exponentiates.  Returns a signature of exactly [key_bytes] bytes. *)
+    exponentiates.  Returns a signature of exactly [key_bytes] bytes.
+    @raise Failure if the result fails the fault check of {!raw_sign}
+    (a damaged private key). *)
 
 val verify :
   ?algo:Digest_algo.algo -> public_key -> msg:string -> signature:string -> bool
@@ -55,11 +59,18 @@ val decrypt : private_key -> string -> string option
     outside the modulus, or bad padding.  Callers that decrypt
     network input must authenticate the ciphertext first (see the
     wire handshake) — the [None]/[Some] distinction is a padding
-    oracle otherwise. *)
+    oracle otherwise.
+    @raise Failure as {!sign} does, on a damaged private key. *)
 
 (** {1 Raw primitives (exposed for tests)} *)
 
 val raw_sign : private_key -> Tep_bignum.Nat.t -> Tep_bignum.Nat.t
+(** [raw_sign key m] is [m^d mod n] by CRT, under {!sign} and
+    {!decrypt}.  Before it returns s it checks [s^e = m (mod n)]: a
+    result wrong modulo one prime would reveal that prime to anyone
+    who reads s.
+    @raise Failure if the check fails. *)
+
 val raw_public : public_key -> Tep_bignum.Nat.t -> Tep_bignum.Nat.t
 
 val emsa_pkcs1_v1_5 : Digest_algo.algo -> int -> string -> string
@@ -76,6 +87,8 @@ val public_of_string : string -> public_key option
 
 val private_to_string : private_key -> string
 val private_of_string : string -> private_key option
+(** [None] on a malformed encoding, a factor below 2, factors that are
+    not coprime, or an even modulus. *)
 
 val fingerprint : public_key -> string
 (** SHA-256 of the serialised public key, hex, truncated to 16 chars.

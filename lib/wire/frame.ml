@@ -49,8 +49,9 @@ let encode buf ~kind payload =
   Buffer.add_string buf payload;
   let crc = Tep_crypto.Crc32.init () in
   (* header and payload are fed separately: the streaming interface
-     means no header·payload concatenation is ever materialised *)
-  Tep_crypto.Crc32.feed_sub crc (Buffer.contents buf) start header_len;
+     means no header·payload concatenation is ever materialised, and
+     only the 8 header bytes are copied out of [buf] *)
+  Tep_crypto.Crc32.feed crc (Buffer.sub buf start header_len);
   Tep_crypto.Crc32.feed crc payload;
   add_be32 buf (Tep_crypto.Crc32.finalize crc)
 

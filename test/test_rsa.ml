@@ -110,6 +110,28 @@ let test_serialisation () =
   Alcotest.(check bool) "garbage public" true (Rsa.public_of_string "junk" = None);
   Alcotest.(check bool) "garbage private" true (Rsa.private_of_string "junk" = None)
 
+(* A key whose d was damaged on disk still loads, but its CRT halves
+   are wrong: sign and decrypt must raise rather than hand out a value
+   whose gcd with n factors the key. *)
+let test_fault_check () =
+  let fields = String.split_on_char ':' (Rsa.private_to_string kp.Rsa.private_) in
+  let tampered =
+    List.mapi
+      (fun i f -> if i = 3 then Nat.to_hex (Nat.add (Nat.of_hex f) Nat.two) else f)
+      fields
+  in
+  match Rsa.private_of_string (String.concat ":" tampered) with
+  | None -> Alcotest.fail "a tampered d still parses"
+  | Some sk ->
+      let raises name f =
+        match f () with
+        | _ -> Alcotest.failf "%s returned a value" name
+        | exception Failure _ -> ()
+      in
+      raises "sign" (fun () -> ignore (Rsa.sign sk "m"));
+      raises "decrypt" (fun () ->
+          ignore (Rsa.decrypt sk (Rsa.encrypt drbg kp.Rsa.public "m")))
+
 let test_fingerprint () =
   Alcotest.(check int) "16 hex chars" 16 (String.length (Rsa.fingerprint kp.Rsa.public));
   Alcotest.(check bool)
@@ -280,6 +302,7 @@ let () =
           Alcotest.test_case "emsa shape" `Quick test_emsa_shape;
           Alcotest.test_case "serialisation" `Quick test_serialisation;
           Alcotest.test_case "fingerprint" `Quick test_fingerprint;
+          Alcotest.test_case "fault check" `Quick test_fault_check;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "known answers" `Quick test_known_answers;
           Alcotest.test_case "public context cache" `Quick test_public_ctx_cache;

@@ -220,6 +220,110 @@ let test_nilpotent_bases () =
     m := Nat.mul m' three
   done
 
+(* The two Montgomery kernels of montmul.c against each other: the
+   portable one is the oracle for the one on the x86-64 BMI2/ADX
+   instructions, which Zmod selects for moduli of up to 17 words when
+   the CPU has them.  Both are declared here, so that each is tested
+   whichever one Zmod runs on. *)
+external mont_mul_portable :
+  Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit = "tep_mont_mul"
+[@@noalloc]
+
+external mont_mul_adx : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  = "tep_mont_mul_adx"
+[@@noalloc]
+
+external adx_available : unit -> bool = "tep_mont_adx_available" [@@noalloc]
+
+(* [x] as [n] native-endian 64-bit words, least significant first. *)
+let words n x =
+  let s = Nat.to_bytes_be_padded (8 * n) x in
+  let w = Bytes.create (8 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_ne w (8 * i) (String.get_int64_be s (8 * (n - 1 - i)))
+  done;
+  w
+
+(* The kernels' modulus buffer: [m] as [n] words, then -m^{-1} mod 2^64. *)
+let modulus_words n m =
+  let r64 = Nat.shift_left Nat.one 64 in
+  let inv = Option.get (Zmod.modinv m r64) in
+  Bytes.cat (words n m) (words 1 (Nat.sub r64 inv))
+
+(* The operand cases of one word count, from random bytes [seed]: a
+   random odd modulus of the widths that get [n] words (64n - 65 to
+   64n - 2 bits), then the all-ones modulus 2^(64n-2) - 1 and one just
+   below 2^(64n-2); each with random operands below 2m, both operands
+   2m - 1, and operands whose low words are all ones. *)
+let kernel_cases n seed =
+  let below bound s = Nat.rem (Nat.of_bytes_be s) bound in
+  let top = Nat.shift_left Nat.one ((64 * n) - 2) in
+  let odd m = if Nat.is_even m then Nat.add m Nat.one else m in
+  let random_m =
+    let lo = max 2 ((64 * n) - 65) in
+    let width = lo + (Char.code seed.[0] mod ((64 * n) - 1 - lo)) in
+    odd (Nat.add (Nat.shift_left Nat.one (width - 1))
+           (below (Nat.shift_left Nat.one (width - 1)) seed))
+  in
+  let moduli =
+    [
+      ("random m", random_m);
+      ("m = 2^(64n-2) - 1", Nat.sub top Nat.one);
+      ("m just below 2^(64n-2)",
+        odd (Nat.sub top (Nat.add (below (Nat.of_int 1000) seed) Nat.two)));
+    ]
+  in
+  List.concat_map
+    (fun (what, m) ->
+      let m2 = Nat.add m m in
+      let ones k = Nat.sub (Nat.shift_left Nat.one (64 * k)) Nat.one in
+      let low_ones = Nat.rem (ones (n - 1)) m2 in
+      [
+        (what ^ ", random a, b", m, below m2 (String.sub seed 1 140),
+          below m2 (String.sub seed 141 140));
+        (what ^ ", a = b = 2m - 1", m, Nat.sub m2 Nat.one, Nat.sub m2 Nat.one);
+        (what ^ ", all-ones low words", m, low_ones, Nat.sub m2 Nat.one);
+      ])
+    moduli
+
+(* One case on both kernels, into a fresh destination and with the
+   destination aliased to a, to b and (squaring) to both. *)
+let kernels_agree n (what, m, a, b) =
+  let mw = modulus_words n m and aw = words n a and bw = words n b in
+  let on kernel dst x y = kernel dst x y mw (Bytes.create (16 * n)) in
+  let run kernel =
+    let dst = Bytes.create (8 * n) in
+    on kernel dst aw bw;
+    let dst_a = Bytes.copy aw in
+    on kernel dst_a dst_a bw;
+    let dst_b = Bytes.copy bw in
+    on kernel dst_b aw dst_b;
+    let sq = Bytes.copy aw in
+    on kernel sq sq sq;
+    [ dst; dst_a; dst_b; sq ]
+  in
+  List.for_all2 Bytes.equal (run mont_mul_adx) (run mont_mul_portable)
+  || QCheck2.Test.fail_reportf "%d words, %s: the kernels differ" n what
+
+let prop_kernels_agree =
+  QCheck2.Test.make ~name:"ADX kernel = portable kernel, 1 to 17 words"
+    ~count:40
+    QCheck2.Gen.(string_size ~gen:char (return 281))
+    (fun seed ->
+      List.for_all
+        (fun n -> List.for_all (kernels_agree n) (kernel_cases n seed))
+        (List.init 17 succ))
+
+(* Without BMI2 and ADX the kernel cannot run: its check is listed as
+   skipped, not dropped. *)
+let adx_tests =
+  if adx_available () then [ QCheck_alcotest.to_alcotest prop_kernels_agree ]
+  else
+    [
+      Alcotest.test_case "ADX kernel (no BMI2/ADX on this CPU)" `Quick
+        (fun () -> Alcotest.skip ());
+    ]
+
 let prop_modpow_vs_naive =
   QCheck2.Test.make ~name:"windowed modpow = naive oracle (any modulus)"
     ~count:150
@@ -292,4 +396,5 @@ let () =
             prop_modpow_mul;
             prop_gcd_divides;
           ] );
+      ("montmul-kernels", adx_tests);
     ]

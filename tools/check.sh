@@ -5,15 +5,17 @@
 # read_varint, read_string or read_count of its own), then
 # `dune build @check-all` (full build, every test suite and every
 # named gate).  The build compiles the two C files,
-# lib/bignum/montmul.c (the Montgomery multiply) and
-# lib/crypto/compress.c (the hash compressions, with a SHA-256 kernel
-# on the x86 SHA extensions compiled through a function-level target
-# attribute, and the HMAC-DRBG draw step), with -Wall -Wextra
+# lib/bignum/montmul.c (the Montgomery multiplies: a portable kernel,
+# and on x86-64 one in inline assembly on the BMI2/ADX carry chains)
+# and lib/crypto/compress.c (the hash compressions, with a SHA-256
+# kernel on the x86 SHA extensions compiled through a function-level
+# target attribute, and the HMAC-DRBG draw step), with -Wall -Wextra
 # -Werror, and the test suites run test_zmod, test_digest and test_drbg
 # both native and as bytecode, so that the kernels' bytecode entry
 # points are linked and exercised.
-# test_digest checks the SHA-extension kernel against the portable one
-# and shows those checks as skipped on a CPU without the extensions.
+# test_zmod checks the ADX Montgomery kernel against the portable one,
+# and test_digest the SHA-extension kernel against the portable one;
+# each shows its checks as skipped on a CPU without the instructions.
 # The gates:
 # crash-point enumeration, pooled commit-signing determinism, the
 # network chaos soak, shard determinism, the lineage and proof suites
