@@ -139,17 +139,12 @@ let cmd_init dir tables seed shards =
     exit_usage
   end
   else begin
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    Unix.mkdir (dir // "participants") 0o755;
     let drbg =
       match seed with
       | Some s -> Tep_crypto.Drbg.create ~seed:s
       | None -> Tep_crypto.Drbg.create_system ()
     in
     let ca = Tep_crypto.Pki.create_ca ~name:"provdb CA" drbg in
-    let directory =
-      Participant.Directory.create ~ca_key:(Tep_crypto.Pki.ca_public_key ca)
-    in
     (* one backend per shard; table specs route by the stable hash, so
        every later session places each table on the same shard *)
     let dbs =
@@ -163,45 +158,26 @@ let cmd_init dir tables seed shards =
           let* _ = lift (Database.create_table dbs.(k) ~name schema) in
           add_tables rest
     in
-    match add_tables tables with
+    match
+      let* () = add_tables tables in
+      lift (init dir ~ca dbs)
+    with
     | Error f ->
         report_failure f;
         code_of_failure f
-    | Ok () ->
-        if shards > 1 then write_shards_meta dir shards;
-        let shard_arr =
-          Array.mapi
-            (fun k db ->
-              let sdir = shard_dir dir ~shards k in
-              if shards > 1 then (
-                try Unix.mkdir sdir 0o755
-                with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-              let wal = Wal.open_file (wal_path sdir) in
-              let engine = Engine.create ~wal ~pool:(pool ()) ~directory db in
-              { s_dir = sdir; s_engine = engine; s_wal = wal })
-            dbs
-        in
-        let coord =
-          if shards > 1 then Some (Wal.open_file (coord_path dir)) else None
-        in
-        match
-          save { dir; ca; directory; participants = []; shards = shard_arr; coord }
-        with
-        | Error e ->
-            report_failure (Fail e);
-            exit_fail
-        | Ok () ->
-            Printf.printf "initialised %s with %d table(s)%s\n" dir
-              (List.length tables)
-              (if shards > 1 then Printf.sprintf " across %d shards" shards
-               else "");
-            exit_ok
+    | Ok _ ->
+        Printf.printf "initialised %s with %d table(s)%s\n" dir
+          (List.length tables)
+          (if shards > 1 then Printf.sprintf " across %d shards" shards else "");
+        exit_ok
   end
 
 let cmd_participant dir name seed =
   with_workspace dir (fun ws ->
       if List.mem_assoc name ws.participants then
         fail "participant %s already exists" name
+      else if Filename.check_suffix name ".tmp" then
+        fail_usage "a participant name cannot end in .tmp"
       else begin
         let drbg =
           match seed with
@@ -209,7 +185,7 @@ let cmd_participant dir name seed =
           | None -> Tep_crypto.Drbg.create_system ()
         in
         let p = Participant.create ~ca:ws.ca ~name drbg in
-        write_file (ws.dir // "participants" // name) (Participant.to_string p);
+        let* () = lift (add_participant ws p) in
         Ok
           (Printf.sprintf "added participant %s (key %s)" name
              (Participant.key_fingerprint p))
@@ -319,7 +295,7 @@ let cmd_verify dir table row col =
           let annots_ok =
             (not (Sys.file_exists apath))
             ||
-            match Annot.list_of_string (read_file apath) with
+            match Annot.list_of_string (Durable.read apath) with
             | Error e ->
                 Format.printf "annotations: FAILED: %s@." e;
                 false
@@ -376,6 +352,13 @@ let cmd_stats dir =
         (Tep_crypto.Digest_algo.to_hex (published_root ws));
       Ok "")
 
+(* Flip the low bit of the byte [back] bytes before the end of [path]. *)
+let flip_byte path back =
+  let s = Bytes.of_string (Durable.read path) in
+  let i = Bytes.length s + back in
+  Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor 1));
+  lift (write path (Bytes.to_string s))
+
 let cmd_tamper dir attack =
   with_workspace ~save_after:(attack = "data") dir (fun ws ->
       match attack with
@@ -408,11 +391,7 @@ let cmd_tamper dir attack =
                    compare (Unix.stat b).Unix.st_size (Unix.stat a).Unix.st_size)
             |> List.hd
           in
-          let s = Bytes.of_string (read_file path) in
-          let mid = Bytes.length s - 20 in
-          Bytes.set s mid
-            (Char.chr (Char.code (Bytes.get s mid) lxor 1));
-          write_file path (Bytes.to_string s);
+          let* () = flip_byte path (-20) in
           Ok "flipped one byte of prov.dat; the next load will reject it"
       | "annotation" ->
           (* corrupt the newest saved annotation: the file ends with
@@ -422,10 +401,7 @@ let cmd_tamper dir attack =
             fail
               "no annot.dat (save one with `provdb lineage select --save`)"
           else begin
-            let s = Bytes.of_string (read_file path) in
-            let last = Bytes.length s - 1 in
-            Bytes.set s last (Char.chr (Char.code (Bytes.get s last) lxor 1));
-            write_file path (Bytes.to_string s);
+            let* () = flip_byte path (-1) in
             Ok "flipped one byte of annot.dat; `provdb verify` now exits 3"
           end
       | other ->
@@ -459,7 +435,7 @@ let cmd_check path ca_key_file =
                --ca-key for an out-of-band trust anchor";
             Ok None
         | Some f -> (
-            match Tep_crypto.Rsa.public_of_string (String.trim (read_file f)) with
+            match Tep_crypto.Rsa.public_of_string (String.trim (Durable.read f)) with
             | Some k -> Ok (Some k)
             | None -> fail_usage "unreadable CA key file %s" f)
       in
@@ -478,98 +454,32 @@ let cmd_ca_key dir =
         (Tep_crypto.Rsa.public_to_string
            (Participant.Directory.ca_key ws.directory)))
 
-(* Each shard's audit checkpoint, living in the shard's own directory
-   (the workspace root for a 1-shard layout).  A missing file means a
-   first audit; a damaged one is refused, since replacing it would drop
-   every anchor. *)
-let audit_checkpoints ws =
-  let load s =
-    let path = s.s_dir // "audit.ckpt" in
-    if not (Sys.file_exists path) then Ok (path, Audit.empty)
-    else
-      match Audit.of_string (read_file path) with
-      | Ok cp -> Ok (path, cp)
-      | Error e ->
-          fail "%s is damaged (%s); deleting it forces a full re-audit" path e
-  in
-  let loaded = Array.map load ws.shards in
-  match Array.find_map (function Error e -> Some e | Ok _ -> None) loaded with
-  | Some e -> Error e
-  | None -> Ok (Array.map Result.get_ok loaded)
-
 let cmd_audit dir =
   with_workspace ~save_after:false dir (fun ws ->
-      let* ckpts = audit_checkpoints ws in
-      let all_ok = ref true in
-      let examined_total = ref 0 in
-      let objects_total = ref 0 in
-      Array.iteri
-        (fun k s ->
-          let label = shard_label ~shards:(nshards ws) k in
-          let ckpt_path, cp = ckpts.(k) in
-          let report, cp', examined =
-            Audit.incremental_audit ~pool:(pool ()) ~directory:ws.directory cp
-              (Engine.provstore s.s_engine)
-          in
-          Format.printf "%s%a@." label Verifier.pp_report report;
-          examined_total := !examined_total + examined;
-          objects_total := !objects_total + Audit.objects cp';
-          write_file ckpt_path (Audit.to_string cp');
-          if not (Verifier.ok report) then all_ok := false)
-        ws.shards;
+      let* results = lift (audit ws) in
+      List.iteri
+        (fun k (report, _, _) ->
+          Format.printf "%s%a@." (shard_label ~shards:(nshards ws) k)
+            Verifier.pp_report report)
+        results;
+      let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
       Printf.printf "examined %d new record(s); checkpoint covers %d object(s)\n"
-        !examined_total !objects_total;
-      if !all_ok then Ok "" else fail_verify "audit failed")
+        (sum (fun (_, examined, _) -> examined))
+        (sum (fun (_, _, objects) -> objects));
+      if List.for_all (fun (r, _, _) -> Verifier.ok r) results then Ok ""
+      else fail_verify "audit failed")
 
-(* Drop the records of objects no longer in the forest, then rebuild
-   each shard's engine over its pruned store so the save below writes
-   the pruned store to the flat files and a new checkpoint generation
-   alike — `provdb recover` must not bring the records back.  The audit
-   checkpoint forgets the objects whose chains got shorter: their
-   marks may point at records that are gone. *)
+(* Prune the records of objects no longer in the forest; the pruned
+   store is saved to the flat files and a new checkpoint generation
+   alike, so `provdb recover` cannot bring the records back. *)
 let cmd_prune dir =
-  with_workspace dir (fun ws ->
-      let* ckpts = audit_checkpoints ws in
-      let before_total = ref 0 in
-      let after_total = ref 0 in
-      Array.iteri
-        (fun k s ->
-          let e = s.s_engine in
-          let prov = Engine.provstore e and forest = Engine.forest e in
-          let live = ref [] in
-          List.iter
-            (fun root ->
-              Forest.iter_preorder forest root (fun o _ -> live := o :: !live))
-            (Forest.roots forest);
-          let pruned = Provstore.prune prov ~live:!live in
-          before_total := !before_total + Provstore.record_count prov;
-          after_total := !after_total + Provstore.record_count pruned;
-          let tip st oid =
-            Option.map (fun (r : Record.t) -> r.Record.checksum)
-              (Provstore.latest st oid)
-          in
-          let shortened =
-            List.filter
-              (fun oid -> tip pruned oid <> tip prov oid)
-              (Provstore.objects prov)
-          in
-          let ckpt_path, cp = ckpts.(k) in
-          if Audit.objects cp > 0 then
-            write_file ckpt_path (Audit.to_string (Audit.forget cp shortened));
-          ws.shards.(k) <-
-            {
-              s with
-              s_engine =
-                Engine.of_parts ~algo:(Engine.algo e) ~wal:s.s_wal
-                  ~pool:(pool ()) ~provstore:pruned ~directory:ws.directory
-                  ~forest ~view:(Engine.mapping e) (Engine.backend e);
-            })
-        ws.shards;
+  with_workspace ~save_after:false dir (fun ws ->
+      let* before, after = lift (prune ws) in
       Ok
         (Printf.sprintf
-           "pruned %d -> %d records (%d bytes reclaimed in paper schema)"
-           !before_total !after_total
-           ((!before_total - !after_total) * Provstore.paper_row_bytes)))
+           "pruned %d -> %d records (%d bytes reclaimed in paper schema)" before
+           after
+           ((before - after) * Provstore.paper_row_bytes)))
 
 (* The --where grammar is {!Query.pred_of_string}: and/or/not with
    the usual precedence, parentheses, "col is [not] null", quoted
@@ -678,17 +588,10 @@ let cmd_lineage_select dir table where agg save as_ =
                   ~rows:(List.map (fun (_, v, poly) -> (v, poly)) q.q_rows)
                   ~value:q.q_value ~root:(published_root ws) p
               in
-              let path = annot_path dir in
-              let* l =
-                if not (Sys.file_exists path) then Ok []
-                else
-                  Annot.list_of_string (read_file path)
-                  |> Result.map_error (fun e -> Fail (path ^ ": " ^ e))
-              in
-              write_file path (Annot.list_to_string (l @ [ annot ]));
+              let* total = lift (save_annotation ws annot) in
               Ok
                 (Printf.sprintf "saved signed annotation %S (%d total)" id
-                   (List.length l + 1))))
+                   total)))
 
 let cmd_checkpoint dir keep =
   with_workspace ~save_after:false dir (fun ws ->
@@ -706,57 +609,24 @@ let cmd_checkpoint dir keep =
    plus the WAL tail — the path to take after a crash, or after
    `tamper --attack provenance` wrecks prov.dat. *)
 let cmd_recover dir =
-  match
-    let* identity = load_identity dir in
-    let* n = shard_count dir in
-    Ok (identity, n)
-  with
-  | Error f ->
-      report_failure f;
-      code_of_failure f
-  | Ok ((ca, directory, participants), n) -> (
-      (* the coordinator log resolves prepared-but-unmarked cross-shard
-         transactions: decided ⇒ commit, undecided ⇒ roll back *)
-      let is_decided =
-        if n > 1 then Some (Shards.is_decided_from (coord_path dir)) else None
-      in
-      let rec go k acc =
-        if k = n then Ok (List.rev acc)
-        else
-          let sdir = shard_dir dir ~shards:n k in
-          let* engine, wal, report =
-            (* save below writes the post-recovery checkpoint, so
-               recover itself need not *)
-            Recovery.recover ~final_checkpoint:false ~pool:(pool ())
-              ?is_decided ~dir:(ckpt_dir sdir) ~wal_path:(wal_path sdir)
-              ~directory ()
-            |> Result.map_error (fun e -> shard_label ~shards:n k ^ e)
-          in
-          if n > 1 then Format.printf "shard %d:@." k;
-          Format.printf "%a@." Recovery.pp_report report;
-          go (k + 1)
-            (({ s_dir = sdir; s_engine = engine; s_wal = wal }, report) :: acc)
-      in
-      match
-        let* pairs = go 0 [] in
-        let shards = Array.of_list (List.map fst pairs) in
-        let coord = if n > 1 then Some (Wal.open_file (coord_path dir)) else None in
-        let* () = save { dir; ca; directory; participants; shards; coord } in
-        Ok pairs
-      with
-      | Error e ->
-          prerr_endline ("error: " ^ e);
-          exit_fail
-      | Ok pairs ->
-          print_endline "workspace files rewritten from recovered state";
-          if List.for_all (fun (_, r) -> r.Recovery.hash_verified) pairs then
-            exit_ok
-          else begin
-            prerr_endline
-              "error: recovered root hash does not match committed \
-               provenance — run `provdb verify` to locate the tampering";
-            exit_verify
-          end)
+  match recover dir with
+  | Error e ->
+      prerr_endline ("error: " ^ e);
+      exit_fail
+  | Ok reports ->
+      List.iteri
+        (fun k report ->
+          if List.length reports > 1 then Format.printf "shard %d:@." k;
+          Format.printf "%a@." Recovery.pp_report report)
+        reports;
+      print_endline "workspace files rewritten from recovered state";
+      if List.for_all (fun r -> r.Recovery.hash_verified) reports then exit_ok
+      else begin
+        prerr_endline
+          "error: recovered root hash does not match committed \
+           provenance — run `provdb verify` to locate the tampering";
+        exit_verify
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Remote commands (against a running provdbd)                         *)
@@ -801,7 +671,7 @@ let with_remote dir socket host port as_ key f =
       fail_usage "no credential file %s (pass --key, or add the participant)"
         key_file
     else
-      match Participant.of_string (read_file key_file) with
+      match Participant.of_string (Durable.read key_file) with
       | None -> fail "unreadable participant credential %s" key_file
       | Some p -> (
           let conn =
@@ -953,8 +823,8 @@ let cmd_remote_stats remote =
 let with_directory dir f =
   match load_identity dir with
   | Error e ->
-      report_failure e;
-      code_of_failure e
+      report_failure (Fail e);
+      exit_fail
   | Ok (_ca, directory, _participants) -> f directory
 
 (* Remote Merkle-proof verification, the read-side dual of Economical

@@ -30,9 +30,9 @@ module Server = Tep_server.Server
 
 let run dir socket port io_threads idle_timeout =
   match load dir with
-  | Error f ->
-      report_failure f;
-      code_of_failure f
+  | Error e ->
+      report_failure (Fail e);
+      exit_fail
   | Ok ws ->
       let nshards = Array.length ws.shards in
       let server =

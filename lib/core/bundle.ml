@@ -100,18 +100,10 @@ let of_string s =
       Codec.finish r;
       t)
 
-let save t path =
-  try
-    let oc = open_out_bin path in
-    output_string oc (to_string t);
-    close_out oc;
-    Ok ()
-  with Sys_error e -> Error e
+let site = Durable.site "bundle.save"
+let save t path = Durable.replace site path (to_string t)
 
 let load path =
-  try
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    of_string s
-  with Sys_error e -> Error e
+  match Durable.read path with
+  | s -> of_string s
+  | exception Sys_error e -> Error e

@@ -168,3 +168,15 @@ let with_retry ?(attempts = 3) ?(backoff = fun _ -> ()) f =
         end
   in
   go 0
+
+type op =
+  | Create of string
+  | Write of string * string
+  | Fsync of string
+  | Rename of string * string
+  | Unlink of string
+  | Mkdir of string
+  | Dir_fsync of string
+
+let recorder : (op -> unit) option ref = ref None
+let record op = match !recorder with Some f -> f op | None -> ()

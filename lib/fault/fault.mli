@@ -105,3 +105,25 @@ val with_retry :
     sleep for real deployments).  Returns the last error message when
     attempts are exhausted.  {!Crash} and every other exception
     propagate untouched — only the transient class is retried. *)
+
+(** {1 Recording}
+
+    The durable writer ({!Tep_store.Durable}) reports every effect
+    that changes what a crash could leave on disk, after the effect
+    happened.  A test installs a {!recorder} to collect this op trace
+    and enumerate the crash states it allows; nothing records
+    otherwise. *)
+
+type op =
+  | Create of string  (** a file created, or truncated to empty *)
+  | Write of string * string  (** bytes appended to a file, as handed to the OS *)
+  | Fsync of string  (** a file's data made durable *)
+  | Rename of string * string  (** [(src, dst)], within one directory *)
+  | Unlink of string
+  | Mkdir of string
+  | Dir_fsync of string  (** a directory's entries made durable *)
+
+val recorder : (op -> unit) option ref
+(** The installed recorder, if any. *)
+
+val record : op -> unit

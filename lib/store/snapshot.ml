@@ -1,15 +1,8 @@
 let magic = "TEPSNAP1"
 
-(* Failpoint sites (see Tep_fault.Fault); registered at load time so
-   the crash harness can enumerate them. *)
-let site_open = "snapshot.save.open"
-let site_write = "snapshot.save.write"
-let site_sync = "snapshot.save.sync"
-let site_rename = "snapshot.save.rename"
-
-let () =
-  List.iter Tep_fault.Fault.register
-    [ site_open; site_write; site_sync; site_rename ]
+(* Failpoint prefix (see Tep_fault.Fault); registered at load time so
+   the crash harness can enumerate the sites. *)
+let site = Durable.site "snapshot.save"
 
 let to_string db =
   let buf = Buffer.create 4096 in
@@ -23,52 +16,9 @@ let of_string s =
       Codec.finish r;
       db)
 
-let fsync_oc oc =
-  try Unix.fsync (Unix.descr_of_out_channel oc)
-  with Unix.Unix_error (e, _, _) -> raise (Sys_error (Unix.error_message e))
-
-(* Crash-safe file replacement: write to <path>.tmp, fsync, then
-   rename over <path>.  On ANY failure — including injected crashes —
-   the channel is closed and the temp file removed, so no .tmp is
-   leaked and the old file survives untouched.  Transient I/O errors
-   are retried a bounded number of times. *)
-let write_atomic path data =
-  let tmp = path ^ ".tmp" in
-  let attempt () =
-    Tep_fault.Fault.hit site_open;
-    let oc = open_out_bin tmp in
-    let written = ref false in
-    Fun.protect
-      ~finally:(fun () ->
-        if not !written then begin
-          close_out_noerr oc;
-          try Sys.remove tmp with Sys_error _ -> ()
-        end)
-      (fun () ->
-        Tep_fault.Fault.output site_write oc data;
-        Stdlib.flush oc;
-        Tep_fault.Fault.hit site_sync;
-        fsync_oc oc;
-        close_out oc;
-        written := true);
-    let rename () =
-      Tep_fault.Fault.hit site_rename;
-      Sys.rename tmp path
-    in
-    match rename () with
-    | () -> ()
-    | exception e ->
-        (try Sys.remove tmp with Sys_error _ -> ());
-        raise e
-  in
-  Tep_fault.Fault.with_retry attempt
-
-let save db path = write_atomic path (to_string db)
+let save db path = Durable.replace site path (to_string db)
 
 let load path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> of_string (really_input_string ic (in_channel_length ic)))
-  with Sys_error e -> Error e
+  match Durable.read path with
+  | s -> of_string s
+  | exception Sys_error e -> Error e

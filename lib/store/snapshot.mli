@@ -9,14 +9,7 @@
 val to_string : Database.t -> string
 val of_string : string -> (Database.t, string) result
 
-val write_atomic : string -> string -> (unit, string) result
-(** [write_atomic path data] durably replaces [path] with [data]:
-    temp file, fsync, rename.  On any failure (including between open
-    and rename) the channel is closed and the temp file removed, and
-    transient I/O errors are retried a bounded number of times.  Used
-    by {!save} and by checkpoint generations. *)
-
 val save : Database.t -> string -> (unit, string) result
-(** Write atomically (temp file + fsync + rename). *)
+(** {!Durable.replace} through the [snapshot.save] failpoints. *)
 
 val load : string -> (Database.t, string) result

@@ -29,23 +29,14 @@ let site_open = "wal.open"
 let site_append = "wal.append.frame"
 let site_flush = "wal.flush"
 let site_sync = "wal.sync"
-let site_trunc_write = "wal.truncate.write"
-let site_trunc_rename = "wal.truncate.rename"
+let site_truncate = Durable.site "wal.truncate"
 
 let () =
-  List.iter Tep_fault.Fault.register
-    [
-      site_open;
-      site_append;
-      site_flush;
-      site_sync;
-      site_trunc_write;
-      site_trunc_rename;
-    ]
+  List.iter Tep_fault.Fault.register [ site_open; site_append; site_flush; site_sync ]
 
 type file_state = {
   path : string;
-  mutable oc : out_channel;
+  mutable log : Durable.log;
   sync_every_append : bool;
   mutable fenced : bool; (* a write failed persistently: refuse all *)
 }
@@ -284,14 +275,8 @@ let bad_header path =
   Printf.sprintf "%s is not a write-ahead log: its %S header is damaged" path
     (String.trim magic)
 
-let read_whole path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let salvage_file path =
-  match read_whole path with
+  match Durable.read path with
   | exception Sys_error e -> Error e
   | s -> (
       match salvage_with_base s with
@@ -309,35 +294,17 @@ let read_file path =
 
 let in_memory () = { sink = Memory (ref []); count = 0; next_seq = 0 }
 
-let fsync_oc oc =
-  try Unix.fsync (Unix.descr_of_out_channel oc)
-  with Unix.Unix_error (e, _, _) -> raise (Sys_error (Unix.error_message e))
-
-let open_append path =
-  open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
-
 let open_file ?(sync = false) path =
   Tep_fault.Fault.hit site_open;
-  let existing = if Sys.file_exists path then read_whole path else "" in
+  let existing = if Sys.file_exists path then Durable.read path else "" in
   match salvage_with_base existing with
   | Error () -> raise (Sys_error (bad_header path))
   | Ok (next_seq, _) ->
-      let oc =
-        if is_header_prefix existing then begin
-          (* Fresh log: stamp the header (magic + base seq 0) first. *)
-          let oc =
-            open_out_gen
-              [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-              0o644 path
-          in
-          output_string oc fresh_header;
-          Stdlib.flush oc;
-          oc
-        end
-        else open_append path
-      in
+      (* a fresh log is stamped with its header (magic + base seq 0) *)
+      let header = if is_header_prefix existing then Some fresh_header else None in
+      let log = Durable.open_log ?header path in
       {
-        sink = File { path; oc; sync_every_append = sync; fenced = false };
+        sink = File { path; log; sync_every_append = sync; fenced = false };
         count = 0;
         next_seq;
       }
@@ -348,17 +315,10 @@ let fenced t = match t.sink with Memory _ -> false | File fs -> fs.fenced
 
 (* A write that failed persistently fences the handle.  Its commit is
    answered as failed, so the frames still buffered in the channel
-   must never reach the file: not at close, and not when the runtime
-   flushes every channel at exit.  Pointing the descriptor at
-   /dev/null before closing discards them. *)
+   must never reach the file. *)
 let fence fs e =
   fs.fenced <- true;
-  (try
-     let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-     Unix.dup2 null (Unix.descr_of_out_channel fs.oc);
-     Unix.close null
-   with Unix.Unix_error _ -> ());
-  close_out_noerr fs.oc;
+  Durable.discard fs.log;
   Error e
 
 (* [f ()] with transient errors retried; a persistent one fences. *)
@@ -368,6 +328,12 @@ let guarded fs f =
     match Tep_fault.Fault.with_retry f with
     | Ok () -> Ok ()
     | Error e -> fence fs e
+
+let sync_log fs =
+  Tep_fault.Fault.hit site_flush;
+  Durable.flush fs.log;
+  Tep_fault.Fault.hit site_sync;
+  Durable.sync fs.log
 
 let append t entry =
   match t.sink with
@@ -384,13 +350,8 @@ let append t entry =
       let bytes = Buffer.contents frame in
       match
         guarded fs (fun () ->
-            Tep_fault.Fault.output site_append fs.oc bytes;
-            if fs.sync_every_append then begin
-              Tep_fault.Fault.hit site_flush;
-              Stdlib.flush fs.oc;
-              Tep_fault.Fault.hit site_sync;
-              fsync_oc fs.oc
-            end)
+            Durable.append site_append fs.log bytes;
+            if fs.sync_every_append then sync_log fs)
       with
       | Ok () ->
           t.next_seq <- seq + 1;
@@ -404,19 +365,14 @@ let flush t =
   | File fs ->
       guarded fs (fun () ->
           Tep_fault.Fault.hit site_flush;
-          Stdlib.flush fs.oc)
+          Durable.flush fs.log)
 
 let sync t =
   match t.sink with
   | Memory _ -> Ok ()
-  | File fs ->
-      guarded fs (fun () ->
-          Tep_fault.Fault.hit site_flush;
-          Stdlib.flush fs.oc;
-          Tep_fault.Fault.hit site_sync;
-          fsync_oc fs.oc)
+  | File fs -> guarded fs (fun () -> sync_log fs)
 
-let close t = match t.sink with Memory _ -> () | File fs -> close_out fs.oc
+let close t = match t.sink with Memory _ -> () | File fs -> Durable.close fs.log
 
 let checkpoint t =
   match sync t with Ok () -> Ok (last_seq t) | Error e -> Error e
@@ -426,59 +382,31 @@ let truncate t ~upto =
   | Memory r ->
       r := List.filter (fun (s, _) -> s > upto) !r;
       Ok ()
-  | File fs -> (
-      match flush t with
-      | Error e -> Error ("Wal.truncate: " ^ e)
-      | Ok () -> (
-          match salvage_file fs.path with
-          | Error e -> Error ("Wal.truncate: " ^ e)
-          | Ok sv -> (
-              let keep = List.filter (fun (s, _) -> s > upto) sv.entries in
-              let buf = Buffer.create 4096 in
-              Buffer.add_string buf magic;
-              (* base seq: where numbering resumes if no frame survives *)
-              Value.add_varint buf (upto + 1);
-              List.iter (fun (seq, e) -> encode_frame buf ~seq e) keep;
-              let data = Buffer.contents buf in
-              let tmp = fs.path ^ ".tmp" in
-              let write_tmp () =
-                let oc = open_out_bin tmp in
-                let ok = ref false in
-                Fun.protect
-                  ~finally:(fun () ->
-                    if not !ok then begin
-                      close_out_noerr oc;
-                      try Sys.remove tmp with Sys_error _ -> ()
-                    end)
-                  (fun () ->
-                    Tep_fault.Fault.output site_trunc_write oc data;
-                    Stdlib.flush oc;
-                    fsync_oc oc;
-                    close_out oc;
-                    ok := true)
-              in
-              match Tep_fault.Fault.with_retry write_tmp with
-              | Error e -> Error ("Wal.truncate: " ^ e)
-              | Ok () -> (
-                  close_out_noerr fs.oc;
-                  let rename () =
-                    Tep_fault.Fault.hit site_trunc_rename;
-                    Sys.rename tmp fs.path
-                  in
-                  match rename () with
-                  | () ->
-                      fs.oc <- open_append fs.path;
-                      Ok ()
-                  | exception Sys_error e ->
-                      (try Sys.remove tmp with Sys_error _ -> ());
-                      fs.oc <- open_append fs.path;
-                      Error ("Wal.truncate: rename: " ^ e)))))
+  | File fs ->
+      let ( let* ) = Result.bind in
+      Result.map_error (fun e -> "Wal.truncate: " ^ e)
+        (let* () = flush t in
+         let* sv = salvage_file fs.path in
+         let buf = Buffer.create 4096 in
+         Buffer.add_string buf magic;
+         (* base seq: where numbering resumes if no frame survives *)
+         Value.add_varint buf (upto + 1);
+         List.iter
+           (fun (seq, e) -> if seq > upto then encode_frame buf ~seq e)
+           sv.entries;
+         let replaced =
+           Durable.replace site_truncate fs.path (Buffer.contents buf)
+         in
+         (* reopen even on failure: a rename may have happened *)
+         Durable.close fs.log;
+         fs.log <- Durable.open_log fs.path;
+         replaced)
 
 let entries t =
   match t.sink with
   | Memory r -> List.rev_map snd !r
   | File fs ->
-      Stdlib.flush fs.oc;
+      Durable.flush fs.log;
       read_file fs.path
 
 let entry_count t = t.count

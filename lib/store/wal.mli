@@ -78,6 +78,9 @@ type salvage = {
   bytes_salvaged : int;  (** bytes of intact frames recovered *)
 }
 
+val empty_salvage : salvage
+(** No frames and no damage: what a missing log holds. *)
+
 type t
 
 val in_memory : unit -> t

@@ -1,8 +1,10 @@
 #!/bin/sh
 # Repository check: an interface step (every module under lib/ has an
-# .mli, no file under lib/server/ is longer than 600 lines, and no file
+# .mli, no file under lib/server/ is longer than 600 lines, no file
 # under lib/ or bin/ but codec.ml and value.ml defines or calls a
-# read_varint, read_string or read_count of its own), then
+# read_varint, read_string or read_count of its own, and none but
+# lib/store/durable.ml opens a file for writing, renames, fsyncs or
+# removes one), then
 # `dune build @check-all` (full build, every test suite and every
 # named gate).  The build compiles the two C files,
 # lib/bignum/montmul.c (the Montgomery multiplies: a portable kernel,
@@ -17,7 +19,9 @@
 # and test_digest the SHA-extension kernel against the portable one;
 # each shows its checks as skipped on a CPU without the instructions.
 # The gates:
-# crash-point enumeration, pooled commit-signing determinism, the
+# crash-point enumeration, crash-state enumeration over the durable
+# writer's op trace at its full bound (@durable), pooled commit-signing
+# determinism, the
 # network chaos soak, shard determinism, the lineage and proof suites
 # with their smoke gates, the event-loop service gate and the
 # toy-scale end-to-end benchmark of the real daemon.  Then five
@@ -49,7 +53,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "== interfaces (an .mli per lib/ module, lib/server/ files <= 600 lines," \
-  "binary decoders read through Codec) =="
+  "binary decoders read through Codec, files written through Durable) =="
 iface_ok=1
 for ml in $(find lib -name '*.ml' | sort); do
   if [ ! -f "${ml}i" ]; then
@@ -72,6 +76,15 @@ stray=$(grep -rnwE 'read_(varint|string|count)' lib bin \
 if [ -n "$stray" ]; then
   echo "$stray"
   echo "FAIL: offsets threaded by hand outside Codec (use Tep_store.Codec)"
+  iface_ok=0
+fi
+# Every workspace file is created, replaced or removed by Durable, the
+# one writer whose op trace the crash-state enumerator checks.
+stray=$(grep -rnE 'open_out|Sys\.rename|Unix\.rename|Unix\.fsync|Sys\.remove' \
+  lib bin --include='*.ml' | grep -vE '^lib/store/durable\.ml:' || true)
+if [ -n "$stray" ]; then
+  echo "$stray"
+  echo "FAIL: a file written outside Durable (use Tep_store.Durable)"
   iface_ok=0
 fi
 [ "$iface_ok" -eq 1 ] || exit 1
