@@ -214,8 +214,8 @@ let modpow_micro_tests () =
       (Staged.stage (fun () -> ignore (Zmod.Montgomery.pow ctx512 b512 e512)));
   ]
 
-(* The two Montgomery kernels of montmul.c, declared here so that the
-   one Zmod selects can be timed beside the portable one. *)
+(* The Montgomery kernels of montmul.c, declared here so that the ones
+   Zmod selects can be timed beside the portable ones. *)
 external mont_mul_portable :
   Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit = "tep_mont_mul"
 [@@noalloc]
@@ -224,14 +224,22 @@ external mont_mul_adx : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> u
   = "tep_mont_mul_adx"
 [@@noalloc]
 
+external mont_sqr_portable : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  = "tep_mont_sqr"
+[@@noalloc]
+
+external mont_sqr_adx : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  = "tep_mont_sqr_adx"
+[@@noalloc]
+
 external mont_adx_available : unit -> bool = "tep_mont_adx_available"
 [@@noalloc]
 
 let mont_adx = mont_adx_available ()
 
-(* One Montgomery multiply at 9 and 17 words, the CRT half and the
-   modulus of a 1024-bit key, on the selected kernel and on the
-   portable one.  Buffers are laid out as Zmod lays them out: n
+(* One Montgomery multiply and one squaring at 8 and 16 words, the CRT
+   half and the modulus of a 1024-bit key, on the selected kernels and
+   on the portable ones.  Buffers are laid out as Zmod lays them out: n
    native-endian words, the modulus followed by -m^{-1} mod 2^64, and
    2n words of scratch. *)
 let montmul_micro_tests () =
@@ -247,7 +255,7 @@ let montmul_micro_tests () =
     w
   in
   let operands bits =
-    let n = (bits + 2 + 63) / 64 in
+    let n = (bits + 63) / 64 in
     let rand () =
       let x = Nat.of_bytes_be (Tep_crypto.Drbg.generate drbg (bits / 8)) in
       Nat.rem x (Nat.shift_left Nat.one (bits - 1))
@@ -263,14 +271,20 @@ let montmul_micro_tests () =
     (fun bits ->
       let n, m_words, a, b = operands bits in
       let dst = Bytes.create (8 * n) and t = Bytes.create (16 * n) in
-      let name = Printf.sprintf "mont-mul-%dw" n in
+      let mul = Printf.sprintf "mont-mul-%dw" n in
+      let sqr = Printf.sprintf "mont-sqr-%dw" n in
       [
-        Test.make ~name
+        Test.make ~name:mul
           (if mont_adx then
              Staged.stage (fun () -> mont_mul_adx dst a b m_words t)
            else Staged.stage (fun () -> mont_mul_portable dst a b m_words t));
-        Test.make ~name:(name ^ "-portable")
+        Test.make ~name:(mul ^ "-portable")
           (Staged.stage (fun () -> mont_mul_portable dst a b m_words t));
+        Test.make ~name:sqr
+          (if mont_adx then Staged.stage (fun () -> mont_sqr_adx dst a m_words t)
+           else Staged.stage (fun () -> mont_sqr_portable dst a m_words t));
+        Test.make ~name:(sqr ^ "-portable")
+          (Staged.stage (fun () -> mont_sqr_portable dst a m_words t));
       ])
     [ 512; 1024 ]
 

@@ -31,19 +31,20 @@ let mod_mul a b m = Nat.rem (Nat.mul a b) m
 
 module Montgomery = struct
   (* Montgomery-form values are [Bytes] of [n] native-endian 64-bit
-     words, the layout the C kernel (montmul.c) reads. *)
+     words, the layout the C kernels (montmul.c) read. *)
   type ctx = {
     m : Nat.t;
-    n : int; (* word count, chosen so that 4m < R = 2^(64n) *)
+    n : int; (* word count, ceil(bits(m) / 64), so that m < R = 2^(64n) *)
     m_words : Bytes.t; (* m zero-padded to n words, then -m^{-1} mod 2^64 *)
     r2 : Bytes.t; (* R^2 mod m, as n words *)
-    adx : bool; (* multiply on the ADX kernel *)
+    adx : bool; (* multiply on the ADX kernels *)
   }
 
-  (* dst <- a*b*R^{-1} mod m, lazily in [0, 2m) for a, b in [0, 2m);
-     t is 2n words of scratch.  dst may alias a or b.  Every buffer is
-     built here with the context's word count, which the kernels read
-     off m_words.  Both give the same words (montmul.c). *)
+  (* dst <- a*b*R^{-1} mod m, below R for a, b below R (almost
+     Montgomery: not always below m); t is 2n words of scratch.  dst
+     may alias a or b.  Every buffer is built here with the context's
+     word count, which the kernels read off m_words.  Both give the
+     same words (montmul.c). *)
   external mont_mul_portable :
     Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
     = "tep_mont_mul"
@@ -54,12 +55,26 @@ module Montgomery = struct
     = "tep_mont_mul_adx"
   [@@noalloc]
 
+  (* acc <- base^e in Montgomery form by the sliding window of [pow],
+     on the same kernel as [mul] (squarings on its squaring kernel):
+     e is big-endian and non-zero, k the window size, and the scratch
+     (2 + 2^(k-1))n words.  acc must not alias base. *)
+  external mont_pow_portable :
+    Bytes.t -> Bytes.t -> string -> Bytes.t -> Bytes.t -> int -> unit
+    = "tep_mont_pow_byte" "tep_mont_pow"
+  [@@noalloc]
+
+  external mont_pow_adx :
+    Bytes.t -> Bytes.t -> string -> Bytes.t -> Bytes.t -> int -> unit
+    = "tep_mont_pow_adx_byte" "tep_mont_pow_adx"
+  [@@noalloc]
+
   external adx_available : unit -> bool = "tep_mont_adx_available"
   [@@noalloc]
 
   (* The kernel is chosen once, here: the one on the x86-64 BMI2/ADX
      carry chains when the CPU has them, for every modulus of at most
-     17 words (1,086 bits); the portable one otherwise. *)
+     17 words (1,088 bits); the portable one otherwise. *)
   let adx_words = if adx_available () then 17 else 0
 
   let[@inline] mul ctx t dst a b =
@@ -102,25 +117,24 @@ module Montgomery = struct
   let create m =
     if Nat.is_even m || Nat.compare m Nat.one <= 0 then
       invalid_arg "Montgomery.create: modulus must be odd and > 1";
-    (* Two spare bits give 4m < R, which keeps every product lazily in
-       [0, 2m) with no subtraction per multiply (see montmul.c).
-       512- and 1024-bit moduli get one extra word from this. *)
-    let n = (Nat.num_bits m + 2 + 63) / 64 in
+    (* m < R is all the almost-Montgomery multiply needs (montmul.c):
+       512- and 1024-bit moduli take 8 and 16 words. *)
+    let n = (Nat.num_bits m + 63) / 64 in
     let m_words = Bytes.extend (words n m) 0 8 in
     Bytes.set_int64_ne m_words (8 * n)
       (neg_inv_word (Bytes.get_int64_ne m_words 0));
     let r2 = Nat.rem (Nat.shift_left Nat.one (128 * n)) m in
     { m; n; m_words; r2 = words n r2; adx = n <= adx_words }
 
-  (* x in Montgomery form: x*R mod m, in [0, 2m). *)
+  (* x in Montgomery form: x*R mod m, below R. *)
   let to_mont ctx t x =
     let res = words ctx.n (Nat.rem x ctx.m) in
     mul ctx t res res ctx.r2;
     res
 
-  (* Leave Montgomery form: multiplying by 1 gives x*R^{-1} in
-     [0, m] (x < 2m < R), and the one conditional subtraction of the
-     whole exponentiation maps m to 0. *)
+  (* Leave Montgomery form: multiplying x < R by 1 gives
+     (x + U*m)/R < 1 + m, so a value in [0, m], and the one conditional
+     subtraction of the whole exponentiation maps m to 0. *)
   let from_mont ctx t x =
     let one = Bytes.make (8 * ctx.n) '\000' in
     Bytes.set_int64_ne one 0 1L;
@@ -128,9 +142,9 @@ module Montgomery = struct
     let r = nat_of_words one in
     if Nat.compare r ctx.m >= 0 then Nat.sub r ctx.m else r
 
-  (* Reference left-to-right binary ladder, kept as the oracle the
-     sliding-window ladder is property-tested (and benchmarked)
-     against. *)
+  (* Reference left-to-right binary ladder over the per-multiply
+     kernel, kept as the oracle the C sliding-window ladder (and its
+     squaring kernel) is property-tested and benchmarked against. *)
   let pow_binary ctx b e =
     if Nat.is_zero e then Nat.rem Nat.one ctx.m
     else begin
@@ -156,64 +170,19 @@ module Montgomery = struct
     else if ebits > 23 then 3
     else 1
 
-  (* Left-to-right sliding window over odd powers: precompute
-     b, b^3, ..., b^(2^k - 1) in Montgomery form; a zero bit costs one
-     squaring, and a window of up to k bits that starts and ends on a
-     set bit costs its squarings plus one table multiply.  The first
-     window loads the table entry instead of squaring 1.  The
-     accumulator squares in place (the kernel lets dst alias both
-     operands), so the ladder allocates only the table and two
-     buffers. *)
+  (* The ladder is one C call (montmul.c's mont_pow): the odd-power
+     table and the multiply's t in one scratch buffer, the accumulator
+     in another, so that no multiply pays for an OCaml call. *)
   let pow ctx b e =
     if Nat.is_zero e then Nat.rem Nat.one ctx.m
     else begin
-      let ebits = Nat.num_bits e in
-      let k = window_bits ebits in
-      let t = scratch ctx in
-      let table = Array.make (1 lsl (k - 1)) Bytes.empty in
-      table.(0) <- to_mont ctx t b;
-      if k > 1 then begin
-        let b2 = buffer ctx in
-        mul ctx t b2 table.(0) table.(0);
-        for i = 1 to Array.length table - 1 do
-          let x = buffer ctx in
-          mul ctx t x table.(i - 1) b2;
-          table.(i) <- x
-        done
-      end;
+      let k = window_bits (Nat.num_bits e) in
+      let scratch = Bytes.create (8 * ctx.n * (2 + (1 lsl (k - 1)))) in
+      let base = to_mont ctx scratch b in
       let acc = buffer ctx in
-      let first = ref true in
-      let i = ref (ebits - 1) in
-      while !i >= 0 do
-        if not (Nat.testbit e !i) then begin
-          mul ctx t acc acc acc;
-          decr i
-        end
-        else begin
-          (* the widest window e[i..l], l > i - k, with bit l set *)
-          let l = ref (max 0 (!i - k + 1)) in
-          while not (Nat.testbit e !l) do
-            incr l
-          done;
-          let w = ref 0 in
-          for bit = !i downto !l do
-            w := (!w lsl 1) lor if Nat.testbit e bit then 1 else 0
-          done;
-          let entry = table.(!w lsr 1) in
-          if !first then begin
-            Bytes.blit entry 0 acc 0 (Bytes.length acc);
-            first := false
-          end
-          else begin
-            for _ = !l to !i do
-              mul ctx t acc acc acc
-            done;
-            mul ctx t acc acc entry
-          end;
-          i := !l - 1
-        end
-      done;
-      from_mont ctx t acc
+      (if ctx.adx then mont_pow_adx else mont_pow_portable)
+        acc base (Nat.to_bytes_be e) ctx.m_words scratch k;
+      from_mont ctx scratch acc
     end
 end
 

@@ -2,12 +2,13 @@
 
     Provides the number-theoretic operations RSA needs: GCD, modular
     inverse, and modular exponentiation.  Exponentiation over odd
-    moduli uses a lazily reduced Montgomery multiply on 64-bit words
-    (values kept in [\[0, 2m)]) under a sliding-window ladder: on the
-    x86-64 BMI2/ADX carry chains when CPUID reports them and the
-    modulus has at most 17 words, and by portable fused operand
-    scanning in C otherwise.  Both give the same words.  Even moduli
-    fall back to division-based reduction.  See DESIGN.md §9.2. *)
+    moduli runs an almost-Montgomery multiply and squaring on
+    ⌈bits(m)/64⌉ 64-bit words (values kept below R = 2^(64n), not
+    necessarily below m) under a sliding-window ladder that is one C
+    call: on the x86-64 BMI2/ADX carry chains when CPUID reports them
+    and the modulus has at most 17 words, and by portable C otherwise.
+    All kernels give the same words.  Even moduli fall back to
+    division-based reduction.  See DESIGN.md §9.2. *)
 
 val gcd : Nat.t -> Nat.t -> Nat.t
 (** Greatest common divisor; [gcd 0 b = b]. *)
@@ -41,10 +42,11 @@ module Montgomery : sig
 
   val create : Nat.t -> ctx
   (** [create m] precomputes [-m^{-1} mod 2^64] and [R^2 mod m] (one
-      long division) for R = 2^(64n), where n = ⌈(bits(m) + 2) / 64⌉
-      words makes [4m < R]: that bound lets every intermediate value
-      stay in [\[0, 2m)] with no per-multiply subtraction.  A context
-      is immutable and may be shared between domains.
+      long division) for R = 2^(64n), where n = ⌈bits(m) / 64⌉ words
+      (8 for a 512-bit prime, 16 for a 1024-bit modulus).  [m < R] is
+      all the almost-Montgomery multiply needs: for operands below R
+      its result is below R, after at most one subtraction of m.  A
+      context is immutable and may be shared between domains.
       @raise Invalid_argument if the modulus is even or [<= 1]. *)
 
   val modulus : ctx -> Nat.t
@@ -54,11 +56,13 @@ module Montgomery : sig
       sliding window over the odd powers [b, b^3, ..., b^(2^k - 1)],
       with k picked from [e]'s bit length (1 up to 23 bits, then 3,
       4, 5 from 240 bits, 6 from 672 bits).  A zero bit costs one
-      squaring, a window its squarings plus one table multiply.  Not
-      constant-time. *)
+      squaring, a window its squarings plus one table multiply.  The
+      whole ladder is one [@@noalloc] C call, with squarings on the
+      dedicated squaring kernel; only entering and leaving Montgomery
+      form happen in OCaml.  Not constant-time. *)
 
   val pow_binary : ctx -> Nat.t -> Nat.t -> Nat.t
-  (** Reference left-to-right binary square-and-multiply over the same
-      kernel.  Same results as {!pow}; kept as oracle and benchmark
-      baseline. *)
+  (** Reference left-to-right binary square-and-multiply in OCaml, one
+      call of the multiply kernel per step (squarings included).  Same
+      results as {!pow}; kept as oracle and benchmark baseline. *)
 end

@@ -146,8 +146,9 @@ let check_modulus ?(extra = []) next m =
 
 (* Random moduli of 31k-2 .. 31k+2 bits (the limb width of Nat) and of
    64k-2 .. 64k+2 bits up to 17 words (the word width of the kernel):
-   the 4m < R rule adds a word between 64k-2 and 64k-1 bits, so both
-   word counts meet values lazily held in [0, 2m). *)
+   the word count ceil(bits/64) steps up between 64k and 64k+1 bits,
+   so both word counts meet moduli that fill their top word, where
+   values below R run past 2m. *)
 let test_limb_boundaries () =
   let next = lcg 4321 in
   let around w ks =
@@ -157,9 +158,9 @@ let test_limb_boundaries () =
     (fun bits -> check_modulus next (rand_odd_modulus next bits))
     (around 31 [ 1; 2; 3; 17; 33 ] @ around 64 (List.init 17 succ))
 
-(* The smallest modulus, and moduli just below and above 2^62 (the
-   largest one-word modulus under 4m < R) and 2^64; the powers of 3
-   around 2^64 also take the nilpotent base 3. *)
+(* The smallest modulus, and moduli just below and above 2^62 and 2^64
+   (the largest one-word modulus); the powers of 3 around 2^64 also
+   take the nilpotent base 3. *)
 let test_word_edges () =
   let next = lcg 2718 in
   let pow2 k = Nat.shift_left Nat.one k in
@@ -220,11 +221,12 @@ let test_nilpotent_bases () =
     m := Nat.mul m' three
   done
 
-(* The two Montgomery kernels of montmul.c against each other: the
-   portable one is the oracle for the one on the x86-64 BMI2/ADX
+(* The kernels of montmul.c, declared here so that each is tested
+   whichever one Zmod runs on.  The portable multiply is the oracle of
+   the portable squaring and of the kernels on the x86-64 BMI2/ADX
    instructions, which Zmod selects for moduli of up to 17 words when
-   the CPU has them.  Both are declared here, so that each is tested
-   whichever one Zmod runs on. *)
+   the CPU has them.  The ladders take six arguments, so they have
+   bytecode entry points of their own. *)
 external mont_mul_portable :
   Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit = "tep_mont_mul"
 [@@noalloc]
@@ -233,94 +235,285 @@ external mont_mul_adx : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> u
   = "tep_mont_mul_adx"
 [@@noalloc]
 
+external mont_sqr_portable : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  = "tep_mont_sqr"
+[@@noalloc]
+
+external mont_sqr_adx : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  = "tep_mont_sqr_adx"
+[@@noalloc]
+
+external mont_pow_portable :
+  Bytes.t -> Bytes.t -> string -> Bytes.t -> Bytes.t -> int -> unit
+  = "tep_mont_pow_byte" "tep_mont_pow"
+[@@noalloc]
+
+external mont_pow_adx :
+  Bytes.t -> Bytes.t -> string -> Bytes.t -> Bytes.t -> int -> unit
+  = "tep_mont_pow_adx_byte" "tep_mont_pow_adx"
+[@@noalloc]
+
 external adx_available : unit -> bool = "tep_mont_adx_available" [@@noalloc]
 
-(* [x] as [n] native-endian 64-bit words, least significant first. *)
-let words n x =
-  let s = Nat.to_bytes_be_padded (8 * n) x in
-  let w = Bytes.create (8 * n) in
-  for i = 0 to n - 1 do
-    Bytes.set_int64_ne w (8 * i) (String.get_int64_be s (8 * (n - 1 - i)))
+let adx = adx_available ()
+
+(* [x] as [nw] native-endian 64-bit words, least significant first. *)
+let words nw x =
+  let s = Nat.to_bytes_be_padded (8 * nw) x in
+  let w = Bytes.create (8 * nw) in
+  for i = 0 to nw - 1 do
+    Bytes.set_int64_ne w (8 * i) (String.get_int64_be s (8 * (nw - 1 - i)))
   done;
   w
 
-(* The kernels' modulus buffer: [m] as [n] words, then -m^{-1} mod 2^64. *)
-let modulus_words n m =
+let nat_of_words w =
+  let nw = Bytes.length w / 8 in
+  let s = Bytes.create (8 * nw) in
+  for i = 0 to nw - 1 do
+    Bytes.set_int64_be s (8 * (nw - 1 - i)) (Bytes.get_int64_ne w (8 * i))
+  done;
+  Nat.of_bytes_be (Bytes.unsafe_to_string s)
+
+(* The kernels' modulus buffer: [m] as [nw] words, then -m^{-1} mod 2^64. *)
+let modulus_words nw m =
   let r64 = Nat.shift_left Nat.one 64 in
   let inv = Option.get (Zmod.modinv m r64) in
-  Bytes.cat (words n m) (words 1 (Nat.sub r64 inv))
+  Bytes.cat (words nw m) (words 1 (Nat.sub r64 inv))
 
-(* The operand cases of one word count, from random bytes [seed]: a
-   random odd modulus of the widths that get [n] words (64n - 65 to
-   64n - 2 bits), then the all-ones modulus 2^(64n-2) - 1 and one just
-   below 2^(64n-2); each with random operands below 2m, both operands
-   2m - 1, and operands whose low words are all ones. *)
-let kernel_cases n seed =
+(* R = 2^(64 nw). *)
+let radix nw = Nat.shift_left Nat.one (64 * nw)
+
+(* The almost-Montgomery multiply in Nat arithmetic, the contract every
+   kernel implements: with U = -ab*m^{-1} mod R, T = ab + U*m is a
+   multiple of R below 2R^2, and the result is T/R, less m when
+   T/R >= R.  Also says whether that subtraction happened. *)
+let almost_montgomery nw m a b =
+  let r = radix nw in
+  let ab = Nat.mul a b in
+  let u =
+    Nat.rem (Nat.mul (Nat.sub r (Nat.rem ab r)) (Option.get (Zmod.modinv m r))) r
+  in
+  let q, rest = Nat.divmod (Nat.add ab (Nat.mul u m)) r in
+  assert (Nat.is_zero rest);
+  if Nat.compare q r >= 0 then (Nat.sub q m, true) else (q, false)
+
+(* m = (2R + 1)/3: odd, top bit set, and 3m = 1 (mod R), so
+   m^{-1} = 3.  With a = b = R - 1, ab = 1 (mod R), U = R - 3 and
+   ab + U*m = (5R^2 - 11R)/3 >= R^2: the multiply ends on the carry
+   that subtracts m. *)
+let carry_modulus nw =
+  Nat.div (Nat.add (Nat.shift_left (radix nw) 1) Nat.one) (n 3)
+
+(* The operand cases of one word count, from random bytes [seed].
+   Moduli: a random odd one of 64n - 65 to 64n - 2 bits, the all-ones
+   2^(64n-2) - 1 and one just below 2^(64n-2), then a random one of
+   64n - 1 or 64n bits, R - 1, one just below R and [carry_modulus].
+   Operands, below B = min(2m, R): random ones, both B - 1, low words
+   all ones; and both R - 1.  For the first three moduli B = 2m, so
+   the cases of a [0, 2m) operand bound stay a subset. *)
+let kernel_cases nw seed =
   let below bound s = Nat.rem (Nat.of_bytes_be s) bound in
-  let top = Nat.shift_left Nat.one ((64 * n) - 2) in
+  let r = radix nw in
+  let top = Nat.shift_left Nat.one ((64 * nw) - 2) in
   let odd m = if Nat.is_even m then Nat.add m Nat.one else m in
-  let random_m =
-    let lo = max 2 ((64 * n) - 65) in
-    let width = lo + (Char.code seed.[0] mod ((64 * n) - 1 - lo)) in
+  let random_m lo hi =
+    let width = lo + (Char.code seed.[0] mod (hi + 1 - lo)) in
     odd (Nat.add (Nat.shift_left Nat.one (width - 1))
            (below (Nat.shift_left Nat.one (width - 1)) seed))
   in
+  let just_below x = odd (Nat.sub x (Nat.add (below (n 1000) seed) Nat.two)) in
   let moduli =
     [
-      ("random m", random_m);
+      ("random m", random_m (max 2 ((64 * nw) - 65)) ((64 * nw) - 2));
       ("m = 2^(64n-2) - 1", Nat.sub top Nat.one);
-      ("m just below 2^(64n-2)",
-        odd (Nat.sub top (Nat.add (below (Nat.of_int 1000) seed) Nat.two)));
+      ("m just below 2^(64n-2)", just_below top);
+      ("random m of 64n - 1 or 64n bits", random_m ((64 * nw) - 1) (64 * nw));
+      ("m = R - 1", Nat.sub r Nat.one);
+      ("m just below R", just_below r);
+      ("m = (2R + 1)/3", carry_modulus nw);
     ]
   in
   List.concat_map
     (fun (what, m) ->
       let m2 = Nat.add m m in
+      let bound = if Nat.compare m2 r < 0 then m2 else r in
       let ones k = Nat.sub (Nat.shift_left Nat.one (64 * k)) Nat.one in
-      let low_ones = Nat.rem (ones (n - 1)) m2 in
+      let low_ones = Nat.rem (ones (nw - 1)) bound in
+      let b1 = Nat.sub bound Nat.one and r1 = Nat.sub r Nat.one in
       [
-        (what ^ ", random a, b", m, below m2 (String.sub seed 1 140),
-          below m2 (String.sub seed 141 140));
-        (what ^ ", a = b = 2m - 1", m, Nat.sub m2 Nat.one, Nat.sub m2 Nat.one);
-        (what ^ ", all-ones low words", m, low_ones, Nat.sub m2 Nat.one);
+        (what ^ ", random a, b", m, below bound (String.sub seed 1 140),
+          below bound (String.sub seed 141 140));
+        (what ^ ", a = b = B - 1", m, b1, b1);
+        (what ^ ", all-ones low words", m, low_ones, b1);
+        (what ^ ", a = b = R - 1", m, r1, r1);
       ])
     moduli
 
-(* One case on both kernels, into a fresh destination and with the
-   destination aliased to a, to b and (squaring) to both. *)
-let kernels_agree n (what, m, a, b) =
-  let mw = modulus_words n m and aw = words n a and bw = words n b in
-  let on kernel dst x y = kernel dst x y mw (Bytes.create (16 * n)) in
-  let run kernel =
-    let dst = Bytes.create (8 * n) in
-    on kernel dst aw bw;
-    let dst_a = Bytes.copy aw in
-    on kernel dst_a dst_a bw;
-    let dst_b = Bytes.copy bw in
-    on kernel dst_b aw dst_b;
-    let sq = Bytes.copy aw in
-    on kernel sq sq sq;
-    [ dst; dst_a; dst_b; sq ]
-  in
-  List.for_all2 Bytes.equal (run mont_mul_adx) (run mont_mul_portable)
-  || QCheck2.Test.fail_reportf "%d words, %s: the kernels differ" n what
+(* One case on one kernel pair: the multiply into a fresh destination
+   and with the destination aliased to a, to b and (squaring) to both;
+   then the squaring kernel on a, into a fresh destination and in
+   place. *)
+let run_case (mul, sqr) nw (_, m, a, b) =
+  let mw = modulus_words nw m and aw = words nw a and bw = words nw b in
+  let t () = Bytes.create (16 * nw) in
+  let dst = Bytes.create (8 * nw) in
+  mul dst aw bw mw (t ());
+  let dst_a = Bytes.copy aw in
+  mul dst_a dst_a bw mw (t ());
+  let dst_b = Bytes.copy bw in
+  mul dst_b aw dst_b mw (t ());
+  let sq = Bytes.copy aw in
+  mul sq sq sq mw (t ());
+  let sqr_fresh = Bytes.create (8 * nw) in
+  sqr sqr_fresh aw mw (t ());
+  let sqr_in_place = Bytes.copy aw in
+  sqr sqr_in_place sqr_in_place mw (t ());
+  [ dst; dst_a; dst_b; sq; sqr_fresh; sqr_in_place ]
+
+let portable = (mont_mul_portable, mont_sqr_portable)
+
+(* Every aliasing gives the words of the fresh multiply, and both
+   squarings the words of the multiply a*a. *)
+let consistent nw (what, _, _, _) = function
+  | [ dst; dst_a; dst_b; sq; sqr_fresh; sqr_in_place ] ->
+      (Bytes.equal dst dst_a && Bytes.equal dst dst_b && Bytes.equal sq sqr_fresh
+     && Bytes.equal sq sqr_in_place)
+      || QCheck2.Test.fail_reportf
+           "%d words, %s: an aliased multiply or a squaring differs" nw what
+  | _ -> assert false
+
+(* The word counts of the specialised portable multiplies (4, 8, 16
+   and 32), and around them ones that take its generic instance. *)
+let portable_word_counts = List.init 17 succ @ [ 18; 32; 33 ]
+
+let seed_gen = QCheck2.Gen.(string_size ~gen:char (return 281))
+
+let prop_portable_squaring =
+  QCheck2.Test.make
+    ~name:"portable squaring = portable multiply a*a, any aliasing" ~count:15
+    seed_gen (fun seed ->
+      List.for_all
+        (fun nw ->
+          List.for_all
+            (fun case -> consistent nw case (run_case portable nw case))
+            (kernel_cases nw seed))
+        portable_word_counts)
 
 let prop_kernels_agree =
-  QCheck2.Test.make ~name:"ADX kernel = portable kernel, 1 to 17 words"
-    ~count:40
-    QCheck2.Gen.(string_size ~gen:char (return 281))
-    (fun seed ->
+  QCheck2.Test.make
+    ~name:"ADX multiply and squaring = portable multiply, 1 to 17 words"
+    ~count:40 seed_gen (fun seed ->
       List.for_all
-        (fun n -> List.for_all (kernels_agree n) (kernel_cases n seed))
+        (fun nw ->
+          List.for_all
+            (fun case ->
+              let on_adx = run_case (mont_mul_adx, mont_sqr_adx) nw case in
+              consistent nw case on_adx
+              && (List.for_all2 Bytes.equal on_adx (run_case portable nw case)
+                 || let what, _, _, _ = case in
+                    QCheck2.Test.fail_reportf "%d words, %s: the kernels differ"
+                      nw what))
+            (kernel_cases nw seed))
         (List.init 17 succ))
 
-(* Without BMI2 and ADX the kernel cannot run: its check is listed as
-   skipped, not dropped. *)
+(* The kernels' words against the Nat model of the contract, on one
+   seed; the case a = b = R - 1 modulo (2R + 1)/3 must be one that
+   subtracts m, so the carry-and-subtract branch is shown to run. *)
+let test_contract () =
+  let next = lcg 2024 in
+  let seed = String.init 281 (fun _ -> Char.chr (next () land 0xff)) in
+  let kernels = if adx then [ ("portable", portable);
+                              ("ADX", (mont_mul_adx, mont_sqr_adx)) ]
+    else [ ("portable", portable) ] in
+  List.iter
+    (fun nw ->
+      List.iter
+        (fun ((what, m, a, b) as case) ->
+          let want_ab, _ = almost_montgomery nw m a b in
+          let want_aa, subtracted = almost_montgomery nw m a a in
+          if Nat.equal m (carry_modulus nw)
+             && Nat.equal a (Nat.sub (radix nw) Nat.one)
+          then
+            Alcotest.(check bool)
+              (Printf.sprintf "%d words, %s: subtracts m" nw what)
+              true subtracted;
+          List.iter
+            (fun (kernel, pair) ->
+              let name = Printf.sprintf "%s, %d words, %s" kernel nw what in
+              List.iteri
+                (fun i out ->
+                  (* the three multiplies a*b, then a*a by the multiply
+                     and by the two squarings *)
+                  let want, form =
+                    if i < 3 then (want_ab, "a*b") else (want_aa, "a*a")
+                  in
+                  Alcotest.check nat
+                    (Printf.sprintf "%s, %s (output %d)" name form i)
+                    want (nat_of_words out))
+                (run_case pair nw case))
+            kernels)
+        (kernel_cases nw seed))
+    portable_word_counts
+
+(* The C ladder on each kernel, for every window size k from 1 to 6
+   (Zmod picks one from the exponent width), against modpow_naive, with
+   Zmod's pow and pow_binary beside it.  Exponents sit on both sides
+   of every window threshold; the base enters in Montgomery form, plus
+   m when that stays below R, so the ladder starts from an operand that
+   is not reduced. *)
+let test_c_ladder () =
+  let next = lcg 8086 in
+  let moduli =
+    [ rand_odd_modulus next 512; rand_odd_modulus next 1024;
+      carry_modulus 8; Nat.sub (radix 8) Nat.one ]
+  in
+  let ladders =
+    ("portable", mont_pow_portable)
+    :: (if adx then [ ("ADX", mont_pow_adx) ] else [])
+  in
+  List.iter
+    (fun m ->
+      let bits = Nat.num_bits m in
+      let nw = (bits + 63) / 64 in
+      let r = radix nw in
+      let r_inv = Option.get (Zmod.modinv r m) in
+      let ctx = Zmod.Montgomery.create m in
+      let b = rand_nat next bits in
+      let b_mont =
+        let x = Nat.rem (Nat.mul b r) m in
+        if Nat.compare (Nat.add x m) r < 0 then Nat.add x m else x
+      in
+      List.iter
+        (fun ebits ->
+          let e = rand_exponent next ebits in
+          let want = Zmod.modpow_naive b e m in
+          let name = Printf.sprintf "%d-bit m, %d-bit e" bits ebits in
+          Alcotest.check nat (name ^ ", pow") want (Zmod.Montgomery.pow ctx b e);
+          Alcotest.check nat (name ^ ", pow_binary") want
+            (Zmod.Montgomery.pow_binary ctx b e);
+          List.iter
+            (fun (kernel, ladder) ->
+              for k = 1 to 6 do
+                let acc = Bytes.create (8 * nw) in
+                let scratch = Bytes.create (8 * nw * (2 + (1 lsl (k - 1)))) in
+                ladder acc (words nw b_mont) (Nat.to_bytes_be e)
+                  (modulus_words nw m) scratch k;
+                Alcotest.check nat
+                  (Printf.sprintf "%s, %s ladder, k = %d" name kernel k)
+                  want
+                  (Nat.rem (Nat.mul (nat_of_words acc) r_inv) m)
+              done)
+            ladders)
+        window_widths)
+    moduli
+
+(* Without BMI2 and ADX the kernels cannot run: their check is listed
+   as skipped, not dropped. *)
 let adx_tests =
-  if adx_available () then [ QCheck_alcotest.to_alcotest prop_kernels_agree ]
+  if adx then [ QCheck_alcotest.to_alcotest prop_kernels_agree ]
   else
     [
-      Alcotest.test_case "ADX kernel (no BMI2/ADX on this CPU)" `Quick
+      Alcotest.test_case "ADX kernels (no BMI2/ADX on this CPU)" `Quick
         (fun () -> Alcotest.skip ());
     ]
 
@@ -396,5 +589,10 @@ let () =
             prop_modpow_mul;
             prop_gcd_divides;
           ] );
-      ("montmul-kernels", adx_tests);
+      ( "montmul-kernels",
+          Alcotest.test_case "almost-Montgomery contract" `Quick test_contract
+          :: Alcotest.test_case "C ladder, every window size" `Quick
+               test_c_ladder
+          :: QCheck_alcotest.to_alcotest prop_portable_squaring
+          :: adx_tests );
     ]

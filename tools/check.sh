@@ -7,17 +7,21 @@
 # removes one), then
 # `dune build @check-all` (full build, every test suite and every
 # named gate).  The build compiles the two C files,
-# lib/bignum/montmul.c (the Montgomery multiplies: a portable kernel,
-# and on x86-64 one in inline assembly on the BMI2/ADX carry chains)
+# lib/bignum/montmul.c (the Montgomery multiply and the dedicated
+# squaring, each as a portable kernel and on x86-64 in inline assembly
+# on the BMI2/ADX carry chains, and the sliding-window ladder that runs
+# a whole exponentiation in one C call on either)
 # and lib/crypto/compress.c (the hash compressions, with a SHA-256
 # kernel on the x86 SHA extensions compiled through a function-level
 # target attribute, and the HMAC-DRBG draw step), with -Wall -Wextra
 # -Werror, and the test suites run test_zmod, test_digest and test_drbg
 # both native and as bytecode, so that the kernels' bytecode entry
 # points are linked and exercised.
-# test_zmod checks the ADX Montgomery kernel against the portable one,
+# test_zmod checks every Montgomery kernel and the C ladder against
+# Nat models, and the ADX kernels against the portable ones,
 # and test_digest the SHA-extension kernel against the portable one;
-# each shows its checks as skipped on a CPU without the instructions.
+# each shows the checks of its x86 kernels as skipped on a CPU without
+# the instructions.
 # The gates:
 # crash-point enumeration, crash-state enumeration over the durable
 # writer's op trace at its full bound (@durable), pooled commit-signing
