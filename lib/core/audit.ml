@@ -105,18 +105,17 @@ let incremental_audit ?pool ~directory cp store =
     List.sort_uniq Oid.compare
       (Provstore.objects store @ List.map fst (Oid.Map.bindings cp))
   in
-  (* Per-object checks are independent: they read the (frozen) store
-     and the mutex-guarded certificate cache.  Fan the sweep out
-     across domains, then fold results back in oid order so the report
-     and checkpoint are identical to the sequential sweep. *)
+  (* Per-object checks are independent: they read only the (frozen)
+     store and the directory.  Fan the sweep out across domains, then
+     fold results back in oid order so the report and checkpoint are
+     identical to the sequential sweep. *)
   let check oid =
     check_object ~directory ~store cp oid (Provstore.records_for store oid)
   in
   let results =
     match pool with
-    | Some p when Tep_parallel.Pool.size p > 1 ->
-        Tep_parallel.Pool.map_list p check objs
-    | _ -> List.map check objs
+    | Some p -> Tep_parallel.Pool.map_list p check objs
+    | None -> List.map check objs
   in
   let report = Verifier.concat (List.map fst results) in
   let cp' =

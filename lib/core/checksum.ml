@@ -3,49 +3,25 @@ open Tep_tree
 
 let genesis = "\x00"
 
-(* [payload] is on the per-record signing path and runs concurrently
-   from pool domains AND from sys-threads sharing one domain (server
-   connection threads), so its scratch buffer and digest context live
-   in a single-slot atomic cache rather than per-domain storage: a
-   caller takes exclusive ownership by exchanging the slot for None
-   and puts the scratch back when done.  Under contention the losers
-   allocate fresh scratch and the slot keeps one — always safe, and
-   allocation-free on the common single-committer path. *)
-type scratch = { sbuf : Buffer.t; sctx : Sha256.ctx }
-
-let scratch_slot : scratch option Stdlib.Atomic.t = Stdlib.Atomic.make None
-
-let with_scratch f =
-  let s =
-    match Stdlib.Atomic.exchange scratch_slot None with
-    | Some s -> s
-    | None -> { sbuf = Buffer.create 256; sctx = Sha256.init () }
-  in
-  Fun.protect
-    ~finally:(fun () -> Stdlib.Atomic.set scratch_slot (Some s))
-    (fun () -> f s)
-
 (* Length-prefixed field framing: no two distinct field lists share an
    encoding. *)
 let frame fields =
-  with_scratch (fun { sbuf = buf; _ } ->
-      Buffer.clear buf;
-      Buffer.add_string buf "TEPCK1";
-      List.iter
-        (fun f ->
-          Tep_store.Value.add_varint buf (String.length f);
-          Buffer.add_string buf f)
-        fields;
-      Buffer.contents buf)
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "TEPCK1";
+  List.iter
+    (fun f ->
+      Tep_store.Value.add_varint buf (String.length f);
+      Buffer.add_string buf f)
+    fields;
+  Buffer.contents buf
 
 (* Incremental digest of the concatenation — identical output to
    [digest (String.concat "" hashes)] without materialising the
    O(inputs) intermediate string (aggregates can cite many inputs). *)
 let combined_input_hash hashes =
-  with_scratch (fun { sctx = ctx; _ } ->
-      Sha256.reset ctx;
-      List.iter (Sha256.update ctx) hashes;
-      Sha256.final ctx)
+  let ctx = Sha256.init () in
+  List.iter (Sha256.update ctx) hashes;
+  Sha256.final ctx
 
 let payload ~kind ~seq_id ~output_oid ~input_hashes ~output_hash ~prev_checksums
     =
@@ -85,31 +61,22 @@ let verify pk ~payload ~checksum =
   Rsa.verify ~algo:Digest_algo.SHA256 pk ~msg:payload ~signature:checksum
 
 let verify_record dir (r : Record.t) =
-  (* The CA check on the participant's certificate is cached in the
-     directory — without it every record costs an extra RSA verify. *)
-  match Participant.Directory.lookup_verified dir r.Record.participant with
-  | `Unknown ->
-      Error (Printf.sprintf "unknown participant %s" r.Record.participant)
-  | `Bad_certificate ->
-      Error
-        (Printf.sprintf "certificate for %s does not verify"
-           r.Record.participant)
-  | `Verified cert -> begin
+  match Participant.Directory.lookup dir r.Record.participant with
+  | None -> Error (Printf.sprintf "unknown participant %s" r.Record.participant)
+  | Some cert -> (
       match
-          payload ~kind:r.Record.kind ~seq_id:r.Record.seq_id
-            ~output_oid:r.Record.output_oid
-            ~input_hashes:r.Record.input_hashes
-            ~output_hash:r.Record.output_hash
-            ~prev_checksums:r.Record.prev_checksums
-        with
-        | exception Invalid_argument e -> Error ("malformed record: " ^ e)
-        | p ->
-            if verify cert.Pki.subject_key ~payload:p ~checksum:r.Record.checksum
-            then Ok ()
-            else
-              Error
-                (Printf.sprintf
-                   "checksum of record (seq %d, %s, %s) does not verify"
-                   r.Record.seq_id r.Record.participant
-                   (Oid.to_string r.Record.output_oid))
-      end
+        payload ~kind:r.Record.kind ~seq_id:r.Record.seq_id
+          ~output_oid:r.Record.output_oid ~input_hashes:r.Record.input_hashes
+          ~output_hash:r.Record.output_hash
+          ~prev_checksums:r.Record.prev_checksums
+      with
+      | exception Invalid_argument e -> Error ("malformed record: " ^ e)
+      | p ->
+          if verify cert.Pki.subject_key ~payload:p ~checksum:r.Record.checksum
+          then Ok ()
+          else
+            Error
+              (Printf.sprintf
+                 "checksum of record (seq %d, %s, %s) does not verify"
+                 r.Record.seq_id r.Record.participant
+                 (Oid.to_string r.Record.output_oid)))

@@ -208,15 +208,6 @@ let object_depth t oid = List.length (Forest.ancestors t.forest oid)
 let sign_site = "engine.commit.sign"
 let () = Tep_fault.Fault.register sign_site
 
-(* Adaptive gate for the signing fan-out (ROADMAP 2b).  Below this
-   many records the per-task handoff and domain wakeup exceed what the
-   parallel signatures recover, so the stage runs on the caller; and a
-   1-core host never fans out at all — there, pool dispatch is pure
-   overhead at any batch size (the recorded pooled write path was ~30x
-   slower than serial before this gate). *)
-let sign_serial_below = 4
-let host_cores = lazy (Domain.recommended_domain_count ())
-
 (* A record fully prepared by the sequential hash/payload stage of
    [commit], awaiting only its signature. *)
 type staged = {
@@ -366,12 +357,10 @@ let commit t (b : batch) : metrics =
   let t_sign = now () in
   let checksums =
     match t.pool with
-    | Some pool
-      when Tep_parallel.Pool.size pool > 1 && n > 1
-           && Lazy.force host_cores > 1 ->
-        Tep_parallel.Pool.map_chunked ~serial_below:sign_serial_below ~chunk:1
-          pool sign_one (Array.init n Fun.id)
-    | _ -> Array.init n sign_one
+    | Some pool ->
+        Tep_parallel.Pool.map_chunked ~chunk:1 pool sign_one
+          (Array.init n Fun.id)
+    | None -> Array.init n sign_one
   in
   let sign_s = now () -. t_sign in
   let sign_cpu_s = Array.fold_left ( +. ) 0. cpu in

@@ -47,30 +47,12 @@ module Directory = struct
 
   type t = {
     ca_key : Rsa.public_key;
+    (* Only certificates that verify against [ca_key] get in. *)
     certs : (string, Pki.certificate) Hashtbl.t;
-    (* Subjects whose registered certificate has already been checked
-       against [ca_key].  Signature verification is per-record; the CA
-       check is per-participant — caching it removes one RSA verify
-       from every record on the verifier/audit hot paths.  Guarded by
-       [vlock] because those paths fan out across domains. *)
-    verified : (string, unit) Hashtbl.t;
-    vlock : Mutex.t;
   }
 
-  let create ~ca_key =
-    {
-      ca_key;
-      certs = Hashtbl.create 16;
-      verified = Hashtbl.create 16;
-      vlock = Mutex.create ();
-    }
-
+  let create ~ca_key = { ca_key; certs = Hashtbl.create 16 }
   let ca_key t = t.ca_key
-
-  let invalidate_verified t subject =
-    Mutex.lock t.vlock;
-    Hashtbl.remove t.verified subject;
-    Mutex.unlock t.vlock
 
   let register_certificate t cert =
     if not (Pki.verify_certificate ~ca_key:t.ca_key cert) then
@@ -86,30 +68,7 @@ module Directory = struct
                cert.Pki.subject)
       | _ ->
           Hashtbl.replace t.certs cert.Pki.subject cert;
-          invalidate_verified t cert.Pki.subject;
           Ok ()
-
-  let lookup_verified t name =
-    match Hashtbl.find_opt t.certs name with
-    | None -> `Unknown
-    | Some cert ->
-        Mutex.lock t.vlock;
-        let hit = Hashtbl.mem t.verified name in
-        Mutex.unlock t.vlock;
-        if hit then `Verified cert
-        else if Pki.verify_certificate ~ca_key:t.ca_key cert then begin
-          Mutex.lock t.vlock;
-          Hashtbl.replace t.verified name ();
-          Mutex.unlock t.vlock;
-          `Verified cert
-        end
-        else `Bad_certificate
-
-  let verified_count t =
-    Mutex.lock t.vlock;
-    let n = Hashtbl.length t.verified in
-    Mutex.unlock t.vlock;
-    n
 
   let register t (p : participant) =
     match register_certificate t p.cert with

@@ -45,24 +45,14 @@ module Directory : sig
   val register : t -> participant -> unit
   val register_certificate : t -> Tep_crypto.Pki.certificate -> (unit, string) result
   (** Fails if the certificate does not verify against the CA key, or
-      if the subject is already registered with a different key. *)
+      if the subject is already registered with a different key.  This
+      is the only way into the directory, so every certificate in it
+      has been checked against the CA exactly once, here. *)
 
   val lookup : t -> string -> Tep_crypto.Pki.certificate option
-
-  val lookup_verified :
-    t ->
-    string ->
-    [ `Verified of Tep_crypto.Pki.certificate | `Unknown | `Bad_certificate ]
-  (** Like {!lookup}, but additionally checks the certificate against
-      the CA key, caching the (per-participant) result so per-record
-      verification pays at most one CA-signature check per subject.
-      The cache entry is invalidated when the subject re-registers.
-      Safe to call from multiple domains concurrently (the cache is
-      mutex-guarded), provided no concurrent registration. *)
-
-  val verified_count : t -> int
-  (** Number of subjects currently in the verified-certificate cache
-      (observability / tests). *)
+  (** The subject's certificate, already checked against the CA key.
+      Reads only: safe from several domains at once, provided no
+      registration runs concurrently. *)
 
   val names : t -> string list
 end

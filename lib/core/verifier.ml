@@ -212,12 +212,6 @@ let concat reports =
     signatures_checked = sum (fun r -> r.signatures_checked);
   }
 
-(* Below this many records the signature checks stay on the caller.
-   An object's closure is mostly one to three records, and a handoff
-   to other domains costs more than it saves; the closure of the root
-   or of a table, every record below it, still spreads over the pool. *)
-let verify_serial_below = 4
-
 let verify_records ?pool ~directory records =
   let by_checksum = Hashtbl.create (List.length records) in
   List.iter
@@ -225,19 +219,15 @@ let verify_records ?pool ~directory records =
       Hashtbl.replace by_checksum r.Record.checksum r)
     records;
   (* 1. Signatures (R1, R8) — the dominant cost (one RSA verify per
-     record), and embarrassingly parallel: each check is pure apart
-     from the directory's mutex-guarded certificate cache.  Results
-     are folded back in record order, so the report is byte-identical
-     to the sequential pass regardless of domain scheduling. *)
+     record), and embarrassingly parallel: each check is a pure
+     function of the record and the directory.  Results are folded
+     back in record order, so the report is byte-identical to the
+     sequential pass regardless of domain scheduling. *)
+  let check = Checksum.verify_record directory in
   let signature_results =
     match pool with
-    | Some p when Tep_parallel.Pool.size p > 1 ->
-        Tep_parallel.Pool.map_list ~serial_below:verify_serial_below p
-          (fun (r : Record.t) -> Checksum.verify_record directory r)
-          records
-    | _ ->
-        List.map (fun (r : Record.t) -> Checksum.verify_record directory r)
-          records
+    | Some p -> Tep_parallel.Pool.map_list p check records
+    | None -> List.map check records
   in
   let bad_signatures =
     List.concat

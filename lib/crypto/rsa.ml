@@ -1,6 +1,6 @@
 open Tep_bignum
 
-type public_key = { n : Nat.t; e : Nat.t }
+type public_key = { n : Nat.t; e : Nat.t; mont : Zmod.Montgomery.ctx option }
 
 type private_key = {
   pn : Nat.t;
@@ -13,14 +13,20 @@ type private_key = {
   qinv : Nat.t; (* q^{-1} mod p *)
   mont_p : Zmod.Montgomery.ctx;
   mont_q : Zmod.Montgomery.ctx;
-  mont_n : Zmod.Montgomery.ctx; (* for the fault check of raw_sign *)
+  mont_n : Zmod.Montgomery.ctx; (* raw_sign's fault check, and the public key *)
 }
 
 type keypair = { public : public_key; private_ : private_key }
 
 let default_bits = 1024
 
-let public_of_private k = { n = k.pn; e = k.pe }
+let public_of_private k = { n = k.pn; e = k.pe; mont = Some k.mont_n }
+
+(* Montgomery form needs an odd modulus above 1; any other modulus a
+   parsed key may carry verifies by division-based reduction. *)
+let make_public n e =
+  let odd = Nat.compare n Nat.one > 0 && not (Nat.is_even n) in
+  { n; e; mont = (if odd then Some (Zmod.Montgomery.create n) else None) }
 
 let key_bytes pk = (Nat.num_bits pk.n + 7) / 8
 
@@ -74,7 +80,7 @@ let generate ?(bits = default_bits) ?(e = 65537) drbg =
         | Some d ->
             let p, q = if Nat.compare p q > 0 then (p, q) else (q, p) in
             let priv = make_private ~n ~e:e_nat ~d ~p ~q in
-            { public = { n; e = e_nat }; private_ = priv }
+            { public = public_of_private priv; private_ = priv }
       end
     end
   in
@@ -101,33 +107,10 @@ let raw_sign key m =
     failwith "Rsa.raw_sign: fault check failed (s^e <> m mod n)";
   s
 
-(* Montgomery contexts of recently used public moduli, so a verify
-   skips the long division for R^2 mod n that building one costs.
-   Entries are keyed by the modulus value, not by the key record, so
-   an updated record such as [{ pk with n = n' }] looks up [n'] and can
-   never reach another modulus's context.  The cache is domain-local:
-   pool domains never share it, and systhreads of one domain at worst
-   drop an insertion (the list is replaced whole, every entry is an
-   immutable pair). *)
-let public_ctx_slots = 16
-
-let public_ctxs : (Nat.t * Zmod.Montgomery.ctx) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let public_ctx n =
-  let cache = Domain.DLS.get public_ctxs in
-  match List.find_opt (fun (m, _) -> Nat.equal m n) !cache with
-  | Some (_, ctx) -> ctx
-  | None ->
-      let ctx = Zmod.Montgomery.create n in
-      cache :=
-        (n, ctx) :: List.filteri (fun i _ -> i < public_ctx_slots - 1) !cache;
-      ctx
-
 let raw_public pk m =
-  if Nat.is_even pk.n || Nat.compare pk.n Nat.one <= 0 then
-    Zmod.modpow m pk.e pk.n
-  else Zmod.Montgomery.pow (public_ctx pk.n) m pk.e
+  match pk.mont with
+  | Some ctx -> Zmod.Montgomery.pow ctx m pk.e
+  | None -> Zmod.modpow m pk.e pk.n
 
 (* DER DigestInfo prefixes (RFC 3447 §9.2 notes). *)
 let digestinfo_prefix = function
@@ -208,7 +191,8 @@ let public_to_string pk =
 let public_of_string s =
   match String.split_on_char ':' s with
   | [ "rsa-pub"; n; e ] -> (
-      try Some { n = Nat.of_hex n; e = Nat.of_hex e } with Invalid_argument _ -> None)
+      try Some (make_public (Nat.of_hex n) (Nat.of_hex e))
+      with Invalid_argument _ -> None)
   | _ -> None
 
 let private_to_string k =

@@ -4,14 +4,20 @@
     128-byte signatures; that is the default here.  Signing uses the
     Chinese-Remainder-Theorem optimisation with precomputed Montgomery
     contexts, and checks every result against the public exponent
-    before {!raw_sign} returns it; verification reuses each public
-    modulus's context from a small per-domain cache keyed by the
-    modulus value. *)
+    before {!raw_sign} returns it.  A public key carries its modulus's
+    Montgomery context, built once by the constructor that made the
+    key, so verification shares no state between calls or domains. *)
 
-type public_key = {
+type public_key = private {
   n : Tep_bignum.Nat.t;  (** modulus *)
   e : Tep_bignum.Nat.t;  (** public exponent *)
+  mont : Tep_bignum.Zmod.Montgomery.ctx option;
+      (** the context of [n]; [None] for an even modulus or one [<= 1],
+          which {!raw_public} reduces by division instead *)
 }
+(** Built only by {!generate}, {!public_of_private} and
+    {!public_of_string}: being [private], no record update can pair a
+    modulus with another modulus's context. *)
 
 type private_key
 (** Holds the CRT components (p, q, dP, dQ, qInv) plus (n, d). *)
@@ -27,6 +33,7 @@ val generate : ?bits:int -> ?e:int -> Drbg.t -> keypair
     @raise Invalid_argument if [bits < 128] or [e] is even. *)
 
 val public_of_private : private_key -> public_key
+(** Reuses the private key's context of its modulus. *)
 
 val key_bytes : public_key -> int
 (** Modulus length in bytes (the signature length): 128 for 1024-bit
@@ -84,6 +91,7 @@ val public_to_string : public_key -> string
 (** Compact textual encoding ["rsa-pub:<hex n>:<hex e>"]. *)
 
 val public_of_string : string -> public_key option
+(** Builds the modulus's context (one long division). *)
 
 val private_to_string : private_key -> string
 val private_of_string : string -> private_key option

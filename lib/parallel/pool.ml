@@ -98,13 +98,14 @@ let shutdown pool =
 (* Chunked execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
+let serial_below = 4
+
 (* Run [run_range lo hi] (inclusive bounds) over [0..n-1] in chunks.
    The caller enqueues all chunks but the first, runs the first
    itself, then helps drain the queue until its own chunks are done.
    Determinism: errors are recorded per chunk and the lowest-indexed
    one is re-raised. *)
-let chunked_exec ?(serial_below = 0) pool ~n ~chunk
-    (run_range : int -> int -> unit) =
+let chunked_exec pool ~n ~chunk (run_range : int -> int -> unit) =
   if n > 0 then begin
     let chunk =
       match chunk with
@@ -188,12 +189,12 @@ let chunked_exec ?(serial_below = 0) pool ~n ~chunk
     end
   end
 
-let map_chunked ?serial_below ?chunk pool f arr =
+let map_chunked ?chunk pool f arr =
   let n = Array.length arr in
   if n = 0 then [||]
   else begin
     let results = Array.make n None in
-    chunked_exec ?serial_below pool ~n ~chunk (fun lo hi ->
+    chunked_exec pool ~n ~chunk (fun lo hi ->
         for i = lo to hi do
           results.(i) <- Some (f arr.(i))
         done);
@@ -202,13 +203,13 @@ let map_chunked ?serial_below ?chunk pool f arr =
       results
   end
 
-let map_list ?serial_below ?chunk pool f l =
-  Array.to_list (map_chunked ?serial_below ?chunk pool f (Array.of_list l))
+let map_list ?chunk pool f l =
+  Array.to_list (map_chunked ?chunk pool f (Array.of_list l))
 
-let parallel_for ?serial_below ?chunk pool ~lo ~hi f =
+let parallel_for ?chunk pool ~lo ~hi f =
   let n = hi - lo + 1 in
   if n > 0 then
-    chunked_exec ?serial_below pool ~n ~chunk (fun clo chi ->
+    chunked_exec pool ~n ~chunk (fun clo chi ->
         for i = clo to chi do
           f (lo + i)
         done)

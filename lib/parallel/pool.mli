@@ -2,9 +2,9 @@
 
     The provenance hot paths — per-record RSA signature checks,
     Basic-mode subtree hashing, audit sweeps — are embarrassingly
-    parallel: every work item is pure (or touches only mutex-protected
-    caches), so they can fan out across OCaml 5 domains.  This module
-    provides the one pool the rest of the system shares.
+    parallel: every work item is pure, so they can fan out across
+    OCaml 5 domains.  This module provides the one pool the rest of
+    the system shares, and decides alone when a call fans out.
 
     Design points:
 
@@ -17,6 +17,10 @@
       to plain sequential execution with no synchronisation overhead.
       This also makes nested [map_chunked] calls deadlock-free: a
       worker that fans out again just helps drain the queue.
+    - {b One fan-out gate.}  A call runs wholly on the caller when the
+      pool has one domain, the work makes one chunk, or there are
+      fewer than {!serial_below} items; callers pass the pool and do
+      not check its size themselves.
     - {b Exception re-raising.}  If any item raises, the exception of
       the {e lowest-indexed} failing chunk is re-raised in the caller
       (with its backtrace), again independent of scheduling. *)
@@ -44,33 +48,30 @@ val sequential : t
 val size : t -> int
 (** Total domains (workers + caller). *)
 
-val map_chunked :
-  ?serial_below:int -> ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
+val serial_below : int
+(** 4: a call over fewer items runs on the calling domain, even on a
+    multi-domain pool.  Below it the cross-domain wakeup and handoff
+    cost more than the parallelism recovers: a provenance object's
+    closure is mostly one to three records, and a commit of a few
+    records signs them faster on the caller.  Results are identical
+    either way; only the scheduling changes. *)
+
+val map_chunked : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_chunked pool f arr] is observationally [Array.map f arr],
     with items partitioned into chunks of [?chunk] elements (default:
-    input size / 4×domains) executed across the pool.  [f] must be
-    safe to run concurrently with itself.
+    input size / 4×domains) executed across the pool, from
+    {!serial_below} items up.  [f] must be safe to run concurrently
+    with itself. *)
 
-    [?serial_below] is the adaptive work-size gate: when the input has
-    fewer than that many items the whole call runs on the calling
-    domain, even on a multi-domain pool — below a per-workload
-    threshold the cross-domain wakeup/handoff costs more than the
-    parallelism recovers (the 1-core pooled write path was measurably
-    {e slower} than serial before this gate existed).  Results are
-    identical either way; only the scheduling changes.  Defaults to 0
-    (never gate). *)
-
-val map_list :
-  ?serial_below:int -> ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** [List.map] counterpart of {!map_chunked} (order preserved). *)
 
 val parallel_for :
-  ?serial_below:int -> ?chunk:int -> t -> lo:int -> hi:int -> (int -> unit) ->
-  unit
+  ?chunk:int -> t -> lo:int -> hi:int -> (int -> unit) -> unit
 (** [parallel_for pool ~lo ~hi f] runs [f i] for every [i] in
     [lo..hi] inclusive (like [for i = lo to hi]), partitioned across
-    the pool.  [f] communicates through its own (disjoint or
-    synchronised) state.  [?serial_below] as in {!map_chunked}. *)
+    the pool as {!map_chunked} is.  [f] communicates through its own
+    (disjoint or synchronised) state. *)
 
 val shutdown : t -> unit
 (** Join the pool's workers.  Idempotent.  Pending queued work is

@@ -68,16 +68,12 @@ let verify dir t =
   if not (String.equal (Digest_algo.digest Digest_algo.SHA256 p) t.a_digest)
   then Error (Printf.sprintf "annotation %s: digest mismatch" t.a_id)
   else
-    match Participant.Directory.lookup_verified dir t.a_participant with
-    | `Unknown ->
+    match Participant.Directory.lookup dir t.a_participant with
+    | None ->
         Error
           (Printf.sprintf "annotation %s: unknown participant %s" t.a_id
              t.a_participant)
-    | `Bad_certificate ->
-        Error
-          (Printf.sprintf "annotation %s: certificate for %s does not verify"
-             t.a_id t.a_participant)
-    | `Verified cert ->
+    | Some cert ->
         if
           Rsa.verify ~algo:Digest_algo.SHA256 cert.Pki.subject_key ~msg:p
             ~signature:t.a_signature

@@ -107,12 +107,12 @@ let handle_hello c ~name ~client_nonce =
   | None ->
       kill c (error_resp Message.Auth_failed ("unknown participant " ^ name))
   | Some participant -> (
-      match Participant.Directory.lookup_verified (State.directory t) name with
-      | `Unknown | `Bad_certificate ->
+      match Participant.Directory.lookup (State.directory t) name with
+      | None ->
           kill c
             (error_resp Message.Auth_failed
                ("no verified certificate for " ^ name))
-      | `Verified _ ->
+      | Some _ ->
           let server_nonce = State.gen_nonce t in
           c.phase <-
             Expect_auth { participant; name; client_nonce; server_nonce };

@@ -113,44 +113,48 @@ let test_verify_record_tampered_field () =
   | Ok () -> Alcotest.fail "tampered record accepted"
   | Error _ -> ()
 
-(* The verified-certificate cache: repeated verifications pay one CA
-   check per subject, re-registration invalidates the entry, and the
-   cache never changes verification outcomes. *)
-let test_cert_cache () =
-  let drbg = Tep_crypto.Drbg.create ~seed:"test-checksum-cache" in
+(* The CA check runs once, at registration: a certificate that fails
+   it never enters the directory, so its subject's records read as
+   unknown; a re-registered certificate keeps verifying. *)
+let test_certs_checked_at_registration () =
+  let drbg = Tep_crypto.Drbg.create ~seed:"test-checksum-registration" in
   let ca = Tep_crypto.Pki.create_ca ~name:"CA2" drbg in
   let d = Participant.Directory.create ~ca_key:(Tep_crypto.Pki.ca_public_key ca) in
   let carol = Participant.create ~ca ~name:"carol" drbg in
-  Participant.Directory.register d carol;
-  Alcotest.(check int) "cache empty at start" 0
-    (Participant.Directory.verified_count d);
+  let dave = Participant.create ~ca ~name:"dave" drbg in
+  let flipped =
+    let cert = Participant.certificate dave in
+    let sg = Bytes.of_string cert.Tep_crypto.Pki.signature in
+    Bytes.set sg 0 (Char.chr (Char.code (Bytes.get sg 0) lxor 1));
+    { cert with Tep_crypto.Pki.signature = Bytes.to_string sg }
+  in
+  (match Participant.Directory.register_certificate d flipped with
+  | Ok () -> Alcotest.fail "a certificate with a flipped signature byte entered"
+  | Error e ->
+      Alcotest.(check string) "refusal" "certificate for dave does not verify" e);
+  let expect_error name msg r =
+    match Checksum.verify_record d r with
+    | Ok () -> Alcotest.fail (name ^ ": accepted")
+    | Error e -> Alcotest.(check string) name msg e
+  in
+  expect_error "refused subject" "unknown participant dave"
+    (mk_record dave ~tamper:false);
   let r = mk_record carol ~tamper:false in
-  for _ = 1 to 10 do
+  let verifies name =
     match Checksum.verify_record d r with
     | Ok () -> ()
-    | Error e -> Alcotest.fail e
-  done;
-  Alcotest.(check int) "one cached subject after many verifies" 1
-    (Participant.Directory.verified_count d);
-  (match Participant.Directory.lookup_verified d "carol" with
-  | `Verified _ -> ()
-  | _ -> Alcotest.fail "carol should verify");
-  (match Participant.Directory.lookup_verified d "nobody" with
-  | `Unknown -> ()
-  | _ -> Alcotest.fail "unknown subject should be `Unknown");
-  (* re-registration (same key) drops the cached entry *)
+    | Error e -> Alcotest.fail (name ^ ": " ^ e)
+  in
+  Participant.Directory.register d carol;
+  verifies "registered";
   (match
      Participant.Directory.register_certificate d (Participant.certificate carol)
    with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "invalidated on re-registration" 0
-    (Participant.Directory.verified_count d);
-  (* and verification still works, re-filling the cache *)
-  (match Checksum.verify_record d r with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "re-cached" 1 (Participant.Directory.verified_count d)
+  verifies "re-registered";
+  expect_error "unknown name" "unknown participant nobody"
+    { r with Record.participant = "nobody" }
 
 let test_verify_wrong_key () =
   let payload = "data" in
@@ -177,6 +181,7 @@ let () =
           Alcotest.test_case "tampered field" `Quick
             test_verify_record_tampered_field;
           Alcotest.test_case "wrong key" `Quick test_verify_wrong_key;
-          Alcotest.test_case "verified-cert cache" `Quick test_cert_cache;
+          Alcotest.test_case "certificates are checked at registration" `Quick
+            test_certs_checked_at_registration;
         ] );
     ]

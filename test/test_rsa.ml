@@ -48,9 +48,7 @@ let test_wrong_key () =
   let s = Rsa.sign kp.Rsa.private_ "msg" in
   Alcotest.(check bool)
     "other key fails" false
-    (Rsa.verify
-       { kp512.Rsa.public with Rsa.n = kp512.Rsa.public.Rsa.n }
-       ~msg:"msg" ~signature:s)
+    (Rsa.verify kp512.Rsa.public ~msg:"msg" ~signature:s)
 
 let test_wrong_length_signature () =
   Alcotest.(check bool)
@@ -203,31 +201,45 @@ let test_known_answers () =
          ff0a43b4104c18a3f12f9ed7ab1f2971599cb0245072aaaec6ed9775d0d9e2b3" );
     ]
 
-(* Verify caches each public modulus's Montgomery context.  A key
-   record updated to another modulus must use that modulus, both right
-   after the first was cached and on a fresh domain, whose cache starts
-   empty. *)
-let test_public_ctx_cache () =
-  let s = Rsa.sign kp512.Rsa.private_ "cache" in
-  Alcotest.(check bool) "warm" true
-    (Rsa.verify kp512.Rsa.public ~msg:"cache" ~signature:s);
-  let m = Nat.of_bytes_be s in
-  let check name pk =
-    Alcotest.(check string) name
-      (Nat.to_hex (Zmod.modpow m pk.Rsa.e pk.Rsa.n))
-      (Nat.to_hex (Rsa.raw_public pk m))
+(* A key carries its own modulus's Montgomery context: a parsed key
+   verifies like the generated one, also on another domain, and
+   [raw_public] agrees with [Zmod.modpow] for whatever modulus and
+   exponent a parsed key holds, an even modulus included. *)
+let test_keys_carry_context () =
+  let s = Rsa.sign kp512.Rsa.private_ "context" in
+  let key n e =
+    match
+      Rsa.public_of_string
+        (Printf.sprintf "rsa-pub:%s:%s" (Nat.to_hex n) (Nat.to_hex e))
+    with
+    | Some pk -> pk
+    | None -> Alcotest.fail "public_of_string"
   in
-  check "own modulus" kp512.Rsa.public;
-  check "record update" { kp512.Rsa.public with Rsa.n = kp.Rsa.public.Rsa.n };
-  check "other exponent" { kp512.Rsa.public with Rsa.e = Nat.of_int 3 };
+  let pub = kp512.Rsa.public in
+  let parsed =
+    match Rsa.public_of_string (Rsa.public_to_string pub) with
+    | Some pk -> pk
+    | None -> Alcotest.fail "public roundtrip"
+  in
+  Alcotest.(check bool) "parsed key verifies" true
+    (Rsa.verify parsed ~msg:"context" ~signature:s);
   Alcotest.(check bool) "fresh domain" true
     (Domain.join
-       (Domain.spawn (fun () ->
-            Rsa.verify kp512.Rsa.public ~msg:"cache" ~signature:s
-            && not
-                 (Rsa.verify
-                    { kp512.Rsa.public with Rsa.n = Nat.add kp512.Rsa.public.Rsa.n Nat.two }
-                    ~msg:"cache" ~signature:s))))
+       (Domain.spawn (fun () -> Rsa.verify parsed ~msg:"context" ~signature:s)));
+  let m = Nat.of_bytes_be s in
+  List.iter
+    (fun (name, n, e) ->
+      Alcotest.(check string) name
+        (Nat.to_hex (Zmod.modpow m e n))
+        (Nat.to_hex (Rsa.raw_public (key n e) m)))
+    [
+      ("own modulus", pub.Rsa.n, pub.Rsa.e);
+      ("other modulus", kp.Rsa.public.Rsa.n, pub.Rsa.e);
+      ("other exponent", pub.Rsa.n, Nat.of_int 3);
+      ("even modulus", Nat.add pub.Rsa.n Nat.one, pub.Rsa.e);
+    ];
+  Alcotest.(check bool) "even modulus has no context" true
+    (Option.is_none (key (Nat.add pub.Rsa.n Nat.one) pub.Rsa.e).Rsa.mont)
 
 let prop_sign_verify_512 =
   QCheck2.Test.make ~name:"sign/verify roundtrip (512-bit)" ~count:25
@@ -305,7 +317,8 @@ let () =
           Alcotest.test_case "fault check" `Quick test_fault_check;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "known answers" `Quick test_known_answers;
-          Alcotest.test_case "public context cache" `Quick test_public_ctx_cache;
+          Alcotest.test_case "keys carry their context" `Quick
+            test_keys_carry_context;
           Alcotest.test_case "invalid params" `Quick test_invalid_params;
           Alcotest.test_case "encrypt/decrypt" `Quick test_encrypt_decrypt;
           Alcotest.test_case "decrypt rejects garbage" `Quick

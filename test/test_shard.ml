@@ -445,7 +445,7 @@ let test_sample_shard_pool () =
     | Error e -> Alcotest.fail e
   in
   Alcotest.(check bool) "the root's closure is past the serial gate" true
-    (root.Verifier.records_checked >= 2 * Verifier.verify_serial_below);
+    (root.Verifier.records_checked >= 2 * Pool.serial_below);
   let has f =
     List.exists
       (function
@@ -892,30 +892,16 @@ let test_pool_serial_below_semantics () =
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
       List.iter
-        (fun serial_below ->
-          List.iter
-            (fun n ->
-              let input = Array.init n (fun i -> i) in
-              let got =
-                Pool.map_chunked ~serial_below pool (fun i -> (i * 3) + 1) input
-              in
-              Alcotest.(check (array int))
-                (Printf.sprintf "n=%d gate=%d" n serial_below)
-                (Array.map (fun i -> (i * 3) + 1) input)
-                got)
-            [ 0; 1; 3; 64 ])
-        [ 0; 1; 4; 1000 ];
-      (* under the gate the whole call runs on the calling domain *)
+        (fun n ->
+          let input = Array.init n (fun i -> i) in
+          Alcotest.(check (array int))
+            (Printf.sprintf "n=%d" n)
+            (Array.map (fun i -> (i * 3) + 1) input)
+            (Pool.map_chunked ~chunk:1 pool (fun i -> (i * 3) + 1) input))
+        [ 0; 1; Pool.serial_below - 1; Pool.serial_below; 64 ];
+      (* The caller helps drain the chunk queue, so each item must carry
+         enough work for a worker domain to win at least one chunk. *)
       let self = Domain.self () in
-      let others = Stdlib.Atomic.make 0 in
-      Pool.parallel_for ~serial_below:1000 pool ~lo:0 ~hi:99 (fun _ ->
-          if Domain.self () <> self then Stdlib.Atomic.incr others);
-      Alcotest.(check int) "gated run stays on the caller" 0 (Stdlib.Atomic.get others);
-      (* above the gate a 4-domain pool really does fan out.  The
-         caller helps drain the chunk queue, so each item must carry
-         enough work for a worker domain to win at least one chunk;
-         retry to shed scheduler flakiness. *)
-      let seen_other = Stdlib.Atomic.make false in
       let spin () =
         let x = ref 0 in
         for _ = 1 to 100_000 do
@@ -923,15 +909,24 @@ let test_pool_serial_below_semantics () =
         done;
         ignore (Sys.opaque_identity !x)
       in
-      let attempts = ref 0 in
-      while (not (Stdlib.Atomic.get seen_other)) && !attempts < 10 do
-        incr attempts;
-        Pool.parallel_for ~serial_below:10 ~chunk:1 pool ~lo:0 ~hi:99 (fun _ ->
+      let runs_elsewhere n =
+        let others = Stdlib.Atomic.make 0 in
+        Pool.parallel_for ~chunk:1 pool ~lo:0 ~hi:(n - 1) (fun _ ->
             spin ();
-            if Domain.self () <> self then Stdlib.Atomic.set seen_other true)
+            if Domain.self () <> self then Stdlib.Atomic.incr others);
+        Stdlib.Atomic.get others > 0
+      in
+      (* below the gate the whole call runs on the calling domain *)
+      for _ = 1 to 10 do
+        Alcotest.(check bool) "below the gate stays on the caller" false
+          (runs_elsewhere (Pool.serial_below - 1))
       done;
-      Alcotest.(check bool) "ungated run fans out" true
-        (Stdlib.Atomic.get seen_other))
+      (* from the gate up a 4-domain pool really does fan out; retry
+         to shed scheduler flakiness *)
+      let rec fans_out attempts =
+        attempts > 0 && (runs_elsewhere 100 || fans_out (attempts - 1))
+      in
+      Alcotest.(check bool) "above the gate fans out" true (fans_out 10))
 
 (* The 1-core regression assertion: on a 1-domain pool, the pooled
    call with the gate must not be slower than the plain serial loop
@@ -949,7 +944,7 @@ let test_pool_1core_not_slower () =
   in
   let serial () = time (fun () -> Array.map work input) in
   let pooled pool () =
-    time (fun () -> Pool.map_chunked ~serial_below:max_int pool work input)
+    time (fun () -> Pool.map_chunked pool work input)
   in
   let pool = Pool.create ~domains:1 () in
   Fun.protect

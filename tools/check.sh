@@ -2,9 +2,11 @@
 # Repository check: an interface step (every module under lib/ has an
 # .mli, no file under lib/server/ is longer than 600 lines, no file
 # under lib/ or bin/ but codec.ml and value.ml defines or calls a
-# read_varint, read_string or read_count of its own, and none but
+# read_varint, read_string or read_count of its own, none but
 # lib/store/durable.ml opens a file for writing, renames, fsyncs or
-# removes one), then
+# removes one, and no .ml under lib/crypto/ or lib/bignum/, nor
+# lib/core/checksum.ml, participant.ml or verifier.ml, names Mutex,
+# Atomic or Domain.DLS), then
 # `dune build @check-all` (full build, every test suite and every
 # named gate).  The build compiles the two C files,
 # lib/bignum/montmul.c (the Montgomery multiply and the dedicated
@@ -57,7 +59,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "== interfaces (an .mli per lib/ module, lib/server/ files <= 600 lines," \
-  "binary decoders read through Codec, files written through Durable) =="
+  "binary decoders read through Codec, files written through Durable," \
+  "no shared state on the signature-check path) =="
 iface_ok=1
 for ml in $(find lib -name '*.ml' | sort); do
   if [ ! -f "${ml}i" ]; then
@@ -89,6 +92,17 @@ stray=$(grep -rnE 'open_out|Sys\.rename|Unix\.rename|Unix\.fsync|Sys\.remove' \
 if [ -n "$stray" ]; then
   echo "$stray"
   echo "FAIL: a file written outside Durable (use Tep_store.Durable)"
+  iface_ok=0
+fi
+# A per-record signature check is a pure function of its inputs: no
+# lock, atomic or domain-local table on the path from a record to its
+# RSA verify.
+stray=$(grep -nE 'Mutex\.|Atomic\.|Domain\.DLS' \
+  $(find lib/crypto lib/bignum -name '*.ml') \
+  lib/core/checksum.ml lib/core/participant.ml lib/core/verifier.ml || true)
+if [ -n "$stray" ]; then
+  echo "$stray"
+  echo "FAIL: shared mutable state on the signature-check path"
   iface_ok=0
 fi
 [ "$iface_ok" -eq 1 ] || exit 1
