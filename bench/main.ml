@@ -147,11 +147,13 @@ let crypto_micro_tests cfg =
   let drbg = Tep_crypto.Drbg.create ~seed:"bench-drbg" in
   [
     Test.make ~name:"sha1-256B"
-      (Staged.stage (fun () -> ignore (Tep_crypto.Sha1.digest payload)));
+      (Staged.stage (fun () ->
+           ignore (Tep_crypto.Digest_algo.(digest SHA1) payload)));
     (* 64 compression rounds per digest — isolates the block-loop cost
        from the init/final overhead the 256B point is dominated by *)
     Test.make ~name:"sha1-4KiB"
-      (Staged.stage (fun () -> ignore (Tep_crypto.Sha1.digest payload_4k)));
+      (Staged.stage (fun () ->
+           ignore (Tep_crypto.Digest_algo.(digest SHA1) payload_4k)));
     Test.make ~name:"sha256-256B"
       (Staged.stage (fun () -> ignore (Tep_crypto.Sha256.digest payload)));
     Test.make ~name:"sha256-4KiB"
@@ -166,7 +168,8 @@ let crypto_micro_tests cfg =
      Test.make ~name:"sha256-block-portable"
        (Staged.stage (fun () -> sha256_compress_portable state block 0)));
     Test.make ~name:"md5-256B"
-      (Staged.stage (fun () -> ignore (Tep_crypto.Md5.digest payload)));
+      (Staged.stage (fun () ->
+           ignore (Tep_crypto.Digest_algo.(digest MD5) payload)));
     Test.make ~name:"hmac-sha256"
       (Staged.stage (fun () ->
            ignore

@@ -105,6 +105,18 @@ let run dir socket port io_threads idle_timeout =
           print_endline "provdbd: drained, checkpointed, workspace saved";
           exit_ok
 
+(* [base]'s values where [ok] holds; anything else is refused at parse
+   time, before a socket or a thread exists, and Cmdliner's message
+   names the flag. *)
+let bounded base ok what =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+    | Error e -> Error e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
 let () =
   let dir =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKSPACE")
@@ -121,15 +133,23 @@ let () =
              ~doc:"Additionally listen on 127.0.0.1:PORT")
   in
   let io_threads =
-    Arg.(value & opt int 4
+    Arg.(value
+         & opt
+             (bounded int (fun n -> n >= 1 && n <= 64) "in 1..64")
+             4
          & info [ "io-threads" ] ~docv:"N"
              ~doc:
                "Protocol worker threads per listening socket (engine \
                 dispatch, signing and proofs run here, never on the \
-                event loop's reactor thread).")
+                event loop's reactor thread); 1 to 64.")
   in
   let idle_timeout =
-    Arg.(value & opt float 300.
+    Arg.(value
+         & opt
+             (bounded float
+                (fun s -> Float.is_finite s && s > 0.)
+                "a finite number of seconds > 0")
+             300.
          & info [ "idle-timeout" ] ~docv:"SECONDS"
              ~doc:
                "Reap connections idle this long (no bytes in either \

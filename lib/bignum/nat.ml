@@ -414,5 +414,3 @@ let to_decimal (a : t) : string =
     go a;
     Buffer.contents buf
   end
-
-let pp fmt a = Format.pp_print_string fmt (to_decimal a)

@@ -99,6 +99,3 @@ val limb_bits : int
 val of_limbs : int array -> t
 (** Build from little-endian limbs (each in [[0, 2^31)]); trailing
     zero limbs are normalised away.  The array is copied. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints the decimal representation. *)

@@ -897,9 +897,6 @@ let audit_sample t ~seed ~alpha_ppm =
 let submit_async t op =
   request_async t (Message.Submit_idem { rid = fresh_rid t; op })
 
-let insert_async t ~table cells =
-  submit_async t (Message.Op_insert { table; cells })
-
 let collect_submitted t cid =
   collect t cid
   |> unwrap (function

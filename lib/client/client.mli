@@ -4,8 +4,8 @@
     every transport.
 
     Two calling styles share one connection: the blocking wrappers
-    ([insert], [verify], ...) and the pipelined {!request_async} /
-    {!collect} pair, several requests in flight under distinct
+    ([insert], [verify], ...) and the pipelined {!submit_async} /
+    {!collect_submitted} pair, several writes in flight under distinct
     correlation ids.  A client that dialed its endpoint redials,
     re-authenticates and replays its in-flight requests (at most 3
     rounds per response) when the connection dies; writes carry
@@ -65,21 +65,14 @@ val breaker_state : t -> [ `Closed | `Open | `Half_open ]
 
 (** {1 Pipelining} *)
 
-val request_async : t -> Tep_wire.Message.request -> (int, string) result
-(** Seal and send; the result is the request's correlation id. *)
-
-val collect : t -> int -> (Tep_wire.Message.response, string) result
-(** Block for that correlation id's response. *)
-
 val submit_async : t -> Tep_wire.Message.op -> (int, string) result
-(** Send one write under a fresh request id. *)
-
-val insert_async :
-  t -> table:string -> Tep_store.Value.t array -> (int, string) result
+(** Seal and send one write under a fresh request id, without waiting;
+    the result is the request's correlation id. *)
 
 val collect_submitted :
   t -> int -> (int option * Tep_tree.Oid.t option * int, string) result
-(** {!collect} a write: (row, oid, records emitted). *)
+(** Block for that correlation id's response to a write: (row, oid,
+    records emitted). *)
 
 (** {1 Writes} *)
 

@@ -159,7 +159,6 @@ let latest_seq t oid =
   | Some { versions = vi :: _ } -> Some vi.v_record.Record.seq_id
   | _ -> None
 
-let provstore t = t.prov
 
 let deliver t oid =
   match find t oid with

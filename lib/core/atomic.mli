@@ -47,7 +47,6 @@ val aggregate :
 val current : t -> Oid.t -> Value.t option
 val version : t -> Oid.t -> int -> Value.t option
 val latest_seq : t -> Oid.t -> int option
-val provstore : t -> Provstore.t
 
 val deliver : t -> Oid.t -> (Subtree.t * Record.t list, string) result
 (** The atom snapshot and the full provenance DAG closure — ready for

@@ -15,10 +15,6 @@
 
 open Tep_tree
 
-val genesis : string
-(** The "0" marker used where the paper writes a literal zero (absent
-    input hash / absent previous checksum). *)
-
 val payload :
   kind:Record.kind ->
   seq_id:int ->

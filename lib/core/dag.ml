@@ -42,7 +42,6 @@ let build records =
   in
   { nodes; dangling = List.rev !dangling }
 
-let nodes t = t.nodes
 let size t = Array.length t.nodes
 let dangling t = t.dangling
 
@@ -52,11 +51,6 @@ let roots t =
        (Seq.filter_map
           (fun i -> if t.nodes.(i).predecessors = [] then Some i else None)
           (Seq.init (size t) Fun.id)))
-
-let sinks t =
-  List.filter_map
-    (fun i -> if t.nodes.(i).successors = [] then Some i else None)
-    (List.init (size t) Fun.id)
 
 let topological t =
   let n = size t in
@@ -135,14 +129,3 @@ let to_dot t =
     t.dangling;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let pp fmt t =
-  Array.iteri
-    (fun i nd ->
-      Format.fprintf fmt "%d: %a%s@\n" i Record.pp nd.record
-        (match nd.predecessors with
-        | [] -> ""
-        | ps ->
-            "  <- "
-            ^ String.concat "," (List.map string_of_int ps)))
-    t.nodes

@@ -2,15 +2,8 @@
 
     A provenance object is a set of records partially ordered by
     [seq_id]; the checksum back-links make the DAG explicit.  This
-    module reconstructs that graph from a record list for querying,
-    topological traversal, and rendering. *)
-
-
-type node = {
-  record : Record.t;
-  predecessors : int list;  (** indices into {!nodes} *)
-  successors : int list;
-}
+    module reconstructs that graph from a record list for querying
+    and rendering. *)
 
 type t
 
@@ -19,7 +12,6 @@ val build : Record.t list -> t
     [prev_checksums]; edges whose target checksum is not present in
     the list are recorded as {!dangling}. *)
 
-val nodes : t -> node array
 val size : t -> int
 
 val dangling : t -> (int * string) list
@@ -29,13 +21,6 @@ val dangling : t -> (int * string) list
 val roots : t -> int list
 (** Nodes with no predecessors (inserts / imports). *)
 
-val sinks : t -> int list
-(** Nodes with no successors (most recent records). *)
-
-val topological : t -> int list
-(** Predecessors before successors.  @raise Failure on a cycle (which
-    only a malformed/tampered provenance object can contain). *)
-
 val is_linear : t -> bool
 (** True when the DAG is a single chain — the Hasan et al. special
     case. *)
@@ -43,10 +28,10 @@ val is_linear : t -> bool
 val records_of_participant : t -> string -> Record.t list
 
 val depth : t -> int
-(** Longest path length (1 for a single record). *)
+(** Longest path length (1 for a single record).  @raise Failure on a
+    cycle (which only a malformed/tampered provenance object can
+    contain). *)
 
 val to_dot : t -> string
 (** Graphviz rendering (records as nodes, labelled with participant,
     kind, seq). *)
-
-val pp : Format.formatter -> t -> unit

@@ -67,7 +67,7 @@ type t = {
   dir : Participant.Directory.t;
   wal : Wal.t option;
   pool : Tep_parallel.Pool.t option;
-  mutable mode : mode;
+  mode : mode;
   mutable batch : batch option;
   mutable next_marker : string option;
       (* Some txid: the next commit is phase 1 of a cross-shard 2PC —
@@ -85,8 +85,6 @@ let directory t = t.dir
 let mapping t = t.view
 let root_oid t = Tree_view.root t.view
 let algo t = Merkle.algo t.cache
-let mode t = t.mode
-let set_mode t m = t.mode <- m
 let last_metrics t = t.last
 let total_metrics t = t.total
 
@@ -518,19 +516,6 @@ let insert_object t p ?parent value =
           | Ok oid ->
               mark_created b oid;
               Ok oid))
-
-let delete_object t p oid =
-  in_batch t p (fun b ->
-      if not (Forest.mem t.forest oid) then
-        Error (Printf.sprintf "no object %s" (Oid.to_string oid))
-      else begin
-        capture_existing t b ~direct:true oid;
-        match Forest.delete t.forest oid with
-        | Error e -> Error e
-        | Ok _ ->
-            Tree_view.unregister t.view oid;
-            Ok ()
-      end)
 
 let aggregate_objects t p ?(value = Value.Text "aggregate") inputs =
   in_batch t p (fun b ->

@@ -45,9 +45,6 @@ type metrics = {
   checksum_bytes : int;  (** paper-schema bytes added to the store *)
 }
 
-val zero_metrics : metrics
-val add_metrics : metrics -> metrics -> metrics
-
 type t
 
 val create :
@@ -99,8 +96,6 @@ val directory : t -> Participant.Directory.t
 val root_oid : t -> Oid.t
 val mapping : t -> Tree_view.mapping
 val algo : t -> Tep_crypto.Digest_algo.algo
-val mode : t -> mode
-val set_mode : t -> mode -> unit
 
 val root_hash : t -> string
 (** Current hash of the whole database tree. *)
@@ -148,9 +143,6 @@ val insert_object :
 
 val update_object :
   t -> Participant.t -> Oid.t -> Value.t -> (unit, string) result
-
-val delete_object : t -> Participant.t -> Oid.t -> (unit, string) result
-(** Leaf-only, like the paper's primitive delete. *)
 
 val aggregate_objects :
   t ->

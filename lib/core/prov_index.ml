@@ -5,14 +5,6 @@ type t = Provstore.t
 let of_store store = store
 let store t = t
 
-let ancestors t oid =
-  List.filter_map
-    (fun (r : Record.t) ->
-      if Oid.equal r.Record.output_oid oid then None
-      else Some r.Record.output_oid)
-    (Provstore.provenance_object t oid)
-  |> List.sort_uniq Oid.compare
-
 let descendants t oid =
   let seen = Oid.Tbl.create 16 in
   let rec go = function

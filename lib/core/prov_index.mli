@@ -1,6 +1,6 @@
 (** Lineage walks over the derivation DAG a {!Provstore} owns.
 
-    {!Prov_query} and the lineage engine both walk the same two edge
+    {!Prov_query} and the lineage engine walk the same two edge
     sets — backward over predecessor checksums
     ({!Provstore.find_by_checksum}) and forward over aggregation
     inputs ({!Provstore.aggregated_into}).  The store records both as
@@ -21,13 +21,9 @@ val of_store : Provstore.t -> t
 
 val store : t -> Provstore.t
 
-val ancestors : t -> Oid.t -> Oid.t list
-(** Objects the given object transitively derives from (excluding
-    itself), sorted — [Prov_query.derived_from] semantics. *)
-
 val descendants : t -> Oid.t -> Oid.t list
 (** Forward transitive closure over aggregation edges (excluding the
-    object itself), sorted — [Prov_query.derivatives] semantics. *)
+    object itself), sorted: what was built from this object. *)
 
 val depth : t -> Oid.t -> int
 (** Derivation depth: 0 for objects never output by an [Aggregate]

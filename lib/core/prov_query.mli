@@ -4,44 +4,22 @@
     PCP Paul…"), answered from the records.
 
     All functions are read-only and respect the partial order of
-    Definition 1. *)
+    Definition 1.  The derivation walks are {!Prov_index.descendants}
+    and [Tep_prov.Lineage]'s. *)
 
 open Tep_store
 open Tep_tree
 
-val history : Provstore.t -> Oid.t -> Record.t list
-(** An object's own chain, oldest first (inherited records included —
-    they are part of the object's history per Section 4.2). *)
-
 val value_history : Provstore.t -> Oid.t -> (int * string * Value.t) list
 (** (seq, participant, value) for records carrying an embedded value —
-    a cell's visible timeline. *)
+    a cell's visible timeline, oldest first (inherited records
+    included — they are part of the object's history per Section
+    4.2). *)
 
 val last_writer : Provstore.t -> Oid.t -> string option
 (** Who performed the most recent operation on the object. *)
-
-val writers : Provstore.t -> Oid.t -> string list
-(** Every participant in the object's own chain, de-duplicated,
-    chronological by first appearance. *)
 
 val contributors : Provstore.t -> Oid.t -> (string * int) list
 (** Participants across the object's whole provenance DAG (transitive
     closure), with record counts, sorted by count descending — the
     "who touched anything this was derived from" question. *)
-
-val derived_from : Provstore.t -> Oid.t -> Oid.t list
-(** Objects this object transitively derives from via aggregation
-    edges (excluding itself), sorted. *)
-
-val derivatives : Provstore.t -> Oid.t -> Oid.t list
-(** Objects whose provenance cites this object as an aggregation
-    input — downstream impact ("what was built from this?"). *)
-
-val touched_by : Provstore.t -> string -> Oid.t list
-(** Every object with at least one record by the given participant. *)
-
-val state_hash_at : Provstore.t -> Oid.t -> int -> string option
-(** The object's subtree hash after its operation [seq] — provenance
-    as a version store. *)
-
-val record_at : Provstore.t -> Oid.t -> int -> Record.t option

@@ -33,13 +33,12 @@
       resurface in a later recovery.
 
     Aggregates are journaled, and so are the [Import] records an
-    aggregate signs for untracked inputs.  [insert_object],
+    aggregate signs for untracked inputs.  [insert_object] and
     [update_object] (unless the object is a cell, which updates like
-    {!Engine.update_cell}) and [delete_object] are not, and provdbd
-    never issues them: the pipeline covers the relational workload
-    (the paper's experimental setting) plus aggregates.  State those
-    object operations created is still restored from the checkpoint
-    itself. *)
+    {!Engine.update_cell}) are not, and provdbd never issues them: the
+    pipeline covers the relational workload (the paper's experimental
+    setting) plus aggregates.  State those object operations created
+    is still restored from the checkpoint itself. *)
 
 open Tep_store
 

@@ -1,5 +1,6 @@
-(** The Merkle–Damgård construction under {!Sha1}, {!Sha256} and
-    {!Md5}: buffering, padding and finalisation, shared by the three
+(** The Merkle–Damgård construction under SHA-1, SHA-256 and MD5
+    (see {!Digest_algo}): buffering, padding and finalisation, shared
+    by the three
     algorithms, over one C block compression each ([compress.c], see
     DESIGN.md §9.6).  All three use 64-byte blocks and an 8-byte
     message length in the last block. *)

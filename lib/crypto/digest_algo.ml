@@ -39,6 +39,7 @@ let hex algo s = to_hex (digest algo s)
 type ctx = Block_hash.ctx
 
 let init algo = Block_hash.init (spec algo)
+let reset = Block_hash.reset
 let copy = Block_hash.copy
 let update = Block_hash.update
 let update_sub = Block_hash.update_sub

@@ -1,6 +1,7 @@
 (** Uniform interface over the hash algorithms, so the provenance
-    layer can be parameterised by digest ({!Sha1} is the paper's
-    default; {!Sha256} is the recommended modern choice). *)
+    layer can be parameterised by digest (SHA-1 is the paper's
+    default; SHA-256 is the recommended modern choice; MD5 is the
+    paper's alternative, kept for the digest ablation). *)
 
 type algo = MD5 | SHA1 | SHA256
 
@@ -25,6 +26,10 @@ val of_hex : string -> string
 type ctx
 
 val init : algo -> ctx
+
+val reset : ctx -> unit
+(** Return a context to its initial state for reuse. *)
+
 val copy : ctx -> ctx
 (** An independent context in the same state. *)
 

@@ -1,5 +1,5 @@
 (** SHA-256 (FIPS 180-2), 32-byte digests.  Offered alongside
-    {!Sha1} so deployments can choose a collision-resistant hash; the
+    SHA-1 so deployments can choose a collision-resistant hash; the
     provenance layer is parametric in the digest algorithm. *)
 
 type ctx

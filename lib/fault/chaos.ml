@@ -41,7 +41,6 @@ type t = {
   upstream : string;
 }
 
-let connections t = Atomic.get t.connections
 let faults t = Atomic.get t.faults
 
 let write_all fd s =

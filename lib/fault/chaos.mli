@@ -34,9 +34,6 @@ val stop : t -> unit
 (** Stop accepting and join the accept loop.  Existing connections
     die with their sockets. *)
 
-val connections : t -> int
-(** Connections accepted so far. *)
-
 val faults : t -> int
 (** Total fault events injected so far (splits, delays, corruptions,
     drops). *)

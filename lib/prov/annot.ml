@@ -140,12 +140,3 @@ let list_of_string =
   Codec.exact ~what:"annotations" (fun r ->
       Codec.magic r magic;
       Codec.list r read)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>annotation %s: %s %s%s@,%d row(s), signed by %s, digest %s@]"
-    t.a_id
-    (if t.a_agg = "" then "select from" else t.a_agg ^ " over")
-    t.a_table
-    (if t.a_pred = "" then "" else " where " ^ t.a_pred)
-    (List.length t.a_rows) t.a_participant
-    (Digest_algo.to_hex (String.sub t.a_digest 0 6))

@@ -24,8 +24,8 @@ type t = {
   a_value : Value.t option;  (** the aggregate value, when [a_agg <> ""] *)
   a_root : string;  (** published Merkle root at evaluation time *)
   a_participant : string;
-  a_digest : string;  (** SHA-256 of {!payload}, stored for display *)
-  a_signature : string;  (** participant's signature over {!payload} *)
+  a_digest : string;  (** SHA-256 of the signing payload, for display *)
+  a_signature : string;  (** participant's signature over the payload *)
 }
 
 val make :
@@ -40,18 +40,13 @@ val make :
   t
 (** Build, digest and sign an annotation as the given participant. *)
 
-val payload : t -> string
-(** The canonical signing payload (domain-separated, length-framed;
-    polynomials in their canonical encoding).  Recomputed from the
-    annotation's fields — which is what makes verification detect any
-    field edit. *)
-
 val verify : Participant.Directory.t -> t -> (unit, string) result
-(** Recompute the payload; check the stored digest and the signature
-    against the participant's directory certificate. *)
+(** Recompute the canonical signing payload (domain-separated,
+    length-framed; polynomials in their canonical encoding) from the
+    annotation's fields — which is what makes verification detect any
+    field edit — and check the stored digest and the signature against
+    the participant's directory certificate. *)
 
-val encode : Buffer.t -> t -> unit
-val read : Codec.reader -> t
 val decode : string -> int -> t * int
 (** @raise Failure on malformed input. *)
 
@@ -62,5 +57,3 @@ val list_to_string : t list -> string
 (** The [annot.dat] file format: magic, count, annotations. *)
 
 val list_of_string : string -> (t list, string) result
-
-val pp : Format.formatter -> t -> unit

@@ -63,9 +63,7 @@ let sum ps = List.fold_left plus zero ps
 let product ps = List.fold_left times one ps
 
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
 let is_zero p = p = zero
-let is_one p = p = one
 
 let vars (p : t) =
   List.concat_map (fun (m, _) -> List.map fst m) p |> List.sort_uniq Stdlib.compare

@@ -29,11 +29,8 @@ val sum : t list -> t
 val product : t list -> t
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val is_zero : t -> bool
-val is_one : t -> bool
-
 val vars : t -> int list
 (** Every variable appearing in the polynomial, sorted, de-duplicated. *)
 
@@ -77,8 +74,6 @@ val decode : string -> int -> t * int
 
 val encoded : t -> string
 
-val pp : ?name:(int -> string) -> Format.formatter -> t -> unit
+val to_string : ?name:(int -> string) -> t -> string
 (** Renders e.g. [x2*x5 + 2*x7^2]; [name] overrides the default
     [x<id>] variable rendering (lineage uses [o<oid>]). *)
-
-val to_string : ?name:(int -> string) -> t -> string

@@ -62,4 +62,3 @@ let with_write t f =
   write_lock t;
   Fun.protect ~finally:(fun () -> write_unlock t) f
 
-let readers t = t.active_readers

@@ -22,7 +22,3 @@ val with_read : t -> (unit -> 'a) -> 'a
 val with_write : t -> (unit -> 'a) -> 'a
 (** Runs the thunk holding the exclusive write lock; exceptions
     release the lock and propagate. *)
-
-val readers : t -> int
-(** Number of threads currently inside {!with_read} (diagnostic —
-    racy by nature, used by tests observing concurrency). *)

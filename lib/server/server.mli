@@ -68,11 +68,9 @@ val quiesce : ?timeout:float -> t -> bool
 val wake : t -> unit
 (** Nudge every running serve loop to re-check its stop flag. *)
 
-val serve_fd : t -> stop:bool Atomic.t -> Unix.file_descr -> unit
-(** Serve a bound socket until [stop] is set (then {!wake}). *)
-
 val serve_unix : t -> path:string -> stop:bool Atomic.t -> unit
 val serve_tcp : t -> port:int -> stop:bool Atomic.t -> unit
+(** Bind and serve until [stop] is set (then {!wake}). *)
 
 val active_connections : t -> int
 val reaped_connections : t -> int

@@ -67,52 +67,6 @@ let count table pred =
   | Ok () -> Ok !n
   | Error e -> Error e
 
-let delete_where table pred =
-  match select table pred with
-  | Error e -> Error e
-  | Ok rows ->
-      let ids = List.map (fun r -> r.Table.id) rows in
-      List.iter (fun id -> ignore (Table.delete table id)) ids;
-      Ok ids
-
-let update_where table pred assignments =
-  let schema = Table.schema table in
-  let resolved =
-    List.map
-      (fun (col, v) ->
-        match Schema.column_index schema col with
-        | None -> Error (Printf.sprintf "unknown column %s" col)
-        | Some i -> Ok (i, v))
-      assignments
-  in
-  match
-    List.fold_left
-      (fun acc r ->
-        match (acc, r) with
-        | Error e, _ -> Error e
-        | Ok l, Ok x -> Ok (x :: l)
-        | Ok _, Error e -> Error e)
-      (Ok []) resolved
-  with
-  | Error e -> Error e
-  | Ok assignments -> (
-      match select table pred with
-      | Error e -> Error e
-      | Ok rows ->
-          let ids = List.map (fun r -> r.Table.id) rows in
-          let err = ref None in
-          List.iter
-            (fun id ->
-              List.iter
-                (fun (col, v) ->
-                  if !err = None then
-                    match Table.update_cell table id col v with
-                    | Ok _ -> ()
-                    | Error e -> err := Some e)
-                assignments)
-            ids;
-          (match !err with None -> Ok ids | Some e -> Error e))
-
 type agg = Count | Sum of string | Avg of string | Min of string | Max of string
 
 let numeric v =

@@ -1,6 +1,6 @@
-(** A small predicate/query layer over {!Table}: filtered scans,
-    bulk updates/deletes, and the aggregate functions the provenance
-    engine's [Aggregate] operation uses. *)
+(** A small predicate/query layer over {!Table}: filtered scans and
+    the aggregate functions the provenance engine's [Aggregate]
+    operation uses. *)
 
 type cmp = Eq | Ne | Lt | Le | Gt | Ge
 
@@ -12,20 +12,10 @@ type pred =
   | Or of pred * pred
   | Not of pred
 
-val matches : Schema.t -> pred -> Table.row -> (bool, string) result
-(** Evaluate a predicate on a row; fails on unknown column names. *)
-
 val select : Table.t -> pred -> (Table.row list, string) result
 (** Rows matching the predicate, in row-id order. *)
 
 val count : Table.t -> pred -> (int, string) result
-
-val delete_where : Table.t -> pred -> (int list, string) result
-(** Delete matching rows; returns the deleted ids. *)
-
-val update_where :
-  Table.t -> pred -> (string * Value.t) list -> (int list, string) result
-(** Set the given columns on matching rows; returns the touched ids. *)
 
 (** {1 Aggregates} *)
 

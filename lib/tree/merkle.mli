@@ -127,9 +127,6 @@ val children_proof : cache -> Oid.t -> child:Oid.t -> (children, string) result
     proof of [child]: every (oid, hash) of a narrow node, or the
     chunk path of a wide one (level 0 first). *)
 
-val invalidate : cache -> Oid.t -> unit
-(** Manual invalidation of a node and its ancestor path. *)
-
 val clear : cache -> unit
 
 val stats : cache -> stats

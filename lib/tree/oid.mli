@@ -8,7 +8,6 @@ type t = private int
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_int : t -> int
 val of_int : int -> t

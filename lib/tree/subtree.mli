@@ -30,8 +30,6 @@ val oids : t -> Oid.t list
 (** Preorder. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-
 val encode : Buffer.t -> t -> unit
 (** Deterministic binary encoding (injective), used both for
     persistence and as hashing input framing. *)
@@ -40,7 +38,5 @@ val read : Tep_store.Codec.reader -> t
 val decode : string -> int -> t * int
 val encoded : t -> string
 
-val pp : Format.formatter -> t -> unit
-(** Multi-line indented rendering. *)
-
 val to_string : t -> string
+(** Multi-line indented rendering. *)

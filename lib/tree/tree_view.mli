@@ -52,10 +52,6 @@ val row_oid : mapping -> string -> int -> Oid.t option
 val cell_oid : mapping -> string -> int -> int -> Oid.t option
 val locate : mapping -> Oid.t -> location option
 
-val unregister : mapping -> Oid.t -> unit
-(** Forget the location of an object the engine deleted outside
-    {!mirror} (the engine's [delete_object]). *)
-
 (** {1 Persistence} *)
 
 val encode : Buffer.t -> mapping -> unit

@@ -32,17 +32,6 @@ let apply engine p op =
   | Ok ((), m) -> Ok m
   | Error e -> Error e
 
-let apply_all engine p ops =
-  List.fold_left
-    (fun acc op ->
-      match acc with
-      | Error _ -> acc
-      | Ok m -> (
-          match apply engine p op with
-          | Ok m' -> Ok (Engine.add_metrics m m')
-          | Error e -> Error e))
-    (Ok Engine.zero_metrics) ops
-
 let setup_a_points =
   (1 :: List.init 10 (fun n -> 400 * (n + 1)))
   @ List.init 7 (fun n -> 4000 * (n + 2))

@@ -21,13 +21,6 @@ val apply :
   Engine.t -> Participant.t -> complex_op -> (Engine.metrics, string) result
 (** Run one complex operation through the engine. *)
 
-val apply_all :
-  Engine.t ->
-  Participant.t ->
-  complex_op list ->
-  (Engine.metrics, string) result
-(** Run a list of complex operations; sums the metrics. *)
-
 (** {1 Setup A (Figure 7)} *)
 
 val setup_a_points : int list

@@ -25,15 +25,8 @@ val write : string -> string -> (unit, string) result
     failpoints. *)
 
 val ckpt_dir : string -> string
-val wal_path : string -> string
 val socket_path : string -> string
-val coord_path : string -> string
 val annot_path : string -> string
-
-val shard_count : string -> (int, string) result
-(** The shard count the [shards] file records (1 when it is absent). *)
-
-val shard_dir : string -> shards:int -> int -> string
 val pool : unit -> Tep_parallel.Pool.t
 val shard_label : shards:int -> int -> string
 val published_root : t -> string

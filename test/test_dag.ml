@@ -33,25 +33,35 @@ let test_build_figure2 () =
   let dag = Dag.build figure2_records in
   Alcotest.(check int) "7 records" 7 (Dag.size dag);
   Alcotest.(check int) "2 roots (inserts)" 2 (List.length (Dag.roots dag));
-  Alcotest.(check int) "1 sink (D)" 1 (List.length (Dag.sinks dag));
   Alcotest.(check bool) "non-linear" false (Dag.is_linear dag);
   Alcotest.(check (list (pair int string))) "no dangling" [] (Dag.dangling dag);
   Alcotest.(check int) "depth: C1->C3->C5->C7" 4 (Dag.depth dag)
 
+(* Depth follows the edges in topological order, not seq order: here
+   the oldest record is the chain's tip. *)
 let test_topological () =
-  let dag = Dag.build figure2_records in
-  let order = Dag.topological dag in
-  Alcotest.(check int) "all nodes" 7 (List.length order);
-  let pos = Hashtbl.create 7 in
-  List.iteri (fun i n -> Hashtbl.replace pos n i) order;
-  Array.iteri
-    (fun i node ->
-      List.iter
-        (fun p ->
-          Alcotest.(check bool) "pred before succ" true
-            (Hashtbl.find pos p < Hashtbl.find pos i))
-        node.Dag.predecessors)
-    (Dag.nodes dag)
+  let records =
+    [
+      mk ~seq:0 ~oid:1 ~checksum:"x" ~prevs:[ "y" ] ();
+      mk ~seq:1 ~oid:1 ~checksum:"y" ~prevs:[ "z" ] ();
+      mk ~kind:Record.Insert ~seq:2 ~oid:1 ~checksum:"z" ();
+    ]
+  in
+  let dag = Dag.build records in
+  Alcotest.(check (list int)) "root is the newest" [ 2 ] (Dag.roots dag);
+  Alcotest.(check int) "depth z->y->x" 3 (Dag.depth dag)
+
+let test_cycle () =
+  let records =
+    [
+      mk ~seq:0 ~oid:1 ~checksum:"a" ~prevs:[ "b" ] ();
+      mk ~seq:1 ~oid:1 ~checksum:"b" ~prevs:[ "a" ] ();
+    ]
+  in
+  let dag = Dag.build records in
+  Alcotest.(check (list int)) "no roots" [] (Dag.roots dag);
+  Alcotest.check_raises "depth" (Failure "Dag.topological: cycle") (fun () ->
+      ignore (Dag.depth dag))
 
 let test_linear_chain () =
   let records =
@@ -82,8 +92,7 @@ let test_records_of_participant () =
 let test_empty () =
   let dag = Dag.build [] in
   Alcotest.(check int) "size" 0 (Dag.size dag);
-  Alcotest.(check int) "depth" 0 (Dag.depth dag);
-  Alcotest.(check (list int)) "topo" [] (Dag.topological dag)
+  Alcotest.(check int) "depth" 0 (Dag.depth dag)
 
 let test_to_dot () =
   let dot = Dag.to_dot (Dag.build figure2_records) in
@@ -103,6 +112,7 @@ let () =
         [
           Alcotest.test_case "figure2 shape" `Quick test_build_figure2;
           Alcotest.test_case "topological" `Quick test_topological;
+          Alcotest.test_case "cycle" `Quick test_cycle;
           Alcotest.test_case "linear chain" `Quick test_linear_chain;
           Alcotest.test_case "dangling" `Quick test_dangling;
           Alcotest.test_case "records_of_participant" `Quick

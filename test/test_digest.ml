@@ -683,14 +683,14 @@ let vec_tests name hex vectors =
 
 let test_million_a () =
   check "sha1 10^6 x a" "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
-    (Sha1.hex (String.make 1_000_000 'a'));
+    (Digest_algo.hex SHA1 (String.make 1_000_000 'a'));
   check "sha256 10^6 x a"
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
     (Sha256.hex (String.make 1_000_000 'a'))
 
 let test_digest_sizes () =
-  Alcotest.(check int) "md5" 16 Md5.digest_size;
-  Alcotest.(check int) "sha1" 20 Sha1.digest_size;
+  Alcotest.(check int) "md5" 16 (Digest_algo.size MD5);
+  Alcotest.(check int) "sha1" 20 (Digest_algo.size SHA1);
   Alcotest.(check int) "sha256" 32 Sha256.digest_size;
   List.iter
     (fun a ->
@@ -713,18 +713,20 @@ let test_algo_names () =
    after a digest that left buffered partial-block state behind. *)
 let test_reset_reuse () =
   let inputs = [ ""; "abc"; String.make 200 'z'; "tail" ] in
-  let sha1 = Sha1.init () and sha256 = Sha256.init () and md5 = Md5.init () in
+  let sha1 = Digest_algo.init SHA1
+  and sha256 = Sha256.init ()
+  and md5 = Digest_algo.init MD5 in
   List.iter
     (fun s ->
-      Sha1.reset sha1;
-      Sha1.update sha1 s;
-      check "sha1 reset" (Sha1.digest s) (Sha1.final sha1);
+      Digest_algo.reset sha1;
+      Digest_algo.update sha1 s;
+      check "sha1 reset" (Digest_algo.digest SHA1 s) (Digest_algo.final sha1);
       Sha256.reset sha256;
       Sha256.update sha256 s;
       check "sha256 reset" (Sha256.digest s) (Sha256.final sha256);
-      Md5.reset md5;
-      Md5.update md5 s;
-      check "md5 reset" (Md5.digest s) (Md5.final md5))
+      Digest_algo.reset md5;
+      Digest_algo.update md5 s;
+      check "md5 reset" (Digest_algo.digest MD5 s) (Digest_algo.final md5))
     inputs
 
 let test_hex_roundtrip () =
@@ -881,9 +883,9 @@ let sha_ni_tests =
 let () =
   Alcotest.run "digest"
     [
-      ("sha1-vectors", vec_tests "sha1" Sha1.hex sha1_vectors);
+      ("sha1-vectors", vec_tests "sha1" (Digest_algo.hex SHA1) sha1_vectors);
       ("sha256-vectors", vec_tests "sha256" Sha256.hex sha256_vectors);
-      ("md5-vectors", vec_tests "md5" Md5.hex md5_vectors);
+      ("md5-vectors", vec_tests "md5" (Digest_algo.hex MD5) md5_vectors);
       ( "unit",
         [
           Alcotest.test_case "million a" `Slow test_million_a;
@@ -894,9 +896,9 @@ let () =
           Alcotest.test_case "sha256 lengths 0..200" `Quick
             (test_lengths Sha256.hex sha256_by_length);
           Alcotest.test_case "sha1 lengths 0..200" `Quick
-            (test_lengths Sha1.hex sha1_by_length);
+            (test_lengths (Digest_algo.hex SHA1) sha1_by_length);
           Alcotest.test_case "md5 lengths 0..200" `Quick
-            (test_lengths Md5.hex md5_by_length);
+            (test_lengths (Digest_algo.hex MD5) md5_by_length);
         ] );
       ( "sha256-kernels",
         Alcotest.test_case "fips vectors, portable kernel" `Quick

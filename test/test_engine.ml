@@ -177,11 +177,22 @@ let test_aggregate_objects () =
   Alcotest.(check bool) "original intact" true (Forest.mem (Engine.forest eng) r0)
 
 let test_object_ops () =
-  let eng, alice, _, _ = setup () in
+  let eng, alice, bob, _ = setup () in
   let o = ok (Engine.insert_object eng alice (Value.Text "standalone")) in
-  ok (Engine.update_object eng alice o (Value.Text "v2"));
-  ok (Engine.delete_object eng alice o);
-  Alcotest.(check bool) "gone" true (not (Forest.mem (Engine.forest eng) o))
+  ok (Engine.update_object eng bob o (Value.Text "v2"));
+  Alcotest.(check bool) "value" true
+    (Forest.value (Engine.forest eng) o = Ok (Value.Text "v2"));
+  (match Provstore.records_for (Engine.provstore eng) o with
+  | [ ins; upd ] ->
+      Alcotest.(check (list string)) "kinds" [ "insert"; "update" ]
+        (List.map (fun r -> Record.kind_name r.Record.kind) [ ins; upd ]);
+      Alcotest.(check (list string)) "writers" [ "alice"; "bob" ]
+        [ ins.Record.participant; upd.Record.participant ];
+      Alcotest.(check bool) "update reads the insert's state" true
+        (upd.Record.input_hashes = [ ins.Record.output_hash ])
+  | rs -> Alcotest.failf "expected 2 records, got %d" (List.length rs));
+  Alcotest.(check bool) "verifies" true
+    (Verifier.ok (ok (Engine.verify_object eng o)))
 
 let test_update_missing () =
   let eng, alice, _, _ = setup () in
@@ -212,18 +223,21 @@ let test_basic_mode () =
   let dir = Participant.Directory.create ~ca_key:(Tep_crypto.Pki.ca_public_key ca) in
   let alice = Participant.create ~ca ~name:"alice" drbg in
   Participant.Directory.register dir alice;
-  let db = Database.create ~name:"b" in
-  let t = ok (Database.create_table db ~name:"t" (Schema.all_int [ "a" ])) in
-  for i = 0 to 9 do
-    ignore (Table.insert t [| Value.Int i |])
-  done;
-  let eng = Engine.create ~mode:Engine.Basic ~directory:dir db in
+  let engine mode =
+    let db = Database.create ~name:"b" in
+    let t = ok (Database.create_table db ~name:"t" (Schema.all_int [ "a" ])) in
+    for i = 0 to 9 do
+      ignore (Table.insert t [| Value.Int i |])
+    done;
+    Engine.create ~mode ~directory:dir db
+  in
+  let eng = engine Engine.Basic in
   ok (Engine.update_cell eng alice ~table:"t" ~row:0 ~col:0 (Value.Int 1));
   let m_basic = Engine.last_metrics eng in
   (* basic mode re-hashes the whole tree (22 nodes) at commit *)
   Alcotest.(check bool) "basic hashes everything" true
     (m_basic.Engine.nodes_hashed >= 22);
-  Engine.set_mode eng Engine.Economical;
+  let eng = engine Engine.Economical in
   ignore (Engine.root_hash eng);
   ok (Engine.update_cell eng alice ~table:"t" ~row:1 ~col:0 (Value.Int 1));
   let m_econ = Engine.last_metrics eng in

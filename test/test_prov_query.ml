@@ -33,7 +33,7 @@ let store eng = Engine.provstore eng
 
 let test_history_and_values () =
   let eng, _, _, cell, _, _, _, _ = fixture () in
-  let h = Prov_query.history (store eng) cell in
+  let h = Provstore.records_for (store eng) cell in
   Alcotest.(check int) "3 records" 3 (List.length h);
   let vh = Prov_query.value_history (store eng) cell in
   Alcotest.(check (list (triple int string (of_pp Value.pp))))
@@ -44,9 +44,7 @@ let test_history_and_values () =
 let test_writers () =
   let eng, _, _, cell, _, _, _, _ = fixture () in
   Alcotest.(check (option string)) "last writer" (Some "alice")
-    (Prov_query.last_writer (store eng) cell);
-  Alcotest.(check (list string)) "writers in order" [ "alice"; "bob" ]
-    (Prov_query.writers (store eng) cell)
+    (Prov_query.last_writer (store eng) cell)
 
 let test_contributors () =
   let eng, _, _, _, _, _, agg, _ = fixture () in
@@ -58,42 +56,63 @@ let test_contributors () =
   | (_, c1) :: (_, c2) :: _ -> Alcotest.(check bool) "sorted" true (c1 >= c2)
   | _ -> Alcotest.fail "expected two contributors"
 
-let test_derived_from () =
+let oids l = List.sort Int.compare (List.map Oid.to_int l)
+
+(* Upstream: the provenance object shipped with an aggregate holds the
+   records of its inputs, transitively through an aggregate of it. *)
+let test_upstream () =
   let eng, _, _, _, row0, row1, agg, agg2 = fixture () in
-  let d = Prov_query.derived_from (store eng) agg in
+  let outputs o =
+    List.map (fun (r : Record.t) -> r.Record.output_oid)
+      (Provstore.provenance_object (store eng) o)
+  in
+  let d = outputs agg in
   Alcotest.(check bool) "rows included" true
     (List.exists (Oid.equal row0) d && List.exists (Oid.equal row1) d);
-  let d2 = Prov_query.derived_from (store eng) agg2 in
+  let d2 = outputs agg2 in
   Alcotest.(check bool) "transitive through agg" true
-    (List.exists (Oid.equal agg) d2 && List.exists (Oid.equal row0) d2)
+    (List.exists (Oid.equal agg) d2 && List.exists (Oid.equal row0) d2);
+  Alcotest.(check (list int)) "base inputs of agg2" (oids [ row0; row1 ])
+    (oids (Tep_prov.Lineage.which_inputs (Prov_index.of_store (store eng)) agg2))
 
-let test_derivatives () =
+let test_downstream () =
   let eng, _, _, _, row0, _, agg, agg2 = fixture () in
-  let d = Prov_query.derivatives (store eng) row0 in
+  let idx = Prov_index.of_store (store eng) in
+  let d = Prov_index.descendants idx row0 in
   Alcotest.(check bool) "agg downstream" true (List.exists (Oid.equal agg) d);
   Alcotest.(check bool) "agg2 transitively downstream" true
     (List.exists (Oid.equal agg2) d);
-  Alcotest.(check (list int)) "agg2 has no derivatives" []
-    (List.map Oid.to_int (Prov_query.derivatives (store eng) agg2))
+  Alcotest.(check (list int)) "row0 aggregated into agg" [ Oid.to_int agg ]
+    (List.map Oid.to_int (Provstore.aggregated_into (store eng) row0));
+  Alcotest.(check (list int)) "agg2 has no descendants" []
+    (List.map Oid.to_int (Prov_index.descendants idx agg2))
 
 let test_touched_by () =
   let eng, _, _, cell, _, _, _, _ = fixture () in
-  let bobs = Prov_query.touched_by (store eng) "bob" in
-  Alcotest.(check bool) "bob touched the cell" true (List.exists (Oid.equal cell) bobs);
+  let dag = Dag.build (Provstore.all (store eng)) in
+  let touched name =
+    List.map (fun (r : Record.t) -> r.Record.output_oid)
+      (Dag.records_of_participant dag name)
+  in
+  Alcotest.(check bool) "bob touched the cell" true
+    (List.exists (Oid.equal cell) (touched "bob"));
   Alcotest.(check (list int)) "nobody named carol" []
-    (List.map Oid.to_int (Prov_query.touched_by (store eng) "carol"))
+    (List.map Oid.to_int (touched "carol"))
 
-let test_state_hash_at () =
+(* Each version's output hash is the next version's input hash. *)
+let test_version_chain () =
   let eng, _, _, cell, _, _, _, _ = fixture () in
-  (match Prov_query.state_hash_at (store eng) cell 1 with
-  | Some h ->
-      let r2 = Option.get (Prov_query.record_at (store eng) cell 2) in
+  match Provstore.records_for (store eng) cell with
+  | [ v0; v1; v2 ] ->
+      Alcotest.(check (list int)) "versions" [ 0; 1; 2 ]
+        (List.map (fun (r : Record.t) -> r.Record.seq_id) [ v0; v1; v2 ]);
+      Alcotest.(check (list string)) "v0 hash feeds v1 input"
+        [ v0.Record.output_hash ] v1.Record.input_hashes;
       Alcotest.(check (list string)) "v1 hash feeds v2 input"
-        [ Tep_crypto.Digest_algo.to_hex h ]
-        (List.map Tep_crypto.Digest_algo.to_hex r2.Record.input_hashes)
-  | None -> Alcotest.fail "missing version");
-  Alcotest.(check bool) "absent version" true
-    (Prov_query.state_hash_at (store eng) cell 99 = None)
+        [ v1.Record.output_hash ] v2.Record.input_hashes;
+      Alcotest.(check bool) "latest is v2" true
+        (Provstore.latest (store eng) cell = Some v2)
+  | rs -> Alcotest.failf "expected 3 versions, got %d" (List.length rs)
 
 (* ---- shared-index traversal: deep chains must stay linear ---- *)
 
@@ -142,12 +161,9 @@ let test_deep_chain_linear () =
         "%s took %.2fs on the deep chain (expected well under 0.5s)" name dt;
     elapsed := !elapsed +. dt
   in
-  walk "derivatives" (fun () ->
+  walk "descendants" (fun () ->
       Alcotest.(check int) "all downstream" n
-        (List.length (Prov_query.derivatives store (Oid.of_int 0))));
-  walk "derived_from" (fun () ->
-      Alcotest.(check int) "all upstream" n
-        (List.length (Prov_query.derived_from store (Oid.of_int n))));
+        (List.length (Prov_index.descendants idx (Oid.of_int 0))));
   walk "depth" (fun () ->
       Alcotest.(check int) "depth = chain length" n
         (Prov_index.depth idx (Oid.of_int n)));
@@ -274,14 +290,6 @@ let oracle_closure store o =
   in
   grow []
 
-let oracle_ancestors store o =
-  List.filter_map
-    (fun (r : Record.t) ->
-      if Oid.equal r.Record.output_oid o then None
-      else Some r.Record.output_oid)
-    (oracle_closure store o)
-  |> List.sort_uniq Oid.compare
-
 let oracle_contributors store o =
   let ps =
     List.map
@@ -356,11 +364,7 @@ let check_walks label store o =
     (oracle_children store o);
   let descendants = oracle_descendants store o in
   expect "descendants" ( = ) oids (Prov_index.descendants idx o) descendants;
-  expect "derivatives" ( = ) oids (Prov_query.derivatives store o) descendants;
   expect "impact" ( = ) oids (L.impact idx o) descendants;
-  let ancestors = oracle_ancestors store o in
-  expect "ancestors" ( = ) oids (Prov_index.ancestors idx o) ancestors;
-  expect "derived_from" ( = ) oids (Prov_query.derived_from store o) ancestors;
   expect "contributors" ( = )
     (fun l ->
       String.concat ","
@@ -428,10 +432,10 @@ let () =
           Alcotest.test_case "history & values" `Quick test_history_and_values;
           Alcotest.test_case "writers" `Quick test_writers;
           Alcotest.test_case "contributors" `Quick test_contributors;
-          Alcotest.test_case "derived_from" `Quick test_derived_from;
-          Alcotest.test_case "derivatives" `Quick test_derivatives;
+          Alcotest.test_case "upstream" `Quick test_upstream;
+          Alcotest.test_case "downstream" `Quick test_downstream;
           Alcotest.test_case "touched_by" `Quick test_touched_by;
-          Alcotest.test_case "state_hash_at" `Quick test_state_hash_at;
+          Alcotest.test_case "version chain" `Quick test_version_chain;
         ] );
       ( "oracle", [ QCheck_alcotest.to_alcotest prop_walks_match_oracle ] );
       ( "perf",

@@ -1,4 +1,4 @@
-(* Predicates, bulk updates/deletes, aggregates. *)
+(* Predicates, deletes and updates of selected rows, aggregates. *)
 open Tep_store
 open Query
 
@@ -72,20 +72,29 @@ let test_count () =
   let t = mk_table () in
   Alcotest.(check int) "count" 2 (ok (count t (Cmp ("name", Eq, Value.Text "ann"))))
 
-let test_delete_where () =
+(* Bulk changes are a select followed by per-row table operations. *)
+let test_delete_selected () =
   let t = mk_table () in
-  let ids = ok (delete_where t (Cmp ("score", Lt, Value.Int 25))) in
-  Alcotest.(check int) "deleted" 2 (List.length ids);
-  Alcotest.(check int) "remaining" 3 (Table.row_count t)
+  let p = Cmp ("score", Lt, Value.Int 25) in
+  let ids = List.map (fun (r : Table.row) -> r.Table.id) (ok (select t p)) in
+  Alcotest.(check int) "selected" 2 (List.length ids);
+  Alcotest.(check (list bool)) "each deleted" [ true; true ]
+    (List.map (Table.delete t) ids);
+  Alcotest.(check int) "remaining" 3 (Table.row_count t);
+  Alcotest.(check int) "none left to match" 0 (ok (count t p))
 
-let test_update_where () =
+let test_update_selected () =
   let t = mk_table () in
-  let ids = ok (update_where t (Cmp ("name", Eq, Value.Text "ann")) [ ("score", Value.Int 0) ]) in
-  Alcotest.(check int) "touched" 2 (List.length ids);
+  let rows = ok (select t (Cmp ("name", Eq, Value.Text "ann"))) in
+  Alcotest.(check int) "touched" 2 (List.length rows);
+  List.iter
+    (fun (r : Table.row) -> ignore (ok (Table.update_cell t r.Table.id 1 (Value.Int 0))))
+    rows;
   Alcotest.(check int) "zeroed" 2 (ok (count t (Cmp ("score", Eq, Value.Int 0))));
-  match update_where t True [ ("nope", Value.Int 0) ] with
+  Alcotest.(check int) "others kept" 1 (ok (count t (Cmp ("score", Eq, Value.Int 20))));
+  match Table.update_cell t 1 9 (Value.Int 0) with
   | Ok _ -> Alcotest.fail "unknown column accepted"
-  | Error _ -> ()
+  | Error e -> Alcotest.(check string) "msg" "no column 9" e
 
 let test_aggregates () =
   let t = mk_table () in
@@ -250,35 +259,39 @@ let prop_connectives_are_set_algebra =
       && select_ids t (Not p) = keep (fun i -> not (List.mem i sp))
       && ok (count t p) = List.length sp)
 
-let prop_delete_where =
-  QCheck2.Test.make ~name:"delete_where removes exactly select" ~count:300
+let prop_delete_selected =
+  QCheck2.Test.make ~name:"deleting select's rows leaves its complement" ~count:300
     QCheck2.Gen.(pair gen_rows gen_pred)
     (fun (rows, p) ->
       let t = table_of rows in
       let before = Table.row_ids t in
       let matched = select_ids t p in
-      let deleted = ok (delete_where t p) in
-      deleted = matched
+      let rest = select_ids t (Not p) in
+      List.for_all (Table.delete t) matched
       && Table.row_ids t = List.filter (fun i -> not (List.mem i matched)) before
+      && Table.row_ids t = rest
       && select_ids t p = [])
 
-let prop_update_where =
-  QCheck2.Test.make ~name:"update_where touches exactly select" ~count:300
-    QCheck2.Gen.(triple gen_rows gen_pred (int_range (-4) 4))
-    (fun (rows, p, n) ->
+(* Count, Sum, Min and Max over an int column, against a fold over
+   the selected rows' non-null cells. *)
+let prop_aggregates_over_select =
+  QCheck2.Test.make ~name:"aggregate = fold over select" ~count:300
+    QCheck2.Gen.(pair gen_rows gen_pred)
+    (fun (rows, p) ->
       let t = table_of rows in
-      let before = Table.rows t in
-      let matched = select_ids t p in
-      let touched = ok (update_where t p [ ("i", Value.Int n) ]) in
-      touched = matched
-      && List.for_all
-           (fun (r : Table.row) ->
-             let now = Option.get (Table.get t r.Table.id) in
-             if List.mem r.Table.id matched then
-               now.Table.cells.(0) = Value.Int n
-               && Array.sub now.Table.cells 1 3 = Array.sub r.Table.cells 1 3
-             else now.Table.cells = r.Table.cells)
-           before)
+      let sel = ok (select t p) in
+      let ints =
+        List.filter_map
+          (fun (r : Table.row) ->
+            match r.Table.cells.(0) with Value.Int n -> Some n | _ -> None)
+          sel
+      in
+      let over f = match ints with [] -> Value.Null | n :: ns -> Value.Int (List.fold_left f n ns) in
+      ok (aggregate t p Count) = Value.Int (List.length sel)
+      && ok (aggregate t p (Sum "i")) = over ( + )
+      && ok (aggregate t p (Min "i")) = over min
+      && ok (aggregate t p (Max "i")) = over max
+      && aggregate t p (Sum "s") = aggregate_rows (Table.schema t) sel (Sum "s"))
 
 let prop_agg_roundtrip =
   QCheck2.Test.make ~name:"agg_of_string (agg_to_string a) = a" ~count:200
@@ -301,8 +314,8 @@ let () =
           Alcotest.test_case "boolean ops" `Quick test_boolean_ops;
           Alcotest.test_case "unknown column" `Quick test_unknown_column;
           Alcotest.test_case "count" `Quick test_count;
-          Alcotest.test_case "delete_where" `Quick test_delete_where;
-          Alcotest.test_case "update_where" `Quick test_update_where;
+          Alcotest.test_case "delete selected" `Quick test_delete_selected;
+          Alcotest.test_case "update selected" `Quick test_update_selected;
           Alcotest.test_case "aggregates" `Quick test_aggregates;
           Alcotest.test_case "pp" `Quick test_pp;
         ] );
@@ -314,6 +327,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_connectives_are_set_algebra; prop_delete_where; prop_update_where ]
+          [
+            prop_connectives_are_set_algebra;
+            prop_delete_selected;
+            prop_aggregates_over_select;
+          ]
       );
     ]

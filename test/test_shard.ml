@@ -700,7 +700,7 @@ let test_server_concurrent_clients_vs_serial () =
         in
         List.iter
           (fun cells ->
-            (match Client.insert_async c ~table cells with
+            (match Client.submit_async c (Message.Op_insert { table; cells }) with
             | Ok cid -> Queue.push cid inflight
             | Error e -> fail e);
             if Queue.length inflight >= window then collect ())

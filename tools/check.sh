@@ -4,9 +4,12 @@
 # under lib/ or bin/ but codec.ml and value.ml defines or calls a
 # read_varint, read_string or read_count of its own, none but
 # lib/store/durable.ml opens a file for writing, renames, fsyncs or
-# removes one, and no .ml under lib/crypto/ or lib/bignum/, nor
+# removes one, no .ml under lib/crypto/ or lib/bignum/, nor
 # lib/core/checksum.ml, participant.ml or verifier.ml, names Mutex,
-# Atomic or Domain.DLS), then
+# Atomic or Domain.DLS, and every top-level value an .mli under lib/
+# exports has a caller outside its module in lib/, bin/, bench/ or
+# examples/ or a line in tools/exports.allow, which lists exactly
+# those), then
 # `dune build @check-all` (full build, every test suite and every
 # named gate).  The build compiles the two C files,
 # lib/bignum/montmul.c (the Montgomery multiply and the dedicated
@@ -32,7 +35,9 @@
 # with their smoke gates, the event-loop service gate and the
 # toy-scale end-to-end benchmark of the real daemon.  Then five
 # scripted provdbd sessions:
-#   - daemon session: insert -> query -> verify, SIGTERM drain with a
+#   - daemon session: --io-threads outside 1..64 and an --idle-timeout
+#     that is not a finite number > 0 are refused before anything
+#     starts; insert -> query -> verify, SIGTERM drain with a
 #     stable root across restart, tamper -> remote verify exit 3;
 #   - sharded daemon session: writes on both shards of a 2-shard
 #     workspace, root-of-roots stable across drain + restart, then the
@@ -60,7 +65,8 @@ cd "$(dirname "$0")/.."
 
 echo "== interfaces (an .mli per lib/ module, lib/server/ files <= 600 lines," \
   "binary decoders read through Codec, files written through Durable," \
-  "no shared state on the signature-check path) =="
+  "no shared state on the signature-check path, every export used or" \
+  "listed) =="
 iface_ok=1
 for ml in $(find lib -name '*.ml' | sort); do
   if [ ! -f "${ml}i" ]; then
@@ -105,6 +111,32 @@ if [ -n "$stray" ]; then
   echo "FAIL: shared mutable state on the signature-check path"
   iface_ok=0
 fi
+# Every top-level value an .mli under lib/ exports is named outside its
+# own module in lib/, bin/, bench/ or examples/, or is listed with its
+# reason (a test seam, an oracle, a format decoder) in
+# tools/exports.allow.  A listed value that is gone or has gained a
+# caller fails too, so the list stays exact.
+exports_tmp=$(mktemp -d)
+sh tools/exports.sh > "$exports_tmp/scan"
+grep -v -e '^#' -e '^$' tools/exports.allow > "$exports_tmp/lines"
+cut -d' ' -f1,2 "$exports_tmp/lines" | LC_ALL=C sort > "$exports_tmp/allow"
+unlisted=$(LC_ALL=C comm -23 "$exports_tmp/scan" "$exports_tmp/allow")
+stale=$(LC_ALL=C comm -13 "$exports_tmp/scan" "$exports_tmp/allow")
+reasonless=$(awk 'NF < 3' "$exports_tmp/lines")
+rm -rf "$exports_tmp"
+if [ -n "$unlisted" ]; then
+  echo "$unlisted"
+  echo "FAIL: exported values with no caller outside their module (delete" \
+    "them, take them out of the .mli, or list them in tools/exports.allow)"
+  iface_ok=0
+fi
+if [ -n "$stale" ] || [ -n "$reasonless" ]; then
+  echo "$stale"
+  echo "$reasonless"
+  echo "FAIL: tools/exports.allow lines that are stale, repeated or" \
+    "without a reason"
+  iface_ok=0
+fi
 [ "$iface_ok" -eq 1 ] || exit 1
 
 echo "== dune build @check-all =="
@@ -145,6 +177,23 @@ wait_for_socket() {
     sleep 0.1
   done
 }
+
+# Reactor flags out of range are refused while the command line is
+# parsed: Cmdliner's exit 124, a message naming the flag, and no socket,
+# since nothing has been started.  (timeout also exits 124; a daemon it
+# stopped prints no such message.)
+for flag in --io-threads=0 --io-threads=-1 --io-threads=65 \
+  --idle-timeout=0 --idle-timeout=-1 --idle-timeout=nan; do
+  status=0
+  timeout 20 "$PROVDBD" "$ws" "$flag" > /dev/null 2> "$ws.err" || status=$?
+  cat "$ws.err"
+  if [ "$status" -ne 124 ] || [ -S "$ws/provdbd.sock" ] || \
+     ! grep -q -- "option '${flag%%=*}'" "$ws.err"; then
+    echo "FAIL: provdbd $flag exited $status, expected a refusal naming the flag"
+    exit 1
+  fi
+done
+echo "provdbd: out-of-range --io-threads and --idle-timeout refused"
 
 # explicit reactor flags: a small worker pool and a non-default idle
 # timeout, exercising the provdbd flag surface
